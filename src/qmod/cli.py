@@ -4,17 +4,24 @@ Three subcommands: ``eval`` computes a single value, ``check`` runs an
 identity's residual grid (or a user-supplied point), ``sweep`` emits the
 asymptotic-table and q->1 cost studies as CSV/JSON for plotting.
 
-All complex inputs arrive as explicit (re, im) flag pairs.  Output is
-fully deterministic: fixed grids come from the shipped ``defaults.json``
-(seeded PRNG draws, version-tagged), numbers print with shortest
-round-trip ``repr``, and rows are emitted in generation order.
+Output is fully deterministic: fixed grids come from the shipped
+``defaults.json`` (seeded PRNG draws, version-tagged), numbers print with
+shortest round-trip ``repr``, and rows are emitted in generation order.
 
-Flag conventions for targets whose natural arguments are not (tau, nu):
-``qgamma`` reads z from --x-re/--x-im and q from --q-re/--q-im; ``An``
-reads the order n from --n-max and z from --x-re/--x-im; ``M`` and
-``M-pv`` read alpha from --tau-im and xi from --nu-re (the real-case
-embedding tau = alpha*i, nu = xi*alpha*i); ``binet74``/``binet75`` read
-lambda from --x-re/--x-im.
+Each target reads its inputs from these flags.  A complex input comes from
+a (re, im) pair such as ``--tau-re/--tau-im`` (``--tau-*``); a missing half
+of a pair, or a missing ``--nu-re`` for xi, reads as 0.
+
+    target                                               inputs     flags
+    pochhammer-direct, pochhammer-euler, euler-identity  x, q       --x-*, --q-*
+    qgamma                                               z, q       --x-*, --q-*
+    theta                                                q, x       --q-*, --x-*
+    li2                                                  x          --x-*
+    An                                                   n, z       --n-max, --x-*
+    eta, eta-modular, lambert71, lambert72               tau        --tau-*
+    binet74, binet75                                     lambda     --x-*
+    M, M-pv (tau = alpha*i, nu = xi*alpha*i)             alpha, xi  --tau-im, --nu-re
+    every other eval and check target                    tau, nu    --tau-*, --nu-*
 
 Exit codes: 0 pass, 2 domain error or failed check, 3 convergence
 failure, 64 usage error, 74 output I/O error.
@@ -69,82 +76,189 @@ EXIT_CONVERGENCE = 3
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-EVAL_TARGETS = (
-    "pochhammer-direct",
-    "pochhammer-euler",
-    "pochhammer-modular",
-    "qgamma",
-    "eta",
-    "theta",
-    "li2",
-    "G",
-    "P",
-    "An",
-    "L1",
-    "L2",
-    "M",
-)
-CHECK_TARGETS = (
-    "euler-identity",
-    "thm29",
-    "ramanujan47",
-    "eta-modular",
-    "theta-modular",
-    "stokes28",
-    "reflection34",
-    "lambert67",
-    "lambert68",
-    "lambert71",
-    "lambert72",
-    "binet74",
-    "binet75",
-    "M-pv",
-)
-SWEEP_TARGETS = ("asym-table", "q-to-one")
 
-_QUAD_REL_TOL = 1e-11
-_QUAD_ABS_FLOOR = 1e-15
-_SERIES_TOL = 1e-16
+def _series_err(v: complex) -> float:
+    return 1e-16 * (1.0 + abs(v))
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the usage exit code this tool promises (64)."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def _quad_err(v: complex) -> float:
+    return 1e-11 * abs(v) + 1e-15
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="qmod", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, targets in (
-        ("eval", EVAL_TARGETS),
-        ("check", CHECK_TARGETS),
-        ("sweep", SWEEP_TARGETS),
-    ):
-        p = sub.add_parser(command)
-        p.add_argument("target", choices=targets)
-        for flag in ("tau-re", "tau-im", "nu-re", "nu-im", "x-re", "x-im", "q-re", "q-im"):
-            p.add_argument(f"--{flag}", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--n-max", type=int, default=None)
-        p.add_argument("--alpha", type=float, action="append", default=None)
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", default=None)
-    return parser
+def _closed_err(v: complex) -> float:
+    return 4e-16 * (1.0 + abs(v))
 
 
-def load_defaults() -> dict:
-    """The versioned grid/sweep configuration shipped with the package."""
-    text = resources.files("qmod").joinpath("defaults.json").read_text("utf-8")
-    return json.loads(text)
+def _point(p: dict) -> ModularPoint:
+    return ModularPoint(p["tau"], p.get("nu", 0.0))
+
+
+def _lambert(which: int):
+    return lambda p, tol: lambert_relation_residuals(_point(p), which, tol=tol)
+
+
+# Each entry reads its inputs from a dict keyed by the input names.  The
+# entries are lambdas so that every callee is looked up in this module's
+# globals at call time, where a wrapper installed on it sees the call.
+
+#: eval target -> (input names, evaluator, error model of the value)
+EVAL = {
+    "pochhammer-direct": (("x", "q"), lambda p: qpochhammer(p["x"], p["q"]), _series_err),
+    "pochhammer-euler": (("x", "q"), lambda p: euler_series(p["x"], p["q"]), _series_err),
+    "pochhammer-modular": (("tau", "nu"), lambda p: qpochhammer_modular(_point(p)), _quad_err),
+    "qgamma": (("z", "q"), lambda p: q_gamma(p["z"], p["q"]), _series_err),
+    "eta": (("tau",), lambda p: eta(p["tau"]), _series_err),
+    "theta": (("q", "x"), lambda p: theta_product(p["q"], p["x"]), _series_err),
+    "li2": (("x",), lambda p: dilog(p["x"]), _closed_err),
+    "G": (("tau", "nu"), lambda p: big_G(_point(p)), _closed_err),
+    "P": (("tau", "nu"), lambda p: P_minus(_point(p)), _quad_err),
+    "An": (("n", "z"), lambda p: A_n(p["n"], p["z"]), _quad_err),
+    "L1": (("tau", "nu"), lambda p: lambert_L1(_point(p)), _series_err),
+    "L2": (("tau", "nu"), lambda p: lambert_L2(_point(p)), _series_err),
+    "M": (("alpha", "xi"), lambda p: M_almost_modular(p["alpha"], p["xi"]), _quad_err),
+}
+
+#: check target -> (input names, residual taking the inputs and a tolerance or None)
+CHECK = {
+    "euler-identity": (("x", "q"), lambda p, tol: euler_residual(p["x"], p["q"], tol=tol)),
+    "thm29": (("tau", "nu"), lambda p, tol: thm29_residual(_point(p), tol=tol)),
+    "ramanujan47": (("tau", "nu"), lambda p, tol: ramanujan_residual(_point(p), tol=tol)),
+    "eta-modular": (("tau",), lambda p, tol: eta_modular_residual(p["tau"], tol=tol)),
+    "theta-modular": (
+        ("tau", "nu"), lambda p, tol: theta_modular_residual(p["tau"], p["nu"], tol=tol)
+    ),
+    "stokes28": (("tau", "nu"), lambda p, tol: stokes_residual(_point(p), tol=tol)),
+    "reflection34": (("tau", "nu"), lambda p, tol: reflection_residual(_point(p), tol=tol)),
+    "lambert67": (("tau", "nu"), _lambert(67)),
+    "lambert68": (("tau", "nu"), _lambert(68)),
+    "lambert71": (("tau",), _lambert(71)),
+    "lambert72": (("tau",), _lambert(72)),
+    "binet74": (("lambda",), lambda p, tol: binet74_residual(p["lambda"], tol=tol)),
+    "binet75": (("lambda",), lambda p, tol: binet75_residual(p["lambda"], tol=tol)),
+    "M-pv": (
+        ("alpha", "xi"), lambda p, tol: mpv_residual(p["alpha"].real, p["xi"].real, tol=tol)
+    ),
+}
+
+
+def _asym_table(args, cfg: dict, alphas: list[float]) -> list[dict]:
+    """Truncated correction series against -P, one row per (alpha, N)."""
+    nu = _pair(args.nu_re, args.nu_im)
+    if nu is None:
+        nu = _complex_of(cfg["nu"])
+    n_max = args.n_max if args.n_max is not None else cfg["n_max"]
+    # AsymptoticRow's fields after tau are the remaining columns, in order
+    return [
+        {"alpha": alpha, "nu": nu, **{k: v for k, v in vars(row).items() if k != "tau"}}
+        for alpha in alphas
+        for row in theta_series_table(nu, [1j * alpha], n_max=n_max, eps=cfg["eps"])
+    ]
+
+
+def _q_to_one(args, cfg: dict, alphas: list[float]) -> list[dict]:
+    """Direct-product cost against transformed-side cost as q -> 1."""
+    rows = []
+    for alpha in alphas:
+        tau = 1j * alpha
+        point = ModularPoint(tau, cfg["s"] * tau)
+        direct, n_direct = qpochhammer_with_count(point.x, point.q)
+        modular, n_modular = qpochhammer_modular_with_count(point)
+        rel = abs(direct - modular) / max(abs(direct), abs(modular), 1e-300)
+        rows.append({"alpha": alpha, "direct_terms": n_direct,
+                     "modular_terms": n_modular, "rel_diff": rel})
+    return rows
+
+
+#: sweep target -> row builder taking (args, its defaults entry, alphas)
+SWEEP = {"asym-table": _asym_table, "q-to-one": _q_to_one}
+
+EVAL_TARGETS = tuple(EVAL)
+CHECK_TARGETS = tuple(CHECK)
+SWEEP_TARGETS = tuple(SWEEP)
+
+
+# ---------------------------------------------------------------------------
+# inputs: flags, defaults.json and the check grids
 
 
 def _pair(re: float | None, im: float | None) -> complex | None:
     if re is None and im is None:
         return None
     return complex(re or 0.0, im or 0.0)
+
+
+def _complex_of(v) -> complex:
+    """A defaults.json number or [re, im] pair as a complex."""
+    return complex(*v) if isinstance(v, list) else complex(v)
+
+
+#: input name -> (its value read from the parsed flags, flags named if missing)
+_INPUTS = {
+    "tau": (lambda a: _pair(a.tau_re, a.tau_im), "--tau-re/--tau-im"),
+    "nu": (lambda a: _pair(a.nu_re, a.nu_im), "--nu-re/--nu-im"),
+    "x": (lambda a: _pair(a.x_re, a.x_im), "--x-re/--x-im"),
+    "q": (lambda a: _pair(a.q_re, a.q_im), "--q-re/--q-im"),
+    "n": (lambda a: a.n_max, "--n-max"),
+    "alpha": (lambda a: a.tau_im, "--tau-im (alpha)"),
+    "xi": (lambda a: a.nu_re or 0.0, None),
+}
+_INPUTS["z"] = _INPUTS["lambda"] = _INPUTS["x"]
+
+
+def _read_inputs(names: tuple[str, ...], args, err) -> dict:
+    """The named inputs from their flags; a missing one is a usage error."""
+    values = {}
+    for name in names:
+        read, flags = _INPUTS[name]
+        values[name] = read(args)
+        if values[name] is None:
+            err(f"missing required flags: {flags}")
+    return values
+
+
+def load_defaults() -> dict:
+    """The versioned grid/sweep configuration shipped with the package."""
+    return json.loads(resources.files("qmod").joinpath("defaults.json").read_text("utf-8"))
+
+
+def _draw(rng: random.Random, c: dict, name: str, point: dict) -> complex:
+    """One seeded draw of input ``name``, as its defaults entry describes."""
+    if f"{name}_radius" in c:
+        # sqrt keeps the polar draw area-uniform over the disk
+        r = c[f"{name}_radius"] * math.sqrt(rng.random())
+        phi = 2.0 * math.pi * rng.random()
+        return complex(r * math.cos(phi), r * math.sin(phi))
+    if f"{name}_re" in c:
+        return complex(rng.uniform(*c[f"{name}_re"]), rng.uniform(*c[f"{name}_im"]))
+    return rng.uniform(*c["c_range"]) * point["tau"]  # nu = c tau
+
+
+def check_grid(target: str, cfg: dict) -> list[dict[str, complex]]:
+    """The default input grid for a check target, deterministically built.
+
+    An entry with a ``seed`` draws ``count`` points, input by input; an
+    entry with ``points`` lists whole points; any other entry lists each
+    input's values in input order, and the grid is their product.
+    """
+    names = CHECK[target][0]
+    c = cfg["checks"][target]
+    if "seed" in c:
+        rng = random.Random(c["seed"])
+        grid = [{} for _ in range(c["count"])]
+        for point in grid:
+            for name in names:
+                point[name] = _draw(rng, c, name, point)
+        return grid
+    if "points" in c:
+        return [dict(zip(names, map(_complex_of, p))) for p in c["points"]]
+    grid = [{}]
+    for name, values in zip(names, c.values()):
+        grid = [{**point, name: _complex_of(v)} for point in grid for v in values]
+    return grid
+
+
+# ---------------------------------------------------------------------------
+# output
 
 
 def _fmt(value: float) -> str:
@@ -154,6 +268,43 @@ def _fmt(value: float) -> str:
 def _fmt_c(value: complex) -> str:
     value = complex(value)
     return f"{_fmt(value.real)}{'+' if value.imag >= 0 or value.imag != value.imag else ''}{_fmt(value.imag)}j"
+
+
+def _json(obj) -> str:
+    """Indented JSON with every complex number written as [re, im]."""
+    return json.dumps(obj, indent=2, default=lambda c: [c.real, c.imag]) + "\n"
+
+
+def _csv_cells(name: str, v) -> list[tuple[str, str]]:
+    """(column, cell) pairs: complex values split into _re/_im columns."""
+    if isinstance(v, complex):
+        return [(f"{name}_re", _fmt(v.real)), (f"{name}_im", _fmt(v.imag))]
+    if isinstance(v, dict):  # a report's inputs
+        return [(name, ";".join(f"{k}={_fmt_c(c)}" for k, c in v.items()))]
+    if isinstance(v, float):
+        return [(name, _fmt(v))]
+    return [(name, str(v).replace(",", ";"))]
+
+
+def _render(rows: list[dict], fmt: str) -> str:
+    """A JSON list for ``json``, otherwise CSV with a header line."""
+    if fmt == "json":
+        return _json(rows)
+    cells = [[c for name, v in row.items() for c in _csv_cells(name, v)] for row in rows]
+    lines = [",".join(col for col, _ in cells[0])]
+    lines += [",".join(cell for _, cell in row) for row in cells]
+    return "\n".join(lines) + "\n"
+
+
+def _report_line(r: ResidualReport) -> str:
+    ins = " ".join(f"{k}={_fmt_c(v)}" for k, v in r.inputs)
+    if r.skipped:
+        return f"SKIP {r.identity_id} [{ins}] {r.skip_reason}"
+    word = "PASS" if r.passed else "FAIL"
+    return (
+        f"{word} {r.identity_id} [{ins}] rel={_fmt(r.rel_residual)} "
+        f"abs={_fmt(r.abs_residual)} tol={_fmt(r.tolerance)}"
+    )
 
 
 def _emit(text: str, out_path: str | None) -> int:
@@ -170,281 +321,56 @@ def _emit(text: str, out_path: str | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# eval
+# commands
 
 
-def _require(parser_error, value, names: str):
-    if value is None:
-        parser_error(f"missing required flags: {names}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """argparse with the usage exit code this tool promises (64)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _cmd_eval(args, err) -> tuple[complex, float]:
-    """Returns (value, error_estimate) for the requested target."""
-    tau = _pair(args.tau_re, args.tau_im)
-    nu = _pair(args.nu_re, args.nu_im)
-    x = _pair(args.x_re, args.x_im)
-    q = _pair(args.q_re, args.q_im)
-    target = args.target
-
-    def series_err(v: complex) -> float:
-        return _SERIES_TOL * (1.0 + abs(v))
-
-    def quad_err(v: complex) -> float:
-        return _QUAD_REL_TOL * abs(v) + _QUAD_ABS_FLOOR
-
-    def closed_err(v: complex) -> float:
-        return 4e-16 * (1.0 + abs(v))
-
-    if target == "pochhammer-direct":
-        v = qpochhammer(_require(err, x, "--x-re/--x-im"), _require(err, q, "--q-re/--q-im"))
-        return v, series_err(v)
-    if target == "pochhammer-euler":
-        v = euler_series(_require(err, x, "--x-re/--x-im"), _require(err, q, "--q-re/--q-im"))
-        return v, series_err(v)
-    if target == "pochhammer-modular":
-        point = ModularPoint(
-            _require(err, tau, "--tau-re/--tau-im"), _require(err, nu, "--nu-re/--nu-im")
-        )
-        v = qpochhammer_modular(point)
-        return v, quad_err(v)
-    if target == "qgamma":
-        v = q_gamma(_require(err, x, "--x-re/--x-im"), _require(err, q, "--q-re/--q-im"))
-        return v, series_err(v)
-    if target == "eta":
-        v = eta(_require(err, tau, "--tau-re/--tau-im"))
-        return v, series_err(v)
-    if target == "theta":
-        v = theta_product(_require(err, q, "--q-re/--q-im"), _require(err, x, "--x-re/--x-im"))
-        return v, series_err(v)
-    if target == "li2":
-        v = dilog(_require(err, x, "--x-re/--x-im"))
-        return v, closed_err(v)
-    if target == "G":
-        point = ModularPoint(
-            _require(err, tau, "--tau-re/--tau-im"), _require(err, nu, "--nu-re/--nu-im")
-        )
-        v = big_G(point)
-        return v, closed_err(v)
-    if target == "P":
-        point = ModularPoint(
-            _require(err, tau, "--tau-re/--tau-im"), _require(err, nu, "--nu-re/--nu-im")
-        )
-        v = P_minus(point)
-        return v, quad_err(v)
-    if target == "An":
-        n = _require(err, args.n_max, "--n-max")
-        v = A_n(n, _require(err, x, "--x-re/--x-im"))
-        return v, quad_err(v)
-    if target in ("L1", "L2"):
-        point = ModularPoint(
-            _require(err, tau, "--tau-re/--tau-im"), _require(err, nu, "--nu-re/--nu-im")
-        )
-        fn = lambert_L1 if target == "L1" else lambert_L2
-        v = fn(point)
-        return v, series_err(v)
-    # M: real-case embedding, alpha from --tau-im, xi from --nu-re
-    alpha = _require(err, args.tau_im, "--tau-im (alpha)")
-    xi = args.nu_re or 0.0
-    v = complex(M_almost_modular(alpha, xi))
-    return v, quad_err(v)
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="qmod", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, table in {"eval": EVAL, "check": CHECK, "sweep": SWEEP}.items():
+        p = sub.add_parser(command)
+        p.add_argument("target", choices=tuple(table))
+        for flag in ("tau-re", "tau-im", "nu-re", "nu-im", "x-re", "x-im", "q-re", "q-im"):
+            p.add_argument(f"--{flag}", type=float, default=None)
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--n-max", type=int, default=None)
+        p.add_argument("--alpha", type=float, action="append", default=None)
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--out", default=None)
+    return parser
 
 
-# ---------------------------------------------------------------------------
-# check grids
-
-
-def _complex_of(pair) -> complex:
-    return complex(pair[0], pair[1])
-
-
-def _uniform(rng: random.Random, lo_hi) -> float:
-    return rng.uniform(lo_hi[0], lo_hi[1])
-
-
-def check_grid(target: str, cfg: dict) -> list[dict[str, complex]]:
-    """The default input grid for a check target, deterministically built."""
-    c = cfg["checks"][target]
-    if target == "euler-identity":
-        rng = random.Random(c["seed"])
-        pts = []
-        for _ in range(c["count"]):
-            # sqrt keeps the polar draw area-uniform over each disk
-            rx = c["x_radius"] * math.sqrt(rng.random())
-            px = 2.0 * math.pi * rng.random()
-            rq = c["q_radius"] * math.sqrt(rng.random())
-            pq = 2.0 * math.pi * rng.random()
-            pts.append(
-                {
-                    "x": complex(rx * math.cos(px), rx * math.sin(px)),
-                    "q": complex(rq * math.cos(pq), rq * math.sin(pq)),
-                }
-            )
-        return pts
-    if target == "thm29":
-        taus = [_complex_of(t) for t in c["tau"]]
-        nus = [_complex_of(n) for n in c["nu"]]
-        return [{"tau": t, "nu": n} for t in taus for n in nus]
-    if target in ("ramanujan47", "theta-modular", "reflection34"):
-        rng = random.Random(c["seed"])
-        pts = []
-        for _ in range(c["count"]):
-            t = complex(_uniform(rng, c["tau_re"]), _uniform(rng, c["tau_im"]))
-            n = complex(_uniform(rng, c["nu_re"]), _uniform(rng, c["nu_im"]))
-            pts.append({"tau": t, "nu": n})
-        return pts
-    if target == "eta-modular":
-        rng = random.Random(c["seed"])
-        return [
-            {"tau": complex(_uniform(rng, c["tau_re"]), _uniform(rng, c["tau_im"]))}
-            for _ in range(c["count"])
-        ]
-    if target == "stokes28":
-        rng = random.Random(c["seed"])
-        pts = []
-        for _ in range(c["count"]):
-            t = complex(_uniform(rng, c["tau_re"]), _uniform(rng, c["tau_im"]))
-            pts.append({"tau": t, "nu": _uniform(rng, c["c_range"]) * t})
-        return pts
-    if target in ("lambert67", "lambert68"):
-        return [
-            {"tau": _complex_of(t), "nu": _complex_of(n)} for t, n in c["points"]
-        ]
-    if target in ("lambert71", "lambert72"):
-        return [{"tau": _complex_of(t)} for t in c["taus"]]
-    if target in ("binet74", "binet75"):
-        return [{"lambda": _complex_of(p)} for p in c["lambdas"]]
-    # M-pv
-    return [
-        {"alpha": complex(a), "xi": complex(x)} for a in c["alphas"] for x in c["xis"]
-    ]
-
-
-def _single_point(target: str, args, err) -> dict[str, complex] | None:
-    """A user-supplied point overriding the default grid, if any flag given."""
-    tau = _pair(args.tau_re, args.tau_im)
-    nu = _pair(args.nu_re, args.nu_im)
-    x = _pair(args.x_re, args.x_im)
-    q = _pair(args.q_re, args.q_im)
-    if all(v is None for v in (tau, nu, x, q)):
-        return None
-    if target == "euler-identity":
-        return {
-            "x": _require(err, x, "--x-re/--x-im"),
-            "q": _require(err, q, "--q-re/--q-im"),
-        }
-    if target in ("thm29", "ramanujan47", "theta-modular", "stokes28", "reflection34",
-                  "lambert67", "lambert68"):
-        return {
-            "tau": _require(err, tau, "--tau-re/--tau-im"),
-            "nu": _require(err, nu, "--nu-re/--nu-im"),
-        }
-    if target in ("eta-modular", "lambert71", "lambert72"):
-        return {"tau": _require(err, tau, "--tau-re/--tau-im")}
-    if target in ("binet74", "binet75"):
-        return {"lambda": _require(err, x, "--x-re/--x-im")}
-    # M-pv
-    return {
-        "alpha": complex(_require(err, args.tau_im, "--tau-im (alpha)")),
-        "xi": complex(args.nu_re or 0.0),
-    }
-
-
-def run_check_point(
-    target: str, inputs: dict[str, complex], tol: float | None
-) -> ResidualReport:
-    """One residual evaluation; domain rejections surface as DomainError."""
-    if target == "euler-identity":
-        return euler_residual(inputs["x"], inputs["q"], tol=tol)
-    if target == "thm29":
-        return thm29_residual(ModularPoint(inputs["tau"], inputs["nu"]), tol=tol)
-    if target == "ramanujan47":
-        return ramanujan_residual(ModularPoint(inputs["tau"], inputs["nu"]), tol=tol)
-    if target == "eta-modular":
-        return eta_modular_residual(inputs["tau"], tol=tol)
-    if target == "theta-modular":
-        return theta_modular_residual(inputs["tau"], inputs["nu"], tol=tol)
-    if target == "stokes28":
-        return stokes_residual(ModularPoint(inputs["tau"], inputs["nu"]), tol=tol)
-    if target == "reflection34":
-        return reflection_residual(ModularPoint(inputs["tau"], inputs["nu"]), tol=tol)
-    if target.startswith("lambert"):
-        which = int(target[len("lambert"):])
-        nu = inputs.get("nu", 0.0)
-        return lambert_relation_residuals(
-            ModularPoint(inputs["tau"], nu), which, tol=tol
-        )
-    if target == "binet74":
-        return binet74_residual(inputs["lambda"], tol=tol)
-    if target == "binet75":
-        return binet75_residual(inputs["lambda"], tol=tol)
-    # M-pv
-    return mpv_residual(inputs["alpha"].real, inputs["xi"].real, tol=tol)
-
-
-def _report_line(r: ResidualReport) -> str:
-    ins = " ".join(f"{k}={_fmt_c(v)}" for k, v in r.inputs)
-    if r.skipped:
-        return f"SKIP {r.identity_id} [{ins}] {r.skip_reason}"
-    word = "PASS" if r.passed else "FAIL"
-    return (
-        f"{word} {r.identity_id} [{ins}] rel={_fmt(r.rel_residual)} "
-        f"abs={_fmt(r.abs_residual)} tol={_fmt(r.tolerance)}"
-    )
-
-
-def _report_obj(r: ResidualReport) -> dict:
-    return {
-        "identity_id": r.identity_id,
-        "inputs": {k: [v.real, v.imag] for k, v in r.inputs},
-        "lhs": [r.lhs.real, r.lhs.imag],
-        "rhs": [r.rhs.real, r.rhs.imag],
-        "abs_residual": r.abs_residual,
-        "rel_residual": r.rel_residual,
-        "tolerance": r.tolerance,
-        "passed": r.passed,
-        "skipped": r.skipped,
-        "skip_reason": r.skip_reason,
-    }
-
-
-def _reports_csv(reports: list[ResidualReport]) -> str:
-    lines = [
-        "identity_id,inputs,lhs_re,lhs_im,rhs_re,rhs_im,"
-        "abs_residual,rel_residual,tolerance,passed,skipped,skip_reason"
-    ]
-    for r in reports:
-        ins = ";".join(f"{k}={_fmt_c(v)}" for k, v in r.inputs)
-        lines.append(
-            ",".join(
-                [
-                    r.identity_id,
-                    ins,
-                    _fmt(r.lhs.real),
-                    _fmt(r.lhs.imag),
-                    _fmt(r.rhs.real),
-                    _fmt(r.rhs.imag),
-                    _fmt(r.abs_residual),
-                    _fmt(r.rel_residual),
-                    _fmt(r.tolerance),
-                    str(r.passed),
-                    str(r.skipped),
-                    r.skip_reason.replace(",", ";"),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _cmd_eval(args, err) -> tuple[str, int]:
+    names, evaluate, error_model = EVAL[args.target]
+    value = complex(evaluate(_read_inputs(names, args, err)))
+    row = {"value": value, "error": error_model(value)}
+    if args.format == "json":
+        return _json({"target": args.target, **row}), EXIT_OK
+    if args.format == "csv":
+        return _render([row], "csv"), EXIT_OK
+    return f"{_fmt(value.real)} {_fmt(value.imag)} {_fmt(row['error'])}\n", EXIT_OK
 
 
 def _cmd_check(args, err) -> tuple[str, int]:
     target = args.target
-    single = _single_point(target, args, err)
-    grid = [single] if single is not None else check_grid(target, load_defaults())
-    tol_effective = args.tol if args.tol is not None else TOLERANCES.get(target, 1e-10)
+    names, residual = CHECK[target]
+    if any(v is not None for k, v in vars(args).items() if k.endswith(("_re", "_im"))):
+        grid = [_read_inputs(names, args, err)]
+    else:
+        grid = check_grid(target, load_defaults())
+    tol_effective = args.tol if args.tol is not None else TOLERANCES[target]
     reports: list[ResidualReport] = []
     for inputs in grid:
         try:
-            reports.append(run_check_point(target, inputs, args.tol))
+            reports.append(residual(inputs, args.tol))
         except DomainError as exc:
             reports.append(skipped_report(target, inputs, tol_effective, str(exc)))
     n_pass = sum(1 for r in reports if r.passed)
@@ -452,24 +378,17 @@ def _cmd_check(args, err) -> tuple[str, int]:
     n_fail = len(reports) - n_pass - n_skip
     admissible_ok = (len(reports) - n_skip) >= 0.6 * len(reports)
     code = EXIT_OK if (n_fail == 0 and admissible_ok) else EXIT_DOMAIN
-    if args.format == "json":
-        text = json.dumps([_report_obj(r) for r in reports], indent=2) + "\n"
-    elif args.format == "csv":
-        text = _reports_csv(reports)
-    else:
-        lines = [_report_line(r) for r in reports]
-        lines.append(
-            f"SUMMARY {target}: {n_pass} pass, {n_fail} fail, {n_skip} skip "
-            f"(n={len(reports)})"
-        )
-        if not admissible_ok:
-            lines.append(f"ERROR {target}: fewer than 60% of grid points admissible")
-        text = "\n".join(lines) + "\n"
-    return text, code
-
-
-# ---------------------------------------------------------------------------
-# sweeps
+    if args.format != "text":
+        rows = [{**vars(r), "inputs": dict(r.inputs)} for r in reports]
+        return _render(rows, args.format), code
+    lines = [_report_line(r) for r in reports]
+    lines.append(
+        f"SUMMARY {target}: {n_pass} pass, {n_fail} fail, {n_skip} skip "
+        f"(n={len(reports)})"
+    )
+    if not admissible_ok:
+        lines.append(f"ERROR {target}: fewer than 60% of grid points admissible")
+    return "\n".join(lines) + "\n", code
 
 
 def _cmd_sweep(args, err) -> tuple[str, int]:
@@ -479,116 +398,16 @@ def _cmd_sweep(args, err) -> tuple[str, int]:
         err("empty alpha range")
     if any(a <= 0 for a in alphas):
         err("alpha values must be positive")
-
-    if args.target == "asym-table":
-        nu = _pair(args.nu_re, args.nu_im)
-        if nu is None:
-            nu = _complex_of(cfg["nu"])
-        n_max = args.n_max if args.n_max is not None else cfg["n_max"]
-        eps = cfg["eps"]
-        rows = []
-        for alpha in alphas:
-            for row in theta_series_table(nu, [1j * alpha], n_max=n_max, eps=eps):
-                rows.append((alpha, row))
-        header = (
-            "alpha,nu_re,nu_im,N,theta_partial_re,theta_partial_im,"
-            "minus_P_re,minus_P_im,error,bound_rhs"
-        )
-        csv_lines = [header]
-        for alpha, row in rows:
-            csv_lines.append(
-                ",".join(
-                    [
-                        _fmt(alpha),
-                        _fmt(nu.real),
-                        _fmt(nu.imag),
-                        str(row.N),
-                        _fmt(row.theta_partial.real),
-                        _fmt(row.theta_partial.imag),
-                        _fmt(row.minus_P.real),
-                        _fmt(row.minus_P.imag),
-                        _fmt(row.error),
-                        _fmt(row.bound_rhs),
-                    ]
-                )
-            )
-        if args.format == "json":
-            objs = [
-                {
-                    "alpha": alpha,
-                    "nu": [nu.real, nu.imag],
-                    "N": row.N,
-                    "theta_partial": [row.theta_partial.real, row.theta_partial.imag],
-                    "minus_P": [row.minus_P.real, row.minus_P.imag],
-                    "error": row.error,
-                    "bound_rhs": row.bound_rhs,
-                }
-                for alpha, row in rows
-            ]
-            return json.dumps(objs, indent=2) + "\n", EXIT_OK
-        return "\n".join(csv_lines) + "\n", EXIT_OK
-
-    # q-to-one: direct-product cost vs transformed-side cost
-    s = cfg["s"]
-    rows = []
-    for alpha in alphas:
-        tau = 1j * alpha
-        point = ModularPoint(tau, s * tau)
-        direct, n_direct = qpochhammer_with_count(point.x, point.q)
-        modular, n_modular = qpochhammer_modular_with_count(point)
-        rel = abs(direct - modular) / max(abs(direct), abs(modular), 1e-300)
-        rows.append((alpha, n_direct, n_modular, rel))
-    if args.format == "json":
-        objs = [
-            {
-                "alpha": alpha,
-                "direct_terms": nd,
-                "modular_terms": nm,
-                "rel_diff": rel,
-            }
-            for alpha, nd, nm, rel in rows
-        ]
-        return json.dumps(objs, indent=2) + "\n", EXIT_OK
-    lines = ["alpha,direct_terms,modular_terms,rel_diff"]
-    for alpha, nd, nm, rel in rows:
-        lines.append(f"{_fmt(alpha)},{nd},{nm},{_fmt(rel)}")
-    return "\n".join(lines) + "\n", EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# entry point
+    # text is CSV: the sweeps are tables for plotting
+    return _render(SWEEP[args.target](args, cfg, alphas), args.format), EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = {"eval": _cmd_eval, "check": _cmd_check, "sweep": _cmd_sweep}[args.command]
     try:
-        if args.command == "eval":
-            value, estimate = _cmd_eval(args, parser.error)
-            if args.format == "json":
-                text = (
-                    json.dumps(
-                        {
-                            "target": args.target,
-                            "value": [value.real, value.imag],
-                            "error": estimate,
-                        },
-                        indent=2,
-                    )
-                    + "\n"
-                )
-            elif args.format == "csv":
-                text = (
-                    "value_re,value_im,error\n"
-                    f"{_fmt(value.real)},{_fmt(value.imag)},{_fmt(estimate)}\n"
-                )
-            else:
-                text = f"{_fmt(value.real)} {_fmt(value.imag)} {_fmt(estimate)}\n"
-            code = EXIT_OK
-        elif args.command == "check":
-            text, code = _cmd_check(args, parser.error)
-        else:
-            text, code = _cmd_sweep(args, parser.error)
+        text, code = command(args, parser.error)
     except DomainError as exc:
         print(f"qmod: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -140,6 +140,14 @@ def _tol(identity_id: str, tol: float | None) -> float:
 # (x; q)_oo through the transformed variables
 
 
+def _require_thm29(point: ModularPoint) -> None:
+    """Raise DomainError unless the point lies in the transformation domain."""
+    if not point.admissible_thm29:
+        raise DomainError(
+            f"point tau={point.tau}, nu={point.nu} outside the transformation domain"
+        )
+
+
 def qpochhammer_modular_with_count(
     point: ModularPoint,
     tr: Truncation | None = None,
@@ -147,10 +155,7 @@ def qpochhammer_modular_with_count(
 ) -> tuple[complex, int]:
     """Transformed-side evaluation of (x; q)_oo, plus the number of
     product terms the (tau*, nu*) side actually needed."""
-    if not point.admissible_thm29:
-        raise DomainError(
-            f"point tau={point.tau}, nu={point.nu} outside the transformation domain"
-        )
+    _require_thm29(point)
     prod, n_terms = qpochhammer_with_count(
         point.x_star * point.q_star, point.q_star, tr
     )
@@ -190,10 +195,7 @@ def qpochhammer_modular_variants(
             "nu/tau is real: the point sits on the boundary between the "
             "two variant half-domains"
         )
-    if not point.admissible_thm29:
-        raise DomainError(
-            f"point tau={point.tau}, nu={point.nu} outside the transformation domain"
-        )
+    _require_thm29(point)
     prod = qpochhammer(point.x_star, point.q_star, tr)
     pre = cmath.exp(-1j * math.pi * point.tau / 12)
     expo = dilog(point.x) / point.log_q + g_star(point) + P_minus(point, spec)
@@ -218,10 +220,7 @@ def ramanujan_completed(
     which is the combination that stays single-valued on the whole
     domain.
     """
-    if not point.admissible_thm29:
-        raise DomainError(
-            f"point tau={point.tau}, nu={point.nu} outside the transformation domain"
-        )
+    _require_thm29(point)
     s = point.s
     prod = qpochhammer(point.q_star * point.x_star, point.q_star, tr)
     pre = cmath.exp(-1j * math.pi * point.tau / 12)

@@ -254,12 +254,7 @@ def theta_product(q: complex, x: complex, tr: Truncation | None = None) -> compl
     if q.imag == 0.0 and q.real < 0.0:
         raise DomainError("q on the negative real axis: principal sqrt(q) is "
                           "ambiguous, call theta_product_tau instead")
-    rq = cmath.sqrt(q)
-    return (
-        qpochhammer(q, q, tr)
-        * qpochhammer(-rq * x, q, tr)
-        * qpochhammer(-rq / x, q, tr)
-    )
+    return _triple_product(q, cmath.sqrt(q), x, tr)
 
 
 def theta_product_tau(tau: complex, x: complex, tr: Truncation | None = None) -> complex:
@@ -270,11 +265,17 @@ def theta_product_tau(tau: complex, x: complex, tr: Truncation | None = None) ->
     if x == 0:
         raise DomainError("x must be nonzero")
     q = cmath.exp(2j * math.pi * tau)
-    rq = cmath.exp(1j * math.pi * tau)
+    return _triple_product(q, cmath.exp(1j * math.pi * tau), x, tr)
+
+
+def _triple_product(
+    q: complex, sqrt_q: complex, x: complex, tr: Truncation | None
+) -> complex:
+    """(q;q)(-sqrt_q x;q)(-sqrt_q/x;q) for the caller's choice of sqrt(q)."""
     return (
         qpochhammer(q, q, tr)
-        * qpochhammer(-rq * x, q, tr)
-        * qpochhammer(-rq / x, q, tr)
+        * qpochhammer(-sqrt_q * x, q, tr)
+        * qpochhammer(-sqrt_q / x, q, tr)
     )
 
 

@@ -58,15 +58,6 @@ class RaySpec:
             raise DomainError("max_panels must be >= 1")
 
 
-@dataclass(frozen=True)
-class AdmissibleCone:
-    """Open interval of ray directions with certified positive slack."""
-
-    d_min: float
-    d_max: float
-    margin: float
-
-
 class RayResult(NamedTuple):
     value: complex
     error: float
@@ -198,33 +189,6 @@ def _grid(half: str) -> list[float]:
     raise DomainError(f"half must be 'lower' or 'upper', got {half!r}")
 
 
-def admissible_cone(point: ModularPoint, half: str) -> AdmissibleCone:
-    """The contiguous positive-slack direction band around the best ray."""
-    grid = _grid(half)
-    poles = _pole_directions(point, half)
-    slacks = [
-        _slack(point, d)
-        if all(abs(d - p) >= 0.999 * RAY_GRID_STEP for p in poles)
-        else -math.inf
-        for d in grid
-    ]
-    best = max(range(len(grid)), key=lambda i: slacks[i])
-    if not slacks[best] > 0.0:
-        raise DomainError(f"empty admissible cone for {point.tau=}, {point.nu=}")
-    lo = best
-    while lo > 0 and slacks[lo - 1] > 0.0:
-        lo -= 1
-    hi = best
-    while hi + 1 < len(grid) and slacks[hi + 1] > 0.0:
-        hi += 1
-    run = slacks[lo : hi + 1]
-    return AdmissibleCone(
-        d_min=min(grid[lo], grid[hi]),
-        d_max=max(grid[lo], grid[hi]),
-        margin=0.5 * min(run),
-    )
-
-
 def choose_ray(point: ModularPoint, half: str) -> RaySpec:
     """Deterministic argmax of the convergence slack over the angle grid.
 
@@ -272,13 +236,12 @@ def g_plus(z: complex, spec: RaySpec | None = None) -> complex:
     return integrate_ray(integrand, spec).value
 
 
-def big_G(point: ModularPoint, spec: RaySpec | None = None) -> complex:
+def big_G(point: ModularPoint) -> complex:
     """G(tau, nu) in closed Stirling-remainder form.
 
     Defined for s = nu/tau off (-oo, 0]; equals g_plus(s), which remains
     available as an independent cross-check.
     """
-    del spec  # closed form; kept in the signature for interface symmetry
     s = point.s
     if s.imag == 0.0 and s.real <= 0.0:
         raise DomainError(f"big_G needs nu/tau off (-oo, 0], got s = {s}")

@@ -20,6 +20,7 @@ from qmod.cli import (
     load_defaults,
     main,
 )
+from qmod.modularity import TOLERANCES
 
 
 def run(capsys, *argv):
@@ -56,11 +57,31 @@ def test_eval_An_flag_convention(capsys):
     assert float(out.split()[0]) == pytest.approx(0.008331944775049624, rel=1e-10)
 
 
-def test_eval_missing_flags_is_usage_error(capsys):
+#: the flags each eval target reads its first input from
+FIRST_FLAGS = {
+    "pochhammer-direct": "--x-re/--x-im",
+    "pochhammer-euler": "--x-re/--x-im",
+    "pochhammer-modular": "--tau-re/--tau-im",
+    "qgamma": "--x-re/--x-im",
+    "eta": "--tau-re/--tau-im",
+    "theta": "--q-re/--q-im",
+    "li2": "--x-re/--x-im",
+    "G": "--tau-re/--tau-im",
+    "P": "--tau-re/--tau-im",
+    "An": "--n-max",
+    "L1": "--tau-re/--tau-im",
+    "L2": "--tau-re/--tau-im",
+    "M": "--tau-im (alpha)",
+}
+
+
+@pytest.mark.parametrize("target", EVAL_TARGETS)
+def test_eval_missing_flags_is_usage_error(capsys, target):
     with pytest.raises(SystemExit) as exc:
-        main(["eval", "li2"])
+        main(["eval", target])
     assert exc.value.code == EXIT_USAGE
-    assert "x-re" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"missing required flags: {FIRST_FLAGS[target]}\n" in err
 
 
 def test_eval_unknown_target_is_usage_error(capsys):
@@ -259,3 +280,5 @@ def test_defaults_config_is_complete():
     assert set(cfg["checks"]) == set(CHECK_TARGETS)
     assert set(cfg["sweeps"]) == set(SWEEP_TARGETS)
     assert len(EVAL_TARGETS) == 13
+    # a check target runs at its TOLERANCES entry unless --tol is given
+    assert set(CHECK_TARGETS) <= set(TOLERANCES)

@@ -19,8 +19,9 @@ from qmod.raysum import (
     M_almost_modular,
     P_minus,
     P_plus,
+    RAY_GRID_STEP,
     RaySpec,
-    admissible_cone,
+    _slack,
     big_G,
     choose_ray,
     dP_dnu,
@@ -86,11 +87,17 @@ def test_choose_ray_lower_half():
 
 
 def test_choose_ray_inside_cone():
+    # the chosen ray decays, keeps clear of the pole ray arg(tau) - pi, and
+    # has the largest slack of every lower grid angle that keeps clear too
     p = ModularPoint(1j, 0.25)
-    cone = admissible_cone(p, "lower")
-    spec = choose_ray(p, "lower")
-    assert cone.d_min <= spec.direction_d <= cone.d_max
-    assert cone.margin > 0.0
+    d = choose_ray(p, "lower").direction_d
+    pole = cmath.phase(p.tau) - math.pi
+    assert _slack(p, d) > 0.0
+    assert abs(d - pole) >= 0.999 * RAY_GRID_STEP
+    grid = [-k * RAY_GRID_STEP for k in range(1, 36)]
+    admissible = [a for a in grid if abs(a - pole) >= 0.999 * RAY_GRID_STEP]
+    assert len(admissible) == len(grid) - 1
+    assert _slack(p, d) == max(_slack(p, a) for a in admissible)
 
 
 def test_choose_ray_empty_cone():

@@ -1,0 +1,83 @@
+"""Dump stdout, stderr and exit code of a fixed set of ``qmod`` invocations.
+
+Usage: ``python tools/cli_golden.py SRC_DIR > dump.txt``.  Diff the dumps of two
+source trees: an empty diff means byte-identical command line behaviour.  Cases
+run in process in a scratch directory, so ``--out`` paths and messages are fixed.
+"""
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+
+XQ, TN = "--x-re 0.3 --x-im 0.1 --q-re 0.5 --q-im 0.2", "--tau-im 1 --nu-re 0.1 --nu-im 0.3"
+EVAL_POINTS = {
+    "pochhammer-direct": XQ, "pochhammer-euler": XQ, "G": TN, "P": TN,
+    "pochhammer-modular": "--tau-im 0.5 --nu-re 0.1 --nu-im 0.15",
+    "qgamma": "--x-re 2.5 --q-re 0.9", "eta": "--tau-re 0.1 --tau-im 0.8",
+    "theta": "--q-re 0.3 --q-im 0.1 --x-re 0.7 --x-im 0.2", "li2": "--x-re 0.4 --x-im 0.3",
+    "An": "--n-max 2 --x-re 0.3", "L1": "--tau-im 1 --nu-im 0.2",
+    "L2": "--tau-im 1 --nu-im 0.2", "M": "--tau-im 0.7 --nu-re 0.3",
+}
+CHECK_POINTS = {
+    "euler-identity": "--x-re 0.5 --x-im 0.1 --q-re 0.3",
+    "eta-modular": "--tau-re 0.1 --tau-im 0.9", "lambert71": "--tau-im 0.5",
+    "lambert72": "--tau-im 0.5", "stokes28": "--tau-im 1 --nu-im 0.2",
+    "binet74": "--x-re 1.5 --x-im 0.5", "binet75": "--x-re 1.5 --x-im 0.5",
+    "M-pv": "--tau-im 0.8 --nu-re 0.3",
+}
+ERRORS = [
+    "", "eval", "eval zeta", "check nope", "--help", "eval --help", "check --help",
+    "eval theta --x-re 0.1", "eval An --x-re 0.1", "eval M --nu-re 0.2",
+    "check euler-identity --x-re 0.5", "check M-pv --nu-re 0.3",
+    "check binet74 --tau-im 1", "check M-pv --n-max 3", "check lambert72 --tol 1e-18",
+    "eval li2 --x-re 0.4 --format xml", "sweep q-to-one --alpha -0.1",
+    "sweep asym-table --alpha 0.2 --n-max 2 --nu-im 0.1",
+    "sweep q-to-one --alpha 0.1 --alpha 0.05 --format json",
+    "eval eta --tau-im -1", "eval G --tau-im 1 --nu-im -0.3",
+    "check thm29 --tau-im 1 --nu-re 1.5", "check reflection34 --tau-im 1 --nu-re 0.3",
+    "sweep asym-table --nu-re 1.5", "eval pochhammer-direct --x-re 0.5 --q-re 0.99999",
+    "check thm29 --tau-im 1 --nu-re 1.5 --format csv", "eval li2 --x-im 0.5",
+    "check reflection34 --tau-im 1 --nu-re 0.3 --format json", "eval M --tau-im 0.7",
+    "sweep asym-table --alpha 0.2 --n-max 1 --nu-re 0 --format json",
+    "check lambert72 --out missing-dir/x.txt", "check binet74 --format csv --out out.csv",
+]
+
+
+def run(main, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    dump = f"$ qmod {' '.join(argv)}\n[exit {code}]\n--- stdout\n{out.getvalue()}"
+    dump += f"--- stderr\n{err.getvalue()}"
+    if "--out" in argv and os.path.exists(argv[-1]):
+        with open(argv[-1], encoding="utf-8") as fh:
+            dump += f"--- {argv[-1]}\n{fh.read()}"
+    return dump
+
+
+def main() -> int:
+    sys.path.insert(0, os.path.abspath(sys.argv[1]))
+    from qmod import cli
+
+    cases = [f"check {t}" for t in cli.CHECK_TARGETS]
+    cases += [f"sweep {t}" for t in cli.SWEEP_TARGETS]
+    cases += [f"eval {t} {EVAL_POINTS[t]}" for t in cli.EVAL_TARGETS]
+    cases = [f"{c} --format {f}" for c in cases for f in ("text", "json", "csv")]
+    cases += [f"eval {t}" for t in cli.EVAL_TARGETS]
+    cases += [f"check {t} {CHECK_POINTS.get(t, TN)}" for t in cli.CHECK_TARGETS]
+    cases += ERRORS
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for case in cases:
+            sys.stdout.write(run(cli.main, case.split()))
+    print(f"{len(cases)} cases", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
