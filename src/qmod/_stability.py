@@ -11,13 +11,17 @@ these helpers solve:
   exponentials keeps every intermediate bounded whenever the combined
   exponents decay, which is exactly the admissible-cone condition the
   ray sums operate under.
+
+The kernels take a scalar or a numpy array: a scalar gives a Python
+``complex``, an array an array of the same shape, so a quadrature can
+evaluate all its nodes in one call.
 """
 
 from __future__ import annotations
 
 import cmath
 
-_HALF = 0.5
+import numpy as np
 
 
 def cexpm1(w: complex) -> complex:
@@ -30,53 +34,58 @@ def cexpm1(w: complex) -> complex:
     return 2.0 * cmath.exp(0.5 * w) * cmath.sinh(0.5 * w)
 
 
-def inv_expm1(w: complex) -> complex:
+def piecewise(z, near, f_near, f_far):
+    """f_near on the elements of z where ``near`` holds, f_far on the rest.
+
+    Each branch sees only its own elements, so neither is evaluated where
+    it would overflow or lose its digits.  A scalar z gives a Python
+    complex, an array z an array of the same shape.
+    """
+    z = np.asarray(z, dtype=complex)
+    near = np.asarray(near)
+    out = np.empty(z.shape, dtype=complex)
+    out[near] = f_near(z[near])
+    out[~near] = f_far(z[~near])
+    return complex(out) if out.ndim == 0 else out
+
+
+def inv_expm1(w):
     """1 / (exp(w) - 1), stable for small w and non-overflowing for
     large |Re w|.
 
-    For Re w >= 1/2 the equivalent form exp(-w)/(1 - exp(-w)) is used so
-    the intermediate exp never overflows; for Re w <= -1/2 the form
-    -1/(1 - exp(w)) avoids cancellation the same way.
+    For Re w >= 0 the equivalent form exp(-w)/(1 - exp(-w)) is used, so
+    the exponential only ever sees arguments with Re <= 0.
     """
-    w = complex(w)
-    if w.real >= _HALF:
-        ew = cmath.exp(-w)
-        return ew / (1.0 - ew)
-    if w.real <= -_HALF:
-        return -1.0 / (1.0 - cmath.exp(w))
-    return 1.0 / cexpm1(w)
+    return piecewise(
+        w,
+        np.real(w) < 0.0,
+        lambda v: 1.0 / np.expm1(v),
+        lambda v: -np.exp(-v) / np.expm1(-v),
+    )
 
 
-def sin_ratio(nu: complex, w: complex) -> complex:
+def sin_ratio(nu: complex, w):
     """sin(nu*w) / (exp(i*w) - 1) without overflow.
 
     Valid wherever the exponents i(nu - 1)w and -i(nu + 1)w both have
     negative real part eventually (the admissible-cone condition); near
     w = 0 the naive form is fine and is used directly.
     """
-    if abs(w) * (1.0 + abs(nu)) < 1.0:
-        return cmath.sin(nu * w) * inv_expm1(1j * w)
-    den = 2j * (1.0 - cmath.exp(-1j * w))
-    return (cmath.exp(1j * (nu - 1.0) * w) - cmath.exp(-1j * (nu + 1.0) * w)) / den
+    return piecewise(
+        w,
+        np.abs(w) * (1.0 + abs(nu)) < 1.0,
+        lambda v: np.sin(nu * v) * inv_expm1(1j * v),
+        lambda v: (np.exp(1j * (nu - 1.0) * v) - np.exp(-1j * (nu + 1.0) * v))
+        / (2j * (1.0 - np.exp(-1j * v))),
+    )
 
 
-def cos_ratio(nu: complex, w: complex) -> complex:
+def cos_ratio(nu: complex, w):
     """cos(nu*w) / (exp(i*w) - 1), same regime as :func:`sin_ratio`."""
-    if abs(w) * (1.0 + abs(nu)) < 1.0:
-        return cmath.cos(nu * w) * inv_expm1(1j * w)
-    den = 2.0 * (1.0 - cmath.exp(-1j * w))
-    return (cmath.exp(1j * (nu - 1.0) * w) + cmath.exp(-1j * (nu + 1.0) * w)) / den
-
-
-def cot(w: complex) -> complex:
-    """Complex cotangent that stays finite for large |Im w|.
-
-    Splits on the sign of Im w so the inner exponential always has
-    modulus <= 1:  cot w = i(1 + 2/(e^{-2iw} - 1)) for Im w <= 0 and the
-    conjugate form otherwise.  Callers are responsible for staying away
-    from the poles at pi*k.
-    """
-    w = complex(w)
-    if w.imag <= 0.0:
-        return -1j * (1.0 + 2.0 * inv_expm1(-2j * w))
-    return 1j * (1.0 + 2.0 * inv_expm1(2j * w))
+    return piecewise(
+        w,
+        np.abs(w) * (1.0 + abs(nu)) < 1.0,
+        lambda v: np.cos(nu * v) * inv_expm1(1j * v),
+        lambda v: (np.exp(1j * (nu - 1.0) * v) + np.exp(-1j * (nu + 1.0) * v))
+        / (2.0 * (1.0 - np.exp(-1j * v))),
+    )

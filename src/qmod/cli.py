@@ -10,7 +10,9 @@ shortest round-trip ``repr``, and rows are emitted in generation order.
 
 Each target reads its inputs from these flags.  A complex input comes from
 a (re, im) pair such as ``--tau-re/--tau-im`` (``--tau-*``); a missing half
-of a pair, or a missing ``--nu-re`` for xi, reads as 0.
+of a pair, or a missing ``--nu-re`` for xi, reads as 0.  For ``eval`` and
+``check`` an input flag the target does not read is a usage error;
+``--tol``, ``--format`` and ``--out`` apply to every target.
 
     target                                               inputs     flags
     pochhammer-direct, pochhammer-euler, euler-identity  x, q       --x-*, --q-*
@@ -192,24 +194,35 @@ def _complex_of(v) -> complex:
     return complex(*v) if isinstance(v, list) else complex(v)
 
 
-#: input name -> (its value read from the parsed flags, flags named if missing)
+#: input name -> (its value read from the parsed flags, flags named if
+#: missing, the flags it reads)
 _INPUTS = {
-    "tau": (lambda a: _pair(a.tau_re, a.tau_im), "--tau-re/--tau-im"),
-    "nu": (lambda a: _pair(a.nu_re, a.nu_im), "--nu-re/--nu-im"),
-    "x": (lambda a: _pair(a.x_re, a.x_im), "--x-re/--x-im"),
-    "q": (lambda a: _pair(a.q_re, a.q_im), "--q-re/--q-im"),
-    "n": (lambda a: a.n_max, "--n-max"),
-    "alpha": (lambda a: a.tau_im, "--tau-im (alpha)"),
-    "xi": (lambda a: a.nu_re or 0.0, None),
+    "tau": (lambda a: _pair(a.tau_re, a.tau_im), "--tau-re/--tau-im", ("tau_re", "tau_im")),
+    "nu": (lambda a: _pair(a.nu_re, a.nu_im), "--nu-re/--nu-im", ("nu_re", "nu_im")),
+    "x": (lambda a: _pair(a.x_re, a.x_im), "--x-re/--x-im", ("x_re", "x_im")),
+    "q": (lambda a: _pair(a.q_re, a.q_im), "--q-re/--q-im", ("q_re", "q_im")),
+    "n": (lambda a: a.n_max, "--n-max", ("n_max",)),
+    "alpha": (lambda a: a.tau_im, "--tau-im (alpha)", ("tau_im",)),
+    "xi": (lambda a: a.nu_re or 0.0, None, ("nu_re",)),
 }
 _INPUTS["z"] = _INPUTS["lambda"] = _INPUTS["x"]
+#: parsed arguments that every eval and check target accepts
+_GENERAL = ("command", "target", "tol", "format", "out")
+
+
+def _reject_unread(names: tuple[str, ...], args, err) -> None:
+    """A usage error for the first flag given that no input reads."""
+    read = {flag for name in names for flag in _INPUTS[name][2]}
+    for flag, value in vars(args).items():
+        if value is not None and flag not in read and flag not in _GENERAL:
+            err(f"{args.target} does not read --{flag.replace('_', '-')}")
 
 
 def _read_inputs(names: tuple[str, ...], args, err) -> dict:
     """The named inputs from their flags; a missing one is a usage error."""
     values = {}
     for name in names:
-        read, flags = _INPUTS[name]
+        read, flags, _ = _INPUTS[name]
         values[name] = read(args)
         if values[name] is None:
             err(f"missing required flags: {flags}")
@@ -350,6 +363,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_eval(args, err) -> tuple[str, int]:
     names, evaluate, error_model = EVAL[args.target]
+    _reject_unread(names, args, err)
     value = complex(evaluate(_read_inputs(names, args, err)))
     row = {"value": value, "error": error_model(value)}
     if args.format == "json":
@@ -362,6 +376,7 @@ def _cmd_eval(args, err) -> tuple[str, int]:
 def _cmd_check(args, err) -> tuple[str, int]:
     target = args.target
     names, residual = CHECK[target]
+    _reject_unread(names, args, err)
     if any(v is not None for k, v in vars(args).items() if k.endswith(("_re", "_im"))):
         grid = [_read_inputs(names, args, err)]
     else:

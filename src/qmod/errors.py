@@ -12,5 +12,6 @@ class DomainError(ValueError):
 
 class ConvergenceError(ArithmeticError):
     """Raised when a series or quadrature fails to meet its tolerance
-    within the configured budget (max terms, max panels, bisection
-    depth)."""
+    within its budget (max terms; for the DE quadrature MAX_NODES nodes,
+    an integrand not decayed at the ends of its range, or a non-finite
+    value)."""

@@ -17,6 +17,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._stability import cexpm1, inv_expm1
 from .errors import DomainError
 from .qcore import (
@@ -140,6 +142,11 @@ def _tol(identity_id: str, tol: float | None) -> float:
 # (x; q)_oo through the transformed variables
 
 
+def _q_pow_minus_1_24(tau: complex) -> complex:
+    """q^{-1/24} = e^{-pi i tau / 12}, the eta-type prefactor."""
+    return cmath.exp(-1j * math.pi * tau / 12)
+
+
 def _require_thm29(point: ModularPoint) -> None:
     """Raise DomainError unless the point lies in the transformation domain."""
     if not point.admissible_thm29:
@@ -159,9 +166,9 @@ def qpochhammer_modular_with_count(
     prod, n_terms = qpochhammer_with_count(
         point.x_star * point.q_star, point.q_star, tr
     )
-    pre = cmath.exp(-1j * math.pi * point.tau / 12)  # q^{-1/24}
     expo = dilog(point.x) / point.log_q + big_G(point) + P_minus(point, spec)
-    return pre * cmath.sqrt(1.0 - point.x) * prod * cmath.exp(expo), n_terms
+    root = cmath.sqrt(1.0 - point.x)
+    return _q_pow_minus_1_24(point.tau) * root * prod * cmath.exp(expo), n_terms
 
 
 def qpochhammer_modular(
@@ -197,14 +204,13 @@ def qpochhammer_modular_variants(
         )
     _require_thm29(point)
     prod = qpochhammer(point.x_star, point.q_star, tr)
-    pre = cmath.exp(-1j * math.pi * point.tau / 12)
     expo = dilog(point.x) / point.log_q + g_star(point) + P_minus(point, spec)
     x, xs = point.x, point.x_star
     if s.imag > 0.0:
         root = cmath.sqrt((1.0 - x) / (1.0 - xs))
     else:
         root = cmath.sqrt((1.0 - x) * (1.0 - 1.0 / xs)) / (1.0 - xs)
-    return pre * root * prod * cmath.exp(expo)
+    return _q_pow_minus_1_24(point.tau) * root * prod * cmath.exp(expo)
 
 
 def ramanujan_completed(
@@ -223,14 +229,13 @@ def ramanujan_completed(
     _require_thm29(point)
     s = point.s
     prod = qpochhammer(point.q_star * point.x_star, point.q_star, tr)
-    pre = cmath.exp(-1j * math.pi * point.tau / 12)
     stirling = cmath.exp(s * (cmath.log(s) - 1.0) - log_gamma(s + 1.0))
     expo = dilog(point.x) / point.log_q + P_minus(point, spec)
     return (
         math.sqrt(TWO_PI)
         * cmath.sqrt(s)
         * cmath.sqrt(1.0 - point.x)
-        * pre
+        * _q_pow_minus_1_24(point.tau)
         * stirling
         * cmath.exp(expo)
         * prod
@@ -309,7 +314,7 @@ def eta_modular_residual(
     point = ModularPoint(tau, tau)  # x = q
     lhs = qpochhammer(point.q, point.q, tr)
     rhs = (
-        cmath.exp(-1j * math.pi * tau / 12)
+        _q_pow_minus_1_24(tau)
         * cmath.sqrt(1j / tau)
         * cmath.exp(1j * math.pi * point.tau_star / 12)
         * qpochhammer(point.q_star, point.q_star, tr)
@@ -487,16 +492,22 @@ def lambert_relation_residuals(
 # Binet validation integrals
 
 
+def _binet_spec(lam: complex) -> RaySpec:
+    """The real axis, along which both Binet integrands decay like
+    e^{-(2 pi - |Im lam|) u}."""
+    return RaySpec(direction_d=0.0, decay=TWO_PI - abs(lam.imag))
+
+
 def binet74_residual(lam: complex, tol: float | None = None) -> ResidualReport:
     """Integral of sin(lam u)/(e^{2 pi u} - 1) over u > 0 vs closed form."""
     lam = complex(lam)
     if abs(lam.imag) >= TWO_PI:
         raise DomainError(f"|Im lam| = {abs(lam.imag)} >= 2 pi: integral diverges")
 
-    def integrand(u: complex) -> complex:
-        return cmath.sin(lam * u) * inv_expm1(TWO_PI * u)
+    def integrand(u):
+        return np.sin(lam * u) * inv_expm1(TWO_PI * u)
 
-    lhs = integrate_ray(integrand, RaySpec(direction_d=0.0)).value
+    lhs = integrate_ray(integrand, _binet_spec(lam)).value
     rhs = 0.25 + 0.5 * (inv_expm1(lam) - 1.0 / lam)
     return compare("binet74", {"lambda": lam}, lhs, rhs, _tol("binet74", tol))
 
@@ -507,12 +518,12 @@ def binet75_residual(lam: complex, tol: float | None = None) -> ResidualReport:
     if abs(lam.imag) >= TWO_PI:
         raise DomainError(f"|Im lam| = {abs(lam.imag)} >= 2 pi: integral diverges")
 
-    def integrand(u: complex) -> complex:
+    def integrand(u):
         # 1 - cos w = 2 sin^2(w/2): exact, and free of the cancellation
         # that would otherwise drown the u -> 0 end in rounding noise
-        return 2.0 * cmath.sin(0.5 * lam * u) ** 2 * inv_expm1(TWO_PI * u) / u
+        return 2.0 * np.sin(0.5 * lam * u) ** 2 * inv_expm1(TWO_PI * u) / u
 
-    lhs = integrate_ray(integrand, RaySpec(direction_d=0.0)).value
+    lhs = integrate_ray(integrand, _binet_spec(lam)).value
     rhs = lam / 4.0 + 0.5 * cmath.log(-cexpm1(-lam) / lam)
     return compare("binet75", {"lambda": lam}, lhs, rhs, _tol("binet75", tol))
 
@@ -544,40 +555,24 @@ class AsymptoticRow:
     bound_rhs: float
 
 
-_C_SAMPLES = 400
-_c_eps_cache: dict[tuple[int, float], float] = {}
-
-
 def _f_tail_constant(N: int, eps: float) -> float:
-    """Empirical constant C with |f(t) - f_N(t)| <= C |t|^{2N+1} / (2pi-eps)^{2N}
+    """Constant C with |f(t) - f_N(t)| <= C |t|^{2N+1} / (2pi-eps)^{2N}
     on |t| <= 2pi - eps.
 
     f_N is the odd Taylor polynomial of f through degree 2N - 1.  The
     poles of f sit on the real axis, so the supremum over any admissible
-    ray is dominated by real samples; those are what we scan.
+    ray is dominated by real t.  There f(t) = sum_k 4t/(t^2 - (2 pi k)^2)
+    gives (f - f_N)(t)/t^{2N+1} = -4/(2pi)^{2N+2} sum_m zeta(2N+2+2m)
+    (t/2pi)^{2m}, whose modulus grows with |t|: the supremum sits at
+    t = 2pi - eps, where f - f_N is not small and so keeps its digits.
     """
-    key = (N, round(eps, 12))
-    cached = _c_eps_cache.get(key)
-    if cached is not None:
-        return cached
     radius = TWO_PI - eps
-    table = bernoulli(2 * N) if N >= 1 else None
-    best = 0.0
-    for j in range(1, _C_SAMPLES + 1):
-        r = radius * j / _C_SAMPLES
-        partial = 0.0
-        for n in range(1, N + 1):
-            partial += (
-                2.0
-                * (-1.0) ** n
-                * table.b2(n)
-                * r ** (2 * n - 1)
-                / math.factorial(2 * n)
-            )
-        ratio = abs(fn_f(r) - partial) * radius ** (2 * N) / r ** (2 * N + 1)
-        best = max(best, ratio)
-    _c_eps_cache[key] = best
-    return best
+    table = bernoulli(N) if N >= 1 else None
+    partial = sum(
+        2.0 * (-1.0) ** n * table.b2(n) * radius ** (2 * n - 1) / math.factorial(2 * n)
+        for n in range(1, N + 1)
+    )
+    return abs(fn_f(radius) - partial) / radius
 
 
 def theta_series_table(

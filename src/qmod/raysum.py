@@ -1,8 +1,16 @@
 """Ray-integral engine and every integral-defined quantity.
 
-The module owns a single adaptive Gauss-Legendre quadrature over rays
-t = r e^{id} (geometric panels, 32-point rule with a 16-point error
-estimate, panel bisection) and builds on it:
+The module owns one double-exponential (DE) quadrature.  A ray
+t = r e^{id} is mapped to the u-line by r = exp(u - e^{-u}) / lambda,
+lambda being the integrand's decay rate along the ray (RaySpec.decay); a
+finite interval by the tanh-sinh map.  Either way the mapped integrand
+decays double-exponentially in u, so trapezoid sums over
+[-DE_SPAN, DE_SPAN] converge geometrically in the node count.  The step
+halves on nested nodes until two successive sums agree to the tolerance;
+integrands are evaluated on numpy arrays of nodes, and an integral that
+has not converged within MAX_NODES nodes, has not decayed at the ends of
+the range, or meets a non-finite value raises ConvergenceError.  On it
+the module builds:
 
 * g_plus / big_G  -- the Stirling-remainder Laplace integral and its
   closed log-Gamma form;
@@ -11,51 +19,49 @@ estimate, panel bisection) and builds on it:
 * A_n and K_N -- the building blocks of the asymptotic theta expansion;
 * M_almost_modular and pv_M_direct -- two genuinely independent routes
   to the real-case almost-modular term (the second never touches the
-  ray machinery; its only refinement is a closed-form trigamma tail).
+  ray sums: it integrates over finite intervals, and its only
+  refinement is a closed-form trigamma tail).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-import scipy.special as _sp
+import numpy as np
 
 from ._stability import cos_ratio, inv_expm1, sin_ratio
 from .errors import ConvergenceError, DomainError
 from .qcore import ModularPoint, Truncation, _trunc
-from .specialfns import fn_B, fn_f, log_gamma
+from .specialfns import PI_SQ_OVER_6, fn_B, fn_f, log_gamma
 
 TWO_PI = 2.0 * math.pi
 ABS_FLOOR = 1e-15
-FIRST_PANEL = 1e-6
-MAX_BISECTION_DEPTH = 48
-_PROBE_RADII = (1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0)
+#: half-width of the u-range and the first trapezoid step; past |u| = 4.5
+#: a ray integrand has decayed by e^{-89} and tanh-sinh weights are < 1e-60
+DE_SPAN = 4.5
+FIRST_STEP = 0.5
+#: integrand nodes one integral may spend before it fails
+MAX_NODES = 2**18
 #: candidate ray angles per half-plane and the exclusion radius around poles
 RAY_GRID_STEP = math.pi / 36.0
-
-_GL32 = tuple(zip(*(arr.tolist() for arr in _sp.roots_legendre(32))))
-_GL16 = tuple(zip(*(arr.tolist() for arr in _sp.roots_legendre(16))))
 
 
 @dataclass(frozen=True)
 class RaySpec:
-    """Direction and quadrature budget for one ray integral."""
+    """Direction, tolerance and decay rate of one ray integral."""
 
     direction_d: float
     rel_tol: float = 1e-11
-    panel_growth: float = 2.0
-    max_panels: int = 200
+    decay: float = 1.0
 
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise DomainError("rel_tol must be positive")
-        if not self.panel_growth > 1.0:
-            raise DomainError("panel_growth must exceed 1")
-        if self.max_panels < 1:
-            raise DomainError("max_panels must be >= 1")
+        if not self.decay > 0.0:
+            raise DomainError(f"decay must be positive, got {self.decay}")
 
 
 class RayResult(NamedTuple):
@@ -63,101 +69,77 @@ class RayResult(NamedTuple):
     error: float
 
 
-def _gl_panel(f: Callable[[float], complex], a: float, b: float) -> tuple[complex, float]:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    hi = 0.0 + 0.0j
-    for x, w in _GL32:
-        hi += w * f(mid + half * x)
-    lo = 0.0 + 0.0j
-    for x, w in _GL16:
-        lo += w * f(mid + half * x)
-    return hi * half, abs(hi - lo) * half
+def _de_sum(weighted: Callable[[np.ndarray], np.ndarray], rel_tol: float) -> RayResult:
+    """Integral over the u-line of a double-exponentially decaying weighted(u).
 
-
-def _adaptive_panel(
-    f: Callable[[float], complex],
-    a: float,
-    b: float,
-    tol: float,
-    rel: float = 0.0,
-) -> tuple[complex, float]:
-    """Integrate f on [a, b], bisecting until each piece meets
-    max(tol_share, rel * |piece|)."""
-    total = 0.0 + 0.0j
-    err = 0.0
-    stack = [(a, b, tol, 0)]
-    while stack:
-        a0, b0, t0, depth = stack.pop()
-        val, e = _gl_panel(f, a0, b0)
-        if e <= max(t0, rel * abs(val)):
-            total += val
-            err += e
-        elif depth >= MAX_BISECTION_DEPTH:
+    Trapezoid sums on [-DE_SPAN, DE_SPAN]; each level halves the step and
+    evaluates only the new (odd) nodes.  Accepts the first sum within
+    tol = rel_tol |I| + ABS_FLOOR of the one before, reporting that
+    distance as its error, provided the end nodes are below tol too.  The
+    error of a DE sum roughly squares when the step halves, so a small
+    distance right after one above tol / sqrt(rel_tol) is a coincidence,
+    not convergence, and is not accepted.
+    """
+    half = round(DE_SPAN / FIRST_STEP)
+    h = FIRST_STEP
+    values = weighted(h * np.arange(-half, half + 1))
+    ends = np.abs(values[[0, -1]]).max()
+    total = h * values.sum()
+    change = math.inf
+    while True:
+        h *= 0.5
+        half *= 2
+        if 2 * half + 1 > MAX_NODES:  # nodes in the sum after this level
             raise ConvergenceError(
-                f"panel [{a0}, {b0}] stuck at error {e:.3e} > {t0:.3e}"
+                f"DE quadrature did not settle within {MAX_NODES} nodes"
             )
-        else:
-            m0 = 0.5 * (a0 + b0)
-            stack.append((a0, m0, 0.5 * t0, depth + 1))
-            stack.append((m0, b0, 0.5 * t0, depth + 1))
-    return total, err
+        prev, total = total, 0.5 * total + h * weighted(h * np.arange(1 - half, half, 2)).sum()
+        if not np.isfinite(total):
+            raise ConvergenceError("non-finite integrand value")
+        tol = rel_tol * abs(total) + ABS_FLOOR
+        prev_change, change = change, abs(total - prev)
+        if change <= tol and prev_change <= tol / math.sqrt(rel_tol):
+            if ends > tol:
+                raise ConvergenceError(
+                    f"integrand has not decayed at the ends of the range: "
+                    f"{ends:.3e} > {tol:.3e}"
+                )
+            return RayResult(complex(total), float(change))
 
 
 def integrate_ray(
-    integrand: Callable[[complex], complex], spec: RaySpec
+    integrand: Callable[[np.ndarray], np.ndarray], spec: RaySpec
 ) -> RayResult:
-    """Integrate along t = r e^{id}, r in (0, oo), with certified error.
+    """Integrate along t = r e^{id}, r in (0, oo), with an error estimate.
 
-    The integrand must be analytic on the open ray, no worse than
-    O(r^{-1+eps}) at 0, and exponentially decaying; marching stops after
-    two consecutive panels fall below the running significance level, so
-    R_max adapts to the actual decay.
+    The integrand takes a complex array of nodes t.  It must be analytic
+    on the open ray, no worse than O(r^{-1+eps}) at 0, and decay like
+    e^{-spec.decay r}; the map r = exp(u - e^{-u}) / decay puts the
+    nodes where that decay happens.
     """
     e_id = cmath.exp(1j * spec.direction_d)
 
-    def on_ray(r: float) -> complex:
-        return integrand(r * e_id) * e_id
+    def weighted(u: np.ndarray) -> np.ndarray:
+        r = np.exp(u - np.exp(-u)) / spec.decay
+        return integrand(r * e_id) * (e_id * r * (1.0 + np.exp(-u)))
 
-    # Coarse magnitude probe.  Near the origin some integrands are a
-    # cancellation of two O(1/r) parts, so panel values there sit on a
-    # rounding-noise floor; acceptance has to be judged against the size
-    # of the whole integral, not against those panels' own values.
-    probe = max(abs(on_ray(r)) * r for r in _PROBE_RADII)
+    return _de_sum(weighted, spec.rel_tol)
 
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    a = 0.0
-    b = FIRST_PANEL
-    small_run = 0
-    for _ in range(spec.max_panels):
-        scale = max(abs(total), probe, ABS_FLOOR)
-        val, e = _adaptive_panel(
-            on_ray, a, b, 0.005 * spec.rel_tol * scale, rel=0.05 * spec.rel_tol
-        )
-        total += val
-        err_total += e
-        threshold = 0.5 * max(ABS_FLOOR, spec.rel_tol * abs(total))
-        # termination needs decayed panels *past* the r ~ O(1) scale, else
-        # integrands vanishing at the origin (t^{2N} weights) fool the test
-        if abs(val) < threshold and b - a >= 0.5:
-            small_run += 1
-            if small_run >= 2:
-                err_total += abs(val)  # geometric-decay tail bound
-                break
-        else:
-            small_run = 0
-        a = b
-        b *= spec.panel_growth
-    else:
-        raise ConvergenceError(
-            f"ray integral did not decay within {spec.max_panels} panels"
-        )
-    if err_total > spec.rel_tol * abs(total) + ABS_FLOOR:
-        raise ConvergenceError(
-            f"error estimate {err_total:.3e} exceeds tolerance for |I| = {abs(total):.3e}"
-        )
-    return RayResult(total, err_total)
+
+def _integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> complex:
+    """int_a^b f(t) dt to 1e-12 relative, by the tanh-sinh map
+    t = a + (b - a)/(1 + e^{-pi sinh u}).
+
+    Nodes are offsets from a, so near a they keep their full relative
+    precision; f must be finite on (a, b].
+    """
+
+    def weighted(u: np.ndarray) -> np.ndarray:
+        s = 0.5 * math.pi * np.sinh(u)
+        t = a + (b - a) / (1.0 + np.exp(-2.0 * s))
+        return f(t) * ((b - a) * 0.25 * math.pi * np.cosh(u) / np.cosh(s) ** 2)
+
+    return _de_sum(weighted, 1e-12).value
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +192,7 @@ def choose_ray(point: ModularPoint, half: str) -> RaySpec:
         raise DomainError(
             f"empty admissible cone (tau = {point.tau}, nu = {point.nu}, {half})"
         )
-    return RaySpec(direction_d=best_d)
+    return RaySpec(direction_d=best_d, decay=best_slack)
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +204,18 @@ def g_plus(z: complex, spec: RaySpec | None = None) -> complex:
 
     The ray is rotated to d = -arg(z)/2, which keeps both the kernel's
     pole-free sector |d| < pi/2 and the decay condition Re(z e^{id}) > 0
-    with equal margin; z on the cut (-oo, 0] has no admissible ray.
+    with equal margin, the decay rate being 2 pi |z| cos(arg(z)/2); z on
+    the cut (-oo, 0] has no admissible ray.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0:
         raise DomainError(f"g_plus undefined on the cut, got z = {z}")
     if spec is None:
-        spec = RaySpec(direction_d=-0.5 * cmath.phase(z))
+        arg = cmath.phase(z)
+        spec = RaySpec(-0.5 * arg, decay=TWO_PI * abs(z) * math.cos(0.5 * arg))
 
-    def integrand(t: complex) -> complex:
-        return -fn_B(t) * cmath.exp(-TWO_PI * z * t) / t
+    def integrand(t):
+        return -fn_B(t) * np.exp(-TWO_PI * z * t) / t
 
     return integrate_ray(integrand, spec).value
 
@@ -258,14 +242,17 @@ def big_G(point: ModularPoint) -> complex:
 
 
 def _p_spec(point: ModularPoint, spec: RaySpec | None, half: str) -> RaySpec:
-    return spec if spec is not None else choose_ray(point, half)
+    """The chosen ray, or the given one with its slack as the decay rate."""
+    if spec is None:
+        return choose_ray(point, half)
+    return replace(spec, decay=_slack(point, spec.direction_d))
 
 
-def _p_integrand(point: ModularPoint) -> Callable[[complex], complex]:
+def _p_integrand(point: ModularPoint) -> Callable[[np.ndarray], np.ndarray]:
     tau = point.tau
     nu = point.nu
 
-    def integrand(t: complex) -> complex:
+    def integrand(t):
         return sin_ratio(nu, t / tau) * fn_f(t) / t
 
     return integrand
@@ -291,7 +278,7 @@ def dP_dnu(point: ModularPoint, spec: RaySpec | None = None) -> complex:
     tau = point.tau
     nu = point.nu
 
-    def integrand(t: complex) -> complex:
+    def integrand(t):
         return cos_ratio(nu, t / tau) * fn_f(t) / tau
 
     return integrate_ray(integrand, _p_spec(point, spec, "lower")).value
@@ -305,7 +292,7 @@ def dP_dtau(point: ModularPoint, spec: RaySpec | None = None) -> complex:
     nu = point.nu
     inv_tau_sq = 1.0 / (tau * tau)
 
-    def integrand(t: complex) -> complex:
+    def integrand(t):
         w = t / tau
         u = inv_expm1(1j * w)
         return (
@@ -366,13 +353,14 @@ def A_n(n: int, z: complex, spec: RaySpec | None = None) -> complex:
         raise DomainError(
             f"ray d = {spec.direction_d} does not converge for z = {z}"
         )
+    spec = replace(spec, decay=margin)
     sign = 2.0 if n % 2 else -2.0
     # sin(tz)/(e^{2 pi t} - 1) = sin_ratio(iz/2pi, -2 pi i t), which pairs the
     # growing and decaying exponentials so nothing overflows near the
     # domain boundary
     nu_eff = 1j * z / TWO_PI
 
-    def integrand(t: complex) -> complex:
+    def integrand(t):
         return sign * t ** (2 * n - 2) * sin_ratio(nu_eff, -TWO_PI * 1j * t)
 
     return integrate_ray(integrand, spec).value
@@ -387,12 +375,12 @@ def K_N(N: int, nu: complex, spec: RaySpec | None = None) -> float:
         raise DomainError(f"K_N diverges for |Re nu| >= 1, got {nu}")
     if nu == 0:
         return 0.0
-    if spec is None:
-        spec = RaySpec(direction_d=0.0)
+    spec = replace(spec or RaySpec(direction_d=0.0), decay=1.0 - abs(nu.real))
 
-    def integrand(t: complex) -> complex:
+    def integrand(t):
         r = t.real  # real-axis ray
-        return abs(cmath.sinh(nu * r)) * r**(2 * N) * inv_expm1(r)
+        # |sinh(nu r)| / (e^r - 1), paired so that nothing overflows
+        return np.abs(sin_ratio(nu, -1j * r)) * r ** (2 * N)
 
     return integrate_ray(integrand, spec).value.real
 
@@ -444,41 +432,32 @@ def _pv_cosine_sum(alpha: float, xi: float, n_terms: int) -> float:
 def _pv_sine_part(alpha: float, xi: float, n_terms: int, delta: float) -> float:
     """-(2/pi) PV int_0^oo F(t) dt/(1-t^2) plus the closed-form n > n_terms
     tail, where F truncates the sine sum at n_terms."""
+    n = np.arange(1, n_terms + 1)[:, None]
 
-    def F(t: float) -> float:
-        total = 0.0
-        for n in range(1, n_terms + 1):
-            a = TWO_PI * n * t / alpha
-            if a > 700.0:
-                break
-            total += math.sin(2.0 * n * xi * math.pi * t) / (n * math.expm1(a))
-        return total
+    def F(t: np.ndarray) -> np.ndarray:
+        # 1/expm1(a) written as e^{-a}/(-expm1(-a)), which underflows
+        # where the former would overflow
+        a = (TWO_PI / alpha) * n * t
+        return (np.sin(TWO_PI * xi * n * t) * np.exp(-a) / (-np.expm1(-a) * n)).sum(0)
 
-    def f_reg(r: float) -> complex:
-        t = r
-        return complex(F(t) / (1.0 - t * t))
+    def f_reg(t: np.ndarray) -> np.ndarray:
+        return F(t) / (1.0 - t * t)
 
-    t_max = max(5.0, 9.0 * alpha)
-    left, _ = _adaptive_panel(f_reg, 0.0, 0.5 * (1.0 - delta), 1e-13)
-    left2, _ = _adaptive_panel(f_reg, 0.5 * (1.0 - delta), 1.0 - delta, 1e-13)
-    right = 0.0 + 0.0j
-    a = 1.0 + delta
-    while a < t_max:
-        b = min(2.0 * a, t_max)
-        val, _ = _adaptive_panel(f_reg, a, b, 1e-14)
-        right += val
-        a = b
-    f1 = F(1.0)
+    f1 = F(np.ones(1))[0]
 
-    def f_sub(t: float) -> complex:
-        return complex((F(t) - f1) / (1.0 - t * t))
+    def f_window(y: np.ndarray) -> np.ndarray:
+        # (F(t) - f1)/(1 - t^2) at t = 1 - y and t = 1 + y, with 1 - t^2
+        # written exactly in y so that y -> 0 stays finite
+        return (F(1.0 - y) - f1) / (y * (2.0 - y)) - (F(1.0 + y) - f1) / (y * (2.0 + y))
 
-    mid_l, _ = _adaptive_panel(f_sub, 1.0 - delta, 1.0, 1e-13)
-    mid_r, _ = _adaptive_panel(f_sub, 1.0, 1.0 + delta, 1e-13)
-    # the f1/(2(1-t)) piece cancels by symmetry of the window; the
-    # f1/(2(1+t)) piece integrates in closed form
-    mid = mid_l + mid_r + 0.5 * f1 * math.log((2.0 + delta) / (2.0 - delta))
-    integral = (left + left2 + mid + right).real
+    # the f1/(2(1-t)) piece cancels by symmetry of the window around t = 1;
+    # the f1/(2(1+t)) piece integrates in closed form
+    integral = (
+        _integrate_interval(f_reg, 0.0, 1.0 - delta)
+        + _integrate_interval(f_window, 0.0, delta)
+        + 0.5 * f1 * math.log((2.0 + delta) / (2.0 - delta))
+        + _integrate_interval(f_reg, 1.0 + delta, max(5.0, 9.0 * alpha))
+    ).real
     # n > n_terms tail: each term contributes (alpha/(2 pi n^2)) J0(xi alpha)
     # with J0(mu) = (pi/2) coth(pi mu) - 1/(2 mu), odd and vanishing at 0,
     # hence a trigamma factor overall
@@ -487,7 +466,9 @@ def _pv_sine_part(alpha: float, xi: float, n_terms: int, delta: float) -> float:
         j0 = 0.0
     else:
         j0 = 0.5 * math.pi / math.tanh(math.pi * mu) - 0.5 / mu
-    tail = -(alpha / math.pi**2) * j0 * float(_sp.polygamma(1, n_terms + 1))
+    # trigamma(n + 1) = pi^2/6 - sum_{k <= n} 1/k^2
+    trigamma = PI_SQ_OVER_6 - math.fsum(1.0 / k**2 for k in range(1, n_terms + 1))
+    tail = -(alpha / math.pi**2) * j0 * trigamma
     return -(2.0 / math.pi) * integral + tail
 
 

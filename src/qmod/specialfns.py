@@ -1,8 +1,9 @@
-"""Scalar special functions used by every other module.
+"""Special functions used by every other module.
 
 Bernoulli numbers (exact-rational Akiyama-Tanigawa, exported as floats),
 the exponential-remainder kernel ``fn_B``, the cotangent remainder
-``fn_f``, principal-branch log-Gamma and digamma, and a dilogarithm
+``fn_f`` (both elementwise on numpy arrays too, for the quadrature
+nodes), principal-branch log-Gamma and digamma, and a dilogarithm
 covering the whole complex plane through its functional equations.
 
 All branches are principal: ``Im log`` lies in (-pi, pi], and inputs on
@@ -17,10 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import scipy.special as _sp
+import numpy as np
 
-from ._stability import cot as _cot
 from ._stability import inv_expm1 as _inv_expm1
+from ._stability import piecewise
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -102,6 +103,11 @@ def _b2(n: int) -> float:
     return _b2_floats[n - 1]
 
 
+#: B_{2m}/(2m)! for m = 10 down to 1: on |w| < SERIES_RADIUS the terms fall
+#: by (|w|/2 pi)^2 < 0.007 each, so the eleventh is below 1e-22
+_BOSE_COEFFS = tuple(_b2(m) / math.factorial(2 * m) for m in range(10, 0, -1))
+
+
 def _bn_float(n: int) -> float:
     """B_n in the B_1 = -1/2 convention, for the dilogarithm expansion."""
     if n == 0:
@@ -113,61 +119,55 @@ def _bn_float(n: int) -> float:
     return _b2(n // 2)
 
 
-def fn_B(t: complex) -> complex:
+def _reject_poles(name: str, t: np.ndarray, poles) -> None:
+    """Raise DomainError if any t lies within POLE_GUARD of its nonzero pole."""
+    poles = np.asarray(poles)
+    hit = (poles != 0) & (np.abs(t - poles) < POLE_GUARD)
+    if hit.any():
+        raise DomainError(f"{name} pole at t = {poles[hit][0]}")
+
+
+def _bose_remainder(w):
+    """1/(e^w - 1) - 1/w + 1/2, by its Bernoulli series for |w| < SERIES_RADIUS."""
+    return piecewise(
+        w,
+        np.abs(w) < SERIES_RADIUS,
+        _bose_series,
+        lambda v: _inv_expm1(v) - 1.0 / v + 0.5,
+    )
+
+
+def _bose_series(w: np.ndarray) -> np.ndarray:
+    # sum_{m>=1} B_{2m} w^{2m-1} / (2m)!, by Horner in w^2
+    w2 = w * w
+    total = np.zeros_like(w)
+    for c in _BOSE_COEFFS:
+        total = total * w2 + c
+    return total * w
+
+
+def fn_B(t):
     """The kernel 1/(e^{2 pi t} - 1) - 1/(2 pi t) + 1/2.
 
     Odd, with a removable singularity at 0 (handled by the Bernoulli
     series for |2 pi t| < 1/2) and simple poles at t in i*Z \\ {0}.
+    Takes a scalar or an array, elementwise.
     """
-    t = complex(t)
-    k = round(t.imag)
-    if k != 0 and abs(t - 1j * k) < POLE_GUARD:
-        raise DomainError(f"fn_B pole at t = {1j * k}")
-    w = TWO_PI * t
-    if abs(w) < SERIES_RADIUS:
-        return _fn_B_series(w)
-    return _inv_expm1(w) - 1.0 / w + 0.5
+    t = np.asarray(t, dtype=complex)
+    _reject_poles("fn_B", t, 1j * np.round(t.imag))
+    return _bose_remainder(TWO_PI * t)
 
 
-def _fn_B_series(w: complex) -> complex:
-    # sum_{m>=1} B_{2m} w^{2m-1} / (2m)!
-    total = 0.0 + 0.0j
-    power = w
-    w2 = w * w
-    for m in range(1, 40):
-        term = _b2(m) * power / math.factorial(2 * m)
-        total += term
-        if abs(term) < _TERM_EPS:
-            break
-        power *= w2
-    return total
-
-
-def fn_f(t: complex) -> complex:
+def fn_f(t):
     """cot(t/2) - 2/t, the cotangent remainder.
 
     Odd, removable at 0, simple poles at 2 pi k for nonzero integer k.
-    Related to :func:`fn_B` by f(t) = 2i B(it / 2 pi).
+    Computed as f(t) = 2i B(it / 2 pi), the rotated :func:`fn_B`; takes
+    a scalar or an array, elementwise.
     """
-    t = complex(t)
-    k = round(t.real / TWO_PI)
-    if k != 0 and abs(t - TWO_PI * k) < POLE_GUARD:
-        raise DomainError(f"fn_f pole at t = {TWO_PI * k}")
-    if abs(t) < SERIES_RADIUS:
-        # 2 sum_{n>=1} (-1)^n B_{2n} t^{2n-1} / (2n)!
-        total = 0.0 + 0.0j
-        power = t
-        t2 = t * t
-        sign = -1.0
-        for n in range(1, 40):
-            term = 2.0 * sign * _b2(n) * power / math.factorial(2 * n)
-            total += term
-            if abs(term) < _TERM_EPS:
-                break
-            power *= t2
-            sign = -sign
-        return total
-    return _cot(0.5 * t) - 2.0 / t
+    t = np.asarray(t, dtype=complex)
+    _reject_poles("fn_f", t, TWO_PI * np.round(t.real / TWO_PI))
+    return 2j * _bose_remainder(1j * t)
 
 
 def _reject_gamma_pole(z: complex) -> complex:
@@ -181,12 +181,18 @@ def _reject_gamma_pole(z: complex) -> complex:
 
 def log_gamma(z: complex) -> complex:
     """Principal-branch log Gamma(z), continuous off the cut (-oo, 0]."""
-    return complex(_sp.loggamma(_reject_gamma_pole(z)))
+    # imported on first use, so that commands which never need it skip
+    # scipy's import time
+    from scipy.special import loggamma
+
+    return complex(loggamma(_reject_gamma_pole(z)))
 
 
 def digamma(z: complex) -> complex:
     """Gamma'(z)/Gamma(z)."""
-    return complex(_sp.digamma(_reject_gamma_pole(z)))
+    from scipy.special import digamma as _digamma
+
+    return complex(_digamma(_reject_gamma_pole(z)))
 
 
 def dilog(x: complex) -> complex:

@@ -84,6 +84,33 @@ def test_eval_missing_flags_is_usage_error(capsys, target):
     assert f"missing required flags: {FIRST_FLAGS[target]}\n" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("eval M --tau-im 0.7 --nu-im 9", "--nu-im"),
+        ("eval M --tau-re 0.3 --tau-im 0.7", "--tau-re"),
+        ("eval li2 --x-re 0.4 --alpha 5", "--alpha"),
+        ("eval eta --tau-im 1 --n-max 3", "--n-max"),
+        ("check eta-modular --tau-im 1 --nu-im 0.3", "--nu-im"),
+        ("check binet74 --x-re 1.5 --q-re 0.2", "--q-re"),
+        ("check M-pv --n-max 3", "--n-max"),
+    ],
+)
+def test_unread_flag_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == EXIT_USAGE
+    target = argv.split()[1]
+    assert f"{target} does not read {flag}\n" in capsys.readouterr().err
+
+
+def test_general_flags_are_accepted(capsys):
+    code, _, _ = run(capsys, "eval", "li2", "--x-re", "0.4", "--tol", "1e-3", "--format", "json")
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, "check", "eta-modular", "--tau-im", "1", "--tol", "1e-9")
+    assert code == EXIT_OK
+
+
 def test_eval_unknown_target_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "zeta"])

@@ -3,17 +3,20 @@
 The frozen complex constants below were produced by 50-digit mpmath
 quadrature with explicit pole-avoiding breakpoints, cross-run on two
 different ray directions; they agree with each other to ~1e-30 and are
-quoted here to full double precision.
+quoted here to full double precision.  The q -> 1 and small-slack P
+constants come the same way from 30-digit mpmath.
 """
 
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qmod.errors import ConvergenceError, DomainError
 from qmod.qcore import ModularPoint
 from qmod.raysum import (
+    MAX_NODES,
     A_n,
     K_N,
     M_almost_modular,
@@ -45,13 +48,13 @@ def rel(got, want):
 
 def test_integrate_ray_known_integrals():
     spec = RaySpec(direction_d=0.0)
-    val, err = integrate_ray(lambda t: cmath.exp(-t), spec)
+    val, err = integrate_ray(lambda t: np.exp(-t), spec)
     assert abs(val - 1.0) <= err + 1e-15
     assert err <= spec.rel_tol * abs(val) + 1e-15
-    val2, _ = integrate_ray(lambda t: t * cmath.exp(-t), spec)
+    val2, _ = integrate_ray(lambda t: t * np.exp(-t), spec)
     assert rel(val2, 1.0) < 1e-11
     # Gaussian: int_0^oo e^{-t^2} = sqrt(pi)/2
-    val3, _ = integrate_ray(lambda t: cmath.exp(-t * t), spec)
+    val3, _ = integrate_ray(lambda t: np.exp(-t * t), spec)
     assert rel(val3, 0.5 * math.sqrt(math.pi)) < 1e-11
 
 
@@ -59,22 +62,42 @@ def test_integrate_ray_rotation_invariance():
     # e^{-t} is entire and decays in |arg t| < pi/2, so the rotated ray
     # must reproduce the same value
     for d in (-math.pi / 6.0, math.pi / 8.0, -math.pi / 3.0):
-        val, _ = integrate_ray(lambda t: cmath.exp(-t), RaySpec(direction_d=d))
+        val, _ = integrate_ray(lambda t: np.exp(-t), RaySpec(direction_d=d))
         assert rel(val, 1.0) < 1e-11
 
 
 def test_integrate_ray_flags_nondecaying():
     with pytest.raises(ConvergenceError):
-        integrate_ray(lambda t: 1.0 / (1.0 + t * t), RaySpec(direction_d=0.0, max_panels=30))
+        integrate_ray(lambda t: 1.0 / (1.0 + t * t), RaySpec(direction_d=0.0))
+
+
+def test_integrate_ray_failure_is_bounded():
+    # an integrand that never decays fails within the node budget
+    nodes = []
+
+    def flat(t):
+        nodes.append(t.size)
+        return np.ones_like(t)
+
+    with pytest.raises(ConvergenceError):
+        integrate_ray(flat, RaySpec(direction_d=0.0))
+    assert 0 < sum(nodes) <= MAX_NODES
+
+
+def test_integrate_ray_flags_non_finite():
+    with pytest.raises(ConvergenceError):
+        integrate_ray(
+            lambda t: np.where(t.real > 1.0, np.nan, np.exp(-t)), RaySpec(direction_d=0.0)
+        )
 
 
 def test_rayspec_validation():
     with pytest.raises(DomainError):
         RaySpec(direction_d=0.0, rel_tol=0.0)
     with pytest.raises(DomainError):
-        RaySpec(direction_d=0.0, panel_growth=1.0)
+        RaySpec(direction_d=0.0, decay=0.0)
     with pytest.raises(DomainError):
-        RaySpec(direction_d=0.0, max_panels=0)
+        RaySpec(direction_d=0.0, decay=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +190,45 @@ def test_P_minus_frozen():
         )
         < 1e-10
     )
+
+
+@pytest.mark.parametrize(
+    "alpha, xi, want",
+    [
+        (1e-4, 0.1, -2.7415567797038626e-10),
+        (1e-5, 0.5, -1.3707783890266599e-11),
+        (1e-6, 0.7, -1.9190897446557715e-13),
+    ],
+)
+def test_P_minus_q_to_one_frozen(alpha, xi, want):
+    # x -> 1 as q -> 1: the whole integrand lives on the scale alpha
+    assert rel(P_minus(ModularPoint.real_case(alpha, xi)), want) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "tau, nu, want",
+    [
+        (
+            -0.4753407435491681 + 0.09001202712039458j,
+            0.5094670551829039 - 0.13324891030788422j,
+            -0.12472513319505745 - 0.095982489806883749j,
+        ),
+        (
+            -0.19109885580837727 + 0.039974647242647876j,
+            0.7446870944462716 - 0.1898923572152853j,
+            -0.043756257450762377 + 0.046777899414515946j,
+        ),
+        (
+            -0.2801596997305751 + 0.5807073931193638j,
+            -0.4215445762500166 - 0.9428442362695932j,
+            0.24652078284832173 + 0.32434491377149222j,
+        ),
+    ],
+)
+def test_P_minus_small_slack_frozen(tau, nu, want):
+    # rays with decay slack 0.02-0.1 that pass close to the poles of f:
+    # the costliest integrals of a domain-wide sample
+    assert rel(P_minus(ModularPoint(tau, nu)), want) < 1e-11
 
 
 def test_P_ray_independence():
