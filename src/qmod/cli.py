@@ -32,6 +32,7 @@ failure, 64 usage error, 74 output I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -345,6 +346,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qmod", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

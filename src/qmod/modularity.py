@@ -147,6 +147,12 @@ def _q_pow_minus_1_24(tau: complex) -> complex:
     return cmath.exp(-1j * math.pi * tau / 12)
 
 
+def _x_star_q_star(point: ModularPoint) -> complex:
+    """x* q* = e^{2 pi i (nu - 1)/tau} as one exponential: x* alone
+    overflows where the product is still representable."""
+    return cmath.exp(2j * math.pi * (point.nu - 1.0) / point.tau)
+
+
 def _require_thm29(point: ModularPoint) -> None:
     """Raise DomainError unless the point lies in the transformation domain."""
     if not point.admissible_thm29:
@@ -163,9 +169,7 @@ def qpochhammer_modular_with_count(
     """Transformed-side evaluation of (x; q)_oo, plus the number of
     product terms the (tau*, nu*) side actually needed."""
     _require_thm29(point)
-    prod, n_terms = qpochhammer_with_count(
-        point.x_star * point.q_star, point.q_star, tr
-    )
+    prod, n_terms = qpochhammer_with_count(_x_star_q_star(point), point.q_star, tr)
     expo = dilog(point.x) / point.log_q + big_G(point) + P_minus(point, spec)
     root = cmath.sqrt(1.0 - point.x)
     return _q_pow_minus_1_24(point.tau) * root * prod * cmath.exp(expo), n_terms
@@ -228,7 +232,7 @@ def ramanujan_completed(
     """
     _require_thm29(point)
     s = point.s
-    prod = qpochhammer(point.q_star * point.x_star, point.q_star, tr)
+    prod = qpochhammer(_x_star_q_star(point), point.q_star, tr)
     stirling = cmath.exp(s * (cmath.log(s) - 1.0) - log_gamma(s + 1.0))
     expo = dilog(point.x) / point.log_q + P_minus(point, spec)
     return (
@@ -586,7 +590,10 @@ def theta_series_table(
 
     For each tau and each N = 0..n_max the row records the partial sum
     through N terms, the reference value -P(tau, nu), their distance,
-    and the certified bound C_eps K_N(nu) |tau|^{2N+1} / (2pi-eps)^{2N}.
+    and the certified bound C_eps K_N(nu) |tau|^{2N+1} / (2pi-eps)^{2N}
+    plus a rounding allowance of 4 ulps of |P|: at large N the proven
+    bound falls below the floating-point floor of the computed -P, where
+    the distance measures rounding, not the series.
     The series coefficients are tau-independent, so the A_n integrals
     are computed once.
     """
@@ -626,6 +633,7 @@ def theta_series_table(
                 * k_vals[N]
                 * abs(tau) ** (2 * N + 1)
                 / (TWO_PI - eps) ** (2 * N)
+                + 4.0 * math.ulp(abs(minus_p))
             )
             rows.append(
                 AsymptoticRow(

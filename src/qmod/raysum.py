@@ -6,11 +6,13 @@ lambda being the integrand's decay rate along the ray (RaySpec.decay); a
 finite interval by the tanh-sinh map.  Either way the mapped integrand
 decays double-exponentially in u, so trapezoid sums over
 [-DE_SPAN, DE_SPAN] converge geometrically in the node count.  The step
-halves on nested nodes until two successive sums agree to the tolerance;
-integrands are evaluated on numpy arrays of nodes, and an integral that
-has not converged within MAX_NODES nodes, has not decayed at the ends of
-the range, or meets a non-finite value raises ConvergenceError.  On it
-the module builds:
+halves on nested nodes until two successive sums agree to the tolerance.
+Integrands are evaluated on numpy arrays of nodes: the first call covers
+the 289 nodes of step 1/32, which hold the first five levels, and each
+later level costs one call on its new nodes.  An integral that has not
+converged within MAX_NODES nodes, has not decayed at the ends of the
+range, or meets a non-finite value raises ConvergenceError.  On it the
+module builds:
 
 * g_plus / big_G  -- the Stirling-remainder Laplace integral and its
   closed log-Gamma form;
@@ -26,6 +28,7 @@ the module builds:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -43,6 +46,8 @@ ABS_FLOOR = 1e-15
 #: a ray integrand has decayed by e^{-89} and tanh-sinh weights are < 1e-60
 DE_SPAN = 4.5
 FIRST_STEP = 0.5
+#: levels after the first that _de_sum takes from its first integrand call
+BATCH_LEVELS = 4
 #: integrand nodes one integral may spend before it fails
 MAX_NODES = 2**18
 #: candidate ray angles per half-plane and the exclusion radius around poles
@@ -73,18 +78,25 @@ def _de_sum(weighted: Callable[[np.ndarray], np.ndarray], rel_tol: float) -> Ray
     """Integral over the u-line of a double-exponentially decaying weighted(u).
 
     Trapezoid sums on [-DE_SPAN, DE_SPAN]; each level halves the step and
-    evaluates only the new (odd) nodes.  Accepts the first sum within
-    tol = rel_tol |I| + ABS_FLOOR of the one before, reporting that
-    distance as its error, provided the end nodes are below tol too.  The
-    error of a DE sum roughly squares when the step halves, so a small
-    distance right after one above tol / sqrt(rel_tol) is a coincidence,
-    not convergence, and is not accepted.
+    adds only the new (odd) nodes.  Levels 0..BATCH_LEVELS come from one
+    call on the finest of their grids (289 nodes, step 1/32), read back
+    level by level through strided views; every level after that costs
+    one call on its new nodes.  The nodes are power-of-two multiples, so
+    each level sums the same numbers as a call of its own would.
+    Accepts the first sum within tol = rel_tol |I| + ABS_FLOOR of the one
+    before, reporting that distance as its error, provided the end nodes
+    are below tol too.  The error of a DE sum roughly squares when the
+    step halves, so a small distance right after one above
+    tol / sqrt(rel_tol) is a coincidence, not convergence, and is not
+    accepted.
     """
     half = round(DE_SPAN / FIRST_STEP)
+    stride = 2**BATCH_LEVELS
+    h = FIRST_STEP / stride
+    bulk = weighted(h * np.arange(-half * stride, half * stride + 1))
+    ends = np.abs(bulk[[0, -1]]).max()
     h = FIRST_STEP
-    values = weighted(h * np.arange(-half, half + 1))
-    ends = np.abs(values[[0, -1]]).max()
-    total = h * values.sum()
+    total = h * bulk[::stride].sum()
     change = math.inf
     while True:
         h *= 0.5
@@ -93,7 +105,12 @@ def _de_sum(weighted: Callable[[np.ndarray], np.ndarray], rel_tol: float) -> Ray
             raise ConvergenceError(
                 f"DE quadrature did not settle within {MAX_NODES} nodes"
             )
-        prev, total = total, 0.5 * total + h * weighted(h * np.arange(1 - half, half, 2)).sum()
+        if stride > 1:
+            stride //= 2
+            new = bulk[stride :: 2 * stride]
+        else:
+            new = weighted(h * np.arange(1 - half, half, 2))
+        prev, total = total, 0.5 * total + h * new.sum()
         if not np.isfinite(total):
             raise ConvergenceError("non-finite integrand value")
         tol = rel_tol * abs(total) + ABS_FLOOR
@@ -163,32 +180,36 @@ def _slack(point: ModularPoint, d: float) -> float:
     return (e_id * 1j / point.tau).real - abs((e_id * point.nu * 1j / point.tau).real)
 
 
-def _grid(half: str) -> list[float]:
-    if half == "lower":
-        return [-k * RAY_GRID_STEP for k in range(1, 36)]
-    if half == "upper":
-        return [k * RAY_GRID_STEP for k in range(1, 36)]
-    raise DomainError(f"half must be 'lower' or 'upper', got {half!r}")
+@functools.cache
+def _grid(half: str) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate ray angles d of one half-plane and e^{id} on them."""
+    if half not in ("lower", "upper"):
+        raise DomainError(f"half must be 'lower' or 'upper', got {half!r}")
+    angles = RAY_GRID_STEP * np.arange(1, 36) * (-1.0 if half == "lower" else 1.0)
+    e_id = np.exp(1j * angles)
+    angles.setflags(write=False)
+    e_id.setflags(write=False)
+    return angles, e_id
 
 
 def choose_ray(point: ModularPoint, half: str) -> RaySpec:
     """Deterministic argmax of the convergence slack over the angle grid.
 
-    Raises a domain error when no direction converges (the point lies
-    outside the relevant analyticity domain).
+    The slack of every grid angle is one array expression; the winner's
+    is then recomputed by _slack, so the decay rate does not depend on
+    how the array arithmetic rounds.  Raises a domain error when no
+    direction converges (the point lies outside the relevant
+    analyticity domain).
     """
-    grid = _grid(half)
-    poles = _pole_directions(point, half)
-    best_d = None
-    best_slack = -math.inf
-    for d in grid:
-        if any(abs(d - p) < 0.999 * RAY_GRID_STEP for p in poles):
-            continue
-        s = _slack(point, d)
-        if s > best_slack:
-            best_slack = s
-            best_d = d
-    if best_d is None or not best_slack > 0.0:
+    grid, e_id = _grid(half)
+    slack = (e_id * (1j / point.tau)).real - np.abs(
+        (e_id * (point.nu * 1j / point.tau)).real
+    )
+    for p in _pole_directions(point, half):
+        slack[np.abs(grid - p) < 0.999 * RAY_GRID_STEP] = -math.inf
+    best_d = float(grid[np.argmax(slack)])
+    best_slack = _slack(point, best_d)
+    if not best_slack > 0.0:
         raise DomainError(
             f"empty admissible cone (tau = {point.tau}, nu = {point.nu}, {half})"
         )

@@ -101,6 +101,19 @@ def test_thm29_near_q_to_one():
     assert n_star_terms <= 1000
 
 
+def test_modular_where_x_star_alone_overflows():
+    # near the real axis: x* = e^{2 pi i nu/tau} overflows, while
+    # x* q* = e^{2 pi i (nu - 1)/tau} is 2.4e-161; the constant is
+    # 30-digit mpmath.qp
+    p = ModularPoint(
+        0.0004913359880447388 + 0.003271669453081849j,
+        0.8013655072078107 - 0.011487124487757683j,
+    )
+    want = 2.3011881961525763e-05 + 1.7321288237519562e-05j
+    for got in (qpochhammer_modular(p), ramanujan_completed(p)):
+        assert abs(got - want) < 1e-11 * abs(want)
+
+
 def test_variants_match_both_half_planes():
     # Im(nu/tau) < 0 side
     r_minus = variant_residual(ModularPoint(1j, 0.1 + 0.2j))

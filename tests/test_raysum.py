@@ -16,6 +16,9 @@ import pytest
 from qmod.errors import ConvergenceError, DomainError
 from qmod.qcore import ModularPoint
 from qmod.raysum import (
+    ABS_FLOOR,
+    DE_SPAN,
+    FIRST_STEP,
     MAX_NODES,
     A_n,
     K_N,
@@ -23,7 +26,10 @@ from qmod.raysum import (
     P_minus,
     P_plus,
     RAY_GRID_STEP,
+    RayResult,
     RaySpec,
+    _de_sum,
+    _grid,
     _slack,
     big_G,
     choose_ray,
@@ -91,6 +97,102 @@ def test_integrate_ray_flags_non_finite():
         )
 
 
+def _ladder_de_sum(weighted, rel_tol):
+    """_de_sum's ladder with one integrand call per level: the reference
+    the batched first call must reproduce bit for bit."""
+    half = round(DE_SPAN / FIRST_STEP)
+    h = FIRST_STEP
+    values = weighted(h * np.arange(-half, half + 1))
+    ends = np.abs(values[[0, -1]]).max()
+    total = h * values.sum()
+    change = math.inf
+    while True:
+        h *= 0.5
+        half *= 2
+        if 2 * half + 1 > MAX_NODES:
+            raise ConvergenceError(f"DE quadrature did not settle within {MAX_NODES} nodes")
+        prev, total = total, 0.5 * total + h * weighted(h * np.arange(1 - half, half, 2)).sum()
+        if not np.isfinite(total):
+            raise ConvergenceError("non-finite integrand value")
+        tol = rel_tol * abs(total) + ABS_FLOOR
+        prev_change, change = change, abs(total - prev)
+        if change <= tol and prev_change <= tol / math.sqrt(rel_tol):
+            if ends > tol:
+                raise ConvergenceError(
+                    f"integrand has not decayed at the ends of the range: "
+                    f"{ends:.3e} > {tol:.3e}"
+                )
+            return RayResult(complex(total), float(change))
+
+
+def _on_ray(f):
+    """weighted(u) of int_0^oo f(t) dt on the real ray with decay 1."""
+
+    def weighted(u):
+        r = np.exp(u - np.exp(-u))
+        return f(r) * (r * (1.0 + np.exp(-u)))
+
+    return weighted
+
+
+def _counted(f, calls):
+    def wrapped(x):
+        calls.append(x.size)
+        return f(x)
+
+    return wrapped
+
+
+# int_0^oo e^{-t} cos(k t) dt = 1/(1 + k^2): k = 20 is accepted at level 8
+_FAST = _on_ray(lambda t: np.exp(-t))
+_SLOW = _on_ray(lambda t: np.exp(-t) * np.cos(20.0 * t))
+
+
+def test_de_sum_first_call_covers_five_levels():
+    calls = []
+    val, _ = integrate_ray(_counted(lambda t: np.exp(-t), calls), RaySpec(direction_d=0.0))
+    assert rel(val, 1.0) < 1e-11
+    assert calls == [289]
+
+
+def test_de_sum_one_call_per_level_past_the_batch():
+    ladder, batched = [], []
+    want = _ladder_de_sum(_counted(_SLOW, ladder), 1e-11)
+    got = _de_sum(_counted(_SLOW, batched), 1e-11)
+    assert got == want
+    assert rel(got.value, 1.0 / 401.0) < 1e-11
+    assert len(ladder) > 5  # accepted past level 4
+    assert batched == [289] + ladder[5:]
+
+
+@pytest.mark.parametrize(
+    "weighted",
+    [
+        _FAST,
+        _SLOW,
+        _on_ray(lambda t: np.exp(-t) * np.sin(3.0 * t) / t),
+        _on_ray(lambda t: np.exp((-1.0 + 0.7j) * t)),
+        # NaN only on the nodes of levels 3 and 4, which the ladder never
+        # reaches: the first call sees them, the sum must not
+        lambda u: np.where(u * 8.0 % 1.0 == 0.0, _FAST(u), np.nan),
+        # failures: not decayed at the ends, a NaN on the first level, and
+        # no settling within MAX_NODES
+        lambda u: np.exp(-u * u),
+        lambda u: np.where(u > 1.0, np.nan, _FAST(u)),
+        lambda u: np.cos(1e5 * u) * np.exp(-u * u),
+    ],
+)
+def test_de_sum_matches_the_level_by_level_ladder(weighted):
+    try:
+        want = _ladder_de_sum(weighted, 1e-11)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as info:
+            _de_sum(weighted, 1e-11)
+        assert str(info.value) == str(exc)
+    else:
+        assert _de_sum(weighted, 1e-11) == want
+
+
 def test_rayspec_validation():
     with pytest.raises(DomainError):
         RaySpec(direction_d=0.0, rel_tol=0.0)
@@ -121,6 +223,57 @@ def test_choose_ray_inside_cone():
     admissible = [a for a in grid if abs(a - pole) >= 0.999 * RAY_GRID_STEP]
     assert len(admissible) == len(grid) - 1
     assert _slack(p, d) == max(_slack(p, a) for a in admissible)
+
+
+def _argmax_slack(point, half):
+    """The first grid angle of largest slack that keeps clear of the pole
+    ray, by the scalar _slack, and that slack (-inf if every angle is
+    excluded)."""
+    pole = cmath.phase(point.tau) - (math.pi if half == "lower" else 0.0)
+    best_d, best = None, -math.inf
+    for d in _grid(half)[0]:
+        d = float(d)
+        if abs(d - pole) < 0.999 * RAY_GRID_STEP:
+            continue
+        s = _slack(point, d)
+        if s > best:
+            best_d, best = d, s
+    return best_d, best
+
+
+def _domain_fuzz_points(n, seed):
+    """(tau, nu) from the domain-fuzz box; every fourth tau is turned so
+    that its pole ray lies on a grid angle or at the edge of the
+    exclusion radius around one."""
+    rng = np.random.default_rng(seed)
+    offsets = (0.0, 0.999, -0.999, 0.999 * (1 - 1e-12), 0.999 * (1 + 1e-12), 0.5)
+    points = []
+    for k in range(n):
+        tau = complex(rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(-2.5, 0.5))
+        nu = complex(rng.uniform(-0.95, 0.95), rng.uniform(-1.0, 1.0))
+        if k % 4 == 0:
+            angle = (rng.integers(1, 35) + offsets[k // 4 % len(offsets)]) * RAY_GRID_STEP
+            tau = abs(tau) * cmath.exp(1j * angle)
+        points.append(ModularPoint(tau, nu))
+    return points
+
+
+@pytest.mark.parametrize("half", ["lower", "upper"])
+def test_choose_ray_is_the_scalar_argmax(half):
+    chosen = empty = 0
+    for p in _domain_fuzz_points(200, seed=5):
+        best_d, best = _argmax_slack(p, half)
+        if best > 0.0:
+            spec = choose_ray(p, half)
+            assert (spec.direction_d, spec.decay) == (best_d, best)
+            chosen += 1
+        else:
+            message = f"empty admissible cone (tau = {p.tau}, nu = {p.nu}, {half})"
+            with pytest.raises(DomainError) as info:
+                choose_ray(p, half)
+            assert str(info.value) == message
+            empty += 1
+    assert chosen > 50 and empty > 20
 
 
 def test_choose_ray_empty_cone():
