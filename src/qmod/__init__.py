@@ -10,7 +10,8 @@ identity as a residual check.
 Layout:
 
 - ``specialfns``: Bernoulli numbers, the building-block functions B and
-  f, the dilogarithm, and log-Gamma/digamma wrappers.
+  f, the dilogarithm, and Binet's function mu (with log-Gamma and
+  digamma as wrappers over it).
 - ``qcore``: q-Pochhammer products and series, the Jackson q-Gamma
   function, Dedekind eta, Jacobi theta, Lambert sums, and the
   ``ModularPoint`` container.

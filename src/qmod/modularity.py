@@ -45,7 +45,8 @@ from .raysum import (
     pv_M_direct,
     stokes_sum,
 )
-from .specialfns import TWO_PI, bernoulli, digamma, dilog, fn_f, log_gamma
+from .specialfns import TWO_PI, bernoulli, binet, dilog, fn_f
+from .specialfns import log_gamma  # noqa: F401  (perfbench's tracer wraps this name)
 
 _TINY = 1e-300
 _SMALL_SIDES = 1e-8
@@ -197,8 +198,10 @@ def qpochhammer_modular_variants(
 
     Which one applies is decided by the sign of Im(nu/tau); the common
     boundary (nu/tau real) belongs to neither and is rejected.  Both use
-    the full (x*; q*)_oo product and a single principal square root of
-    the displayed ratio/product.
+    a single principal square root of the displayed ratio/product.  For
+    Im(nu/tau) < 0, where |x*| > 1 can overflow, the root's 1/(1 - x*)
+    cancels the first factor of (x*; q*)_oo, leaving
+    sqrt((1 - x)(1 - e^{-2 pi i nu/tau})) (x* q*; q*)_oo.
     """
     s = point.s
     if s.imag == 0.0:
@@ -207,14 +210,18 @@ def qpochhammer_modular_variants(
             "two variant half-domains"
         )
     _require_thm29(point)
-    prod = qpochhammer(point.x_star, point.q_star, tr)
     expo = dilog(point.x) / point.log_q + g_star(point) + P_minus(point, spec)
-    x, xs = point.x, point.x_star
+    x = point.x
     if s.imag > 0.0:
-        root = cmath.sqrt((1.0 - x) / (1.0 - xs))
+        xs = point.x_star
+        root_prod = cmath.sqrt((1.0 - x) / (1.0 - xs)) * qpochhammer(
+            xs, point.q_star, tr
+        )
     else:
-        root = cmath.sqrt((1.0 - x) * (1.0 - 1.0 / xs)) / (1.0 - xs)
-    return _q_pow_minus_1_24(point.tau) * root * prod * cmath.exp(expo)
+        root_prod = cmath.sqrt(
+            (1.0 - x) * (1.0 - cmath.exp(-2j * math.pi * s))
+        ) * qpochhammer(_x_star_q_star(point), point.q_star, tr)
+    return _q_pow_minus_1_24(point.tau) * root_prod * cmath.exp(expo)
 
 
 def ramanujan_completed(
@@ -225,7 +232,9 @@ def ramanujan_completed(
     """The completed product formula with the Stirling factor written out.
 
     Equivalent to :func:`qpochhammer_modular` because
-    exp(G) = sqrt(2 pi s) e^{s log s - s} / Gamma(s+1); the roots are
+    exp(G) = sqrt(2 pi s) e^{s log s - s} / Gamma(s+1).  The Stirling
+    factor e^{s log s - s} / Gamma(s+1) is formed as exp(G - log(2 pi s)/2),
+    never from its two halves of size |s log s|; the roots are
     taken individually principal (sqrt(2 pi) * sqrt(s) * sqrt(1 - x)),
     which is the combination that stays single-valued on the whole
     domain.
@@ -233,7 +242,7 @@ def ramanujan_completed(
     _require_thm29(point)
     s = point.s
     prod = qpochhammer(_x_star_q_star(point), point.q_star, tr)
-    stirling = cmath.exp(s * (cmath.log(s) - 1.0) - log_gamma(s + 1.0))
+    stirling = cmath.exp(big_G(point) - 0.5 * cmath.log(TWO_PI * s))
     expo = dilog(point.x) / point.log_q + P_minus(point, spec)
     return (
         math.sqrt(TWO_PI)
@@ -388,7 +397,10 @@ def reflection_residual(
 
     The exponent sign follows the half-plane of nu/tau (the decaying
     exponential on each side); nu/tau real is a branch boundary and is
-    rejected.
+    rejected.  ``specialfns.binet`` evaluates Re s < 0 through this same
+    reflection, so the residual alone cannot catch an error in it; the
+    mpmath oracle test of ``binet`` on both half-planes is what makes
+    the check independent.
     """
     s = point.s
     if s.imag == 0.0:
@@ -462,12 +474,8 @@ def lambert_relation_residuals(
     shifted_star = ModularPoint(point.tau_star, point.nu_star + point.tau_star)
     if which == 67:
         lhs = lambert_L1(ModularPoint(tau, point.nu + tau), tr)
-        bracket = (
-            digamma(s + 1.0)
-            - cmath.log(s)
-            - tau / (2.0 * point.nu)
-            - tau * dP_dnu(point, spec)
-        )
+        # psi(s + 1) - log s - 1/(2s) = mu'(s)
+        bracket = binet(s, True) - tau * dP_dnu(point, spec)
         rhs = (
             cmath.log(1.0 - x) / l2pit
             - x / (2.0 * (1.0 - x))
@@ -476,12 +484,7 @@ def lambert_relation_residuals(
         )
     else:
         lhs = lambert_L2(ModularPoint(tau, point.nu + tau), tr)
-        bracket = (
-            digamma(s + 1.0)
-            - cmath.log(s)
-            - tau / (2.0 * point.nu)
-            + tau * tau / point.nu * dP_dtau(point, spec)
-        )
+        bracket = binet(s, True) + tau * tau / point.nu * dP_dtau(point, spec)
         rhs = (
             1.0 / 24.0
             - dilog(x) / (4.0 * math.pi**2) / tau**2

@@ -15,7 +15,7 @@ range, or meets a non-finite value raises ConvergenceError.  On it the
 module builds:
 
 * g_plus / big_G  -- the Stirling-remainder Laplace integral and its
-  closed log-Gamma form;
+  closed form, minus Binet's function;
 * P_minus / P_plus and their nu- and tau-derivatives -- the oscillatory
   ray sums whose direction comes from an admissible-cone search;
 * A_n and K_N -- the building blocks of the asymptotic theta expansion;
@@ -38,7 +38,8 @@ import numpy as np
 from ._stability import cos_ratio, inv_expm1, sin_ratio
 from .errors import ConvergenceError, DomainError
 from .qcore import ModularPoint, Truncation, _trunc
-from .specialfns import PI_SQ_OVER_6, fn_B, fn_f, log_gamma
+from .specialfns import PI_SQ_OVER_6, binet, fn_B, fn_f
+from .specialfns import log_gamma  # noqa: F401  (perfbench's tracer wraps this name)
 
 TWO_PI = 2.0 * math.pi
 ABS_FLOOR = 1e-15
@@ -242,20 +243,15 @@ def g_plus(z: complex, spec: RaySpec | None = None) -> complex:
 
 
 def big_G(point: ModularPoint) -> complex:
-    """G(tau, nu) in closed Stirling-remainder form.
+    """G(tau, nu) = -mu(s), minus Binet's function at s = nu/tau.
 
-    Defined for s = nu/tau off (-oo, 0]; equals g_plus(s), which remains
+    Defined for s off (-oo, 0]; equals g_plus(s), which remains
     available as an independent cross-check.
     """
     s = point.s
     if s.imag == 0.0 and s.real <= 0.0:
         raise DomainError(f"big_G needs nu/tau off (-oo, 0], got s = {s}")
-    return (
-        -log_gamma(s + 1.0)
-        + (s + 0.5) * cmath.log(s)
-        - s
-        + 0.5 * math.log(TWO_PI)
-    )
+    return -binet(s)
 
 
 # ---------------------------------------------------------------------------

@@ -104,14 +104,19 @@ def test_thm29_near_q_to_one():
 def test_modular_where_x_star_alone_overflows():
     # near the real axis: x* = e^{2 pi i nu/tau} overflows, while
     # x* q* = e^{2 pi i (nu - 1)/tau} is 2.4e-161; the constant is
-    # 30-digit mpmath.qp
+    # 30-digit mpmath.qp.  Im(nu/tau) < 0 here, so the variants take
+    # their x* q* form as well
     p = ModularPoint(
         0.0004913359880447388 + 0.003271669453081849j,
         0.8013655072078107 - 0.011487124487757683j,
     )
+    assert p.s.imag < 0.0
     want = 2.3011881961525763e-05 + 1.7321288237519562e-05j
-    for got in (qpochhammer_modular(p), ramanujan_completed(p)):
-        assert abs(got - want) < 1e-11 * abs(want)
+    for f in (qpochhammer_modular, ramanujan_completed, qpochhammer_modular_variants):
+        got = f(p)
+        assert abs(got - want) < 1e-11 * abs(want), f.__name__
+    r = variant_residual(p)
+    assert r.passed and r.rel_residual < 1e-11
 
 
 def test_variants_match_both_half_planes():
@@ -404,6 +409,28 @@ def test_log_expansion_near_q_one():
         gaps.append(abs(math.log(qpochhammer(x, q).real) - lead))
     assert gaps[0] < 1e-2
     assert gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize("alpha, c", [(1e-4, 0.2), (1e-5, 0.55), (1e-6, 0.9)])
+def test_modular_accuracy_as_q_to_one(alpha, c):
+    # tau = i alpha, nu = i c, with c near the smallest value that keeps
+    # |log (x; q)_oo| <= 600 (about 490, 506 and 558 here); the reference
+    # is the log series -sum x^k / (k (1 - q^k)) in 40-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.exp(-2 * mpmath.pi * mpmath.mpf(c))
+        log_q = -2 * mpmath.pi * mpmath.mpf(alpha)
+        total, k, xk = mpmath.mpf(0), 0, mpmath.mpf(1)
+        while k == 0 or term > mpmath.mpf(10) ** -45 * total:
+            k += 1
+            xk *= x
+            term = xk / (k * -mpmath.expm1(k * log_q))
+            total += term
+        want = complex(mpmath.exp(-total))
+    p = ModularPoint(1j * alpha, 1j * c)
+    for f in (qpochhammer_modular, ramanujan_completed):
+        got = f(p)
+        assert abs(got - want) <= 1e-12 * abs(want), (f.__name__, abs(got / want - 1))
 
 
 def test_modular_route_is_cheap_where_direct_is_not():

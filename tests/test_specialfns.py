@@ -6,13 +6,23 @@ pasted in as literals, so these tests run without mpmath installed.
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmod.errors import DomainError
-from qmod.specialfns import TWO_PI, bernoulli, digamma, dilog, fn_B, fn_f, log_gamma
+from qmod.specialfns import (
+    TWO_PI,
+    bernoulli,
+    binet,
+    digamma,
+    dilog,
+    fn_B,
+    fn_f,
+    log_gamma,
+)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -194,6 +204,42 @@ def test_digamma_vs_log_gamma_difference():
     for z in (1.3, 2.0 + 1.5j, 0.7 - 0.3j, 5.0):
         fd = (log_gamma(z + h) - log_gamma(z - h)) / (2.0 * h)
         assert abs(fd - digamma(z)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Binet's function mu and mu', which log_gamma and digamma wrap
+
+
+def test_binet_against_mpmath():
+    # log-uniform |s| in [1e-3, 1e7] with arg s up to pi - 1e-3 either way,
+    # so Re s < 0 (the reflection) is half the sample; the shift covers
+    # |s| < 10 and the plain series the rest
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    for _ in range(400):
+        s = cmath.rect(
+            10.0 ** rng.uniform(-3.0, 7.0),
+            rng.uniform(-(math.pi - 1e-3), math.pi - 1e-3),
+        )
+        with mpmath.workdps(40):
+            z = mpmath.mpc(s.real, s.imag)
+            log_z = mpmath.log(z)
+            mu = complex(
+                mpmath.loggamma(z) - (z - 0.5) * log_z + z - mpmath.log(2 * mpmath.pi) / 2
+            )
+            dmu = complex(mpmath.digamma(z) - log_z + 1 / (2 * z))
+        err = abs(binet(s) - mu)
+        assert err <= 2e-14, f"s = {s}: |error| {err:.2e}"
+        if abs(s) >= 1e3:
+            assert err <= 1e-15 * abs(mu), f"s = {s}: rel error {err / abs(mu):.2e}"
+        derr = abs(binet(s, True) - dmu)
+        assert derr <= 2e-14 * max(1.0, abs(dmu)), f"s = {s}: mu' error {derr:.2e}"
+
+
+def test_binet_pole():
+    for z in (0.0, -2.0):
+        with pytest.raises(DomainError):
+            binet(z)
 
 
 # ---------------------------------------------------------------------------
