@@ -23,7 +23,7 @@ from ._stability import cexpm1, inv_expm1
 from .errors import DomainError
 from .qcore import (
     ModularPoint,
-    Truncation,
+    _gamma_quotient,
     euler_series,
     lambert_L1,
     lambert_L2,
@@ -162,26 +162,33 @@ def _require_thm29(point: ModularPoint) -> None:
         )
 
 
-def qpochhammer_modular_with_count(
-    point: ModularPoint,
-    tr: Truncation | None = None,
-    spec: RaySpec | None = None,
-) -> tuple[complex, int]:
+def _exp(expo: complex) -> complex:
+    """e^expo, where an exponent past the double range is a domain error."""
+    try:
+        return cmath.exp(expo)
+    except OverflowError:
+        raise DomainError(f"modular value overflows: exponent {expo}") from None
+
+
+def _finite(value: complex) -> complex:
+    """A modular route's value, which must lie in the double range."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"modular value is not finite: {value}")
+    return value
+
+
+def qpochhammer_modular_with_count(point: ModularPoint) -> tuple[complex, int]:
     """Transformed-side evaluation of (x; q)_oo, plus the number of
     product terms the (tau*, nu*) side actually needed."""
     _require_thm29(point)
-    prod, n_terms = qpochhammer_with_count(_x_star_q_star(point), point.q_star, tr)
-    expo = dilog(point.x) / point.log_q + big_G(point) + P_minus(point, spec)
+    prod, n_terms = qpochhammer_with_count(_x_star_q_star(point), point.q_star)
+    expo = dilog(point.x) / point.log_q + big_G(point) + P_minus(point)
     root = cmath.sqrt(1.0 - point.x)
-    return _q_pow_minus_1_24(point.tau) * root * prod * cmath.exp(expo), n_terms
+    return _finite(_q_pow_minus_1_24(point.tau) * root * prod * _exp(expo)), n_terms
 
 
-def qpochhammer_modular(
-    point: ModularPoint,
-    tr: Truncation | None = None,
-    spec: RaySpec | None = None,
-) -> complex:
-    return qpochhammer_modular_with_count(point, tr, spec)[0]
+def qpochhammer_modular(point: ModularPoint) -> complex:
+    return qpochhammer_modular_with_count(point)[0]
 
 
 def g_star(point: ModularPoint) -> complex:
@@ -189,11 +196,7 @@ def g_star(point: ModularPoint) -> complex:
     return 0.5 * (big_G(point) - big_G(ModularPoint(point.tau, -point.nu)))
 
 
-def qpochhammer_modular_variants(
-    point: ModularPoint,
-    tr: Truncation | None = None,
-    spec: RaySpec | None = None,
-) -> complex:
+def qpochhammer_modular_variants(point: ModularPoint) -> complex:
     """The two half-domain restatements built on the odd part of G.
 
     Which one applies is decided by the sign of Im(nu/tau); the common
@@ -210,25 +213,19 @@ def qpochhammer_modular_variants(
             "two variant half-domains"
         )
     _require_thm29(point)
-    expo = dilog(point.x) / point.log_q + g_star(point) + P_minus(point, spec)
+    expo = dilog(point.x) / point.log_q + g_star(point) + P_minus(point)
     x = point.x
     if s.imag > 0.0:
         xs = point.x_star
-        root_prod = cmath.sqrt((1.0 - x) / (1.0 - xs)) * qpochhammer(
-            xs, point.q_star, tr
-        )
+        root_prod = cmath.sqrt((1.0 - x) / (1.0 - xs)) * qpochhammer(xs, point.q_star)
     else:
         root_prod = cmath.sqrt(
             (1.0 - x) * (1.0 - cmath.exp(-2j * math.pi * s))
-        ) * qpochhammer(_x_star_q_star(point), point.q_star, tr)
-    return _q_pow_minus_1_24(point.tau) * root_prod * cmath.exp(expo)
+        ) * qpochhammer(_x_star_q_star(point), point.q_star)
+    return _finite(_q_pow_minus_1_24(point.tau) * root_prod * _exp(expo))
 
 
-def ramanujan_completed(
-    point: ModularPoint,
-    tr: Truncation | None = None,
-    spec: RaySpec | None = None,
-) -> complex:
+def ramanujan_completed(point: ModularPoint) -> complex:
     """The completed product formula with the Stirling factor written out.
 
     Equivalent to :func:`qpochhammer_modular` because
@@ -241,41 +238,31 @@ def ramanujan_completed(
     """
     _require_thm29(point)
     s = point.s
-    prod = qpochhammer(_x_star_q_star(point), point.q_star, tr)
-    stirling = cmath.exp(big_G(point) - 0.5 * cmath.log(TWO_PI * s))
-    expo = dilog(point.x) / point.log_q + P_minus(point, spec)
-    return (
+    prod = qpochhammer(_x_star_q_star(point), point.q_star)
+    stirling = _exp(big_G(point) - 0.5 * cmath.log(TWO_PI * s))
+    expo = dilog(point.x) / point.log_q + P_minus(point)
+    return _finite(
         math.sqrt(TWO_PI)
         * cmath.sqrt(s)
         * cmath.sqrt(1.0 - point.x)
         * _q_pow_minus_1_24(point.tau)
         * stirling
-        * cmath.exp(expo)
+        * _exp(expo)
         * prod
     )
 
 
-def thm29_residual(
-    point: ModularPoint,
-    tr: Truncation | None = None,
-    spec: RaySpec | None = None,
-    tol: float | None = None,
-) -> ResidualReport:
-    lhs = qpochhammer(point.x, point.q, tr)
-    rhs = qpochhammer_modular(point, tr, spec)
+def thm29_residual(point: ModularPoint, tol: float | None = None) -> ResidualReport:
+    lhs = qpochhammer(point.x, point.q)
+    rhs = qpochhammer_modular(point)
     return compare(
         "thm29", {"tau": point.tau, "nu": point.nu}, lhs, rhs, _tol("thm29", tol)
     )
 
 
-def variant_residual(
-    point: ModularPoint,
-    tr: Truncation | None = None,
-    spec: RaySpec | None = None,
-    tol: float | None = None,
-) -> ResidualReport:
-    lhs = qpochhammer_modular(point, tr, spec)
-    rhs = qpochhammer_modular_variants(point, tr, spec)
+def variant_residual(point: ModularPoint, tol: float | None = None) -> ResidualReport:
+    lhs = qpochhammer_modular(point)
+    rhs = qpochhammer_modular_variants(point)
     return compare(
         "thm29-variant",
         {"tau": point.tau, "nu": point.nu},
@@ -285,14 +272,9 @@ def variant_residual(
     )
 
 
-def ramanujan_residual(
-    point: ModularPoint,
-    tr: Truncation | None = None,
-    spec: RaySpec | None = None,
-    tol: float | None = None,
-) -> ResidualReport:
-    lhs = qpochhammer_modular(point, tr, spec)
-    rhs = ramanujan_completed(point, tr, spec)
+def ramanujan_residual(point: ModularPoint, tol: float | None = None) -> ResidualReport:
+    lhs = qpochhammer_modular(point)
+    rhs = ramanujan_completed(point)
     return compare(
         "ramanujan47",
         {"tau": point.tau, "nu": point.nu},
@@ -302,14 +284,9 @@ def ramanujan_residual(
     )
 
 
-def euler_residual(
-    x: complex,
-    q: complex,
-    tr: Truncation | None = None,
-    tol: float | None = None,
-) -> ResidualReport:
-    lhs = qpochhammer(x, q, tr)
-    rhs = euler_series(x, q, tr)
+def euler_residual(x: complex, q: complex, tol: float | None = None) -> ResidualReport:
+    lhs = qpochhammer(x, q)
+    rhs = euler_series(x, q)
     return compare(
         "euler-identity", {"x": x, "q": q}, lhs, rhs, _tol("euler-identity", tol)
     )
@@ -319,18 +296,16 @@ def euler_residual(
 # eta and theta
 
 
-def eta_modular_residual(
-    tau: complex, tr: Truncation | None = None, tol: float | None = None
-) -> ResidualReport:
+def eta_modular_residual(tau: complex, tol: float | None = None) -> ResidualReport:
     """(q; q)_oo against its inverted-tau expression."""
     tau = complex(tau)
     point = ModularPoint(tau, tau)  # x = q
-    lhs = qpochhammer(point.q, point.q, tr)
+    lhs = qpochhammer(point.q, point.q)
     rhs = (
         _q_pow_minus_1_24(tau)
         * cmath.sqrt(1j / tau)
         * cmath.exp(1j * math.pi * point.tau_star / 12)
-        * qpochhammer(point.q_star, point.q_star, tr)
+        * qpochhammer(point.q_star, point.q_star)
     )
     return compare("eta-modular", {"tau": tau}, lhs, rhs, _tol("eta-modular", tol))
 
@@ -338,7 +313,6 @@ def eta_modular_residual(
 def theta_modular_residual(
     tau: complex,
     nu: complex,
-    tr: Truncation | None = None,
     tol: float | None = None,
     simplified: bool = False,
 ) -> ResidualReport:
@@ -351,8 +325,8 @@ def theta_modular_residual(
     two variants differ only by rounding.
     """
     point = ModularPoint(tau, nu)
-    lhs = theta_product_tau(point.tau, point.x, tr)
-    rhs_theta = theta_product_tau(point.tau_star, point.x_star, tr)
+    lhs = theta_product_tau(point.tau, point.x)
+    rhs_theta = theta_product_tau(point.tau_star, point.x_star)
     if simplified:
         ident = "theta-modular-simple"
         log_x = TWO_PI * 1j * point.nu
@@ -378,13 +352,9 @@ def theta_modular_residual(
 # Stokes and reflection
 
 
-def stokes_residual(
-    point: ModularPoint,
-    tr: Truncation | None = None,
-    tol: float | None = None,
-) -> ResidualReport:
+def stokes_residual(point: ModularPoint, tol: float | None = None) -> ResidualReport:
     lhs = P_minus(point) - P_plus(point)
-    rhs = stokes_sum(point, tr)
+    rhs = stokes_sum(point)
     return compare(
         "stokes28", {"tau": point.tau, "nu": point.nu}, lhs, rhs, _tol("stokes28", tol)
     )
@@ -425,11 +395,7 @@ def reflection_residual(
 
 
 def lambert_relation_residuals(
-    point: ModularPoint,
-    which: int,
-    tr: Truncation | None = None,
-    spec: RaySpec | None = None,
-    tol: float | None = None,
+    point: ModularPoint, which: int, tol: float | None = None
 ) -> ResidualReport:
     """The four Lambert-sum transformation relations.
 
@@ -448,21 +414,21 @@ def lambert_relation_residuals(
         inputs = {"tau": tau}
         star_pt = ModularPoint(point.tau_star, point.tau_star)
         if which == 72:
-            lhs = lambert_L2(ModularPoint(tau, tau), tr)
+            lhs = lambert_L2(ModularPoint(tau, tau))
             rhs = (
                 1.0 / 24.0
                 + 1.0 / (4j * math.pi * tau)
                 - 1.0 / (24.0 * tau * tau)
-                + lambert_L2(star_pt, tr) / tau**2
+                + lambert_L2(star_pt) / tau**2
             )
         else:
-            lhs = lambert_L1(ModularPoint(tau, tau), tr)
+            lhs = lambert_L1(ModularPoint(tau, tau))
             rhs = (
                 cmath.log(-l2pit) / l2pit
                 + 0.25
                 - _EULER_GAMMA / l2pit
-                - dP_dnu(ModularPoint(tau, 0.0), spec) / (2j * math.pi)
-                + lambert_L1(star_pt, tr) / tau
+                - dP_dnu(ModularPoint(tau, 0.0)) / (2j * math.pi)
+                + lambert_L1(star_pt) / tau
             )
         return compare(ident, inputs, lhs, rhs, tolerance)
 
@@ -473,23 +439,23 @@ def lambert_relation_residuals(
     x = point.x
     shifted_star = ModularPoint(point.tau_star, point.nu_star + point.tau_star)
     if which == 67:
-        lhs = lambert_L1(ModularPoint(tau, point.nu + tau), tr)
+        lhs = lambert_L1(ModularPoint(tau, point.nu + tau))
         # psi(s + 1) - log s - 1/(2s) = mu'(s)
-        bracket = binet(s, True) - tau * dP_dnu(point, spec)
+        bracket = binet(s, True) - tau * dP_dnu(point)
         rhs = (
             cmath.log(1.0 - x) / l2pit
             - x / (2.0 * (1.0 - x))
-            + lambert_L1(shifted_star, tr) / tau
+            + lambert_L1(shifted_star) / tau
             + bracket / l2pit
         )
     else:
-        lhs = lambert_L2(ModularPoint(tau, point.nu + tau), tr)
-        bracket = binet(s, True) + tau * tau / point.nu * dP_dtau(point, spec)
+        lhs = lambert_L2(ModularPoint(tau, point.nu + tau))
+        bracket = binet(s, True) + tau * tau / point.nu * dP_dtau(point)
         rhs = (
             1.0 / 24.0
             - dilog(x) / (4.0 * math.pi**2) / tau**2
-            - lambert_L1(shifted_star, tr) * point.nu / tau**2
-            + lambert_L2(shifted_star, tr) / tau**2
+            - lambert_L1(shifted_star) * point.nu / tau**2
+            + lambert_L2(shifted_star) / tau**2
             - point.nu / (2j * math.pi * tau**2) * bracket
         )
     return compare(ident, inputs, lhs, rhs, tolerance)
@@ -535,16 +501,10 @@ def binet75_residual(lam: complex, tol: float | None = None) -> ResidualReport:
     return compare("binet75", {"lambda": lam}, lhs, rhs, _tol("binet75", tol))
 
 
-def mpv_residual(
-    alpha: float,
-    xi: float,
-    n_terms: int = 40,
-    tr: Truncation | None = None,
-    tol: float | None = None,
-) -> ResidualReport:
+def mpv_residual(alpha: float, xi: float, tol: float | None = None) -> ResidualReport:
     """The almost-modular M against the principal-value route."""
-    lhs = M_almost_modular(alpha, xi, tr=tr)
-    rhs = pv_M_direct(alpha, xi, n_terms=n_terms)
+    lhs = M_almost_modular(alpha, xi)
+    rhs = pv_M_direct(alpha, xi)
     return compare("M-pv", {"alpha": alpha, "xi": xi}, lhs, rhs, _tol("M-pv", tol))
 
 
@@ -587,7 +547,6 @@ def theta_series_table(
     tau_list: list[complex],
     n_max: int = 8,
     eps: float = math.pi / 4,
-    spec: RaySpec | None = None,
 ) -> list[AsymptoticRow]:
     """Partial sums of the divergent correction series against -P.
 
@@ -620,7 +579,7 @@ def theta_series_table(
                 f"arg tau = {arg:.4f} outside the sector ({eps:.4f}, {math.pi - eps:.4f})"
             )
         point = ModularPoint(tau, nu)
-        minus_p = -P_minus(point, spec)
+        minus_p = -P_minus(point)
         log_q = point.log_q
         partial = 0.0 + 0.0j
         for N in range(n_max + 1):
@@ -655,14 +614,13 @@ def theta_series_table(
 # q -> 1 helpers built on the transformed side
 
 
-def q_gamma_modular(
-    z: complex, tau: complex, tr: Truncation | None = None
-) -> complex:
+def q_gamma_modular(z: complex, tau: complex) -> complex:
     """Jackson's q-Gamma with both infinite products routed through the
-    transformed variables; stays cheap as q -> 1 (tau -> 0 along iR+)."""
+    transformed variables; stays cheap as q -> 1 (tau -> 0 along iR+)
+    until a product leaves the double range, which is a domain error."""
     z = complex(z)
     tau = complex(tau)
-    num = qpochhammer_modular(ModularPoint(tau, tau), tr)
-    den = qpochhammer_modular(ModularPoint(tau, z * tau), tr)
+    num = qpochhammer_modular(ModularPoint(tau, tau))
+    den = qpochhammer_modular(ModularPoint(tau, z * tau))
     one_minus_q = -cexpm1(TWO_PI * 1j * tau)
-    return num / den * cmath.exp((1.0 - z) * cmath.log(one_minus_q))
+    return _gamma_quotient(num, den) * cmath.exp((1.0 - z) * cmath.log(one_minus_q))

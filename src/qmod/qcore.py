@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +24,8 @@ POLE_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class Truncation:
-    """Stopping policy for infinite sums/products.
+    """Stopping policy of the direct product; other series use
+    ``DEFAULT_TRUNCATION``.
 
     term_tol is a certified absolute tail bound, not a per-term test:
     each evaluator stops only once its specific tail estimate (geometric
@@ -42,10 +44,6 @@ class Truncation:
 
 
 DEFAULT_TRUNCATION = Truncation()
-
-
-def _trunc(tr: Truncation | None) -> Truncation:
-    return DEFAULT_TRUNCATION if tr is None else tr
 
 
 @dataclass(frozen=True)
@@ -124,10 +122,6 @@ class ModularPoint:
             return False
         return True
 
-    def star(self) -> "ModularPoint":
-        """The transformed point (tau*, nu*)."""
-        return ModularPoint(self.tau_star, self.nu_star)
-
 
 def qpochhammer_with_count(
     x: complex, q: complex, tr: Truncation | None = None
@@ -136,7 +130,7 @@ def qpochhammer_with_count(
 
     N is fixed in advance from the tail bound |x q^N|/(1-|q|) < term_tol.
     """
-    tr = _trunc(tr)
+    tr = DEFAULT_TRUNCATION if tr is None else tr
     x = complex(x)
     q = complex(q)
     aq = abs(q)
@@ -168,11 +162,9 @@ def qpochhammer(x: complex, q: complex, tr: Truncation | None = None) -> complex
     return qpochhammer_with_count(x, q, tr)[0]
 
 
-def euler_series_with_count(
-    x: complex, q: complex, tr: Truncation | None = None
-) -> tuple[complex, int]:
-    """Euler's expansion of (x;q)_oo, with the number of terms summed."""
-    tr = _trunc(tr)
+def euler_series(x: complex, q: complex) -> complex:
+    """sum_{n>=0} q^{n(n-1)/2} (-x)^n / (q;q)_n, equal to (x;q)_oo."""
+    tr = DEFAULT_TRUNCATION
     x = complex(x)
     q = complex(q)
     aq = abs(q)
@@ -182,30 +174,24 @@ def euler_series_with_count(
     term = 1.0 + 0.0j
     qn_minus1 = 1.0 + 0.0j  # q^{n-1}
     qn = q  # q^n
-    for n in range(1, tr.max_terms + 1):
+    for _ in range(tr.max_terms):
         term *= qn_minus1 * (-x) / (1.0 - qn)
         total += term
         # once the term ratio is certainly below 1/2 the tail is < |term|
         ratio = abs(qn) * abs(x) / (1.0 - aq)
         if ratio < 0.5 and abs(term) < 0.5 * tr.term_tol:
-            return total, n
+            return total
         qn_minus1 = qn
         qn *= q
     raise ConvergenceError(f"Euler series did not settle in {tr.max_terms} terms")
 
 
-def euler_series(x: complex, q: complex, tr: Truncation | None = None) -> complex:
-    """sum_{n>=0} q^{n(n-1)/2} (-x)^n / (q;q)_n, equal to (x;q)_oo."""
-    return euler_series_with_count(x, q, tr)[0]
-
-
-def q_gamma(z: complex, q: complex, tr: Truncation | None = None) -> complex:
+def q_gamma(z: complex, q: complex) -> complex:
     """Jackson's q-Gamma: (q;q)_oo / (q^z;q)_oo * (1-q)^{1-z}.
 
     Principal-branch powers of the computed q.  Poles where q^z falls on
     {1, q^{-1}, q^{-2}, ...} are rejected.
     """
-    tr = _trunc(tr)
     z = complex(z)
     q = complex(q)
     aq = abs(q)
@@ -213,24 +199,40 @@ def q_gamma(z: complex, q: complex, tr: Truncation | None = None) -> complex:
         raise DomainError(f"need 0 < |q| < 1, got {aq}")
     log_q = cmath.log(q)
     qz = cmath.exp(z * log_q)
-    # pole scan: q^z q^n = 1 for some n >= 0 makes a denominator factor vanish
-    probe = qz
-    while abs(probe) > 0.5:
-        if abs(1.0 - probe) < POLE_GUARD:
+    # a denominator factor 1 - q^{z+n} can vanish only where |q^{z+n}| = 1,
+    # that is at n0 = -Re(z log q) / log|q|: its neighbours are the only
+    # candidate poles, so the test costs the same however close |q| is to 1
+    n0 = -(z * log_q).real / log_q.real
+    for n in {math.floor(n0), math.ceil(n0)}:
+        if n >= 0 and abs(1.0 - cmath.exp((z + n) * log_q)) < POLE_GUARD:
             raise DomainError(f"q_gamma pole: q^z q^n = 1 near z = {z}")
-        probe *= q
-    num, _ = qpochhammer_with_count(q, q, tr)
-    den, _ = qpochhammer_with_count(qz, q, tr)
-    return num / den * cmath.exp((1.0 - z) * cmath.log(1.0 - q))
+    num, _ = qpochhammer_with_count(q, q)
+    den, _ = qpochhammer_with_count(qz, q)
+    return _gamma_quotient(num, den) * cmath.exp((1.0 - z) * cmath.log(1.0 - q))
 
 
-def eta(tau: complex, tr: Truncation | None = None) -> complex:
+def _gamma_quotient(num: complex, den: complex) -> complex:
+    """num / den, the two infinite products of a q-Gamma value.
+
+    A product outside the normal double range has lost its digits (as
+    q -> 1 both underflow long before their quotient does), so that is
+    a domain error rather than a quietly wrong quotient.
+    """
+    for v in (num, den):
+        if not sys.float_info.min <= abs(v) <= sys.float_info.max:
+            raise DomainError(
+                f"q-Gamma product {v} is outside the normal double range"
+            )
+    return num / den
+
+
+def eta(tau: complex) -> complex:
     """Dedekind eta(tau) = e^{pi i tau / 12} (q;q)_oo, Im tau > 0."""
     tau = complex(tau)
     if not tau.imag > 0.0:
         raise DomainError(f"Im tau must be positive, got {tau}")
     q = cmath.exp(2j * math.pi * tau)
-    return cmath.exp(1j * math.pi * tau / 12.0) * qpochhammer(q, q, tr)
+    return cmath.exp(1j * math.pi * tau / 12.0) * qpochhammer(q, q)
 
 
 def _check_theta_args(q: complex, x: complex) -> tuple[complex, complex]:
@@ -243,7 +245,7 @@ def _check_theta_args(q: complex, x: complex) -> tuple[complex, complex]:
     return q, x
 
 
-def theta_product(q: complex, x: complex, tr: Truncation | None = None) -> complex:
+def theta_product(q: complex, x: complex) -> complex:
     """Jacobi theta as the triple product (q;q)(-sqrt(q) x;q)(-sqrt(q)/x;q).
 
     sqrt(q) is principal, so q on the cut (-oo, 0] is rejected; use
@@ -254,10 +256,10 @@ def theta_product(q: complex, x: complex, tr: Truncation | None = None) -> compl
     if q.imag == 0.0 and q.real < 0.0:
         raise DomainError("q on the negative real axis: principal sqrt(q) is "
                           "ambiguous, call theta_product_tau instead")
-    return _triple_product(q, cmath.sqrt(q), x, tr)
+    return _triple_product(q, cmath.sqrt(q), x)
 
 
-def theta_product_tau(tau: complex, x: complex, tr: Truncation | None = None) -> complex:
+def theta_product_tau(tau: complex, x: complex) -> complex:
     """Triple product with q = e^{2 pi i tau} and sqrt(q) := e^{pi i tau}."""
     tau = complex(tau)
     if not tau.imag > 0.0:
@@ -265,27 +267,25 @@ def theta_product_tau(tau: complex, x: complex, tr: Truncation | None = None) ->
     if x == 0:
         raise DomainError("x must be nonzero")
     q = cmath.exp(2j * math.pi * tau)
-    return _triple_product(q, cmath.exp(1j * math.pi * tau), x, tr)
+    return _triple_product(q, cmath.exp(1j * math.pi * tau), x)
 
 
-def _triple_product(
-    q: complex, sqrt_q: complex, x: complex, tr: Truncation | None
-) -> complex:
+def _triple_product(q: complex, sqrt_q: complex, x: complex) -> complex:
     """(q;q)(-sqrt_q x;q)(-sqrt_q/x;q) for the caller's choice of sqrt(q)."""
     return (
-        qpochhammer(q, q, tr)
-        * qpochhammer(-sqrt_q * x, q, tr)
-        * qpochhammer(-sqrt_q / x, q, tr)
+        qpochhammer(q, q)
+        * qpochhammer(-sqrt_q * x, q)
+        * qpochhammer(-sqrt_q / x, q)
     )
 
 
-def theta_laurent(q: complex, x: complex, tr: Truncation | None = None) -> complex:
+def theta_laurent(q: complex, x: complex) -> complex:
     """Jacobi theta as the symmetric Laurent sum sum_{n in Z} q^{n^2/2} x^n.
 
     Stops once the Gaussian-geometric tail bound
     |q|^{N^2/2} (|x|^N + |x|^{-N}) / (1 - |q|^N) is below term_tol.
     """
-    tr = _trunc(tr)
+    tr = DEFAULT_TRUNCATION
     q, x = _check_theta_args(q, x)
     rq = cmath.exp(0.5 * cmath.log(q))  # principal q^{1/2}
     log_aq = math.log(abs(q))
@@ -314,12 +314,13 @@ def theta_laurent(q: complex, x: complex, tr: Truncation | None = None) -> compl
     raise ConvergenceError(f"theta sum did not settle in {tr.max_terms} terms")
 
 
-def _lambert_terms(point: ModularPoint, tr: Truncation):
+def _lambert_terms(point: ModularPoint):
     """Yield (n, x q^n / (1 - x q^n)) with pole guarding and a tail flag."""
     x = point.x
     q = point.q
     aq = abs(q)
     xq = x
+    tr = DEFAULT_TRUNCATION
     for n in range(tr.max_terms):
         den = 1.0 - xq
         if abs(den) < POLE_GUARD:
@@ -329,11 +330,11 @@ def _lambert_terms(point: ModularPoint, tr: Truncation):
     raise ConvergenceError(f"Lambert series did not settle in {tr.max_terms} terms")
 
 
-def lambert_L1(point: ModularPoint, tr: Truncation | None = None) -> complex:
+def lambert_L1(point: ModularPoint) -> complex:
     """L1(tau, nu) = sum_{n>=0} x q^n / (1 - x q^n)."""
-    tr = _trunc(tr)
+    tr = DEFAULT_TRUNCATION
     total = 0.0 + 0.0j
-    for n, term, geo_tail in _lambert_terms(point, tr):
+    for n, term, geo_tail in _lambert_terms(point):
         total += term
         # for |x q^n| <= 1/2 each later term is <= 2 |x q^m|
         if geo_tail * abs(point.q) * 2.0 < 0.5 * tr.term_tol and abs(term) <= 1.0:
@@ -341,12 +342,12 @@ def lambert_L1(point: ModularPoint, tr: Truncation | None = None) -> complex:
     raise AssertionError("unreachable")
 
 
-def lambert_L2(point: ModularPoint, tr: Truncation | None = None) -> complex:
+def lambert_L2(point: ModularPoint) -> complex:
     """L2(tau, nu) = sum_{n>=0} (n+1) x q^n / (1 - x q^n)."""
-    tr = _trunc(tr)
+    tr = DEFAULT_TRUNCATION
     total = 0.0 + 0.0j
     aq = abs(point.q)
-    for n, term, geo_tail in _lambert_terms(point, tr):
+    for n, term, geo_tail in _lambert_terms(point):
         total += (n + 1) * term
         weighted_tail = (
             2.0 * geo_tail * aq * ((n + 2) / (1.0 - aq) + aq / (1.0 - aq) ** 2)
@@ -356,16 +357,14 @@ def lambert_L2(point: ModularPoint, tr: Truncation | None = None) -> complex:
     raise AssertionError("unreachable")
 
 
-def log_qpochhammer_real(
-    alpha: float, xi: float, tr: Truncation | None = None
-) -> float:
+def log_qpochhammer_real(alpha: float, xi: float) -> float:
     """log (q^{1+xi}; q)_oo at q = e^{-2 pi alpha}, summed factor-by-factor.
 
     Every factor lies in (0,1), so the result is a plain real log-sum;
     this is the left-hand side of the almost-modular real identity and
     deliberately never touches complex arithmetic.
     """
-    tr = _trunc(tr)
+    tr = DEFAULT_TRUNCATION
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
     if not xi > -1.0:

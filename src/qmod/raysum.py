@@ -6,7 +6,9 @@ lambda being the integrand's decay rate along the ray (RaySpec.decay); a
 finite interval by the tanh-sinh map.  Either way the mapped integrand
 decays double-exponentially in u, so trapezoid sums over
 [-DE_SPAN, DE_SPAN] converge geometrically in the node count.  The step
-halves on nested nodes until two successive sums agree to the tolerance.
+halves on nested nodes until two successive sums agree to the tolerance,
+RAY_REL_TOL for every ray integral.  Only integrate_ray, P_minus and A_n
+take a RaySpec from their caller; everything else picks its own ray.
 Integrands are evaluated on numpy arrays of nodes: the first call covers
 the 289 nodes of step 1/32, which hold the first five levels, and each
 later level costs one call on its new nodes.  An integral that has not
@@ -37,7 +39,7 @@ import numpy as np
 
 from ._stability import cos_ratio, inv_expm1, sin_ratio
 from .errors import ConvergenceError, DomainError
-from .qcore import ModularPoint, Truncation, _trunc
+from .qcore import DEFAULT_TRUNCATION, ModularPoint
 from .specialfns import PI_SQ_OVER_6, binet, fn_B, fn_f
 from .specialfns import log_gamma  # noqa: F401  (perfbench's tracer wraps this name)
 
@@ -53,19 +55,23 @@ BATCH_LEVELS = 4
 MAX_NODES = 2**18
 #: candidate ray angles per half-plane and the exclusion radius around poles
 RAY_GRID_STEP = math.pi / 36.0
+#: relative tolerance of every ray integral
+RAY_REL_TOL = 1e-11
+#: the principal-value route's truncation of both sums and the half-width
+#: of its symmetric window around t = 1
+PV_TERMS = 40
+PV_DELTA = 0.1
 
 
 @dataclass(frozen=True)
 class RaySpec:
-    """Direction, tolerance and decay rate of one ray integral."""
+    """Direction and decay rate of one ray integral, which runs to
+    RAY_REL_TOL."""
 
     direction_d: float
-    rel_tol: float = 1e-11
     decay: float = 1.0
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
         if not self.decay > 0.0:
             raise DomainError(f"decay must be positive, got {self.decay}")
 
@@ -141,7 +147,7 @@ def integrate_ray(
         r = np.exp(u - np.exp(-u)) / spec.decay
         return integrand(r * e_id) * (e_id * r * (1.0 + np.exp(-u)))
 
-    return _de_sum(weighted, spec.rel_tol)
+    return _de_sum(weighted, RAY_REL_TOL)
 
 
 def _integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> complex:
@@ -221,7 +227,7 @@ def choose_ray(point: ModularPoint, half: str) -> RaySpec:
 # g^+ and G
 
 
-def g_plus(z: complex, spec: RaySpec | None = None) -> complex:
+def g_plus(z: complex) -> complex:
     """g^+(z) = -int_0^{oo e^{id}} B(t) e^{-2 pi z t} dt/t on S(-pi, pi).
 
     The ray is rotated to d = -arg(z)/2, which keeps both the kernel's
@@ -232,9 +238,8 @@ def g_plus(z: complex, spec: RaySpec | None = None) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0:
         raise DomainError(f"g_plus undefined on the cut, got z = {z}")
-    if spec is None:
-        arg = cmath.phase(z)
-        spec = RaySpec(-0.5 * arg, decay=TWO_PI * abs(z) * math.cos(0.5 * arg))
+    arg = cmath.phase(z)
+    spec = RaySpec(-0.5 * arg, decay=TWO_PI * abs(z) * math.cos(0.5 * arg))
 
     def integrand(t):
         return -fn_B(t) * np.exp(-TWO_PI * z * t) / t
@@ -258,13 +263,6 @@ def big_G(point: ModularPoint) -> complex:
 # the P integrals and their derivatives
 
 
-def _p_spec(point: ModularPoint, spec: RaySpec | None, half: str) -> RaySpec:
-    """The chosen ray, or the given one with its slack as the decay rate."""
-    if spec is None:
-        return choose_ray(point, half)
-    return replace(spec, decay=_slack(point, spec.direction_d))
-
-
 def _p_integrand(point: ModularPoint) -> Callable[[np.ndarray], np.ndarray]:
     tau = point.tau
     nu = point.nu
@@ -276,21 +274,29 @@ def _p_integrand(point: ModularPoint) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def P_minus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
-    """P computed from a lower-half-plane ray (the production branch)."""
+    """P computed from a lower-half-plane ray (the production branch).
+
+    The ray is choose_ray's unless spec gives one; either way its decay
+    rate is the convergence slack at that direction.
+    """
     if point.nu == 0:
         return 0.0 + 0.0j
-    return integrate_ray(_p_integrand(point), _p_spec(point, spec, "lower")).value
+    if spec is None:
+        spec = choose_ray(point, "lower")
+    else:
+        spec = replace(spec, decay=_slack(point, spec.direction_d))
+    return integrate_ray(_p_integrand(point), spec).value
 
 
-def P_plus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
+def P_plus(point: ModularPoint) -> complex:
     """P computed from an upper-half-plane ray (differs from P_minus by
     the Stokes sum)."""
     if point.nu == 0:
         return 0.0 + 0.0j
-    return integrate_ray(_p_integrand(point), _p_spec(point, spec, "upper")).value
+    return integrate_ray(_p_integrand(point), choose_ray(point, "upper")).value
 
 
-def dP_dnu(point: ModularPoint, spec: RaySpec | None = None) -> complex:
+def dP_dnu(point: ModularPoint) -> complex:
     """d/dnu of P_minus, by differentiation under the integral."""
     tau = point.tau
     nu = point.nu
@@ -298,10 +304,10 @@ def dP_dnu(point: ModularPoint, spec: RaySpec | None = None) -> complex:
     def integrand(t):
         return cos_ratio(nu, t / tau) * fn_f(t) / tau
 
-    return integrate_ray(integrand, _p_spec(point, spec, "lower")).value
+    return integrate_ray(integrand, choose_ray(point, "lower")).value
 
 
-def dP_dtau(point: ModularPoint, spec: RaySpec | None = None) -> complex:
+def dP_dtau(point: ModularPoint) -> complex:
     """d/dtau of P_minus, by differentiation under the integral."""
     if point.nu == 0:
         return 0.0 + 0.0j
@@ -318,16 +324,16 @@ def dP_dtau(point: ModularPoint, spec: RaySpec | None = None) -> complex:
             * fn_f(t)
         )
 
-    return integrate_ray(integrand, _p_spec(point, spec, "lower")).value
+    return integrate_ray(integrand, choose_ray(point, "lower")).value
 
 
-def stokes_sum(point: ModularPoint, tr: Truncation | None = None) -> complex:
+def stokes_sum(point: ModularPoint) -> complex:
     """2i sum_{n>=1} sin(2 n pi nu/tau) / (n (e^{2 n pi i/tau} - 1)).
 
     The discrete jump between P_minus and P_plus; converges only while
     |Im(nu/tau)| < -Im(1/tau).
     """
-    tr = _trunc(tr)
+    tr = DEFAULT_TRUNCATION
     tau = point.tau
     nu = point.nu
     decay = -(1.0 / tau).imag - abs((nu / tau).imag)
@@ -383,7 +389,7 @@ def A_n(n: int, z: complex, spec: RaySpec | None = None) -> complex:
     return integrate_ray(integrand, spec).value
 
 
-def K_N(N: int, nu: complex, spec: RaySpec | None = None) -> float:
+def K_N(N: int, nu: complex) -> float:
     """K_N(nu) = int_0^oo |sinh(nu t)| t^{2N} / (e^t - 1) dt, |Re nu| < 1."""
     if N < 0:
         raise DomainError("N must be >= 0")
@@ -392,7 +398,7 @@ def K_N(N: int, nu: complex, spec: RaySpec | None = None) -> float:
         raise DomainError(f"K_N diverges for |Re nu| >= 1, got {nu}")
     if nu == 0:
         return 0.0
-    spec = replace(spec or RaySpec(direction_d=0.0), decay=1.0 - abs(nu.real))
+    spec = RaySpec(direction_d=0.0, decay=1.0 - abs(nu.real))
 
     def integrand(t):
         r = t.real  # real-axis ray
@@ -406,12 +412,7 @@ def K_N(N: int, nu: complex, spec: RaySpec | None = None) -> float:
 # the almost-modular term M: modular route and principal-value route
 
 
-def M_almost_modular(
-    alpha: float,
-    xi: float,
-    spec: RaySpec | None = None,
-    tr: Truncation | None = None,
-) -> float:
+def M_almost_modular(alpha: float, xi: float) -> float:
     """M(alpha, xi) = Re log (x* q*; q*)_oo + P^-(alpha, xi).
 
     q* = e^{-2 pi/alpha}, x* = e^{2 pi i xi}; the imaginary parts cancel
@@ -419,7 +420,7 @@ def M_almost_modular(
     """
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
-    tr = _trunc(tr)
+    tr = DEFAULT_TRUNCATION
     qs = math.exp(-TWO_PI / alpha)
     xs = cmath.exp(2j * math.pi * xi)
     log_prod = 0.0 + 0.0j
@@ -432,13 +433,13 @@ def M_almost_modular(
     else:
         raise ConvergenceError("product log did not settle")
     point = ModularPoint.real_case(alpha, xi)
-    p_val = P_minus(point, spec)
+    p_val = P_minus(point)
     return (log_prod + p_val).real
 
 
-def _pv_cosine_sum(alpha: float, xi: float, n_terms: int) -> float:
+def _pv_cosine_sum(alpha: float, xi: float) -> float:
     total = 0.0
-    for n in range(1, n_terms + 1):
+    for n in range(1, PV_TERMS + 1):
         arg = TWO_PI * n / alpha
         if arg > 700.0:
             break
@@ -446,10 +447,11 @@ def _pv_cosine_sum(alpha: float, xi: float, n_terms: int) -> float:
     return total
 
 
-def _pv_sine_part(alpha: float, xi: float, n_terms: int, delta: float) -> float:
-    """-(2/pi) PV int_0^oo F(t) dt/(1-t^2) plus the closed-form n > n_terms
-    tail, where F truncates the sine sum at n_terms."""
-    n = np.arange(1, n_terms + 1)[:, None]
+def _pv_sine_part(alpha: float, xi: float) -> float:
+    """-(2/pi) PV int_0^oo F(t) dt/(1-t^2) plus the closed-form n > PV_TERMS
+    tail, where F truncates the sine sum at PV_TERMS."""
+    delta = PV_DELTA
+    n = np.arange(1, PV_TERMS + 1)[:, None]
 
     def F(t: np.ndarray) -> np.ndarray:
         # 1/expm1(a) written as e^{-a}/(-expm1(-a)), which underflows
@@ -475,7 +477,7 @@ def _pv_sine_part(alpha: float, xi: float, n_terms: int, delta: float) -> float:
         + 0.5 * f1 * math.log((2.0 + delta) / (2.0 - delta))
         + _integrate_interval(f_reg, 1.0 + delta, max(5.0, 9.0 * alpha))
     ).real
-    # n > n_terms tail: each term contributes (alpha/(2 pi n^2)) J0(xi alpha)
+    # n > PV_TERMS tail: each term contributes (alpha/(2 pi n^2)) J0(xi alpha)
     # with J0(mu) = (pi/2) coth(pi mu) - 1/(2 mu), odd and vanishing at 0,
     # hence a trigamma factor overall
     mu = xi * alpha
@@ -484,27 +486,19 @@ def _pv_sine_part(alpha: float, xi: float, n_terms: int, delta: float) -> float:
     else:
         j0 = 0.5 * math.pi / math.tanh(math.pi * mu) - 0.5 / mu
     # trigamma(n + 1) = pi^2/6 - sum_{k <= n} 1/k^2
-    trigamma = PI_SQ_OVER_6 - math.fsum(1.0 / k**2 for k in range(1, n_terms + 1))
+    trigamma = PI_SQ_OVER_6 - math.fsum(1.0 / k**2 for k in range(1, PV_TERMS + 1))
     tail = -(alpha / math.pi**2) * j0 * trigamma
     return -(2.0 / math.pi) * integral + tail
 
 
-def pv_M_direct(
-    alpha: float, xi: float, n_terms: int = 40, delta: float = 0.1
-) -> float:
+def pv_M_direct(alpha: float, xi: float) -> float:
     """Principal-value route to M(alpha, xi), independent of the ray sums.
 
-    Truncates both sums at n_terms, subtracts the t = 1 singularity
-    locally (symmetric window of half-width delta), and restores the
-    n > n_terms sine-sum tail in closed form.  Validation-oracle
+    Truncates both sums at PV_TERMS, subtracts the t = 1 singularity
+    locally (symmetric window of half-width PV_DELTA), and restores the
+    n > PV_TERMS sine-sum tail in closed form.  Validation-oracle
     accuracy: ~1e-8 at alpha <= 1, comfortably inside the 1e-6 target.
     """
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
-    return _pv_cosine_sum(alpha, xi, n_terms) + _pv_sine_part(
-        alpha, xi, n_terms, delta
-    )
+    return _pv_cosine_sum(alpha, xi) + _pv_sine_part(alpha, xi)

@@ -6,11 +6,13 @@ capture output through capsys.
 
 import json
 import math
+import random
 
 import pytest
 
 from qmod.cli import (
     CHECK_TARGETS,
+    EVAL,
     EVAL_TARGETS,
     EXIT_DOMAIN,
     EXIT_IO,
@@ -131,6 +133,38 @@ def test_eval_domain_error_exit(capsys):
     code, _, err = run(capsys, "eval", "eta", "--tau-im", "-1")
     assert code == EXIT_DOMAIN
     assert "domain error" in err
+
+
+def test_eval_modular_overflow_exit(capsys):
+    code, out, err = run(
+        capsys, "eval", "pochhammer-modular", "--tau-im", "1e-5", "--nu-re", "0.3",
+        "--nu-im", "0.1",
+    )
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "domain error" in err and "Traceback" not in err
+
+
+def test_eval_G_error_covers_binet_error():
+    # Binet's function carries up to ~3.6e-15 absolute error on its shifted
+    # range, where |G| can be far below 1; the reported error must cover it
+    mpmath = pytest.importorskip("mpmath")
+    names, evaluate, error_model = EVAL["G"]
+    rng = random.Random(20261018)
+    points = [0.1321975817371849 + 0.0022812274039975024j, -0.2009 + 0.8005j]
+    for _ in range(1000):
+        r = 10.0 ** rng.uniform(-3.0, 2.0)
+        phi = rng.uniform(-math.pi + 1e-3, math.pi - 1e-3)
+        points.append(complex(r * math.cos(phi), r * math.sin(phi)))
+    with mpmath.workdps(40):
+        for s in points:
+            # nu / tau with tau = i gives back s exactly
+            value = evaluate({"tau": 1j, "nu": 1j * s})
+            z = mpmath.mpc(s.real, s.imag)
+            mu = mpmath.loggamma(z) - (
+                (z - 0.5) * mpmath.log(z) - z + 0.5 * mpmath.log(2 * mpmath.pi)
+            )
+            assert abs(value - complex(-mu)) <= error_model(value), s
 
 
 # ---------------------------------------------------------------------------

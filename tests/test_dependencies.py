@@ -1,5 +1,7 @@
 """The package runs on numpy alone: no route, relation or CLI command
-imports scipy (Gamma-type quantities come from specialfns.binet)."""
+imports scipy (Gamma-type quantities come from specialfns.binet).  The
+benchmark's tracer patches qmod module attributes by name; those names
+are part of the package's contract with it."""
 
 import os
 import subprocess
@@ -39,3 +41,24 @@ def test_no_scipy_import():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_patches_every_name(monkeypatch):
+    from qmod import cli, modularity, qcore, raysum
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import tracing
+
+    original = modularity.qpochhammer_with_count
+    tracer = tracing.Tracer()
+    tracing.install(tracer, qcore, raysum, modularity, cli)
+    try:
+        assert modularity.qpochhammer_with_count is not original
+        modularity.qpochhammer_modular(qcore.ModularPoint(0.5j, 0.1 + 0.15j))
+    finally:
+        tracer.close()
+    assert modularity.qpochhammer_with_count is original
+    assert {s.name for s in tracer.spans} >= {
+        "modularity.qpochhammer_modular", "raysum.P_minus", "raysum.choose_ray",
+    }

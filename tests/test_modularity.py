@@ -119,6 +119,20 @@ def test_modular_where_x_star_alone_overflows():
     assert r.passed and r.rel_residual < 1e-11
 
 
+def test_modular_overflow_is_a_domain_error():
+    # Li2(x)/log q is ~1e4 at tau = 1e-5 i: e^expo leaves the double range
+    p = ModularPoint(1e-5j, 0.3 + 0.1j)
+    for f in (qpochhammer_modular, ramanujan_completed, qpochhammer_modular_variants):
+        with pytest.raises(DomainError):
+            f(p)
+
+
+def test_q_gamma_modular_underflow_is_a_domain_error():
+    # both products underflow to 0 at alpha = 1e-4
+    with pytest.raises(DomainError):
+        q_gamma_modular(2.5, 1e-4j)
+
+
 def test_variants_match_both_half_planes():
     # Im(nu/tau) < 0 side
     r_minus = variant_residual(ModularPoint(1j, 0.1 + 0.2j))

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,28 @@ def test_q_gamma_pole_detection():
     # q^z = q^{-2}
     with pytest.raises(DomainError):
         q_gamma(-2.0, 0.3)
+    # q^z = q^{-40}, far down a slowly shrinking q^n
+    with pytest.raises(DomainError):
+        q_gamma(-40.0, 0.99)
+
+
+def test_q_gamma_fails_fast_as_q_to_one():
+    # the pole test costs O(1) steps, so the product's factor budget is
+    # what refuses these points, at once
+    for q in (1.0 - 1e-8, 1.0 - 1e-12):
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            q_gamma(2.5, q)
+        assert time.perf_counter() - t0 < 0.1
+
+
+def test_q_gamma_refuses_underflowed_products():
+    # at q = 0.998 both products are subnormal (~1e-323) and their
+    # quotient would read 11180 where Gamma_q(2.5) is about 1.33
+    assert rel(q_gamma(2.5, 0.995), 1.3280929828096242) < 1e-12
+    for q in (0.998, 0.999):
+        with pytest.raises(DomainError):
+            q_gamma(2.5, q)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from qmod.raysum import (
     P_minus,
     P_plus,
     RAY_GRID_STEP,
+    RAY_REL_TOL,
     RayResult,
     RaySpec,
     _de_sum,
@@ -56,7 +57,7 @@ def test_integrate_ray_known_integrals():
     spec = RaySpec(direction_d=0.0)
     val, err = integrate_ray(lambda t: np.exp(-t), spec)
     assert abs(val - 1.0) <= err + 1e-15
-    assert err <= spec.rel_tol * abs(val) + 1e-15
+    assert err <= RAY_REL_TOL * abs(val) + 1e-15
     val2, _ = integrate_ray(lambda t: t * np.exp(-t), spec)
     assert rel(val2, 1.0) < 1e-11
     # Gaussian: int_0^oo e^{-t^2} = sqrt(pi)/2
@@ -194,8 +195,6 @@ def test_de_sum_matches_the_level_by_level_ladder(weighted):
 
 
 def test_rayspec_validation():
-    with pytest.raises(DomainError):
-        RaySpec(direction_d=0.0, rel_tol=0.0)
     with pytest.raises(DomainError):
         RaySpec(direction_d=0.0, decay=0.0)
     with pytest.raises(DomainError):
@@ -505,7 +504,3 @@ def test_M_routes_agree():
 def test_M_domain():
     with pytest.raises(DomainError):
         M_almost_modular(0.0, 0.2)
-    with pytest.raises(DomainError):
-        pv_M_direct(1.0, 0.2, n_terms=0)
-    with pytest.raises(DomainError):
-        pv_M_direct(1.0, 0.2, delta=1.0)
