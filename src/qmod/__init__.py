@@ -14,7 +14,10 @@ Layout:
   digamma as wrappers over it).
 - ``qcore``: q-Pochhammer products and series, the Jackson q-Gamma
   function, Dedekind eta, Jacobi theta, Lambert sums, and the
-  ``ModularPoint`` container.
+  ``ModularPoint`` container.  Every series fixes its length before its
+  first term, from a tail bound below ``TERM_TOL`` (1e-16), and raises
+  ``ConvergenceError`` at once when that length exceeds ``MAX_TERMS``
+  (10^6).
 - ``raysum``: certified quadrature along rays, the correction integrals
   P, g^+ and G, their derivatives, the A_n moment integrals, K_N norm
   integrals, and the almost-modular function M.
@@ -24,14 +27,15 @@ Layout:
 """
 
 from .errors import ConvergenceError, DomainError
-from .qcore import ModularPoint, Truncation, euler_series, eta, q_gamma, qpochhammer
+from .qcore import MAX_TERMS, TERM_TOL, ModularPoint, euler_series, eta, q_gamma, qpochhammer
 from .raysum import RaySpec, choose_ray, g_plus, big_G, P_minus, P_plus
 
 __all__ = [
     "ConvergenceError",
     "DomainError",
+    "MAX_TERMS",
+    "TERM_TOL",
     "ModularPoint",
-    "Truncation",
     "RaySpec",
     "choose_ray",
     "euler_series",

@@ -23,6 +23,8 @@ from ._stability import cexpm1, inv_expm1
 from .errors import DomainError
 from .qcore import (
     ModularPoint,
+    _exp,
+    _finite,
     _gamma_quotient,
     euler_series,
     lambert_L1,
@@ -160,21 +162,6 @@ def _require_thm29(point: ModularPoint) -> None:
         raise DomainError(
             f"point tau={point.tau}, nu={point.nu} outside the transformation domain"
         )
-
-
-def _exp(expo: complex) -> complex:
-    """e^expo, where an exponent past the double range is a domain error."""
-    try:
-        return cmath.exp(expo)
-    except OverflowError:
-        raise DomainError(f"modular value overflows: exponent {expo}") from None
-
-
-def _finite(value: complex) -> complex:
-    """A modular route's value, which must lie in the double range."""
-    if not cmath.isfinite(value):
-        raise DomainError(f"modular value is not finite: {value}")
-    return value
 
 
 def qpochhammer_modular_with_count(point: ModularPoint) -> tuple[complex, int]:
@@ -566,7 +553,7 @@ def theta_series_table(
         raise DomainError(f"|Re nu| = {abs(nu.real)} >= 1: K_N diverges")
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    b_table = bernoulli(2 * n_max) if n_max >= 1 else None
+    b_table = bernoulli(n_max) if n_max >= 1 else None
     a_vals = [A_n(n, TWO_PI * 1j * nu) for n in range(1, n_max + 1)]
     k_vals = [K_N(N, nu) for N in range(n_max + 1)]
     c_vals = [_f_tail_constant(N, eps) for N in range(n_max + 1)]
@@ -623,4 +610,4 @@ def q_gamma_modular(z: complex, tau: complex) -> complex:
     num = qpochhammer_modular(ModularPoint(tau, tau))
     den = qpochhammer_modular(ModularPoint(tau, z * tau))
     one_minus_q = -cexpm1(TWO_PI * 1j * tau)
-    return _gamma_quotient(num, den) * cmath.exp((1.0 - z) * cmath.log(one_minus_q))
+    return _gamma_quotient(num, den) * _exp((1.0 - z) * cmath.log(one_minus_q))

@@ -22,28 +22,44 @@ TWO_PI = 2.0 * math.pi
 POLE_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class Truncation:
-    """Stopping policy of the direct product; other series use
-    ``DEFAULT_TRUNCATION``.
+#: every series stops once the terms it leaves out sum below TERM_TOL in
+#: modulus, and refuses, before its first term, to need more than MAX_TERMS
+TERM_TOL = 1e-16
+MAX_TERMS = 10**6
 
-    term_tol is a certified absolute tail bound, not a per-term test:
-    each evaluator stops only once its specific tail estimate (geometric
-    for products, Gaussian-geometric for theta, weighted-geometric for
-    Lambert sums) drops below it.
+
+def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms") -> int:
+    """Terms of a series whose n-th term is at most amplitude * ratio^n.
+
+    The smallest N with amplitude ratio^N / (1 - ratio) < TERM_TOL, which
+    bounds the terms from N on; ConvergenceError when N > MAX_TERMS.
     """
+    need = TERM_TOL * (1.0 - ratio) / amplitude if amplitude else 1.0
+    if need >= 1.0:
+        return 0
+    if ratio == 0.0:
+        return 1
+    # need == 0 where ratio rounds to 1: no length is enough
+    n = math.ceil(math.log(need) / math.log(ratio)) if need > 0.0 else math.inf
+    if n > MAX_TERMS:
+        raise ConvergenceError(f"{series} needs {n} {unit}, budget {MAX_TERMS}")
+    return n
 
-    term_tol: float = 1e-16
-    max_terms: int = 10**6
 
-    def __post_init__(self):
-        if not self.term_tol > 0.0:
-            raise DomainError("term_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
+def _exp(expo: complex) -> complex:
+    """e^expo, where an exponent past the double range is a domain error."""
+    try:
+        return cmath.exp(expo)
+    except OverflowError:
+        raise DomainError(f"value overflows: exponent {expo}") from None
 
 
-DEFAULT_TRUNCATION = Truncation()
+def _finite(value: complex) -> complex:
+    """A value that must lie in the double range: an overflowed product or
+    sum is a domain error, not inf or nan."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"value is not finite: {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -123,67 +139,68 @@ class ModularPoint:
         return True
 
 
-def qpochhammer_with_count(
-    x: complex, q: complex, tr: Truncation | None = None
-) -> tuple[complex, int]:
+def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
     """(x;q)_oo together with the number N of factors used.
 
-    N is fixed in advance from the tail bound |x q^N|/(1-|q|) < term_tol.
+    N is fixed in advance from the tail bound |x q^N|/(1-|q|) < TERM_TOL.
     """
-    tr = DEFAULT_TRUNCATION if tr is None else tr
     x = complex(x)
     q = complex(q)
     aq = abs(q)
     if aq >= 1.0:
         raise DomainError(f"|q| must be < 1, got {aq}")
-    ax = abs(x)
-    if ax == 0.0:
-        return 1.0 + 0.0j, 0
-    if aq == 0.0:
-        return 1.0 - x, 1
-    need = tr.term_tol * (1.0 - aq) / ax
-    if need >= 1.0:
-        return 1.0 + 0.0j, 0
-    n_factors = math.ceil(math.log(need) / math.log(aq))
-    if n_factors > tr.max_terms:
-        raise ConvergenceError(
-            f"(x;q)_oo needs {n_factors} factors, budget {tr.max_terms}"
-        )
+    n_factors = _tail_length(abs(x), aq, "(x;q)_oo", "factors")
     value = 1.0 + 0.0j
     xq = x
     for _ in range(n_factors):
         value *= 1.0 - xq
         xq *= q
-    return value, n_factors
+    return _finite(value), n_factors
 
 
-def qpochhammer(x: complex, q: complex, tr: Truncation | None = None) -> complex:
+def qpochhammer(x: complex, q: complex) -> complex:
     """The infinite product (x;q)_oo = prod_{n>=0} (1 - x q^n), |q| < 1."""
-    return qpochhammer_with_count(x, q, tr)[0]
+    return qpochhammer_with_count(x, q)[0]
 
 
 def euler_series(x: complex, q: complex) -> complex:
-    """sum_{n>=0} q^{n(n-1)/2} (-x)^n / (q;q)_n, equal to (x;q)_oo."""
-    tr = DEFAULT_TRUNCATION
+    """sum_{n>=0} q^{n(n-1)/2} (-x)^n / (q;q)_n, equal to (x;q)_oo.
+
+    Refused where the sum cancels past 1e-11 of its value: its terms can
+    exceed the product by many orders of magnitude as |q| -> 1.
+    """
     x = complex(x)
     q = complex(q)
     aq = abs(q)
     if aq >= 1.0:
         raise DomainError(f"|q| must be < 1, got {aq}")
+    # the ratio of term n+1 to term n is at most |x q^n| / (1 - |q|), which
+    # the tail rule at amplitude 2 TERM_TOL |x| puts below 1/2 from n_half on:
+    # past it a term bounds the tail, and a finite term (below 2^1024) halves
+    # to below TERM_TOL / 2 within 1100 more
+    n_half = _tail_length(2.0 * TERM_TOL * abs(x), aq, "Euler series")
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
+    abs_sum = 1.0
     qn_minus1 = 1.0 + 0.0j  # q^{n-1}
     qn = q  # q^n
-    for _ in range(tr.max_terms):
+    for n in range(1, n_half + 1100):
         term *= qn_minus1 * (-x) / (1.0 - qn)
         total += term
-        # once the term ratio is certainly below 1/2 the tail is < |term|
-        ratio = abs(qn) * abs(x) / (1.0 - aq)
-        if ratio < 0.5 and abs(term) < 0.5 * tr.term_tol:
-            return total
+        size = abs(term.real) + abs(term.imag)  # >= |term|, and cannot overflow
+        abs_sum += size
+        if n >= n_half and size < 0.5 * TERM_TOL:
+            break
         qn_minus1 = qn
         qn *= q
-    raise ConvergenceError(f"Euler series did not settle in {tr.max_terms} terms")
+    # each of the n additions rounds by at most 2^-53 of sum |terms|; judged
+    # like the residual checks: relative to the sum, absolute below 1e-8
+    rounding = _finite(abs_sum) * n * 2.0**-53
+    if rounding > 1e-11 * (abs(total) if abs(total) >= 1e-8 else 1.0):
+        raise DomainError(
+            f"Euler series cancels: sum of |terms| {abs_sum:.3e}, value {abs(total):.3e}"
+        )
+    return total
 
 
 def q_gamma(z: complex, q: complex) -> complex:
@@ -198,7 +215,7 @@ def q_gamma(z: complex, q: complex) -> complex:
     if not 0.0 < aq < 1.0:
         raise DomainError(f"need 0 < |q| < 1, got {aq}")
     log_q = cmath.log(q)
-    qz = cmath.exp(z * log_q)
+    qz = _exp(z * log_q)
     # a denominator factor 1 - q^{z+n} can vanish only where |q^{z+n}| = 1,
     # that is at n0 = -Re(z log q) / log|q|: its neighbours are the only
     # candidate poles, so the test costs the same however close |q| is to 1
@@ -208,7 +225,7 @@ def q_gamma(z: complex, q: complex) -> complex:
             raise DomainError(f"q_gamma pole: q^z q^n = 1 near z = {z}")
     num, _ = qpochhammer_with_count(q, q)
     den, _ = qpochhammer_with_count(qz, q)
-    return _gamma_quotient(num, den) * cmath.exp((1.0 - z) * cmath.log(1.0 - q))
+    return _gamma_quotient(num, den) * _exp((1.0 - z) * cmath.log(1.0 - q))
 
 
 def _gamma_quotient(num: complex, den: complex) -> complex:
@@ -282,79 +299,66 @@ def _triple_product(q: complex, sqrt_q: complex, x: complex) -> complex:
 def theta_laurent(q: complex, x: complex) -> complex:
     """Jacobi theta as the symmetric Laurent sum sum_{n in Z} q^{n^2/2} x^n.
 
-    Stops once the Gaussian-geometric tail bound
-    |q|^{N^2/2} (|x|^N + |x|^{-N}) / (1 - |q|^N) is below term_tol.
+    With a = -log|q| and b = |log|x||, the terms n and -n are at most
+    2 e^{-n^2 a/2 + n b}, which falls by e^{-(n a - b)} or more per step.
+    From n a - b >= log 2 on, the pairs from N on therefore sum below
+    4 e^{-N^2 a/2 + N b}; N is the first integer past both that point and
+    the root where this bound equals TERM_TOL, fixed before the first term.
     """
-    tr = DEFAULT_TRUNCATION
     q, x = _check_theta_args(q, x)
+    a = -math.log(abs(q))
+    b = abs(math.log(abs(x)))
+    root = (b + math.sqrt(b * b + 2.0 * a * math.log(4.0 / TERM_TOL))) / a
+    last = max((b + math.log(2.0)) / a, root)
+    if not last < MAX_TERMS:
+        raise ConvergenceError(f"theta sum needs {last:.0f} terms, budget {MAX_TERMS}")
+    n_pairs = math.floor(last) + 1
     rq = cmath.exp(0.5 * cmath.log(q))  # principal q^{1/2}
-    log_aq = math.log(abs(q))
-    abs_log_ax = abs(math.log(abs(x)))
-    log_tol = math.log(tr.term_tol)
     total = 1.0 + 0.0j
     gauss = rq  # q^{n^2/2}; grows by the factor q^{n + 1/2} each step
     fac = rq
     xp = x
     xm = 1.0 / x
-    for n in range(1, tr.max_terms + 1):
+    for _ in range(1, n_pairs):
         total += gauss * (xp + xm)
         xp *= x
         xm /= x
         fac *= q
         gauss *= fac
-        m = n + 1
-        log_bound = (
-            0.5 * m * m * log_aq
-            + m * abs_log_ax
-            + math.log1p(math.exp(-2.0 * m * abs_log_ax))
-            - math.log1p(-math.exp(m * log_aq))
-        )
-        if log_bound < log_tol:
-            return total
-    raise ConvergenceError(f"theta sum did not settle in {tr.max_terms} terms")
+    return _finite(total)
 
 
-def _lambert_terms(point: ModularPoint):
-    """Yield (n, x q^n / (1 - x q^n)) with pole guarding and a tail flag."""
+def _lambert_terms(point: ModularPoint, n_terms: int):
+    """Yield x q^n / (1 - x q^n) for n < n_terms, guarding the poles."""
     x = point.x
     q = point.q
-    aq = abs(q)
     xq = x
-    tr = DEFAULT_TRUNCATION
-    for n in range(tr.max_terms):
+    for n in range(n_terms):
         den = 1.0 - xq
         if abs(den) < POLE_GUARD:
             raise DomainError(f"Lambert denominator vanishes at n = {n}")
-        yield n, xq / den, abs(xq) / (1.0 - aq)
+        yield xq / den
         xq *= q
-    raise ConvergenceError(f"Lambert series did not settle in {tr.max_terms} terms")
 
 
 def lambert_L1(point: ModularPoint) -> complex:
     """L1(tau, nu) = sum_{n>=0} x q^n / (1 - x q^n)."""
-    tr = DEFAULT_TRUNCATION
-    total = 0.0 + 0.0j
-    for n, term, geo_tail in _lambert_terms(point):
-        total += term
-        # for |x q^n| <= 1/2 each later term is <= 2 |x q^m|
-        if geo_tail * abs(point.q) * 2.0 < 0.5 * tr.term_tol and abs(term) <= 1.0:
-            return total
-    raise AssertionError("unreachable")
+    # a term is at most 2 |x q^n| once |x q^n| <= 1/2; the tail is kept
+    # below TERM_TOL / 2
+    n_terms = _tail_length(4.0 * abs(point.x), abs(point.q), "Lambert series")
+    return sum(_lambert_terms(point, n_terms), 0j)
 
 
 def lambert_L2(point: ModularPoint) -> complex:
     """L2(tau, nu) = sum_{n>=0} (n+1) x q^n / (1 - x q^n)."""
-    tr = DEFAULT_TRUNCATION
-    total = 0.0 + 0.0j
-    aq = abs(point.q)
-    for n, term, geo_tail in _lambert_terms(point):
-        total += (n + 1) * term
-        weighted_tail = (
-            2.0 * geo_tail * aq * ((n + 2) / (1.0 - aq) + aq / (1.0 - aq) ** 2)
-        )
-        if weighted_tail < 0.5 * tr.term_tol and abs(term) <= 1.0:
-            return total
-    raise AssertionError("unreachable")
+    # with s = |q|^{1/2}: (n+1) |q|^n <= c s^n for c = max_k k s^{k-1}, which
+    # is 1 for s <= 1/e and at most 1 / (e s log(1/s)) above, so L1's rule
+    # applies at ratio s
+    log_s = 0.5 * point.log_q.real
+    s = math.exp(log_s)
+    c = -1.0 / (math.e * s * log_s) if s > 1.0 / math.e else 1.0
+    n_terms = _tail_length(4.0 * c * abs(point.x), s, "Lambert series")
+    return sum(((n + 1) * t for n, t in enumerate(_lambert_terms(point, n_terms))), 0j)
 
 
 def log_qpochhammer_real(alpha: float, xi: float) -> float:
@@ -364,17 +368,13 @@ def log_qpochhammer_real(alpha: float, xi: float) -> float:
     this is the left-hand side of the almost-modular real identity and
     deliberately never touches complex arithmetic.
     """
-    tr = DEFAULT_TRUNCATION
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
     if not xi > -1.0:
         raise DomainError("xi must exceed -1")
     a = TWO_PI * alpha
-    one_minus_q = -math.expm1(-a)
-    total = 0.0
-    for n in range(tr.max_terms):
-        u = math.exp(-a * (1.0 + xi + n))
-        total += math.log1p(-u)
-        if u / one_minus_q < tr.term_tol:
-            return total
-    raise ConvergenceError(f"product log did not settle in {tr.max_terms} terms")
+    # |log(1 - u)| is about u = q^{1+xi+n}.  The factor at the tail bound's
+    # index is taken too, leaving a tail below q TERM_TOL: that matters where
+    # the whole sum is below TERM_TOL
+    n_factors = _tail_length(math.exp(-a * (1.0 + xi)), math.exp(-a), "product log")
+    return sum(math.log1p(-math.exp(-a * (1.0 + xi + n))) for n in range(n_factors + 1))

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._stability import cos_ratio, inv_expm1, sin_ratio
 from .errors import ConvergenceError, DomainError
-from .qcore import DEFAULT_TRUNCATION, ModularPoint
+from .qcore import ModularPoint, _tail_length
 from .specialfns import PI_SQ_OVER_6, binet, fn_B, fn_f
 from .specialfns import log_gamma  # noqa: F401  (perfbench's tracer wraps this name)
 
@@ -110,7 +110,7 @@ def _de_sum(weighted: Callable[[np.ndarray], np.ndarray], rel_tol: float) -> Ray
         half *= 2
         if 2 * half + 1 > MAX_NODES:  # nodes in the sum after this level
             raise ConvergenceError(
-                f"DE quadrature did not settle within {MAX_NODES} nodes"
+                f"DE quadrature has not converged within {MAX_NODES} nodes"
             )
         if stride > 1:
             stride //= 2
@@ -333,7 +333,6 @@ def stokes_sum(point: ModularPoint) -> complex:
     The discrete jump between P_minus and P_plus; converges only while
     |Im(nu/tau)| < -Im(1/tau).
     """
-    tr = DEFAULT_TRUNCATION
     tau = point.tau
     nu = point.nu
     decay = -(1.0 / tau).imag - abs((nu / tau).imag)
@@ -341,13 +340,14 @@ def stokes_sum(point: ModularPoint) -> complex:
         raise DomainError(
             f"Stokes sum diverges: |Im(nu/tau)| >= -Im(1/tau) at tau = {tau}"
         )
-    total = 0.0 + 0.0j
-    for n in range(1, tr.max_terms + 1):
-        term = sin_ratio(nu, TWO_PI * n / tau) / n
-        total += term
-        if math.exp(-TWO_PI * n * decay) < 0.25 * tr.term_tol:
-            return 2j * total
-    raise ConvergenceError(f"Stokes sum did not settle in {tr.max_terms} terms")
+    # term n is at most r^n / (1 - |q*|) with r = e^{-2 pi decay}.  One term
+    # more than the tail bound asks for leaves a tail below r^2 TERM_TOL,
+    # while the sum is of order r: a sum far below TERM_TOL keeps its digits
+    amplitude = -1.0 / math.expm1(TWO_PI * (1.0 / tau).imag)
+    n_terms = _tail_length(amplitude, math.exp(-TWO_PI * decay), "Stokes sum") + 1
+    n = range(1, n_terms + 1)
+    terms = sin_ratio(nu, np.array([TWO_PI * k / tau for k in n]))
+    return 2j * sum((t / k for k, t in zip(n, terms.tolist())), 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +420,13 @@ def M_almost_modular(alpha: float, xi: float) -> float:
     """
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
-    tr = DEFAULT_TRUNCATION
     qs = math.exp(-TWO_PI / alpha)
     xs = cmath.exp(2j * math.pi * xi)
     log_prod = 0.0 + 0.0j
     term = xs * qs
-    for _ in range(tr.max_terms):
-        if abs(term) / (1.0 - qs) < tr.term_tol:
-            break
+    for _ in range(_tail_length(abs(term), qs, "(x* q*; q*)_oo", "factors")):
         log_prod += cmath.log(1.0 - term)
         term *= qs
-    else:
-        raise ConvergenceError("product log did not settle")
     point = ModularPoint.real_case(alpha, xi)
     p_val = P_minus(point)
     return (log_prod + p_val).real

@@ -85,10 +85,9 @@ def bernoulli(max_index: int) -> BernoulliTable:
     Raises
     ------
     DomainError
-        If ``max_index`` is not a positive integer within the cap.
-    OverflowError
-        If a requested value exceeds the double-precision range
-        (first happens at B_260, i.e. max_index >= 130).
+        If ``max_index`` is not a positive integer within the cap, or if a
+        requested value exceeds the double-precision range (first happens
+        at B_260, i.e. max_index >= 130).
     """
     if not isinstance(max_index, int) or max_index < 1:
         raise DomainError("max_index must be a positive integer")
@@ -97,7 +96,10 @@ def bernoulli(max_index: int) -> BernoulliTable:
     _extend_fractions(2 * max_index)
     while len(_b2_floats) < max_index:
         n = len(_b2_floats) + 1
-        _b2_floats.append(float(_bern_fractions[2 * n]))
+        try:
+            _b2_floats.append(float(_bern_fractions[2 * n]))
+        except OverflowError:
+            raise DomainError(f"B_{2 * n} exceeds the double range") from None
     return BernoulliTable(tuple(_b2_floats[:max_index]))
 
 

@@ -33,8 +33,8 @@ from qmod.modularity import (
     thm29_residual,
 )
 from qmod.qcore import (
+    TERM_TOL,
     ModularPoint,
-    Truncation,
     euler_series,
     qpochhammer,
     qpochhammer_with_count,
@@ -127,17 +127,17 @@ def test_criterion_03_modular_evaluation_grid(capfd):
 
 def test_criterion_03b_direct_term_count_claim(capfd):
     # The direct product fixes its length N in advance from the tail bound
-    # |x q^N| / (1 - |q|) < term_tol.  At tau = 0.05i, nu = 0.015i we have
-    # |q| = e^{-0.1 pi} ~ 0.730, so 1e-8 takes a few dozen factors; the
+    # |x q^N| / (1 - |q|) < TERM_TOL.  At tau = 0.05i, nu = 0.015i we have
+    # |q| = e^{-0.1 pi} ~ 0.730, so that takes over a hundred factors; the
     # transformed side (|q*| = e^{-40 pi}) needs none, which is the cost
     # gap the modular route exists for.
-    tol = 1e-8
+    tol = TERM_TOL
     tau_im, nu_im = 0.05, 0.015
     abs_q = math.exp(-2.0 * math.pi * tau_im)
     abs_x = math.exp(-2.0 * math.pi * nu_im)
     n_bound = math.ceil(math.log(tol * (1.0 - abs_q) / abs_x) / math.log(abs_q))
     p = ModularPoint(1j * tau_im, 1j * nu_im)
-    value, n_direct = qpochhammer_with_count(p.x, p.q, Truncation(term_tol=tol))
+    value, n_direct = qpochhammer_with_count(p.x, p.q)
     _, star_terms = qpochhammer_modular_with_count(p)
     ok = n_direct == n_bound and n_direct > 10 * max(star_terms, 1)
     with capfd.disabled():
@@ -150,11 +150,12 @@ def test_criterion_03b_direct_term_count_claim(capfd):
         )
     # The neglected factors T = prod_{n>=N} (1 - x q^n) satisfy
     # |T - 1| <= e^s - 1 with s = sum_{n>=N} |x q^n| < tol, so the N-factor
-    # product is within (e^s - 1)/(2 - e^s) < 2 tol of the full one.
+    # product is within (e^s - 1)/(2 - e^s) < 2 tol of the full one; each
+    # of the N factors adds at most 2^-52 of rounding.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         want = complex(mpmath.qp(p.x, p.q))
-    assert abs(value - want) / abs(want) < 2.0 * tol
+    assert abs(value - want) / abs(want) < 2.0 * tol + n_direct * 2.0**-52
 
 
 def test_criterion_04_completed_formula(capfd):

@@ -328,6 +328,15 @@ def test_convergence_failure_exit(capsys):
     assert "convergence" in err
 
 
+def test_asym_table_reads_only_the_bernoulli_numbers_it_uses(capsys):
+    # n_max = 65 needs B_2 .. B_130; asking for twice as many overflowed
+    # a double (B_260) and escaped as an OverflowError traceback
+    code, out, err = run(capsys, "sweep", "asym-table", "--alpha", "0.01", "--n-max", "65")
+    assert code == 3
+    assert out == ""
+    assert "convergence" in err and "Traceback" not in err
+
+
 def test_out_io_error(capsys):
     code, _, err = run(
         capsys, "check", "lambert72", "--out", "/nonexistent-dir/x.txt"

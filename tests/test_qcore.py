@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmod.errors import ConvergenceError, DomainError
+from qmod.raysum import M_almost_modular, stokes_sum
 from qmod.qcore import (
     ModularPoint,
-    Truncation,
     eta,
     euler_series,
     lambert_L1,
@@ -33,14 +33,7 @@ def rel(got, want):
 
 
 # ---------------------------------------------------------------------------
-# Truncation / ModularPoint plumbing
-
-
-def test_truncation_validates():
-    with pytest.raises(DomainError):
-        Truncation(term_tol=0.0)
-    with pytest.raises(DomainError):
-        Truncation(max_terms=0)
+# ModularPoint plumbing
 
 
 def test_modular_point_requires_upper_half_plane():
@@ -115,14 +108,57 @@ def test_qpochhammer_rejects_big_q():
 
 
 def test_qpochhammer_budget_exhaustion():
+    # the tail bound asks for about 4.8e6 factors, past MAX_TERMS
     with pytest.raises(ConvergenceError):
-        qpochhammer(0.5, 0.99999, Truncation(max_terms=100))
+        qpochhammer(0.5, 0.99999)
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        lambda: qpochhammer(0.5, 1.0 - 1e-7),
+        lambda: lambert_L1(ModularPoint(1e-7j, 0.3)),
+        lambda: lambert_L2(ModularPoint(1e-7j, 0.3)),
+        lambda: log_qpochhammer_real(1e-8, 0.5),
+        lambda: euler_series(0.5, 1.0 - 1e-7),
+        lambda: theta_laurent(1.0 - 1e-7, 0.5),
+        lambda: M_almost_modular(1e8, 0.3),
+        lambda: stokes_sum(ModularPoint(1j, 0.9999998 + 0.1j)),
+    ],
+    ids=["product", "L1", "L2", "log-product", "euler", "theta", "M", "stokes"],
+)
+def test_series_fail_fast(series):
+    # every series works out its length before its first term, so a length
+    # past MAX_TERMS is refused without summing up to the budget
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        series()
+    assert time.perf_counter() - t0 < 0.05
+
+
+def test_qpochhammer_overflow_is_a_domain_error():
+    # |x| ~ 385 and |q| ~ 0.977: the partial product overflows to nan
+    p = ModularPoint(
+        0.49999717995524406 + 0.0036288135253091064j,
+        0.7807952525094151 - 0.9480562284588814j,
+    )
+    with pytest.raises(DomainError):
+        qpochhammer(p.x, p.q)
 
 
 def test_qpochhammer_count_grows_as_q_to_one():
     _, n1 = qpochhammer_with_count(0.5, 0.5)
     _, n2 = qpochhammer_with_count(0.5, 0.95)
     assert n2 > 4 * n1
+
+
+def test_euler_series_refuses_cancellation():
+    # the product is 4.89e-26 while the sum's terms reach ~1e10: the sum
+    # read 481.3 here; at q = 0.9 its rounding bound is 9e-11 of the value
+    for q in (0.99, 0.9):
+        with pytest.raises(DomainError):
+            euler_series(0.5, q)
+    assert rel(euler_series(0.5, 0.8), qpochhammer(0.5, 0.8)) < 1e-13
 
 
 def test_euler_series_trivial_points():
@@ -195,6 +231,12 @@ def test_q_gamma_fails_fast_as_q_to_one():
         with pytest.raises(ConvergenceError):
             q_gamma(2.5, q)
         assert time.perf_counter() - t0 < 0.1
+
+
+def test_q_gamma_overflow_is_a_domain_error():
+    # |q^z| = 2^1100.5 is past the double range
+    with pytest.raises(DomainError):
+        q_gamma(-1100.5, 0.5)
 
 
 def test_q_gamma_refuses_underflowed_products():
@@ -280,6 +322,12 @@ def test_theta_vanishes_on_spiral():
     q = 0.5
     assert abs(theta_laurent(q, -math.sqrt(q))) < 1e-10
     assert abs(theta_product(q, -math.sqrt(q))) < 1e-15
+
+
+def test_theta_laurent_overflow_is_a_domain_error():
+    # x^{-n} overflows while the Gaussian factor underflows: 0 * inf = nan
+    with pytest.raises(DomainError):
+        theta_laurent(0.999, 0.5)
 
 
 def test_theta_rejects_cut_and_zero():

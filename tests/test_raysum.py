@@ -111,7 +111,7 @@ def _ladder_de_sum(weighted, rel_tol):
         h *= 0.5
         half *= 2
         if 2 * half + 1 > MAX_NODES:
-            raise ConvergenceError(f"DE quadrature did not settle within {MAX_NODES} nodes")
+            raise ConvergenceError(f"DE quadrature has not converged within {MAX_NODES} nodes")
         prev, total = total, 0.5 * total + h * weighted(h * np.arange(1 - half, half, 2)).sum()
         if not np.isfinite(total):
             raise ConvergenceError("non-finite integrand value")

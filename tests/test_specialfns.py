@@ -84,7 +84,7 @@ def test_bernoulli_cap():
 def test_bernoulli_overflow_band():
     # B_258 is the last even Bernoulli number representable in a double.
     assert math.isfinite(bernoulli(129).b2(129))
-    with pytest.raises(OverflowError):
+    with pytest.raises(DomainError):
         bernoulli(130)
 
 

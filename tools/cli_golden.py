@@ -42,6 +42,8 @@ ERRORS = [
     "check reflection34 --tau-im 1 --nu-re 0.3 --format json", "eval M --tau-im 0.7",
     "sweep asym-table --alpha 0.2 --n-max 1 --nu-re 0 --format json",
     "check lambert72 --out missing-dir/x.txt", "check binet74 --format csv --out out.csv",
+    "eval L1 --tau-im 1e-7 --nu-re 0.3", "eval pochhammer-euler --x-re 0.5 --q-re 0.99",
+    "eval qgamma --x-re -1100.5 --q-re 0.5", "sweep asym-table --alpha 0.01 --n-max 65",
 ]
 
 
