@@ -19,8 +19,9 @@ Layout:
   ``ConvergenceError`` at once when that length exceeds ``MAX_TERMS``
   (10^6).
 - ``raysum``: certified quadrature along rays, the correction integrals
-  P, g^+ and G, their derivatives, the A_n moment integrals, K_N norm
-  integrals, and the almost-modular function M.
+  P, g^+ and G, their derivatives, P's divergent series at q -> 1 with
+  its closed-form coefficients A_n, the K_N norm integrals, and the
+  almost-modular function M.
 - ``modularity``: residual evaluation of each transformation law, plus
   the asymptotic table machinery.
 - ``cli``: the ``qmod`` command line front end.

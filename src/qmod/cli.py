@@ -61,6 +61,7 @@ from .modularity import (
 )
 from .qcore import (
     ModularPoint,
+    admitted_rounding,
     eta,
     euler_series,
     lambert_L1,
@@ -82,6 +83,12 @@ EXIT_IO = 74
 
 def _series_err(v: complex) -> float:
     return 1e-16 * (1.0 + abs(v))
+
+
+def _euler_err(v: complex) -> float:
+    # euler_series returns a sum whose rounding reaches admitted_rounding(v)
+    # before it refuses
+    return admitted_rounding(v) + _series_err(v)
 
 
 def _quad_err(v: complex) -> float:
@@ -113,7 +120,7 @@ def _lambert(which: int):
 #: eval target -> (input names, evaluator, error model of the value)
 EVAL = {
     "pochhammer-direct": (("x", "q"), lambda p: qpochhammer(p["x"], p["q"]), _series_err),
-    "pochhammer-euler": (("x", "q"), lambda p: euler_series(p["x"], p["q"]), _series_err),
+    "pochhammer-euler": (("x", "q"), lambda p: euler_series(p["x"], p["q"]), _euler_err),
     "pochhammer-modular": (("tau", "nu"), lambda p: qpochhammer_modular(_point(p)), _quad_err),
     "qgamma": (("z", "q"), lambda p: q_gamma(p["z"], p["q"]), _series_err),
     "eta": (("tau",), lambda p: eta(p["tau"]), _series_err),

@@ -40,14 +40,16 @@ from .raysum import (
     P_minus,
     P_plus,
     RaySpec,
+    _f_tail_constant,
     big_G,
+    choose_ray,
     dP_dnu,
     dP_dtau,
     integrate_ray,
     pv_M_direct,
     stokes_sum,
 )
-from .specialfns import TWO_PI, bernoulli, binet, dilog, fn_f
+from .specialfns import TWO_PI, bernoulli, binet, dilog
 from .specialfns import log_gamma  # noqa: F401  (perfbench's tracer wraps this name)
 
 _TINY = 1e-300
@@ -509,26 +511,6 @@ class AsymptoticRow:
     bound_rhs: float
 
 
-def _f_tail_constant(N: int, eps: float) -> float:
-    """Constant C with |f(t) - f_N(t)| <= C |t|^{2N+1} / (2pi-eps)^{2N}
-    on |t| <= 2pi - eps.
-
-    f_N is the odd Taylor polynomial of f through degree 2N - 1.  The
-    poles of f sit on the real axis, so the supremum over any admissible
-    ray is dominated by real t.  There f(t) = sum_k 4t/(t^2 - (2 pi k)^2)
-    gives (f - f_N)(t)/t^{2N+1} = -4/(2pi)^{2N+2} sum_m zeta(2N+2+2m)
-    (t/2pi)^{2m}, whose modulus grows with |t|: the supremum sits at
-    t = 2pi - eps, where f - f_N is not small and so keeps its digits.
-    """
-    radius = TWO_PI - eps
-    table = bernoulli(N) if N >= 1 else None
-    partial = sum(
-        2.0 * (-1.0) ** n * table.b2(n) * radius ** (2 * n - 1) / math.factorial(2 * n)
-        for n in range(1, N + 1)
-    )
-    return abs(fn_f(radius) - partial) / radius
-
-
 def theta_series_table(
     nu: complex,
     tau_list: list[complex],
@@ -543,8 +525,10 @@ def theta_series_table(
     plus a rounding allowance of 4 ulps of |P|: at large N the proven
     bound falls below the floating-point floor of the computed -P, where
     the distance measures rounding, not the series.
-    The series coefficients are tau-independent, so the A_n integrals
-    are computed once.
+    The reference is always the lower ray integral, never the series
+    that P_minus takes as q -> 1, and K_N is the exact integral, so the
+    table checks the series independently.  The coefficients A_n do not
+    depend on tau and are computed once.
     """
     nu = complex(nu)
     if not 0.0 < eps < 0.5 * math.pi:
@@ -554,8 +538,8 @@ def theta_series_table(
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     b_table = bernoulli(n_max) if n_max >= 1 else None
-    a_vals = [A_n(n, TWO_PI * 1j * nu) for n in range(1, n_max + 1)]
     k_vals = [K_N(N, nu) for N in range(n_max + 1)]
+    a_vals = [A_n(n, TWO_PI * 1j * nu) for n in range(1, n_max + 1)]
     c_vals = [_f_tail_constant(N, eps) for N in range(n_max + 1)]
     rows: list[AsymptoticRow] = []
     for tau in tau_list:
@@ -566,7 +550,7 @@ def theta_series_table(
                 f"arg tau = {arg:.4f} outside the sector ({eps:.4f}, {math.pi - eps:.4f})"
             )
         point = ModularPoint(tau, nu)
-        minus_p = -P_minus(point)
+        minus_p = -P_minus(point, choose_ray(point, "lower"))
         log_q = point.log_q
         partial = 0.0 + 0.0j
         for N in range(n_max + 1):

@@ -26,6 +26,11 @@ POLE_GUARD = 1e-12
 #: modulus, and refuses, before its first term, to need more than MAX_TERMS
 TERM_TOL = 1e-16
 MAX_TERMS = 10**6
+#: a sum whose terms dwarf it is refused where its rounding may exceed
+#: ROUND_TOL of its value; below SMALL_SUM, as the residual checks judge,
+#: ROUND_TOL is absolute
+ROUND_TOL = 1e-11
+SMALL_SUM = 1e-8
 
 
 def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms") -> int:
@@ -60,6 +65,21 @@ def _finite(value: complex) -> complex:
     if not cmath.isfinite(value):
         raise DomainError(f"value is not finite: {value}")
     return value
+
+
+def admitted_rounding(value: complex) -> float:
+    """The rounding error a sum refused past ROUND_TOL may carry in value."""
+    return ROUND_TOL * (abs(value) if abs(value) >= SMALL_SUM else 1.0)
+
+
+def _refuse_cancellation(total: complex, abs_sum: float, n_terms: int, series: str) -> None:
+    """DomainError where the n_terms additions, each rounding by at most
+    2^-53 of abs_sum (the sum of |terms|), may carry more than
+    admitted_rounding(total)."""
+    if _finite(abs_sum) * n_terms * 2.0**-53 > admitted_rounding(total):
+        raise DomainError(
+            f"{series} cancels: sum of |terms| {abs_sum:.3e}, value {abs(total):.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -166,8 +186,8 @@ def qpochhammer(x: complex, q: complex) -> complex:
 def euler_series(x: complex, q: complex) -> complex:
     """sum_{n>=0} q^{n(n-1)/2} (-x)^n / (q;q)_n, equal to (x;q)_oo.
 
-    Refused where the sum cancels past 1e-11 of its value: its terms can
-    exceed the product by many orders of magnitude as |q| -> 1.
+    Refused where the sum cancels past ROUND_TOL of its value: its terms
+    can exceed the product by many orders of magnitude as |q| -> 1.
     """
     x = complex(x)
     q = complex(q)
@@ -193,13 +213,7 @@ def euler_series(x: complex, q: complex) -> complex:
             break
         qn_minus1 = qn
         qn *= q
-    # each of the n additions rounds by at most 2^-53 of sum |terms|; judged
-    # like the residual checks: relative to the sum, absolute below 1e-8
-    rounding = _finite(abs_sum) * n * 2.0**-53
-    if rounding > 1e-11 * (abs(total) if abs(total) >= 1e-8 else 1.0):
-        raise DomainError(
-            f"Euler series cancels: sum of |terms| {abs_sum:.3e}, value {abs(total):.3e}"
-        )
+    _refuse_cancellation(total, abs_sum, n, "Euler series")
     return total
 
 
@@ -304,6 +318,8 @@ def theta_laurent(q: complex, x: complex) -> complex:
     From n a - b >= log 2 on, the pairs from N on therefore sum below
     4 e^{-N^2 a/2 + N b}; N is the first integer past both that point and
     the root where this bound equals TERM_TOL, fixed before the first term.
+    Refused, like euler_series, where the terms dwarf the sum so far that
+    its rounding may exceed ROUND_TOL of it.
     """
     q, x = _check_theta_args(q, x)
     a = -math.log(abs(q))
@@ -315,16 +331,19 @@ def theta_laurent(q: complex, x: complex) -> complex:
     n_pairs = math.floor(last) + 1
     rq = cmath.exp(0.5 * cmath.log(q))  # principal q^{1/2}
     total = 1.0 + 0.0j
+    abs_sum = 1.0
     gauss = rq  # q^{n^2/2}; grows by the factor q^{n + 1/2} each step
     fac = rq
     xp = x
     xm = 1.0 / x
     for _ in range(1, n_pairs):
         total += gauss * (xp + xm)
+        abs_sum += abs(gauss) * (abs(xp) + abs(xm))
         xp *= x
         xm /= x
         fac *= q
         gauss *= fac
+    _refuse_cancellation(total, abs_sum, 2 * n_pairs - 1, "theta sum")
     return _finite(total)
 
 

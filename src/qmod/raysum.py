@@ -7,8 +7,8 @@ finite interval by the tanh-sinh map.  Either way the mapped integrand
 decays double-exponentially in u, so trapezoid sums over
 [-DE_SPAN, DE_SPAN] converge geometrically in the node count.  The step
 halves on nested nodes until two successive sums agree to the tolerance,
-RAY_REL_TOL for every ray integral.  Only integrate_ray, P_minus and A_n
-take a RaySpec from their caller; everything else picks its own ray.
+RAY_REL_TOL for every ray integral.  Only integrate_ray and P_minus take
+a RaySpec from their caller; everything else picks its own ray.
 Integrands are evaluated on numpy arrays of nodes: the first call covers
 the 289 nodes of step 1/32, which hold the first five levels, and each
 later level costs one call on its new nodes.  An integral that has not
@@ -20,7 +20,11 @@ module builds:
   closed form, minus Binet's function;
 * P_minus / P_plus and their nu- and tau-derivatives -- the oscillatory
   ray sums whose direction comes from an admissible-cone search;
-* A_n and K_N -- the building blocks of the asymptotic theta expansion;
+* A_n and K_N -- the coefficients of P's divergent series at q -> 1, in
+  closed form, and the norm integrals of its remainder bound;
+* the series itself, which P_minus sums instead of its ray integral
+  wherever the proven bound (with K_N bounded in closed form) certifies
+  it to TERM_TOL;
 * M_almost_modular and pv_M_direct -- two genuinely independent routes
   to the real-case almost-modular term (the second never touches the
   ray sums: it integrates over finite intervals, and its only
@@ -33,14 +37,15 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._stability import cos_ratio, inv_expm1, sin_ratio
 from .errors import ConvergenceError, DomainError
-from .qcore import ModularPoint, _tail_length
-from .specialfns import PI_SQ_OVER_6, binet, fn_B, fn_f
+from .qcore import TERM_TOL, ModularPoint, _tail_length
+from .specialfns import PI_SQ_OVER_6, bernoulli, binet, fn_B, fn_f
 from .specialfns import log_gamma  # noqa: F401  (perfbench's tracer wraps this name)
 
 TWO_PI = 2.0 * math.pi
@@ -61,6 +66,17 @@ RAY_REL_TOL = 1e-11
 #: of its symmetric window around t = 1
 PV_TERMS = 40
 PV_DELTA = 0.1
+#: A_n: the largest n, the most pole pairs its partial fractions sum, the
+#: most terms its Taylor series takes, and the log of the cancellation past
+#: which its closed forms give way to the others
+A_N_MAX = 60
+A_PF_PAIRS = 128
+A_TAYLOR_TERMS = 64
+LOG_A_LOSS_MAX = math.log(16.0)
+#: P's divergent series: the sector margin eps of its bound (as in the
+#: asymptotic table) and the most terms it takes
+SERIES_EPS = math.pi / 4
+N_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -170,16 +186,14 @@ def _integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: floa
 # admissible cones and ray choice for the P integrals
 
 
-def _pole_directions(point: ModularPoint, half: str) -> list[float]:
-    """Ray angles (within the requested half-plane) hitting integrand poles.
+def _pole_direction(point: ModularPoint, half: str) -> float:
+    """The ray angle (within the requested half-plane) hitting integrand poles.
 
     1/(e^{it/tau} - 1) has poles along arg t = arg tau (and the opposite
     ray); cot(t/2) contributes the real axis, excluded by the grid itself.
     """
     arg_tau = cmath.phase(point.tau)  # in (0, pi)
-    if half == "upper":
-        return [arg_tau]
-    return [arg_tau - math.pi]
+    return arg_tau if half == "upper" else arg_tau - math.pi
 
 
 def _slack(point: ModularPoint, d: float) -> float:
@@ -188,34 +202,38 @@ def _slack(point: ModularPoint, d: float) -> float:
 
 
 @functools.cache
-def _grid(half: str) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate ray angles d of one half-plane and e^{id} on them."""
+def _grid(half: str) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """The candidate ray angles d of one half-plane, and cos d and sin d
+    as the real and imaginary parts of e^{id}."""
     if half not in ("lower", "upper"):
         raise DomainError(f"half must be 'lower' or 'upper', got {half!r}")
     angles = RAY_GRID_STEP * np.arange(1, 36) * (-1.0 if half == "lower" else 1.0)
     e_id = np.exp(1j * angles)
-    angles.setflags(write=False)
-    e_id.setflags(write=False)
-    return angles, e_id
+    return tuple(angles.tolist()), tuple(e_id.real.tolist()), tuple(e_id.imag.tolist())
 
 
 def choose_ray(point: ModularPoint, half: str) -> RaySpec:
     """Deterministic argmax of the convergence slack over the angle grid.
 
-    The slack of every grid angle is one array expression; the winner's
-    is then recomputed by _slack, so the decay rate does not depend on
-    how the array arithmetic rounds.  Raises a domain error when no
+    The first grid angle of largest slack that keeps clear of the pole
+    ray wins; its slack is then recomputed by _slack, so the decay rate
+    does not depend on how the loop rounds.  The slack
+    Re(e^{id} w) - |Re(e^{id} nu w)|, w = i/tau, is a plain loop in
+    floats: as fast as an array expression, and much faster after other
+    work has evicted the caches.  Raises a domain error when no
     direction converges (the point lies outside the relevant
     analyticity domain).
     """
-    grid, e_id = _grid(half)
-    slack = (e_id * (1j / point.tau)).real - np.abs(
-        (e_id * (point.nu * 1j / point.tau)).real
-    )
-    for p in _pole_directions(point, half):
-        slack[np.abs(grid - p) < 0.999 * RAY_GRID_STEP] = -math.inf
-    best_d = float(grid[np.argmax(slack)])
-    best_slack = _slack(point, best_d)
+    w = 1j / point.tau
+    nu_w = point.nu * 1j / point.tau
+    wr, wi, vr, vi = w.real, w.imag, nu_w.real, nu_w.imag
+    pole = _pole_direction(point, half)
+    best_d, best = None, -math.inf
+    for d, c, s in zip(*_grid(half)):
+        slack = (c * wr - s * wi) - abs(c * vr - s * vi)
+        if slack > best and abs(d - pole) >= 0.999 * RAY_GRID_STEP:
+            best_d, best = d, slack
+    best_slack = -math.inf if best_d is None else _slack(point, best_d)
     if not best_slack > 0.0:
         raise DomainError(
             f"empty admissible cone (tau = {point.tau}, nu = {point.nu}, {half})"
@@ -276,13 +294,19 @@ def _p_integrand(point: ModularPoint) -> Callable[[np.ndarray], np.ndarray]:
 def P_minus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
     """P computed from a lower-half-plane ray (the production branch).
 
-    The ray is choose_ray's unless spec gives one; either way its decay
-    rate is the convergence slack at that direction.
+    Without spec the ray is choose_ray's, which also decides the domain;
+    where the divergent series' proven bound then certifies it to
+    TERM_TOL (_p_series), the series replaces the integral.  With spec
+    the integral runs along that ray.  Either way the ray's decay rate is
+    the convergence slack at its direction.
     """
     if point.nu == 0:
         return 0.0 + 0.0j
     if spec is None:
         spec = choose_ray(point, "lower")
+        series = _p_series(point)
+        if series is not None:
+            return series
     else:
         spec = replace(spec, decay=_slack(point, spec.direction_d))
     return integrate_ray(_p_integrand(point), spec).value
@@ -354,39 +378,162 @@ def stokes_sum(point: ModularPoint) -> complex:
 # A_n and K_N
 
 
-def A_n(n: int, z: complex, spec: RaySpec | None = None) -> complex:
-    """A_n(z) = 2 (-1)^{n-1} int_0^oo t^{2n-2} sin(tz)/(e^{2 pi t}-1) dt.
+@functools.cache
+def _coth_poly(m: int, centre: int) -> tuple[Fraction, ...]:
+    """Coefficients, lowest first, of the polynomial p with
+    p(c - centre) = (d/dz)^m coth(z/2)/4, c = coth(z/2), as exact rationals.
 
-    Analytic for z^2 off (-oo, -4 pi^2]; for |Im z| >= 2 pi the ray is
-    rotated by -sign(Im z) pi/4 as the continuation prescribes.  Inside
-    |z| < 2 pi this agrees with the defining Bernoulli series.
+    p starts at c/4, and each derivative multiplies p' by c' = (1 - c^2)/2.
     """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    if m == 0:
+        return (Fraction(centre, 4), Fraction(1, 4))
+    # c' = (1 - (centre + x)^2)/2 in powers of x = c - centre
+    mult = (Fraction(1 - centre * centre, 2), Fraction(-centre), Fraction(-1, 2))
+    dp = [k * a for k, a in enumerate(_coth_poly(m - 1, centre))][1:]
+    p = [Fraction(0)] * (len(dp) + 2)
+    for k, a in enumerate(dp):
+        for j, b in enumerate(mult):
+            p[k + j] += a * b
+    return tuple(p)
+
+
+@functools.cache
+def _coth_derivative(m: int, centre: int) -> tuple[float, ...]:
+    """_coth_poly as floats."""
+    return tuple(float(a) for a in _coth_poly(m, centre))
+
+
+@functools.cache
+def _poles(pairs: int) -> np.ndarray:
+    """The poles 2 pi i k of A_n for 0 < |k| <= pairs."""
+    k = np.arange(pairs, 0, -1)
+    poles = TWO_PI * 1j * np.concatenate((k, -k))
+    poles.setflags(write=False)
+    return poles
+
+
+@functools.cache
+def _taylor_coefficients(n: int, terms: int) -> tuple[float, ...]:
+    """B_{2n+2j} / ((2n+2j) (2j+1)!) for j < terms: the Taylor
+    coefficients of A_n, which multiply z^{2j+1}."""
+    table = bernoulli(n + terms - 1)
+    return tuple(
+        table.b2(n + j) / (2 * (n + j)) / math.factorial(2 * j + 1) for j in range(terms)
+    )
+
+
+def _a_taylor(n: int, z: complex) -> complex:
+    """The Taylor series of A_n, for |z| < 2 pi.
+
+    Summed forward until a term no longer changes the sum while the
+    ratio of successive terms, which falls with j, is at most 1/2: the
+    tail is then below that term.  Coefficients are fetched 8, 16, ...
+    at a time, since a long Bernoulli table is slow to build.
+    """
+    z2 = z * z
+    r2 = abs(z2)
+    terms = 8
+    coeffs = _taylor_coefficients(n, terms)
+    power = z
+    total = coeffs[0] * z
+    for j in range(1, A_TAYLOR_TERMS):
+        if j == terms:
+            terms *= 2
+            coeffs = _taylor_coefficients(n, terms)
+        power *= z2
+        last, total = total, total + coeffs[j] * power
+        if total == last and abs(coeffs[j] / coeffs[j - 1]) * r2 <= 0.5:
+            return total
+    raise ConvergenceError(f"A_n Taylor series needs more than {A_TAYLOR_TERMS} terms")
+
+
+def A_n(n: int, z: complex) -> complex:
+    """A_n(z) = 2 (-1)^{n-1} int_0^oo t^{2n-2} sin(tz)/(e^{2 pi t}-1) dt,
+    the coefficients of P's divergent series, in closed form.
+
+    A_n(z) = 2 (d/dz)^{2n-2} [coth(z/2)/4 - 1/(2z)]
+    = (2n-2)! sum_{k != 0} (z - 2 pi i k)^{1-2n}: odd and meromorphic, with
+    poles at 2 pi i k (k != 0); it equals the integral for |Im z| < 2 pi
+    and the integral's rotated-ray continuation beyond.  z on the imaginary
+    axis with |Im z| >= 2 pi, where every ray diverges, stays a domain
+    error.  With r = |z| and d the distance to the nearest pole, the
+    value is of order (2n-2)!/d^{2n-1} (or (2n-1)! 2r/(2 pi)^{2n} near 0),
+    while the Taylor series and the coth form below sum terms of order
+    (2n-2)!/r^{2n-1} (r replaced by 2 pi - r for the Taylor series), so
+    they lose (d/r)^{2n-1} digits: 1e8 at n = 12 and z = pi.  For
+    Re z >= 0 (oddness gives the rest) the first that applies is taken:
+
+    * the partial fractions, where at most A_PF_PAIRS pole pairs bring
+      the tail below 2^-53 of the nearest term and the other forms would
+      lose more than e^LOG_A_LOSS_MAX (or Re z < 2 pi, where the nearest
+      poles dominate), for n >= 2 and r >= 2 pi/(2n-1), since the pairs
+      cancel near 0 (in practice n >= 5);
+    * r < pi, where the coth form would lose more than e^LOG_A_LOSS_MAX:
+      the Bernoulli Taylor series;
+    * polynomials in c = coth(z/2), since c' = (1 - c^2)/2, minus the pole
+      (2n-2)!/(2 z^{2n-1}); for Re z >= 1, where c is close to 1, they are
+      re-centred at c = 1 and take c - 1 = 2/(e^z - 1).
+
+    For n <= 12 the error is below 3e-14 (|A_n| + (2n-2)!/d^{2n-1}) on the
+    points tested against mpmath; near a zero of A_n on the real axis no
+    form keeps the relative digits.
+    """
+    if not 1 <= n <= A_N_MAX:
+        raise DomainError(f"n must be an integer in [1, {A_N_MAX}], got {n}")
+    return _a_values((n,), z)[0]
+
+
+def _a_values(ns, z: complex) -> list[complex]:
+    """A_n(z) for each n of ns (in [1, A_N_MAX]), sharing the work that
+    depends on z alone: the pole distance, c = coth(z/2) and the partial
+    fractions' 1/(z - 2 pi i k)."""
     z = complex(z)
     if z.real == 0.0 and abs(z.imag) >= TWO_PI:
         raise DomainError(f"z^2 = {z * z} lies on the cut (-oo, -4 pi^2]")
-    if spec is None:
-        d = 0.0 if abs(z.imag) < TWO_PI else -math.copysign(math.pi / 4.0, z.imag)
-        spec = RaySpec(direction_d=d)
-    margin = TWO_PI * math.cos(spec.direction_d) - abs(
-        (1j * z * cmath.exp(1j * spec.direction_d)).real
-    )
-    if not margin > 1e-9:
-        raise DomainError(
-            f"ray d = {spec.direction_d} does not converge for z = {z}"
-        )
-    spec = replace(spec, decay=margin)
-    sign = 2.0 if n % 2 else -2.0
-    # sin(tz)/(e^{2 pi t} - 1) = sin_ratio(iz/2pi, -2 pi i t), which pairs the
-    # growing and decaying exponentials so nothing overflows near the
-    # domain boundary
-    nu_eff = 1j * z / TWO_PI
-
-    def integrand(t):
-        return sign * t ** (2 * n - 2) * sin_ratio(nu_eff, -TWO_PI * 1j * t)
-
-    return integrate_ray(integrand, spec).value
+    if z == 0:
+        return [0j for _ in ns]
+    sign = 1.0
+    if z.real < 0.0:  # A_n is odd
+        z, sign = -z, -1.0
+    r = abs(z)
+    k1 = round(z.imag / TWO_PI) or (1 if z.imag >= 0.0 else -1)
+    log_d = math.log(abs(z - TWO_PI * 1j * k1))
+    log_r = math.log(r)
+    inv_gaps = None  # 1/(z - 2 pi i k) for the partial fractions
+    x = None  # c or c - 1 for the closed forms
+    out = []
+    for n in ns:
+        s = 2 * n - 1
+        # the closed forms' terms (2n-2)!/r^s against a value of order
+        # (2n-2)!/d^s, or (2n-1)! 2r/(2 pi)^{2n} near z = 0
+        log_loss = max(s * (log_d - log_r), 2 * n * math.log(TWO_PI / r) - math.log(2 * s))
+        if n >= 2 and s * r >= TWO_PI and (z.real < TWO_PI or log_loss > LOG_A_LOSS_MAX):
+            # the pairs past K sum below 2 (2 pi K - r)^{1-s} / (2 pi (s-1)),
+            # which is at most 2^-53 d^-s once 2 pi K - r >= reach
+            reach = math.exp(
+                (53.0 * math.log(2.0) + s * log_d - math.log(math.pi * (s - 1))) / (s - 1)
+            )
+            pairs = math.ceil((r + reach) / TWO_PI)
+            if pairs <= A_PF_PAIRS:
+                if inv_gaps is None or len(inv_gaps) < 2 * pairs:
+                    inv_gaps = 1.0 / (z - _poles(pairs))
+                out.append(sign * math.factorial(s - 1) * complex((inv_gaps**s).sum()))
+                continue
+        if r < math.pi and log_loss > LOG_A_LOSS_MAX:
+            out.append(sign * _a_taylor(n, z))
+            continue
+        centre = 1 if z.real >= 1.0 else 0
+        if x is None:
+            if centre:
+                w = cmath.exp(-z)
+                x = 2.0 * w / (1.0 - w)  # c - 1 = 2/(e^z - 1)
+            else:
+                x = 1.0 / cmath.tanh(0.5 * z)
+        p = 0j
+        for a in reversed(_coth_derivative(s - 1, centre)):
+            p = p * x + a
+        out.append(sign * (2.0 * p - math.factorial(s - 1) / z**s))
+    return out
 
 
 def K_N(N: int, nu: complex) -> float:
@@ -406,6 +553,116 @@ def K_N(N: int, nu: complex) -> float:
         return np.abs(sin_ratio(nu, -1j * r)) * r ** (2 * N)
 
     return integrate_ray(integrand, spec).value.real
+
+
+# ---------------------------------------------------------------------------
+# P from its divergent series at q -> 1
+
+
+def _f_tail_constant(N: int, eps: float) -> float:
+    """Constant C with |f(t) - f_N(t)| <= C |t|^{2N+1} / (2pi-eps)^{2N}
+    on |t| <= 2pi - eps.
+
+    f_N is the odd Taylor polynomial of f through degree 2N - 1.  The
+    poles of f sit on the real axis, so the supremum over any admissible
+    ray is dominated by real t.  There f(t) = sum_k 4t/(t^2 - (2 pi k)^2)
+    gives (f - f_N)(t)/t^{2N+1} = -4/(2pi)^{2N+2} sum_m zeta(2N+2+2m)
+    (t/2pi)^{2m}, whose modulus grows with |t|: the supremum sits at
+    t = 2pi - eps, where f - f_N is not small and so keeps its digits.
+    """
+    radius = TWO_PI - eps
+    table = bernoulli(N) if N >= 1 else None
+    partial = sum(
+        2.0 * (-1.0) ** n * table.b2(n) * radius ** (2 * n - 1) / math.factorial(2 * n)
+        for n in range(1, N + 1)
+    )
+    return abs(fn_f(radius) - partial) / radius
+
+
+def _zeta_upper(s: int) -> float:
+    """An upper bound of zeta(s), s >= 2: 63 terms plus the integral of
+    x^-s from 63 on, which exceeds the rest."""
+    return math.fsum(k ** -s for k in range(1, 64)) + 63.0 ** (1 - s) / (s - 1)
+
+
+@functools.cache
+def _series_constants() -> tuple[tuple[float, ...], ...]:
+    """Per N = 1..N_MAX: the coefficient B_2N/(2N)! of the series, the
+    bound's C_eps(N)/(2pi - eps)^{2N}, and (2N)!/2, 2 zeta(2N+1),
+    (2N+1)!/2, 2 zeta(2N+2) of the closed-form K_N bound (_p_series)."""
+    table = bernoulli(N_MAX)
+    return tuple(
+        (
+            table.b2(N) / math.factorial(2 * N),
+            _f_tail_constant(N, SERIES_EPS) / (TWO_PI - SERIES_EPS) ** (2 * N),
+            0.5 * math.factorial(2 * N),
+            2.0 * _zeta_upper(2 * N + 1),
+            0.5 * math.factorial(2 * N + 1),
+            2.0 * _zeta_upper(2 * N + 2),
+        )
+        for N in range(1, N_MAX + 1)
+    )
+
+
+def _p_series(point: ModularPoint) -> complex | None:
+    """P from its divergent series, or None where its bound does not
+    certify it.
+
+    -P = sum_{n<=N} B_2n A_n(2 pi i nu) (log q)^{2n-1} / (2n)! + R_N with
+    |R_N| <= b_N = C_eps K_N(nu) |tau|^{2N+1} / (2pi - eps)^{2N} for
+    |Re nu| < 1 and eps < arg tau < pi - eps (eps = SERIES_EPS), along the
+    ray arg t = arg tau - pi/2.  K_N is replaced by the closed-form upper
+    bound that |sinh w| <= cosh(Re w) and |sinh w| <= |w| cosh(Re w) give
+    with zeta(s, 1 - a) <= (1 - a)^-s + zeta(s), a = |Re nu|:
+    min((2N)!/2 [(1-a)^{-2N-1} + 2 zeta(2N+1)],
+        |nu| (2N+1)!/2 [(1-a)^{-2N-2} + 2 zeta(2N+2)]).
+    N is the smallest N <= N_MAX with b_N < TERM_TOL (|T_1| - b_1), where
+    |T_1| - b_1 <= |P| is the first term's modulus less its bound, and
+    the ray is used where b_{N_MAX} is not: the bounds are compared
+    before any A_n past the first is formed.
+    For Re tau < 0 the ray lies in the upper half-plane and the series
+    is P_plus = P_minus - stokes_sum, so it stands only where the Stokes
+    sum's own tail bound from its first term is below the same tolerance.
+    """
+    tau, nu = point.tau, point.nu
+    a = abs(nu.real)
+    abs_tau = abs(tau)
+    # tried only for |tau| < 1 - a, far past where the bound can certify P
+    # (|tau| up to about 0.13 (1 - a)); there no power below overflows
+    if not (abs_tau < 1.0 - a and SERIES_EPS < cmath.phase(tau) < math.pi - SERIES_EPS):
+        return None
+    consts = _series_constants()
+    abs_nu, inv = abs(nu), 1.0 / (1.0 - a)
+
+    def bound(N: int) -> float:
+        _, coef, f1, z1, f2, z2 = consts[N - 1]
+        t = abs_tau ** (2 * N + 1)
+        x = (inv * abs_tau) ** (2 * N + 1)
+        return coef * min(f1 * (x + z1 * t), abs_nu * f2 * (inv * x + z2 * t))
+
+    z = TWO_PI * 1j * nu
+    log_q = point.log_q
+    total = consts[0][0] * _a_values((1,), z)[0] * log_q
+    tol = TERM_TOL * (abs(total) - bound(1))
+    # the bound falls up to N ~ pi (1 - a)/|tau|, past N_MAX wherever it
+    # can certify P at all; where even b_{N_MAX} misses, the ray is used
+    if not bound(N_MAX) < tol:
+        return None
+    N = next(N for N in range(1, N_MAX + 1) if bound(N) < tol)
+    if tau.real < 0.0:
+        # term n of the Stokes sum is at most 2 r^n / (1 - |q*|)
+        decay = -(1.0 / tau).imag - abs((nu / tau).imag)
+        if not decay > 0.0:
+            return None
+        r = math.exp(-TWO_PI * decay)
+        if 2.0 * r / ((1.0 - r) * -math.expm1(TWO_PI * (1.0 / tau).imag)) >= tol:
+            return None
+    log_q_sq = log_q * log_q
+    power = log_q
+    for n, a_n in enumerate(_a_values(range(2, N + 1), z), 2):
+        power *= log_q_sq
+        total += consts[n - 1][0] * a_n * power
+    return -total
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from qmod.cli import (
     load_defaults,
     main,
 )
+from qmod.errors import DomainError
 from qmod.modularity import TOLERANCES
 
 
@@ -165,6 +166,27 @@ def test_eval_G_error_covers_binet_error():
                 (z - 0.5) * mpmath.log(z) - z + 0.5 * mpmath.log(2 * mpmath.pi)
             )
             assert abs(value - complex(-mu)) <= error_model(value), s
+
+
+def test_eval_euler_error_covers_its_rounding():
+    # euler_series returns sums whose rounding reaches 1e-11 of the value
+    # before it refuses; the reported error must cover what it returns
+    mpmath = pytest.importorskip("mpmath")
+    names, evaluate, error_model = EVAL["pochhammer-euler"]
+    rng = random.Random(1018)
+    checked = 0
+    with mpmath.workdps(30):
+        for _ in range(200):
+            x = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+            q = rng.uniform(0.0, 0.9) * complex(math.cos(a := rng.uniform(0, 6.3)), math.sin(a))
+            try:
+                value = evaluate({"x": x, "q": q})
+            except DomainError:
+                continue
+            want = complex(mpmath.qp(mpmath.mpc(x.real, x.imag), mpmath.mpc(q.real, q.imag)))
+            assert abs(value - want) <= error_model(value), (x, q)
+            checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------

@@ -62,3 +62,24 @@ def test_tracer_patches_every_name(monkeypatch):
     assert {s.name for s in tracer.spans} >= {
         "modularity.qpochhammer_modular", "raysum.P_minus", "raysum.choose_ray",
     }
+
+
+def test_series_tables_are_built_on_first_use():
+    # importing qmod builds none of the divergent series' tables
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qmod.__file__)))
+    code = (
+        "import qmod.cli\n"
+        "from qmod import raysum\n"
+        "caches = (raysum._series_constants, raysum._coth_poly, raysum._coth_derivative,\n"
+        "          raysum._taylor_coefficients, raysum._poles)\n"
+        "print([c.cache_info().currsize for c in caches])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0]"]

@@ -13,7 +13,7 @@ import pytest
 
 from qmod.errors import DomainError
 from qmod.qcore import ModularPoint, qpochhammer, qpochhammer_with_count
-from qmod.raysum import P_minus
+from qmod.raysum import P_minus, _p_integrand, _p_series, choose_ray, integrate_ray
 from qmod.modularity import (
     TOLERANCES,
     binet74_residual,
@@ -349,6 +349,28 @@ def test_table_divergence_signature():
     n_star = errors.index(min(errors))
     assert 0 < n_star < 8
     assert errors[-1] > errors[n_star]
+
+
+def test_table_reference_is_the_lower_ray():
+    # the table checks the series against -P from the ray, bit for bit,
+    # also where P_minus itself would take the series
+    for tau in (0.01j, 0.02 + 0.05j):
+        point = ModularPoint(tau, 0.3)
+        assert _p_series(point) is not None
+        ray = integrate_ray(_p_integrand(point), choose_ray(point, "lower")).value
+        for row in theta_series_table(0.3, [tau], n_max=2):
+            assert row.minus_P == -ray
+
+
+def test_modular_keeps_the_lower_cone_refusal():
+    # domain-fuzz seed 1312: the lower cone is empty, and the series, whose
+    # ray is in the upper half-plane for Re tau < 0, must not stand in
+    p = ModularPoint(
+        -0.011245422065258026 + 0.01998320998098329j,
+        0.5375601444393396 + 0.9095536004751921j,
+    )
+    with pytest.raises(DomainError):
+        qpochhammer_modular(p)
 
 
 def test_table_validation():

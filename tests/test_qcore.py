@@ -324,6 +324,15 @@ def test_theta_vanishes_on_spiral():
     assert abs(theta_product(q, -math.sqrt(q))) < 1e-15
 
 
+def test_theta_laurent_refuses_cancellation():
+    # |q| = 0.886, |x| = 12.5: terms near e^26 sum to |theta| ~ 5.7, and the
+    # sum returned -0.578-5.639i, off by 4e-6, without raising
+    tau = 0.011941373854678528 + 0.01918932880563447j
+    nu = 0.22465843655504192 - 0.40187583334125554j
+    with pytest.raises(DomainError, match="cancels"):
+        theta_laurent(cmath.exp(2j * math.pi * tau), cmath.exp(2j * math.pi * nu))
+
+
 def test_theta_laurent_overflow_is_a_domain_error():
     # x^{-n} overflows while the Gaussian factor underflows: 0 * inf = nan
     with pytest.raises(DomainError):

@@ -31,6 +31,8 @@ from qmod.raysum import (
     RaySpec,
     _de_sum,
     _grid,
+    _p_integrand,
+    _p_series,
     _slack,
     big_G,
     choose_ray,
@@ -41,6 +43,7 @@ from qmod.raysum import (
     pv_M_direct,
     stokes_sum,
 )
+from qmod._stability import sin_ratio
 from qmod.specialfns import fn_B
 
 
@@ -438,6 +441,63 @@ def test_dP_dtau_matches_finite_difference():
     assert abs(dP_dtau(p) - fd) < 1e-7
 
 
+def _P_mpmath(mpmath, tau, nu):
+    """P at 30 digits along the lower ray d = -1/10, admissible for
+    tau = i alpha and nu = i c while c < cot(1/10) = 9.97."""
+    with mpmath.workdps(30):
+        mt, mn, e = mpmath.mpc(tau), mpmath.mpc(nu), mpmath.expj(-0.1)
+
+        def integrand(r):
+            t = r * e
+            w = t / mt
+            with mpmath.extradps(20):  # cot(t/2) - 2/t cancels near 0
+                f = mpmath.cot(t / 2) - 2 / t
+            return mpmath.sin(mn * w) / mpmath.expm1(1j * w) * f / t * e
+
+        splits = [0] + [abs(tau) * 10.0**k for k in range(-2, 3)] + [mpmath.inf]
+        return complex(mpmath.quad(integrand, splits))
+
+
+def test_P_minus_series_against_mpmath():
+    # fixed x (nu = i c) and x -> 1 (real_case) for alpha in [1e-6, 0.1],
+    # where the series replaces the ray; the ray itself was off by up to
+    # 3e-11 on such x -> 1 points
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261018)
+    for k in range(8):
+        alpha = 10.0 ** rng.uniform(-6.0, -1.0)
+        if k % 2:
+            point = ModularPoint.real_case(alpha, rng.uniform(0.1, 0.9))
+        else:
+            point = ModularPoint(1j * alpha, 1j * rng.uniform(0.05, 1.5))
+        assert _p_series(point) is not None
+        assert rel(P_minus(point), _P_mpmath(mpmath, point.tau, point.nu)) <= 1e-14
+
+
+def test_P_minus_takes_the_ray_where_the_stokes_sum_counts():
+    # Re tau < 0 puts the series' ray in the upper half-plane, so it sums
+    # P_plus = P_minus - stokes_sum.  Here the Stokes sum is ~4e-6 against
+    # |P| ~ 7e-3, and the bound alone (the same at -conj(tau)) would take it
+    tau = -0.014410381229193893 + 0.024693004618361783j
+    nu = -0.7301091219703506 - 0.3504649730058935j
+    p = ModularPoint(tau, nu)
+    assert _p_series(ModularPoint(-tau.conjugate(), nu)) is not None
+    assert abs(stokes_sum(p)) > 1e-4 * abs(P_plus(p))
+    ray = integrate_ray(_p_integrand(p), choose_ray(p, "lower")).value
+    assert P_minus(p) == ray
+
+
+def test_P_minus_series_keeps_the_lower_cone_refusal():
+    # the lower cone is empty, while the series' own ray (Re tau < 0: the
+    # upper half-plane) converges
+    p = ModularPoint(
+        -0.011245422065258026 + 0.01998320998098329j,
+        0.5375601444393396 + 0.9095536004751921j,
+    )
+    with pytest.raises(DomainError):
+        P_minus(p)
+
+
 # ---------------------------------------------------------------------------
 # A_n, K_N
 
@@ -466,8 +526,75 @@ def test_A_n_domain():
         A_n(0, 1.0)
     with pytest.raises(DomainError):
         A_n(1, 7j)  # z^2 on the cut
-    with pytest.raises(DomainError):
-        A_n(1, 1 + 7j, RaySpec(direction_d=0.0))  # ray misses the sector
+
+
+def _a_n_ray(n, z):
+    """A_n by its defining integral, the implementation the closed forms
+    replaced: the real axis for |Im z| < 2 pi, else turned by
+    -sign(Im z) pi/4; None where that ray diverges."""
+    d = 0.0 if abs(z.imag) < 2.0 * math.pi else -math.copysign(math.pi / 4.0, z.imag)
+    margin = 2.0 * math.pi * math.cos(d) - abs((1j * z * cmath.exp(1j * d)).real)
+    if not margin > 1e-9:
+        return None
+    sign = 2.0 if n % 2 else -2.0
+    nu_eff = 1j * z / (2.0 * math.pi)
+
+    def integrand(t):
+        return sign * t ** (2 * n - 2) * sin_ratio(nu_eff, -2j * math.pi * t)
+
+    try:
+        return integrate_ray(integrand, RaySpec(direction_d=d, decay=margin)).value
+    except ConvergenceError:
+        return None
+
+
+def _a_n_mpmath(mpmath, n, z):
+    """(2n-2)! sum_{k != 0} (z - 2 pi i k)^{1-2n} through Hurwitz zeta, and
+    coth(z/2)/2 - 1/z for n = 1."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z.real, z.imag)
+        if n == 1:
+            return complex(mpmath.coth(z / 2) / 2 - 1 / z)
+        s = 2 * n - 1
+        two_pi_i = 2j * mpmath.pi
+        total = mpmath.zeta(s, 1 - z / two_pi_i) * (-two_pi_i) ** (-s)
+        total += mpmath.zeta(s, 1 + z / two_pi_i) * two_pi_i ** (-s)
+        return complex(mpmath.factorial(2 * n - 2) * total)
+
+
+#: small |z|, |z| near pi (where the Taylor series hands over, on and off
+#: the real axis), large real z, and complex points past |Im z| = 2 pi
+A_N_POINTS = (
+    [1e-3, 0.05 + 0.02j, 0.3 - 0.2j, 0.9j, -1.1]
+    + [s * math.pi * cmath.exp(1j * a) for s in (0.999, 1.001) for a in (0.0, 0.4, 1.2, 1.57)]
+    + [7.0, -12.0, 25.0, 60.0]
+    + [1 + 7j, -2.5 + 9j, 0.4 - 13j]
+)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_A_n_against_mpmath(n):
+    # near a zero of A_n on the real axis no form keeps its relative digits,
+    # so the error is judged against |A_n| + (2n-2)!/d^{2n-1}, d the distance
+    # to the nearest pole: the size of the partial fraction's largest terms
+    mpmath = pytest.importorskip("mpmath")
+    for z in A_N_POINTS:
+        z = complex(z)
+        want = _a_n_mpmath(mpmath, n, z)
+        d = min(abs(z - 2j * math.pi * k) for k in (-3, -2, -1, 1, 2, 3))
+        scale = abs(want) + math.factorial(2 * n - 2) / d ** (2 * n - 1)
+        assert abs(A_n(n, z) - want) < 5e-14 * scale, z
+        # the defining ray integral, where it converges (and before its
+        # integrand underflows)
+        ray = _a_n_ray(n, z) if abs(z.real) < 20.0 else None
+        if ray is not None:
+            assert abs(ray - want) < 1e-9 * scale, z
+
+
+def test_A_n_frozen_values_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for n, z in ((1, 0.1), (2, 1.5), (1, 2j * math.pi * 0.3), (3, 3 - 2j), (1, 1 + 7j)):
+        assert rel(A_n(n, z), _a_n_mpmath(mpmath, n, complex(z))) < 5e-15
 
 
 def test_K_N_values():
