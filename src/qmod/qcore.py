@@ -27,10 +27,11 @@ POLE_GUARD = 1e-12
 TERM_TOL = 1e-16
 MAX_TERMS = 10**6
 #: a sum whose terms dwarf it is refused where its rounding may exceed
-#: ROUND_TOL of its value; below SMALL_SUM, as the residual checks judge,
-#: ROUND_TOL is absolute
+#: ROUND_TOL of its value, or the absolute ROUND_TOL * SMALL_SUM for a value
+#: below SMALL_SUM: the residual checks judge small values absolutely, and a
+#: short sum that cancels to a small value (1 - x at q = 0) is returned
 ROUND_TOL = 1e-11
-SMALL_SUM = 1e-8
+SMALL_SUM = 1e-2
 
 
 def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms") -> int:
@@ -69,7 +70,7 @@ def _finite(value: complex) -> complex:
 
 def admitted_rounding(value: complex) -> float:
     """The rounding error a sum refused past ROUND_TOL may carry in value."""
-    return ROUND_TOL * (abs(value) if abs(value) >= SMALL_SUM else 1.0)
+    return ROUND_TOL * max(abs(value), SMALL_SUM)
 
 
 def _refuse_cancellation(total: complex, abs_sum: float, n_terms: int, series: str) -> None:

@@ -16,6 +16,7 @@ import pytest
 from qmod.errors import ConvergenceError, DomainError
 from qmod.qcore import ModularPoint
 from qmod.raysum import (
+    A_N_MAX,
     ABS_FLOOR,
     DE_SPAN,
     FIRST_STEP,
@@ -526,6 +527,8 @@ def test_A_n_domain():
         A_n(0, 1.0)
     with pytest.raises(DomainError):
         A_n(1, 7j)  # z^2 on the cut
+    with pytest.raises(DomainError):
+        A_n(A_N_MAX + 1, 1.0)
 
 
 def _a_n_ray(n, z):
@@ -572,21 +575,23 @@ A_N_POINTS = (
 )
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", [*range(1, 13), 15, 20, 30, 45, A_N_MAX])
 def test_A_n_against_mpmath(n):
     # near a zero of A_n on the real axis no form keeps its relative digits,
     # so the error is judged against |A_n| + (2n-2)!/d^{2n-1}, d the distance
-    # to the nearest pole: the size of the partial fraction's largest terms
+    # to the nearest pole: the size of the partial fraction's largest terms.
+    # Past n = 12 the s-th powers' rounding, about 9e-16 n, sets the bound
     mpmath = pytest.importorskip("mpmath")
+    tol = max(5e-14, 2e-15 * n)
     for z in A_N_POINTS:
         z = complex(z)
         want = _a_n_mpmath(mpmath, n, z)
         d = min(abs(z - 2j * math.pi * k) for k in (-3, -2, -1, 1, 2, 3))
         scale = abs(want) + math.factorial(2 * n - 2) / d ** (2 * n - 1)
-        assert abs(A_n(n, z) - want) < 5e-14 * scale, z
+        assert abs(A_n(n, z) - want) < tol * scale, z
         # the defining ray integral, where it converges (and before its
-        # integrand underflows)
-        ray = _a_n_ray(n, z) if abs(z.real) < 20.0 else None
+        # integrand underflows); past n = 12 it soon stops converging
+        ray = _a_n_ray(n, z) if abs(z.real) < 20.0 and n <= 12 else None
         if ray is not None:
             assert abs(ray - want) < 1e-9 * scale, z
 
