@@ -1,11 +1,17 @@
 """Direct series/product evaluation of the q-objects.
 
-Everything here converges by brute force inside the unit q-disk:
-the infinite product (x;q)_oo, Euler's series for it, Jackson's q-Gamma,
+Everything here is summed term by term inside the unit q-disk: the
+infinite product (x;q)_oo, Euler's series for it, Jackson's q-Gamma,
 Dedekind eta, Jacobi theta in product and Laurent form, and the
 generalized Lambert series L1/L2.  These are the slow-but-sure oracles
 the modular identities are checked against; nothing in this module knows
 about modular transformations.
+
+A long product (x;q)_oo, which the tail rule makes about 6/alpha factors
+at q = e^{-2 pi alpha}, runs in numpy blocks rather than a Python loop.
+The blocks repeat the loop's floating-point operations exactly, each power
+the previous one times q and each factor multiplied into the running
+value in order, so the result is bit for bit the loop's.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -32,6 +40,10 @@ MAX_TERMS = 10**6
 #: short sum that cancels to a small value (1 - x at q = 0) is returned
 ROUND_TOL = 1e-11
 SMALL_SUM = 1e-2
+#: (x;q)_oo runs a plain loop up to _LOOP_FACTORS factors, where numpy's
+#: per-call cost outweighs it, and numpy blocks of _BLOCK_FACTORS beyond
+_LOOP_FACTORS = 80
+_BLOCK_FACTORS = 4096
 
 
 def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms") -> int:
@@ -160,10 +172,59 @@ class ModularPoint:
         return True
 
 
+def _power_blocks(x: complex, q: complex, n_factors: int):
+    """Yield the powers x q^k, k < n_factors, in numpy blocks of at most
+    _BLOCK_FACTORS, each the previous power times q as the loop forms it
+    (a running product over [x q^k, q, q, ...])."""
+    steps = np.full(min(n_factors, _BLOCK_FACTORS), q)
+    xq = x
+    for start in range(0, n_factors, _BLOCK_FACTORS):
+        m = min(_BLOCK_FACTORS, n_factors - start)
+        steps[0] = xq
+        powers = np.multiply.accumulate(steps[:m])
+        yield powers
+        xq = complex(powers[-1]) * q
+
+
+def _product(x: complex, q: complex, n_factors: int) -> complex:
+    """prod_{k < n_factors} (1 - x q^k), multiplied in order from k = 0.
+
+    Short products run as a plain loop.  Long ones run in numpy blocks
+    whose first entry is the running value, so every product and power
+    is the same floating-point operation on the same operands as in the
+    loop, and the result is bit for bit the loop's.  Starting each block
+    from 1, or forming the powers as exp(k log q), would round
+    differently, so every long product would move.
+    """
+    value = 1.0 + 0.0j
+    if n_factors <= _LOOP_FACTORS:
+        xq = x
+        for _ in range(n_factors):
+            value *= 1.0 - xq
+            xq *= q
+        return value
+    factors = np.empty(min(n_factors, _BLOCK_FACTORS) + 1, dtype=complex)
+    # an overflow or 0 * inf inside a block is caught by _finite afterwards
+    with np.errstate(over="ignore", invalid="ignore"):
+        for powers in _power_blocks(x, q, n_factors):
+            m = len(powers)
+            factors[0] = value
+            np.subtract(1.0, powers, out=factors[1 : m + 1])
+            value = complex(np.multiply.reduce(factors[: m + 1]))
+    return value
+
+
+def _has_zero_factor(x: complex, q: complex, n_factors: int) -> bool:
+    """True iff some computed factor 1 - x q^k, k < n_factors, is 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return any((powers == 1.0).any() for powers in _power_blocks(x, q, n_factors))
+
+
 def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
     """(x;q)_oo together with the number N of factors used.
 
     N is fixed in advance from the tail bound |x q^N|/(1-|q|) < TERM_TOL.
+    A product that underflows to 0 with no factor 0 is a domain error.
     """
     x = complex(x)
     q = complex(q)
@@ -171,12 +232,10 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
     if aq >= 1.0:
         raise DomainError(f"|q| must be < 1, got {aq}")
     n_factors = _tail_length(abs(x), aq, "(x;q)_oo", "factors")
-    value = 1.0 + 0.0j
-    xq = x
-    for _ in range(n_factors):
-        value *= 1.0 - xq
-        xq *= q
-    return _finite(value), n_factors
+    value = _finite(_product(x, q, n_factors))
+    if value == 0.0 and not _has_zero_factor(x, q, n_factors):
+        raise DomainError(f"value underflows: (x;q)_oo at x = {x}, q = {q}")
+    return value, n_factors
 
 
 def qpochhammer(x: complex, q: complex) -> complex:

@@ -53,6 +53,7 @@ ABS_FLOOR = 1e-15
 #: half-width of the u-range and the first trapezoid step; past |u| = 4.5
 #: a ray integrand has decayed by e^{-89} and tanh-sinh weights are < 1e-60
 DE_SPAN = 4.5
+_DE_END = math.exp(DE_SPAN - math.exp(-DE_SPAN))  # r at u = DE_SPAN, decay 1
 FIRST_STEP = 0.5
 #: levels after the first that _de_sum takes from its first integrand call
 BATCH_LEVELS = 4
@@ -557,14 +558,28 @@ def K_N(N: int, nu: complex) -> float:
         raise DomainError(f"K_N diverges for |Re nu| >= 1, got {nu}")
     if nu == 0:
         return 0.0
-    spec = RaySpec(direction_d=0.0, decay=1.0 - abs(nu.real))
+    # the integrand decays like r^{2N} e^{-a r}, a = 1 - |Re nu|, whose peak
+    # 2N/a moves out with N: stretched, the range ends at max(_DE_END, 8N)/a,
+    # four times past the peak, where the rest of the integral is below
+    # e^{-30} of it
+    a = 1.0 - abs(nu.real)
+    stretch = max(1.0, 8.0 * N / _DE_END)
 
-    def integrand(t):
-        r = t.real  # real-axis ray
-        # |sinh(nu r)| / (e^r - 1), paired so that nothing overflows
-        return np.abs(sin_ratio(nu, -1j * r)) * r ** (2 * N)
+    def integrand(r):
+        # |sinh(nu r)| / (e^r - 1) r^N r^N, paired so that nothing overflows
+        return np.abs(sin_ratio(nu, -1j * r)) * r**N * r**N
 
-    return integrate_ray(integrand, spec).value.real
+    if nu.real == 0.0:
+        # |sinh(nu r)| = |sin(r Im nu)| has kinks at its zeros, where no one
+        # quadrature converges: integrate between them
+        step = math.pi / abs(nu.imag)
+        end = _DE_END * stretch  # a = 1
+        knots = [k * step for k in range(math.ceil(end / step))] + [end]
+        return math.fsum(
+            _integrate_interval(integrand, lo, hi).real for lo, hi in zip(knots, knots[1:])
+        )
+    spec = RaySpec(direction_d=0.0, decay=a / stretch)
+    return integrate_ray(lambda t: integrand(t.real), spec).value.real
 
 
 # ---------------------------------------------------------------------------

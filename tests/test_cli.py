@@ -352,11 +352,12 @@ def test_convergence_failure_exit(capsys):
 
 def test_asym_table_reads_only_the_bernoulli_numbers_it_uses(capsys):
     # n_max = 65 needs B_2 .. B_130; asking for twice as many overflowed
-    # a double (B_260) and escaped as an OverflowError traceback
+    # a double (B_260) and escaped as an OverflowError traceback.  K_N
+    # converges for every N, so the table stops at A_n's limit n <= 60
     code, out, err = run(capsys, "sweep", "asym-table", "--alpha", "0.01", "--n-max", "65")
-    assert code == 3
+    assert code == 2
     assert out == ""
-    assert "convergence" in err and "Traceback" not in err
+    assert "n must be an integer in [1, 60]" in err and "Traceback" not in err
 
 
 def test_out_io_error(capsys):

@@ -4,11 +4,13 @@ import cmath
 import math
 import random
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmod import qcore
 from qmod.errors import ConvergenceError, DomainError
 from qmod.raysum import M_almost_modular, stokes_sum
 from qmod.qcore import (
@@ -136,20 +138,114 @@ def test_series_fail_fast(series):
     assert time.perf_counter() - t0 < 0.05
 
 
+# |x| ~ 385 and |q| ~ 0.977: the partial product overflows to nan
+_OVERFLOW = ModularPoint(
+    0.49999717995524406 + 0.0036288135253091064j,
+    0.7807952525094151 - 0.9480562284588814j,
+)
+
+
 def test_qpochhammer_overflow_is_a_domain_error():
-    # |x| ~ 385 and |q| ~ 0.977: the partial product overflows to nan
-    p = ModularPoint(
-        0.49999717995524406 + 0.0036288135253091064j,
-        0.7807952525094151 - 0.9480562284588814j,
-    )
-    with pytest.raises(DomainError):
-        qpochhammer(p.x, p.q)
+    # the overflow happens inside numpy blocks, which must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            qpochhammer(_OVERFLOW.x, _OVERFLOW.q)
 
 
 def test_qpochhammer_count_grows_as_q_to_one():
     _, n1 = qpochhammer_with_count(0.5, 0.5)
     _, n2 = qpochhammer_with_count(0.5, 0.95)
     assert n2 > 4 * n1
+
+
+def _reference_product(x, q, n_factors):
+    """The factor loop the blocked kernel must reproduce bit for bit,
+    with the index of its first exactly vanishing factor (or None)."""
+    value, xq, zero_at = 1.0 + 0.0j, x, None
+    for k in range(n_factors):
+        factor = 1.0 - xq
+        if factor == 0 and zero_at is None:
+            zero_at = k
+        value *= factor
+        xq *= q
+    return value, zero_at
+
+
+def _points_with_length(n_factors, rng, count):
+    """count random (x, q) whose tail rule asks for exactly n_factors."""
+    points = []
+    while len(points) < count:
+        r = 1.0 - 10.0 ** rng.uniform(-4.5, -0.3)
+        # |x| r^(N - 1/2) = TERM_TOL (1 - r) puts the tail rule's root mid-step
+        log_ax = math.log(qcore.TERM_TOL * (1.0 - r)) - (n_factors - 0.5) * math.log(r)
+        if not abs(log_ax) < 690.0:
+            continue
+        x = cmath.rect(math.exp(log_ax), rng.uniform(-math.pi, math.pi))
+        q = cmath.rect(r, rng.choice([0.0, rng.uniform(-math.pi, math.pi)]))
+        if qcore._tail_length(abs(x), abs(q), "(x;q)_oo") == n_factors:
+            points.append((x, q))
+    return points
+
+
+def test_blocked_product_is_bit_identical_to_the_loop():
+    rng = random.Random(20261018)
+    loop, block = qcore._LOOP_FACTORS, qcore._BLOCK_FACTORS
+    lengths = [0, 1, loop - 1, loop, loop + 1, block - 1, block, block + 1]
+    lengths += [2 * block - 1, 2 * block, 2 * block + 1, 100_003]
+    points = [p for n in lengths for p in _points_with_length(n, rng, 3)]
+    # a random box around the unit q-circle, and the two refusals: a partial
+    # product that overflows to nan, and one that underflows to 0
+    for _ in range(60):
+        q = cmath.rect(1.0 - 10.0 ** rng.uniform(-3.5, 0.0), rng.uniform(-math.pi, math.pi))
+        x = cmath.rect(10.0 ** rng.uniform(-2.0, 2.5), rng.uniform(-math.pi, math.pi))
+        points.append((x, q))
+    points += [(_OVERFLOW.x, _OVERFLOW.q), (0.99 + 0j, 0.999 + 0j), (2.0 + 0j, 0.5 + 0j)]
+    outcomes = set()
+    for x, q in points:
+        try:
+            n_factors = qcore._tail_length(abs(x), abs(q), "(x;q)_oo")
+        except ConvergenceError:
+            continue
+        want, zero_at = _reference_product(x, q, n_factors)
+        if not cmath.isfinite(want):
+            outcomes.add("overflow")
+            with pytest.raises(DomainError, match="not finite"):
+                qpochhammer_with_count(x, q)
+        elif want == 0 and zero_at is None:
+            outcomes.add("underflow")
+            with pytest.raises(DomainError, match="underflows"):
+                qpochhammer_with_count(x, q)
+        else:
+            outcomes.add("zero" if want == 0 else "value")
+            got, n_got = qpochhammer_with_count(x, q)
+            assert n_got == n_factors
+            # repr tells the signs of zeros apart
+            assert repr(got) == repr(want), (x, q, n_factors)
+    assert outcomes == {"value", "zero", "overflow", "underflow"}
+
+
+def test_qpochhammer_underflow_is_a_domain_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # (x;q)_oo is about e^{-10000}: the product underflows to 0
+        with pytest.raises(DomainError, match="underflows"):
+            qpochhammer(math.exp(-0.2 * math.pi), math.exp(-2e-5 * math.pi))
+        # an exactly vanishing factor is a true zero, not an underflow
+        assert qpochhammer(1.0, 0.999) == 0
+
+
+def test_long_product_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    x, q = math.exp(-math.pi), math.exp(-2e-5 * math.pi)
+    value, n_factors = qpochhammer_with_count(x, q)
+    assert n_factors > 600_000
+    with mpmath.workdps(30):
+        # log (x;q)_oo = -sum_k x^k / (k (1 - q^k)) at the same double inputs
+        mx, mq = mpmath.mpf(x), mpmath.mpf(q)
+        log_want = -mpmath.nsum(lambda k: mx**k / (k * (1 - mq**k)), [1, mpmath.inf])
+        want = complex(mpmath.exp(log_want))
+    assert rel(value, want) < 1e-11
 
 
 def test_euler_series_refuses_cancellation():

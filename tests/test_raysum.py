@@ -610,6 +610,34 @@ def test_K_N_values():
     assert K_N(2, 0.0) == 0.0
 
 
+def _k_n_mpmath(mpmath, N, nu):
+    """K_N for N >= 1 at real or imaginary nu from Hurwitz zeta values:
+    1/(e^t - 1) = sum_k e^{-kt} gives (2N)!/2 [zeta(s, 1 - nu) - zeta(s, 1 + nu)],
+    s = 2N + 1, for real nu, and the Fourier series of |sin| gives the
+    imaginary case."""
+    s = 2 * N + 1
+    if nu.imag == 0:
+        a = abs(nu.real)
+        return mpmath.factorial(2 * N) / 2 * (mpmath.zeta(s, 1 - a) - mpmath.zeta(s, 1 + a))
+    # |sin x| = 2/pi - 4/pi sum_m cos(2 m x) / (4 m^2 - 1)
+    b = abs(nu.imag)
+    cosines = mpmath.nsum(
+        lambda m: mpmath.re(mpmath.zeta(s, 1 - 2j * m * b)) / (4 * m * m - 1), [1, mpmath.inf]
+    )
+    return mpmath.factorial(2 * N) * (2 * mpmath.zeta(s) - 4 * cosines) / mpmath.pi
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.9, 0.5j])
+def test_K_N_large_N_against_mpmath(nu):
+    # the peak of t^{2N} e^{-(1 - |Re nu|) t} sits at 2N/(1 - |Re nu|), past
+    # a range sized for small N; at Re nu = 0, |sinh(nu t)| has kinks at
+    # t = k pi/|Im nu|
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(25):
+        for N in (15, 20, 30):
+            assert rel(K_N(N, nu), _k_n_mpmath(mpmath, N, complex(nu))) < 1e-13, N
+
+
 def test_K_N_domain():
     with pytest.raises(DomainError):
         K_N(-1, 0.5)

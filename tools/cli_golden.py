@@ -46,6 +46,14 @@ ERRORS = [
     "eval qgamma --x-re -1100.5 --q-re 0.5", "sweep asym-table --alpha 0.01 --n-max 65",
 ]
 
+#: direct products long enough for numpy blocks (about 5e4 factors, and
+#: |q| = 0.9975 off the real axis), one that ends on the smallest subnormal
+#: and one that underflows to 0
+PRODUCTS = [
+    "--x-re 0.5 --q-re 0.999", "--x-re 0.5 --q-re 0.9 --q-im 0.43",
+    "--x-re 0.5 --q-re 0.9999", "--x-re 0.9 --q-re 0.9999",
+]
+
 
 def run(main, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -73,6 +81,7 @@ def main() -> int:
     cases += [f"eval {t}" for t in cli.EVAL_TARGETS]
     cases += [f"check {t} {CHECK_POINTS.get(t, TN)}" for t in cli.CHECK_TARGETS]
     cases += ERRORS
+    cases += [f"eval pochhammer-direct {p}" for p in PRODUCTS]
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for case in cases:
