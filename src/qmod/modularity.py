@@ -166,14 +166,25 @@ def _require_thm29(point: ModularPoint) -> None:
         )
 
 
+def _refuse_underflow(value: complex, point: ModularPoint, *factors: complex) -> complex:
+    """value, unless it is 0 while none of the factors that can vanish
+    exactly (sqrt(1 - x) at x = 1, the q* product) is: then the
+    exponential, or the product of the rest, underflowed, a domain error."""
+    if value == 0.0 and all(f != 0.0 for f in factors):
+        raise DomainError(f"value underflows: (x;q)_oo at tau = {point.tau}, nu = {point.nu}")
+    return value
+
+
 def qpochhammer_modular_with_count(point: ModularPoint) -> tuple[complex, int]:
     """Transformed-side evaluation of (x; q)_oo, plus the number of
-    product terms the (tau*, nu*) side actually needed."""
+    product terms the (tau*, nu*) side actually needed.  A value that
+    underflows to 0 is a domain error."""
     _require_thm29(point)
     prod, n_terms = qpochhammer_with_count(_x_star_q_star(point), point.q_star)
     expo = dilog(point.x) / point.log_q + big_G(point) + P_minus(point)
     root = cmath.sqrt(1.0 - point.x)
-    return _finite(_q_pow_minus_1_24(point.tau) * root * prod * _exp(expo)), n_terms
+    value = _finite(_q_pow_minus_1_24(point.tau) * root * prod * _exp(expo))
+    return _refuse_underflow(value, point, root, prod), n_terms
 
 
 def qpochhammer_modular(point: ModularPoint) -> complex:
@@ -193,7 +204,8 @@ def qpochhammer_modular_variants(point: ModularPoint) -> complex:
     a single principal square root of the displayed ratio/product.  For
     Im(nu/tau) < 0, where |x*| > 1 can overflow, the root's 1/(1 - x*)
     cancels the first factor of (x*; q*)_oo, leaving
-    sqrt((1 - x)(1 - e^{-2 pi i nu/tau})) (x* q*; q*)_oo.
+    sqrt((1 - x)(1 - e^{-2 pi i nu/tau})) (x* q*; q*)_oo.  A value that
+    underflows to 0 is a domain error.
     """
     s = point.s
     if s.imag == 0.0:
@@ -211,7 +223,8 @@ def qpochhammer_modular_variants(point: ModularPoint) -> complex:
         root_prod = cmath.sqrt(
             (1.0 - x) * (1.0 - cmath.exp(-2j * math.pi * s))
         ) * qpochhammer(_x_star_q_star(point), point.q_star)
-    return _finite(_q_pow_minus_1_24(point.tau) * root_prod * _exp(expo))
+    value = _finite(_q_pow_minus_1_24(point.tau) * root_prod * _exp(expo))
+    return _refuse_underflow(value, point, root_prod)
 
 
 def ramanujan_completed(point: ModularPoint) -> complex:
@@ -223,22 +236,24 @@ def ramanujan_completed(point: ModularPoint) -> complex:
     never from its two halves of size |s log s|; the roots are
     taken individually principal (sqrt(2 pi) * sqrt(s) * sqrt(1 - x)),
     which is the combination that stays single-valued on the whole
-    domain.
+    domain.  A value that underflows to 0 is a domain error.
     """
     _require_thm29(point)
     s = point.s
     prod = qpochhammer(_x_star_q_star(point), point.q_star)
     stirling = _exp(big_G(point) - 0.5 * cmath.log(TWO_PI * s))
     expo = dilog(point.x) / point.log_q + P_minus(point)
-    return _finite(
+    root = cmath.sqrt(1.0 - point.x)
+    value = _finite(
         math.sqrt(TWO_PI)
         * cmath.sqrt(s)
-        * cmath.sqrt(1.0 - point.x)
+        * root
         * _q_pow_minus_1_24(point.tau)
         * stirling
         * _exp(expo)
         * prod
     )
+    return _refuse_underflow(value, point, root, prod)
 
 
 def thm29_residual(point: ModularPoint, tol: float | None = None) -> ResidualReport:

@@ -19,7 +19,10 @@ module builds:
 * g_plus / big_G  -- the Stirling-remainder Laplace integral and its
   closed form, minus Binet's function;
 * P_minus / P_plus and their nu- and tau-derivatives -- the oscillatory
-  ray sums whose direction comes from an admissible-cone search;
+  ray sums whose direction comes from an admissible-cone search; P's own
+  integrand is one fused numpy kernel that splits the ascending nodes by
+  slices, where the derivatives multiply the masked kernels fn_f and
+  sin_ratio (or cos_ratio);
 * A_n and K_N -- the coefficients of P's divergent series at q -> 1, in
   closed form, and the norm integrals of its remainder bound;
 * the series itself, which P_minus sums instead of its ray integral
@@ -45,7 +48,15 @@ import numpy as np
 from ._stability import cos_ratio, inv_expm1, sin_ratio
 from .errors import ConvergenceError, DomainError
 from .qcore import TERM_TOL, ModularPoint, _tail_length
-from .specialfns import PI_SQ_OVER_6, bernoulli, binet, fn_B, fn_f
+from .specialfns import (
+    _BOSE_COEFFS,
+    PI_SQ_OVER_6,
+    SERIES_RADIUS,
+    bernoulli,
+    binet,
+    fn_B,
+    fn_f,
+)
 from .specialfns import log_gamma  # noqa: F401  (perfbench's tracer wraps this name)
 
 TWO_PI = 2.0 * math.pi
@@ -157,13 +168,16 @@ def integrate_ray(
     The integrand takes a complex array of nodes t.  It must be analytic
     on the open ray, no worse than O(r^{-1+eps}) at 0, and decay like
     e^{-spec.decay r}; the map r = exp(u - e^{-u}) / decay puts the
-    nodes where that decay happens.
+    nodes where that decay happens.  _de_sum passes u in ascending order
+    and the map is increasing, so every call's nodes come in ascending
+    |t|: P's fused integrand relies on it to split them by slicing.
     """
     e_id = cmath.exp(1j * spec.direction_d)
 
     def weighted(u: np.ndarray) -> np.ndarray:
-        r = np.exp(u - np.exp(-u)) / spec.decay
-        return integrand(r * e_id) * (e_id * r * (1.0 + np.exp(-u)))
+        e_u = np.exp(-u)
+        t = np.exp(u - e_u) / spec.decay * e_id
+        return integrand(t) * (t * (1.0 + e_u))
 
     return _de_sum(weighted, RAY_REL_TOL)
 
@@ -284,11 +298,48 @@ def big_G(point: ModularPoint) -> complex:
 
 
 def _p_integrand(point: ModularPoint) -> Callable[[np.ndarray], np.ndarray]:
+    """sin(nu w)/(e^{iw} - 1) f(t)/t, w = t/tau, as one fused kernel on the
+    nodes of one ray, which integrate_ray passes in ascending |t|.
+
+    Each factor splits the nodes once, at the first node past its radius
+    (np.searchsorted on |t|), and works on slices either side, where the
+    two kernels fn_f and sin_ratio mask every node into two branches:
+
+    * f(t)/t is -2 sum_m B_2m (-t^2)^{m-1}/(2m)! below SERIES_RADIUS,
+      fn_f's Bernoulli series, and (2/v - 2/expm1(v) - 1)/v above it,
+      v = ist with s the sign of Im t on the ray, so that Re v <= 0:
+      fn_f's expm1 form, which keeps the digits cot(t/2) - 2/t cancels
+      just past the radius;
+    * the sine ratio is sin(nu w)/expm1(iw) where |w| (1 + |nu|) < 1 and
+      (e^{i(nu-1)w} - e^{-i(nu+1)w}) / (2i (1 - e^{-iw})) past it, as in
+      sin_ratio: on an admissible ray every exponential there decays.
+
+    No node is tested against f's real poles 2 pi k: a ray along the real
+    axis, which only a caller's RaySpec can give, does not converge.
+    """
     tau = point.tau
     nu = point.nu
+    a = 1j * (nu - 1.0)
+    b = -1j * (nu + 1.0)
+    near = abs(tau) / (1.0 + abs(nu))
 
     def integrand(t):
-        return sin_ratio(nu, t / tau) * fn_f(t) / t
+        r = np.abs(t)
+        out = np.empty_like(t)
+        k = r.searchsorted(SERIES_RADIUS)
+        t2 = -t[:k] * t[:k]
+        series = np.zeros_like(t2)
+        for coeff in _BOSE_COEFFS:
+            series = series * t2 + coeff
+        out[:k] = -2.0 * series
+        v = (-1j if t[-1].imag < 0.0 else 1j) * t[k:]
+        out[k:] = (2.0 / v - 2.0 / np.expm1(v) - 1.0) / v
+        m = r.searchsorted(near)
+        w = t[:m] / tau
+        out[:m] *= np.sin(nu * w) / np.expm1(1j * w)
+        w = t[m:] / tau
+        out[m:] *= (np.exp(a * w) - np.exp(b * w)) / (2j * (1.0 - np.exp(-1j * w)))
+        return out
 
     return integrand
 
@@ -564,10 +615,18 @@ def K_N(N: int, nu: complex) -> float:
     # e^{-30} of it
     a = 1.0 - abs(nu.real)
     stretch = max(1.0, 8.0 * N / _DE_END)
+    # near its peak the integrand is about (2N/(e a))^{2N}/2, past the double
+    # range from N ~ 58 at a = 0.1: in units of a power of two 2^j at most
+    # 2N/(e a) it stays at least 1/2 there and below 2^{2N}, and K_N is
+    # the integral times 2^{2Nj}, a domain error where that overflows
+    j = max(0, math.floor(math.log2(2.0 * N / (math.e * a)))) if N else 0
+    unit = 2.0**-j
 
     def integrand(r):
-        # |sinh(nu r)| / (e^r - 1) r^N r^N, paired so that nothing overflows
-        return np.abs(sin_ratio(nu, -1j * r)) * r**N * r**N
+        # |sinh(nu r)| / (e^r - 1) (r/2^j)^N (r/2^j)^N, paired so that
+        # nothing overflows
+        x = r * unit
+        return np.abs(sin_ratio(nu, -1j * r)) * x**N * x**N
 
     if nu.real == 0.0:
         # |sinh(nu r)| = |sin(r Im nu)| has kinks at its zeros, where no one
@@ -575,11 +634,16 @@ def K_N(N: int, nu: complex) -> float:
         step = math.pi / abs(nu.imag)
         end = _DE_END * stretch  # a = 1
         knots = [k * step for k in range(math.ceil(end / step))] + [end]
-        return math.fsum(
+        scaled = math.fsum(
             _integrate_interval(integrand, lo, hi).real for lo, hi in zip(knots, knots[1:])
         )
-    spec = RaySpec(direction_d=0.0, decay=a / stretch)
-    return integrate_ray(lambda t: integrand(t.real), spec).value.real
+    else:
+        spec = RaySpec(direction_d=0.0, decay=a / stretch)
+        scaled = integrate_ray(lambda t: integrand(t.real), spec).value.real
+    try:
+        return math.ldexp(scaled, 2 * N * j)
+    except OverflowError:
+        raise DomainError(f"K_{N}({nu}) exceeds the double range") from None
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,16 @@ def test_eval_modular_overflow_exit(capsys):
     assert "domain error" in err and "Traceback" not in err
 
 
+def test_eval_modular_underflow_exit(capsys):
+    # Li2(x)/log q sends e^expo below the double range: once printed as 0
+    code, out, err = run(
+        capsys, "eval", "pochhammer-modular", "--tau-im", "1e-5", "--nu-im", "3e-6"
+    )
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "value underflows" in err
+
+
 def test_eval_G_error_covers_binet_error():
     # Binet's function carries up to ~3.6e-15 absolute error on its shifted
     # range, where |G| can be far below 1; the reported error must cover it

@@ -127,6 +127,15 @@ def test_modular_overflow_is_a_domain_error():
             f(p)
 
 
+def test_modular_underflow_is_a_domain_error():
+    # (x;q)_oo ~ e^{-Li2(x)/(2 pi alpha)} at x ~ e^{-2 pi 3e-6}, alpha = 1e-5,
+    # far below the double range: e^expo underflows to 0
+    p = ModularPoint(1e-5j, 1e-7 + 3e-6j)
+    for f in (qpochhammer_modular, ramanujan_completed, qpochhammer_modular_variants):
+        with pytest.raises(DomainError, match="underflows"):
+            f(p)
+
+
 def test_q_gamma_modular_underflow_is_a_domain_error():
     # both products underflow to 0 at alpha = 1e-4
     with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ constants come the same way from 30-digit mpmath.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from qmod.raysum import (
     stokes_sum,
 )
 from qmod._stability import sin_ratio
-from qmod.specialfns import fn_B
+from qmod.specialfns import SERIES_RADIUS, fn_B, fn_f
 
 
 def rel(got, want):
@@ -499,6 +500,50 @@ def test_P_minus_series_keeps_the_lower_cone_refusal():
         P_minus(p)
 
 
+def test_p_integrand_matches_the_two_kernels():
+    # the fused integrand against sin_ratio and fn_f node by node, on the
+    # lower and upper rays of seeded points of the domain-fuzz box, on
+    # integrate_ray's nodes (ascending |t|) at step h = 1/64: weighted as
+    # the trapezoid sum weighs them, the differences add up to at most
+    # 1e-13 |I| (measured: 2.5e-14).  Single nodes may carry more where
+    # the weighted integrand is 66 |I| and both kernels round to 5e-15
+    rng = np.random.default_rng(20261019)
+    h = 1.0 / 64.0
+    u = np.arange(-DE_SPAN, DE_SPAN + 1e-9, h)
+    rays = 0
+    for _ in range(60):
+        tau = complex(rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(-2.5, 0.5))
+        nu = complex(rng.uniform(-0.95, 0.95), rng.uniform(-1.0, 1.0))
+        point = ModularPoint(tau, nu)
+
+        def reference(t):
+            return sin_ratio(nu, t / tau) * fn_f(t) / t
+
+        for half in ("lower", "upper"):
+            try:
+                spec = choose_ray(point, half)
+            except DomainError:
+                continue
+            r = np.exp(u - np.exp(-u)) / spec.decay
+            radii = (SERIES_RADIUS, abs(tau) / (1.0 + abs(nu)))
+            assert r[0] < min(radii) and r[-1] > max(radii)
+            e_id = cmath.exp(1j * spec.direction_d)
+            t = r * e_id
+            weight = h * r * (1.0 + np.exp(-u))
+            value = integrate_ray(reference, spec).value
+            diff = np.abs(_p_integrand(point)(t) - reference(t)) * weight
+            assert diff.sum() <= 1e-13 * abs(value), (tau, nu, half)
+            rays += 1
+    assert rays >= 60
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-13, -1e-13])
+def test_P_minus_along_the_real_axis_raises(d):
+    # the real axis runs through the poles 2 pi k of f: no value may come back
+    with pytest.raises((ConvergenceError, DomainError)):
+        P_minus(ModularPoint(1j, 0.1j), RaySpec(d))
+
+
 # ---------------------------------------------------------------------------
 # A_n, K_N
 
@@ -636,6 +681,17 @@ def test_K_N_large_N_against_mpmath(nu):
     with mpmath.workdps(25):
         for N in (15, 20, 30):
             assert rel(K_N(N, nu), _k_n_mpmath(mpmath, N, complex(nu))) < 1e-13, N
+
+
+def test_K_N_to_the_end_of_the_double_range():
+    # K_58(0.9) = 1.6966e307 sums nodes past the double range unless its
+    # integrand is scaled; K_59(0.9) ~ 2e313 is a domain error, not a
+    # ConvergenceError or an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rel(K_N(58, 0.9), 1.69655434222599317575555e307) < 1e-13
+        with pytest.raises(DomainError, match="double range"):
+            K_N(59, 0.9)
 
 
 def test_K_N_domain():

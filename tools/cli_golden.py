@@ -44,6 +44,7 @@ ERRORS = [
     "check lambert72 --out missing-dir/x.txt", "check binet74 --format csv --out out.csv",
     "eval L1 --tau-im 1e-7 --nu-re 0.3", "eval pochhammer-euler --x-re 0.5 --q-re 0.99",
     "eval qgamma --x-re -1100.5 --q-re 0.5", "sweep asym-table --alpha 0.01 --n-max 65",
+    "eval pochhammer-modular --tau-im 1e-5 --nu-im 3e-6",
 ]
 
 #: direct products long enough for numpy blocks (about 5e4 factors, and
