@@ -9,19 +9,19 @@ identity as a residual check.
 
 Layout:
 
-- ``specialfns``: Bernoulli numbers, the building-block functions B and
-  f, the dilogarithm, and Binet's function mu (with log-Gamma and
-  digamma as wrappers over it).
+- ``specialfns``: Bernoulli numbers, the building-block function f, the
+  dilogarithm, and Binet's function mu (with log-Gamma as a wrapper
+  over it).
 - ``qcore``: q-Pochhammer products and series, the Jackson q-Gamma
   function, Dedekind eta, Jacobi theta, Lambert sums, and the
   ``ModularPoint`` container.  Every series fixes its length before its
   first term, from a tail bound below ``TERM_TOL`` (1e-16), and raises
   ``ConvergenceError`` at once when that length exceeds ``MAX_TERMS``
   (10^6).
-- ``raysum``: certified quadrature along rays, the correction integrals
-  P, g^+ and G, their derivatives, P's divergent series at q -> 1 with
-  its closed-form coefficients A_n, the K_N norm integrals, and the
-  almost-modular function M.
+- ``raysum``: certified quadrature along rays, the correction integral
+  P and its derivatives, G (the integral g^+ in closed form), P's
+  divergent series at q -> 1 with its closed-form coefficients A_n, the
+  K_N norm integrals, and the almost-modular function M.
 - ``modularity``: residual evaluation of each transformation law, plus
   the asymptotic table machinery.
 - ``cli``: the ``qmod`` command line front end.
@@ -29,7 +29,7 @@ Layout:
 
 from .errors import ConvergenceError, DomainError
 from .qcore import MAX_TERMS, TERM_TOL, ModularPoint, euler_series, eta, q_gamma, qpochhammer
-from .raysum import RaySpec, choose_ray, g_plus, big_G, P_minus, P_plus
+from .raysum import RaySpec, choose_ray, big_G, P_minus, P_plus
 
 __all__ = [
     "ConvergenceError",
@@ -43,7 +43,6 @@ __all__ = [
     "eta",
     "q_gamma",
     "qpochhammer",
-    "g_plus",
     "big_G",
     "P_minus",
     "P_plus",

@@ -63,11 +63,9 @@ _EULER_GAMMA = 0.5772156649015328606
 TOLERANCES: dict[str, float] = {
     "euler-identity": 1e-11,
     "thm29": 1e-8,
-    "thm29-variant": 1e-9,
     "ramanujan47": 1e-12,
     "eta-modular": 1e-10,
     "theta-modular": 1e-10,
-    "theta-modular-simple": 1e-11,
     "stokes28": 1e-9,
     "reflection34": 1e-10,
     "lambert67": 1e-7,
@@ -191,42 +189,6 @@ def qpochhammer_modular(point: ModularPoint) -> complex:
     return qpochhammer_modular_with_count(point)[0]
 
 
-def g_star(point: ModularPoint) -> complex:
-    """Odd part of G in nu: (G(tau, nu) - G(tau, -nu)) / 2."""
-    return 0.5 * (big_G(point) - big_G(ModularPoint(point.tau, -point.nu)))
-
-
-def qpochhammer_modular_variants(point: ModularPoint) -> complex:
-    """The two half-domain restatements built on the odd part of G.
-
-    Which one applies is decided by the sign of Im(nu/tau); the common
-    boundary (nu/tau real) belongs to neither and is rejected.  Both use
-    a single principal square root of the displayed ratio/product.  For
-    Im(nu/tau) < 0, where |x*| > 1 can overflow, the root's 1/(1 - x*)
-    cancels the first factor of (x*; q*)_oo, leaving
-    sqrt((1 - x)(1 - e^{-2 pi i nu/tau})) (x* q*; q*)_oo.  A value that
-    underflows to 0 is a domain error.
-    """
-    s = point.s
-    if s.imag == 0.0:
-        raise DomainError(
-            "nu/tau is real: the point sits on the boundary between the "
-            "two variant half-domains"
-        )
-    _require_thm29(point)
-    expo = dilog(point.x) / point.log_q + g_star(point) + P_minus(point)
-    x = point.x
-    if s.imag > 0.0:
-        xs = point.x_star
-        root_prod = cmath.sqrt((1.0 - x) / (1.0 - xs)) * qpochhammer(xs, point.q_star)
-    else:
-        root_prod = cmath.sqrt(
-            (1.0 - x) * (1.0 - cmath.exp(-2j * math.pi * s))
-        ) * qpochhammer(_x_star_q_star(point), point.q_star)
-    value = _finite(_q_pow_minus_1_24(point.tau) * root_prod * _exp(expo))
-    return _refuse_underflow(value, point, root_prod)
-
-
 def ramanujan_completed(point: ModularPoint) -> complex:
     """The completed product formula with the Stirling factor written out.
 
@@ -239,7 +201,7 @@ def ramanujan_completed(point: ModularPoint) -> complex:
     domain.  A value that underflows to 0 is a domain error.
     """
     _require_thm29(point)
-    s = point.s
+    s = point.nu_star
     prod = qpochhammer(_x_star_q_star(point), point.q_star)
     stirling = _exp(big_G(point) - 0.5 * cmath.log(TWO_PI * s))
     expo = dilog(point.x) / point.log_q + P_minus(point)
@@ -261,18 +223,6 @@ def thm29_residual(point: ModularPoint, tol: float | None = None) -> ResidualRep
     rhs = qpochhammer_modular(point)
     return compare(
         "thm29", {"tau": point.tau, "nu": point.nu}, lhs, rhs, _tol("thm29", tol)
-    )
-
-
-def variant_residual(point: ModularPoint, tol: float | None = None) -> ResidualReport:
-    lhs = qpochhammer_modular(point)
-    rhs = qpochhammer_modular_variants(point)
-    return compare(
-        "thm29-variant",
-        {"tau": point.tau, "nu": point.nu},
-        lhs,
-        rhs,
-        _tol("thm29-variant", tol),
     )
 
 
@@ -315,41 +265,30 @@ def eta_modular_residual(tau: complex, tol: float | None = None) -> ResidualRepo
 
 
 def theta_modular_residual(
-    tau: complex,
-    nu: complex,
-    tol: float | None = None,
-    simplified: bool = False,
+    tau: complex, nu: complex, tol: float | None = None
 ) -> ResidualReport:
     """Jacobi triple-product theta against its inverted-tau expression.
 
     The root sqrt(i/(tau x)) is read as sqrt(i/tau) e^{-pi i nu} (the
     nu-defined branch; equal to the principal root for |Re nu| < 1/2).
-    With that reading the Gaussian prefactor form and the simplified
-    form exp(-(log x)^2 / (2 log q)) are algebraically identical, so the
-    two variants differ only by rounding.
     """
     point = ModularPoint(tau, nu)
     lhs = theta_product_tau(point.tau, point.x)
-    rhs_theta = theta_product_tau(point.tau_star, point.x_star)
-    if simplified:
-        ident = "theta-modular-simple"
-        log_x = TWO_PI * 1j * point.nu
-        rhs = (
-            cmath.sqrt(1j / point.tau)
-            * cmath.exp(-(log_x**2) / (2.0 * point.log_q))
-            * rhs_theta
-        )
-    else:
-        ident = "theta-modular"
-        w = TWO_PI * 1j * (point.nu - point.tau / 2.0)  # log(x / sqrt(q))
-        rhs = (
-            cmath.exp(1j * math.pi * point.tau / 4.0)  # q^{1/8}
-            * cmath.sqrt(1j / point.tau)
-            * cmath.exp(-1j * math.pi * point.nu)
-            * cmath.exp(-(w**2) / (2.0 * point.log_q))
-            * rhs_theta
-        )
-    return compare(ident, {"tau": point.tau, "nu": point.nu}, lhs, rhs, _tol(ident, tol))
+    w = TWO_PI * 1j * (point.nu - point.tau / 2.0)  # log(x / sqrt(q))
+    rhs = (
+        cmath.exp(1j * math.pi * point.tau / 4.0)  # q^{1/8}
+        * cmath.sqrt(1j / point.tau)
+        * cmath.exp(-1j * math.pi * point.nu)
+        * cmath.exp(-(w**2) / (2.0 * point.log_q))
+        * theta_product_tau(point.tau_star, point.x_star)
+    )
+    return compare(
+        "theta-modular",
+        {"tau": point.tau, "nu": point.nu},
+        lhs,
+        rhs,
+        _tol("theta-modular", tol),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +315,7 @@ def reflection_residual(
     mpmath oracle test of ``binet`` on both half-planes is what makes
     the check independent.
     """
-    s = point.s
+    s = point.nu_star
     if s.imag == 0.0:
         raise DomainError("nu/tau is real: reflection needs s off the real axis")
     lhs = big_G(point) + big_G(ModularPoint(point.tau, -point.nu))
@@ -436,7 +375,7 @@ def lambert_relation_residuals(
             )
         return compare(ident, inputs, lhs, rhs, tolerance)
 
-    s = point.s
+    s = point.nu_star
     if point.nu == 0 or (s.imag == 0.0 and s.real <= 0.0):
         raise DomainError(f"nu/tau = {s} violates the relation-{which} domain")
     inputs = {"tau": tau, "nu": point.nu}

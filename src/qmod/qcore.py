@@ -2,7 +2,7 @@
 
 Everything here is summed term by term inside the unit q-disk: the
 infinite product (x;q)_oo, Euler's series for it, Jackson's q-Gamma,
-Dedekind eta, Jacobi theta in product and Laurent form, and the
+Dedekind eta, Jacobi theta as a triple product, and the
 generalized Lambert series L1/L2.  These are the slow-but-sure oracles
 the modular identities are checked against; nothing in this module knows
 about modular transformations.
@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-TWO_PI = 2.0 * math.pi
 POLE_GUARD = 1e-12
 
 
@@ -156,17 +155,12 @@ class ModularPoint:
         return cmath.exp(2j * math.pi * self.nu_star)
 
     @cached_property
-    def s(self) -> complex:
-        """nu/tau (same number as nu_star; kept under its own name)."""
-        return self.nu / self.tau
-
-    @cached_property
     def admissible_thm29(self) -> bool:
         """True iff nu avoids (-oo,-1] u [1,oo) and nu/tau avoids (-oo,0]."""
         nu = self.nu
         if nu.imag == 0.0 and abs(nu.real) >= 1.0:
             return False
-        s = self.s
+        s = self.nu_star
         if s.imag == 0.0 and s.real <= 0.0:
             return False
         return True
@@ -326,16 +320,6 @@ def eta(tau: complex) -> complex:
     return cmath.exp(1j * math.pi * tau / 12.0) * qpochhammer(q, q)
 
 
-def _check_theta_args(q: complex, x: complex) -> tuple[complex, complex]:
-    q = complex(q)
-    x = complex(x)
-    if not 0.0 < abs(q) < 1.0:
-        raise DomainError(f"need 0 < |q| < 1, got |q| = {abs(q)}")
-    if x == 0:
-        raise DomainError("x must be nonzero")
-    return q, x
-
-
 def theta_product(q: complex, x: complex) -> complex:
     """Jacobi theta as the triple product (q;q)(-sqrt(q) x;q)(-sqrt(q)/x;q).
 
@@ -343,7 +327,12 @@ def theta_product(q: complex, x: complex) -> complex:
     :func:`theta_product_tau` when the half-period convention e^{pi i tau}
     matters.
     """
-    q, x = _check_theta_args(q, x)
+    q = complex(q)
+    x = complex(x)
+    if not 0.0 < abs(q) < 1.0:
+        raise DomainError(f"need 0 < |q| < 1, got |q| = {abs(q)}")
+    if x == 0:
+        raise DomainError("x must be nonzero")
     if q.imag == 0.0 and q.real < 0.0:
         raise DomainError("q on the negative real axis: principal sqrt(q) is "
                           "ambiguous, call theta_product_tau instead")
@@ -368,43 +357,6 @@ def _triple_product(q: complex, sqrt_q: complex, x: complex) -> complex:
         * qpochhammer(-sqrt_q * x, q)
         * qpochhammer(-sqrt_q / x, q)
     )
-
-
-def theta_laurent(q: complex, x: complex) -> complex:
-    """Jacobi theta as the symmetric Laurent sum sum_{n in Z} q^{n^2/2} x^n.
-
-    With a = -log|q| and b = |log|x||, the terms n and -n are at most
-    2 e^{-n^2 a/2 + n b}, which falls by e^{-(n a - b)} or more per step.
-    From n a - b >= log 2 on, the pairs from N on therefore sum below
-    4 e^{-N^2 a/2 + N b}; N is the first integer past both that point and
-    the root where this bound equals TERM_TOL, fixed before the first term.
-    Refused, like euler_series, where the terms dwarf the sum so far that
-    its rounding may exceed ROUND_TOL of it.
-    """
-    q, x = _check_theta_args(q, x)
-    a = -math.log(abs(q))
-    b = abs(math.log(abs(x)))
-    root = (b + math.sqrt(b * b + 2.0 * a * math.log(4.0 / TERM_TOL))) / a
-    last = max((b + math.log(2.0)) / a, root)
-    if not last < MAX_TERMS:
-        raise ConvergenceError(f"theta sum needs {last:.0f} terms, budget {MAX_TERMS}")
-    n_pairs = math.floor(last) + 1
-    rq = cmath.exp(0.5 * cmath.log(q))  # principal q^{1/2}
-    total = 1.0 + 0.0j
-    abs_sum = 1.0
-    gauss = rq  # q^{n^2/2}; grows by the factor q^{n + 1/2} each step
-    fac = rq
-    xp = x
-    xm = 1.0 / x
-    for _ in range(1, n_pairs):
-        total += gauss * (xp + xm)
-        abs_sum += abs(gauss) * (abs(xp) + abs(xm))
-        xp *= x
-        xm /= x
-        fac *= q
-        gauss *= fac
-    _refuse_cancellation(total, abs_sum, 2 * n_pairs - 1, "theta sum")
-    return _finite(total)
 
 
 def _lambert_terms(point: ModularPoint, n_terms: int):
@@ -438,22 +390,3 @@ def lambert_L2(point: ModularPoint) -> complex:
     c = -1.0 / (math.e * s * log_s) if s > 1.0 / math.e else 1.0
     n_terms = _tail_length(4.0 * c * abs(point.x), s, "Lambert series")
     return sum(((n + 1) * t for n, t in enumerate(_lambert_terms(point, n_terms))), 0j)
-
-
-def log_qpochhammer_real(alpha: float, xi: float) -> float:
-    """log (q^{1+xi}; q)_oo at q = e^{-2 pi alpha}, summed factor-by-factor.
-
-    Every factor lies in (0,1), so the result is a plain real log-sum;
-    this is the left-hand side of the almost-modular real identity and
-    deliberately never touches complex arithmetic.
-    """
-    if not alpha > 0.0:
-        raise DomainError("alpha must be positive")
-    if not xi > -1.0:
-        raise DomainError("xi must exceed -1")
-    a = TWO_PI * alpha
-    # |log(1 - u)| is about u = q^{1+xi+n}.  The factor at the tail bound's
-    # index is taken too, leaving a tail below q TERM_TOL: that matters where
-    # the whole sum is below TERM_TOL
-    n_factors = _tail_length(math.exp(-a * (1.0 + xi)), math.exp(-a), "product log")
-    return sum(math.log1p(-math.exp(-a * (1.0 + xi + n))) for n in range(n_factors + 1))

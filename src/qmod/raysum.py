@@ -16,8 +16,8 @@ converged within MAX_NODES nodes, has not decayed at the ends of the
 range, or meets a non-finite value raises ConvergenceError.  On it the
 module builds:
 
-* g_plus / big_G  -- the Stirling-remainder Laplace integral and its
-  closed form, minus Binet's function;
+* big_G  -- the Stirling-remainder Laplace integral g^+ in closed form,
+  minus Binet's function;
 * P_minus / P_plus and their nu- and tau-derivatives -- the oscillatory
   ray sums whose direction comes from an admissible-cone search; P's own
   integrand is one fused numpy kernel that splits the ascending nodes by
@@ -52,14 +52,13 @@ from .specialfns import (
     _BOSE_COEFFS,
     PI_SQ_OVER_6,
     SERIES_RADIUS,
+    TWO_PI,
     bernoulli,
     binet,
-    fn_B,
     fn_f,
 )
 from .specialfns import log_gamma  # noqa: F401  (perfbench's tracer wraps this name)
 
-TWO_PI = 2.0 * math.pi
 ABS_FLOOR = 1e-15
 #: half-width of the u-range and the first trapezoid step; past |u| = 4.5
 #: a ray integrand has decayed by e^{-89} and tanh-sinh weights are < 1e-60
@@ -258,36 +257,17 @@ def choose_ray(point: ModularPoint, half: str) -> RaySpec:
 
 
 # ---------------------------------------------------------------------------
-# g^+ and G
-
-
-def g_plus(z: complex) -> complex:
-    """g^+(z) = -int_0^{oo e^{id}} B(t) e^{-2 pi z t} dt/t on S(-pi, pi).
-
-    The ray is rotated to d = -arg(z)/2, which keeps both the kernel's
-    pole-free sector |d| < pi/2 and the decay condition Re(z e^{id}) > 0
-    with equal margin, the decay rate being 2 pi |z| cos(arg(z)/2); z on
-    the cut (-oo, 0] has no admissible ray.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise DomainError(f"g_plus undefined on the cut, got z = {z}")
-    arg = cmath.phase(z)
-    spec = RaySpec(-0.5 * arg, decay=TWO_PI * abs(z) * math.cos(0.5 * arg))
-
-    def integrand(t):
-        return -fn_B(t) * np.exp(-TWO_PI * z * t) / t
-
-    return integrate_ray(integrand, spec).value
+# G
 
 
 def big_G(point: ModularPoint) -> complex:
     """G(tau, nu) = -mu(s), minus Binet's function at s = nu/tau.
 
-    Defined for s off (-oo, 0]; equals g_plus(s), which remains
-    available as an independent cross-check.
+    Defined for s off (-oo, 0], where it equals the paper's Laplace
+    integral g^+(s) = -int_0^oo B(t) e^{-2 pi s t} dt/t, with
+    B(t) = 1/(e^{2 pi t} - 1) - 1/(2 pi t) + 1/2.
     """
-    s = point.s
+    s = point.nu_star
     if s.imag == 0.0 and s.real <= 0.0:
         raise DomainError(f"big_G needs nu/tau off (-oo, 0], got s = {s}")
     return -binet(s)

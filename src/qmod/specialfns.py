@@ -1,13 +1,12 @@
 """Special functions used by every other module.
 
 Bernoulli numbers (exact-rational Akiyama-Tanigawa, exported as floats),
-the exponential-remainder kernel ``fn_B``, the cotangent remainder
-``fn_f`` (both elementwise on numpy arrays too, for the quadrature
-nodes), Binet's function mu (the Stirling remainder of log Gamma) and
-its derivative from the Stirling series, with principal-branch
-log-Gamma and digamma as two-line wrappers over them, and a
-dilogarithm covering the whole complex plane through its functional
-equations.  numpy is the only dependency.
+the cotangent remainder ``fn_f`` (elementwise on numpy arrays too, for
+the quadrature nodes), Binet's function mu (the Stirling remainder of
+log Gamma) and its derivative from the Stirling series, with
+principal-branch log-Gamma as a wrapper over it, and a dilogarithm
+covering the whole complex plane through its functional equations.
+numpy is the only dependency.
 
 All branches are principal: ``Im log`` lies in (-pi, pi], and inputs on
 the dilogarithm's cut [1, oo) evaluate the limit from the upper
@@ -153,24 +152,13 @@ def _bose_series(w: np.ndarray) -> np.ndarray:
     return total * w
 
 
-def fn_B(t):
-    """The kernel 1/(e^{2 pi t} - 1) - 1/(2 pi t) + 1/2.
-
-    Odd, with a removable singularity at 0 (handled by the Bernoulli
-    series for |2 pi t| < 1/2) and simple poles at t in i*Z \\ {0}.
-    Takes a scalar or an array, elementwise.
-    """
-    t = np.asarray(t, dtype=complex)
-    _reject_poles("fn_B", t, 1j * np.round(t.imag))
-    return _bose_remainder(TWO_PI * t)
-
-
 def fn_f(t):
     """cot(t/2) - 2/t, the cotangent remainder.
 
     Odd, removable at 0, simple poles at 2 pi k for nonzero integer k.
-    Computed as f(t) = 2i B(it / 2 pi), the rotated :func:`fn_B`; takes
-    a scalar or an array, elementwise.
+    Computed as f(t) = 2i B(it / 2 pi) from the exponential-remainder
+    kernel B(t) = 1/(e^{2 pi t} - 1) - 1/(2 pi t) + 1/2; takes a scalar or
+    an array, elementwise.
     """
     t = np.asarray(t, dtype=complex)
     _reject_poles("fn_f", t, TWO_PI * np.round(t.real / TWO_PI))
@@ -311,12 +299,6 @@ def log_gamma(z: complex) -> complex:
     """Principal-branch log Gamma(z), continuous off the cut (-oo, 0]."""
     z = _reject_gamma_pole(z)
     return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(TWO_PI) + binet(z)
-
-
-def digamma(z: complex) -> complex:
-    """Gamma'(z)/Gamma(z)."""
-    z = _reject_gamma_pole(z)
-    return cmath.log(z) - 0.5 / z + binet(z, True)
 
 
 def dilog(x: complex) -> complex:

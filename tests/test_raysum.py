@@ -40,13 +40,12 @@ from qmod.raysum import (
     choose_ray,
     dP_dnu,
     dP_dtau,
-    g_plus,
     integrate_ray,
     pv_M_direct,
     stokes_sum,
 )
 from qmod._stability import sin_ratio
-from qmod.specialfns import SERIES_RADIUS, fn_B, fn_f
+from qmod.specialfns import SERIES_RADIUS, fn_f
 
 
 def rel(got, want):
@@ -294,25 +293,38 @@ def test_choose_ray_bad_half_label():
 # g^+ and G
 
 
+def _fn_B(t):
+    """B(t) = 1/(e^{2 pi t} - 1) - 1/(2 pi t) + 1/2, as f(-2 pi i t)/(2i)."""
+    return fn_f(-2j * math.pi * t) / 2j
+
+
+def _g_plus(z: complex) -> complex:
+    """g^+(z) = -int_0^{oo e^{id}} B(t) e^{-2 pi z t} dt/t, z off (-oo, 0]: the
+    Laplace integral big_G evaluates in closed form.  The ray d = -arg(z)/2
+    keeps clear of B's poles on the imaginary axis and decays at the rate
+    2 pi |z| cos(arg(z)/2)."""
+    arg = cmath.phase(z)
+    spec = RaySpec(-0.5 * arg, decay=2.0 * math.pi * abs(z) * math.cos(0.5 * arg))
+    return integrate_ray(lambda t: -_fn_B(t) * np.exp(-2.0 * math.pi * z * t) / t, spec).value
+
+
 def test_g_plus_frozen():
-    assert rel(g_plus(1.0), -0.081061466795327258) < 1e-11
-    assert rel(g_plus(10.0), -0.0083305634333628713) < 1e-11
-    assert rel(g_plus(1 + 1j), -0.042249635750932902 + 0.040912992446230007j) < 1e-11
-    assert rel(g_plus(5 - 2j), -0.014360359684293145 - 0.0057311169424152241j) < 1e-11
-
-
-def test_g_plus_cut():
-    with pytest.raises(DomainError):
-        g_plus(-1.0)
-    with pytest.raises(DomainError):
-        g_plus(0.0)
+    # big_G at s = nu/tau = z is g^+(z)
+    for z, want in (
+        (1.0, -0.081061466795327258),
+        (10.0, -0.0083305634333628713),
+        (1 + 1j, -0.042249635750932902 + 0.040912992446230007j),
+        (5 - 2j, -0.014360359684293145 - 0.0057311169424152241j),
+    ):
+        assert rel(big_G(ModularPoint(1j, 1j * z)), want) < 1e-11
+        assert rel(_g_plus(z), want) < 1e-11
 
 
 def test_big_G_equals_g_plus():
     # closed Stirling-remainder form against the Laplace integral
     for tau, nu in ((1j, 0.3j), (1j, 0.25), (0.2 + 0.9j, 0.1 + 0.2j), (0.5j, 0.2 + 0.1j)):
         p = ModularPoint(tau, nu)
-        assert abs(big_G(p) - g_plus(p.s)) < 1e-10
+        assert abs(big_G(p) - _g_plus(p.nu_star)) < 1e-10
 
 
 def test_big_G_frozen_and_domain():
@@ -558,7 +570,7 @@ def test_A_n_frozen():
 def test_A_1_is_fn_B():
     # the n = 1 moment reproduces B(z/2pi) for |z| < 2 pi
     for z in (0.7, 1.9, 0.5 + 0.5j):
-        assert abs(A_n(1, z) - fn_B(z / (2.0 * math.pi))) < 1e-11
+        assert abs(A_n(1, z) - _fn_B(z / (2.0 * math.pi))) < 1e-11
 
 
 def test_A_n_rotated_continuation():

@@ -17,9 +17,7 @@ from qmod.specialfns import (
     TWO_PI,
     bernoulli,
     binet,
-    digamma,
     dilog,
-    fn_B,
     fn_f,
     log_gamma,
 )
@@ -89,7 +87,13 @@ def test_bernoulli_overflow_band():
 
 
 # ---------------------------------------------------------------------------
-# fn_B / fn_f
+# fn_f, and B as f rotated
+
+
+def fn_B(t):
+    """The exponential-remainder kernel 1/(e^{2 pi t} - 1) - 1/(2 pi t) + 1/2,
+    which fn_f evaluates rotated: B(t) = f(-2 pi i t)/(2i)."""
+    return fn_f(-1j * TWO_PI * t) / 2j
 
 
 def test_fn_B_frozen():
@@ -118,8 +122,10 @@ def test_fn_f_frozen():
 
 
 def test_fn_f_is_rotated_fn_B():
+    # f(t) = 2i B(it/2pi), with B(it/2pi) = 1/(e^{it} - 1) - 1/(it) + 1/2
     for t in (1 + 0.5j, 0.3, -2.0 + 1j, 4.0):
-        assert rel(fn_f(t), 2j * fn_B(1j * t / TWO_PI)) < 1e-12
+        direct = 1.0 / (cmath.exp(1j * t) - 1.0) - 1.0 / (1j * t) + 0.5
+        assert rel(fn_f(t), 2j * direct) < 1e-12
 
 
 def test_fn_B_pole_guard():
@@ -153,7 +159,12 @@ def test_fn_f_odd(t):
 
 
 # ---------------------------------------------------------------------------
-# log_gamma / digamma
+# log_gamma, and digamma from Binet's mu'
+
+
+def digamma(z: complex) -> complex:
+    """psi(z) = log z - 1/(2z) + mu'(z)."""
+    return cmath.log(z) - 0.5 / z + binet(z, True)
 
 
 def test_log_gamma_exact_points():
@@ -207,7 +218,7 @@ def test_digamma_vs_log_gamma_difference():
 
 
 # ---------------------------------------------------------------------------
-# Binet's function mu and mu', which log_gamma and digamma wrap
+# Binet's function mu and mu'
 
 
 def test_binet_against_mpmath():

@@ -146,7 +146,7 @@ def compare(old: list[dict], new: list[dict], oracle, top: int) -> list[str]:
     if oracle is not None and moved:
         errors = [(oracle.error(a), oracle.error(b)) for _, _, a, b in moved]
         closer = sum(eb < ea for ea, eb in errors)
-        worse = [(eb - ea, m) for (ea, eb), m in zip(errors, moved) if eb > max(ea, 1e-14)]
+        worse = [(eb - ea, m) for (ea, eb), m in zip(errors, moved) if eb - ea > 1e-14]
         lines.append(
             f"    closer to the oracle: {closer}, further: {len(moved) - closer} "
             f"(of which {len(worse)} off by more than 1e-14); largest error before "
