@@ -23,6 +23,7 @@ from ._stability import cexpm1, inv_expm1
 from .errors import DomainError
 from .qcore import (
     ModularPoint,
+    _below_normal,
     _exp,
     _finite,
     _gamma_quotient,
@@ -165,10 +166,11 @@ def _require_thm29(point: ModularPoint) -> None:
 
 
 def _refuse_underflow(value: complex, point: ModularPoint, *factors: complex) -> complex:
-    """value, unless it is 0 while none of the factors that can vanish
-    exactly (sqrt(1 - x) at x = 1, the q* product) is: then the
-    exponential, or the product of the rest, underflowed, a domain error."""
-    if value == 0.0 and all(f != 0.0 for f in factors):
+    """value, unless it is below the normal double range (0 or a
+    subnormal) while none of the factors that can vanish exactly
+    (sqrt(1 - x) at x = 1, the q* product) is 0: then the exponential, or
+    the product of the rest, underflowed, a domain error."""
+    if _below_normal(value) and all(f != 0.0 for f in factors):
         raise DomainError(f"value underflows: (x;q)_oo at tau = {point.tau}, nu = {point.nu}")
     return value
 
@@ -176,7 +178,7 @@ def _refuse_underflow(value: complex, point: ModularPoint, *factors: complex) ->
 def qpochhammer_modular_with_count(point: ModularPoint) -> tuple[complex, int]:
     """Transformed-side evaluation of (x; q)_oo, plus the number of
     product terms the (tau*, nu*) side actually needed.  A value that
-    underflows to 0 is a domain error."""
+    underflows past the normal double range is a domain error."""
     _require_thm29(point)
     prod, n_terms = qpochhammer_with_count(_x_star_q_star(point), point.q_star)
     expo = dilog(point.x) / point.log_q + big_G(point) + P_minus(point)
@@ -198,7 +200,8 @@ def ramanujan_completed(point: ModularPoint) -> complex:
     never from its two halves of size |s log s|; the roots are
     taken individually principal (sqrt(2 pi) * sqrt(s) * sqrt(1 - x)),
     which is the combination that stays single-valued on the whole
-    domain.  A value that underflows to 0 is a domain error.
+    domain.  A value that underflows past the normal double range is a
+    domain error.
     """
     _require_thm29(point)
     s = point.nu_star

@@ -79,6 +79,14 @@ def _finite(value: complex) -> complex:
     return value
 
 
+def _below_normal(value: complex) -> bool:
+    """|value| < the smallest normal double: 0, or a subnormal, which has
+    lost its digits and, once it is the smallest, stops falling.  The
+    parts are tested first, so that abs cannot overflow."""
+    tiny = sys.float_info.min
+    return abs(value.real) < tiny and abs(value.imag) < tiny and abs(value) < tiny
+
+
 def admitted_rounding(value: complex) -> float:
     """The rounding error a sum refused past ROUND_TOL may carry in value."""
     return ROUND_TOL * max(abs(value), SMALL_SUM)
@@ -218,7 +226,8 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
     """(x;q)_oo together with the number N of factors used.
 
     N is fixed in advance from the tail bound |x q^N|/(1-|q|) < TERM_TOL.
-    A product that underflows to 0 with no factor 0 is a domain error.
+    A product below the normal double range with no factor 0 (0 or a
+    subnormal) is a domain error.
     """
     x = complex(x)
     q = complex(q)
@@ -227,7 +236,7 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
         raise DomainError(f"|q| must be < 1, got {aq}")
     n_factors = _tail_length(abs(x), aq, "(x;q)_oo", "factors")
     value = _finite(_product(x, q, n_factors))
-    if value == 0.0 and not _has_zero_factor(x, q, n_factors):
+    if _below_normal(value) and not _has_zero_factor(x, q, n_factors):
         raise DomainError(f"value underflows: (x;q)_oo at x = {x}, q = {q}")
     return value, n_factors
 

@@ -19,7 +19,10 @@ module builds:
 * big_G  -- the Stirling-remainder Laplace integral g^+ in closed form,
   minus Binet's function;
 * P_minus / P_plus and their nu- and tau-derivatives -- the oscillatory
-  ray sums whose direction comes from an admissible-cone search; P's own
+  ray sums along the admissible grid angle farthest from the integrand's
+  poles and the cone's edges (choose_ray), since a trapezoid sum
+  converges like e^{-2 pi a/h} in the half-width a of the strip of
+  analyticity about the ray; P's own
   integrand is one fused numpy kernel that splits the ascending nodes by
   slices, where the derivatives multiply the masked kernels fn_f and
   sin_ratio (or cos_ratio);
@@ -41,7 +44,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -227,33 +230,70 @@ def _grid(half: str) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float,
     return tuple(angles.tolist()), tuple(e_id.real.tolist()), tuple(e_id.imag.tolist())
 
 
-def choose_ray(point: ModularPoint, half: str) -> RaySpec:
-    """Deterministic argmax of the convergence slack over the angle grid.
+def _admissible(point: ModularPoint, half: str) -> Iterator[tuple[float, float, float, float]]:
+    """The admissible grid angles d of one half-plane, lazily and in grid
+    order, each with sin d, a = Re(e^{id} w) and b = Re(e^{id} nu w),
+    w = i/tau.
 
-    The first grid angle of largest slack that keeps clear of the pole
-    ray wins; its slack is then recomputed by _slack, so the decay rate
-    does not depend on how the loop rounds.  The slack
-    Re(e^{id} w) - |Re(e^{id} nu w)|, w = i/tau, is a plain loop in
-    floats: as fast as an array expression, and much faster after other
-    work has evicted the caches.  Raises a domain error when no
-    direction converges (the point lies outside the relevant
-    analyticity domain).
+    An angle is admissible where its convergence slack a - |b| is
+    positive and it keeps clear of the pole ray.  The slack is a plain
+    loop in floats: as fast as an array expression, and much faster after
+    other work has evicted the caches.
     """
     w = 1j / point.tau
     nu_w = point.nu * 1j / point.tau
     wr, wi, vr, vi = w.real, w.imag, nu_w.real, nu_w.imag
     pole = _pole_direction(point, half)
-    best_d, best = None, -math.inf
+    exclusion = 0.999 * RAY_GRID_STEP
     for d, c, s in zip(*_grid(half)):
-        slack = (c * wr - s * wi) - abs(c * vr - s * vi)
-        if slack > best and abs(d - pole) >= 0.999 * RAY_GRID_STEP:
-            best_d, best = d, slack
-    best_slack = -math.inf if best_d is None else _slack(point, best_d)
-    if not best_slack > 0.0:
-        raise DomainError(
-            f"empty admissible cone (tau = {point.tau}, nu = {point.nu}, {half})"
-        )
-    return RaySpec(direction_d=best_d, decay=best_slack)
+        a = c * wr - s * wi
+        b = c * vr - s * vi
+        if a - abs(b) > 0.0 and abs(d - pole) >= exclusion:
+            yield d, s, a, b
+
+
+def _empty_cone(point: ModularPoint, half: str) -> DomainError:
+    return DomainError(f"empty admissible cone (tau = {point.tau}, nu = {point.nu}, {half})")
+
+
+def choose_ray(point: ModularPoint, half: str) -> RaySpec:
+    """The admissible grid angle farthest from every obstacle of the DE
+    trapezoid rule, with its slack as the decay rate.
+
+    A trapezoid sum converges like e^{-2 pi c/h}, c the half-width of the
+    strip about the ray in which the integrand stays analytic and bounded,
+    so the ray keeps away from four obstacles: the real axis (f's poles
+    2 pi k), the pole ray, and the two edges of the cone, where
+    Re(e^{id} e) = 0 for e = (1 -/+ nu) i/tau.  Its clearance is the
+    smallest sine of the angle to them,
+    min(|sin d|, |sin(d - arg tau)|, Re(e^{id} e_-)/|e_-|, Re(e^{id} e_+)/|e_+|).
+    With _admissible's a and b, Re(e^{id} e_-/+) = a -/+ b,
+    |e_-/+| = |1 -/+ nu|/|tau| and sin(d - arg tau) = -a |tau|, where
+    a > |b| >= 0, so each term is one product or quotient.  The first
+    angle of largest clearance wins.  Its decay is then the slack _slack
+    computes, so it does not depend on how the loop rounds.  Raises a
+    domain error when no direction converges (the point lies outside the
+    relevant analyticity domain).
+    """
+    abs_tau = abs(point.tau)
+    # both are nonzero wherever an angle is admissible: at nu = +-1, b = +-a
+    abs_e_minus = abs(1.0 - point.nu) / abs_tau
+    abs_e_plus = abs(1.0 + point.nu) / abs_tau
+    best_d, best = None, -math.inf
+    for d, s, a, b in _admissible(point, half):
+        # an angle no clearer than the best so far falls short on one term
+        if (
+            (a - b) / abs_e_minus > best
+            and (a + b) / abs_e_plus > best
+            and a * abs_tau > best
+            and abs(s) > best
+        ):
+            best_d = d
+            best = min(abs(s), a * abs_tau, (a - b) / abs_e_minus, (a + b) / abs_e_plus)
+    slack = -math.inf if best_d is None else _slack(point, best_d)
+    if not slack > 0.0:
+        raise _empty_cone(point, half)
+    return RaySpec(direction_d=best_d, decay=slack)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +367,24 @@ def _p_integrand(point: ModularPoint) -> Callable[[np.ndarray], np.ndarray]:
 def P_minus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
     """P computed from a lower-half-plane ray (the production branch).
 
-    Without spec the ray is choose_ray's, which also decides the domain;
-    where the divergent series' proven bound then certifies it to
-    TERM_TOL (_p_series), the series replaces the integral.  With spec
-    the integral runs along that ray.  Either way the ray's decay rate is
-    the convergence slack at its direction.
+    Without spec, a point with no admissible lower grid angle is a domain
+    error.  Where the divergent series' proven bound certifies it to
+    TERM_TOL (_p_series), the series is P, and the domain check stops at
+    the first admissible angle, so the series pays for no ray choice;
+    elsewhere the integral runs along choose_ray's ray, the one farthest
+    from the integrand's poles and the cone's edges.  With spec the
+    integral runs along that ray.  Either way the ray's decay rate is the
+    convergence slack at its direction.
     """
     if point.nu == 0:
         return 0.0 + 0.0j
     if spec is None:
-        spec = choose_ray(point, "lower")
         series = _p_series(point)
-        if series is not None:
+        if series is None:
+            spec = choose_ray(point, "lower")
+        elif next(_admissible(point, "lower"), None) is None:
+            raise _empty_cone(point, "lower")
+        else:
             return series
     else:
         spec = replace(spec, decay=_slack(point, spec.direction_d))

@@ -231,6 +231,13 @@ def test_qpochhammer_underflow_is_a_domain_error():
         assert qpochhammer(1.0, 0.999) == 0
 
 
+def test_qpochhammer_subnormal_is_a_domain_error():
+    # (0.5; 0.9999)_oo is about e^{-5822}: the running product sticks at the
+    # smallest subnormal, 5e-324, which no factor above 1/2 moves
+    with pytest.raises(DomainError, match="underflows"):
+        qpochhammer(0.5, 0.9999)
+
+
 def test_long_product_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     x, q = math.exp(-math.pi), math.exp(-2e-5 * math.pi)
