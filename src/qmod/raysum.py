@@ -11,10 +11,14 @@ RAY_REL_TOL for every ray integral.  Only integrate_ray and P_minus take
 a RaySpec from their caller; everything else picks its own ray.
 Integrands are evaluated on numpy arrays of nodes: the first call covers
 the 289 nodes of step 1/32, which hold the first five levels, and each
-later level costs one call on its new nodes.  An integral that has not
-converged within MAX_NODES nodes, has not decayed at the ends of the
-range, or meets a non-finite value raises ConvergenceError.  On it the
-module builds:
+later level costs one call on its new nodes.  The nodes of a level do not
+depend on the integral, so they and the point-free parts of both maps
+(exp(u - e^{-u}) and 1 + e^{-u} for a ray; 1 + e^{-2s}, cosh u and
+cosh(s)^2 for an interval) are read-only tables built once per level: an
+integral pays for its integrand and a few array products.  An integral
+that has not converged within MAX_NODES nodes, has not decayed at the
+ends of the range, or meets a non-finite value raises ConvergenceError.
+On it the module builds:
 
 * big_G  -- the Stirling-remainder Laplace integral g^+ in closed form,
   minus Binet's function;
@@ -24,8 +28,8 @@ module builds:
   converges like e^{-2 pi a/h} in the half-width a of the strip of
   analyticity about the ray; P's own
   integrand is one fused numpy kernel that splits the ascending nodes by
-  slices, where the derivatives multiply the masked kernels fn_f and
-  sin_ratio (or cos_ratio);
+  slices and works in place on its output, where the derivatives
+  multiply the masked kernels fn_f and sin_ratio (or cos_ratio);
 * A_n and K_N -- the coefficients of P's divergent series at q -> 1, in
   closed form, and the norm integrals of its remainder bound;
 * the series itself, which P_minus sums instead of its ray integral
@@ -112,15 +116,37 @@ class RayResult(NamedTuple):
     error: float
 
 
-def _de_sum(weighted: Callable[[np.ndarray], np.ndarray], rel_tol: float) -> RayResult:
-    """Integral over the u-line of a double-exponentially decaying weighted(u).
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.cache
+def _u_nodes(level: int) -> np.ndarray:
+    """The u-nodes _de_sum evaluates at one level, read-only: at level
+    BATCH_LEVELS all 289 nodes of step FIRST_STEP / 2^BATCH_LEVELS on
+    [-DE_SPAN, DE_SPAN], past it the new (odd) nodes of step
+    FIRST_STEP / 2^level."""
+    h = FIRST_STEP / 2**level
+    half = round(DE_SPAN / FIRST_STEP) * 2**level
+    if level == BATCH_LEVELS:
+        return _frozen(h * np.arange(-half, half + 1))
+    return _frozen(h * np.arange(1 - half, half, 2))
+
+
+def _de_sum(weighted: Callable[[int], np.ndarray], rel_tol: float) -> RayResult:
+    """Integral over the u-line of a double-exponentially decaying weighted
+    function, which weighted(level) returns on the nodes _u_nodes(level).
 
     Trapezoid sums on [-DE_SPAN, DE_SPAN]; each level halves the step and
     adds only the new (odd) nodes.  Levels 0..BATCH_LEVELS come from one
     call on the finest of their grids (289 nodes, step 1/32), read back
     level by level through strided views; every level after that costs
     one call on its new nodes.  The nodes are power-of-two multiples, so
-    each level sums the same numbers as a call of its own would.
+    each level sums the same numbers as a call of its own would.  The
+    node tables do not depend on the integrand, so callers keep theirs
+    per level behind functools.cache, and the levels are summed as Python
+    complex numbers, which round as numpy's scalars do.
     Accepts the first sum within tol = rel_tol |I| + ABS_FLOOR of the one
     before, reporting that distance as its error, provided the end nodes
     are below tol too.  The error of a DE sum roughly squares when the
@@ -130,11 +156,11 @@ def _de_sum(weighted: Callable[[np.ndarray], np.ndarray], rel_tol: float) -> Ray
     """
     half = round(DE_SPAN / FIRST_STEP)
     stride = 2**BATCH_LEVELS
-    h = FIRST_STEP / stride
-    bulk = weighted(h * np.arange(-half * stride, half * stride + 1))
-    ends = np.abs(bulk[[0, -1]]).max()
+    level = BATCH_LEVELS
+    bulk = weighted(level)
+    ends = np.abs(bulk[:: len(bulk) - 1]).max()
     h = FIRST_STEP
-    total = h * bulk[::stride].sum()
+    total = h * complex(bulk[::stride].sum())
     change = math.inf
     while True:
         h *= 0.5
@@ -147,9 +173,10 @@ def _de_sum(weighted: Callable[[np.ndarray], np.ndarray], rel_tol: float) -> Ray
             stride //= 2
             new = bulk[stride :: 2 * stride]
         else:
-            new = weighted(h * np.arange(1 - half, half, 2))
-        prev, total = total, 0.5 * total + h * new.sum()
-        if not np.isfinite(total):
+            level += 1
+            new = weighted(level)
+        prev, total = total, 0.5 * total + h * complex(new.sum())
+        if not cmath.isfinite(total):
             raise ConvergenceError("non-finite integrand value")
         tol = rel_tol * abs(total) + ABS_FLOOR
         prev_change, change = change, abs(total - prev)
@@ -159,7 +186,16 @@ def _de_sum(weighted: Callable[[np.ndarray], np.ndarray], rel_tol: float) -> Ray
                     f"integrand has not decayed at the ends of the range: "
                     f"{ends:.3e} > {tol:.3e}"
                 )
-            return RayResult(complex(total), float(change))
+            return RayResult(total, change)
+
+
+@functools.cache
+def _ray_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(u - e^{-u}) and 1 + e^{-u} on _u_nodes(level), read-only: the
+    radii of integrate_ray's map at decay 1, and dr/du over r."""
+    u = _u_nodes(level)
+    e_u = np.exp(-u)
+    return _frozen(np.exp(u - e_u)), _frozen(1.0 + e_u)
 
 
 def integrate_ray(
@@ -170,18 +206,30 @@ def integrate_ray(
     The integrand takes a complex array of nodes t.  It must be analytic
     on the open ray, no worse than O(r^{-1+eps}) at 0, and decay like
     e^{-spec.decay r}; the map r = exp(u - e^{-u}) / decay puts the
-    nodes where that decay happens.  _de_sum passes u in ascending order
-    and the map is increasing, so every call's nodes come in ascending
-    |t|: P's fused integrand relies on it to split them by slicing.
+    nodes where that decay happens.  Its point-free part comes from the
+    per-level tables of _ray_nodes, so a level costs the integrand and
+    four array operations.  _de_sum passes u in ascending order and the
+    map is increasing, so every call's nodes come in ascending |t|: P's
+    fused integrand relies on it to split them by slicing.
     """
     e_id = cmath.exp(1j * spec.direction_d)
+    decay = spec.decay
 
-    def weighted(u: np.ndarray) -> np.ndarray:
-        e_u = np.exp(-u)
-        t = np.exp(u - e_u) / spec.decay * e_id
-        return integrand(t) * (t * (1.0 + e_u))
+    def weighted(level: int) -> np.ndarray:
+        r0, one_plus_e_u = _ray_nodes(level)
+        t = r0 / decay * e_id
+        return integrand(t) * (t * one_plus_e_u)
 
     return _de_sum(weighted, RAY_REL_TOL)
+
+
+@functools.cache
+def _interval_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1 + e^{-2s}, cosh u and cosh(s)^2, s = (pi/2) sinh u, on
+    _u_nodes(level), read-only: the point-free part of the tanh-sinh map."""
+    u = _u_nodes(level)
+    s = 0.5 * math.pi * np.sinh(u)
+    return _frozen(1.0 + np.exp(-2.0 * s)), _frozen(np.cosh(u)), _frozen(np.cosh(s) ** 2)
 
 
 def _integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> complex:
@@ -192,10 +240,10 @@ def _integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: floa
     precision; f must be finite on (a, b].
     """
 
-    def weighted(u: np.ndarray) -> np.ndarray:
-        s = 0.5 * math.pi * np.sinh(u)
-        t = a + (b - a) / (1.0 + np.exp(-2.0 * s))
-        return f(t) * ((b - a) * 0.25 * math.pi * np.cosh(u) / np.cosh(s) ** 2)
+    def weighted(level: int) -> np.ndarray:
+        one_plus_e_2s, cosh_u, cosh_s_sq = _interval_nodes(level)
+        t = a + (b - a) / one_plus_e_2s
+        return f(t) * ((b - a) * 0.25 * math.pi * cosh_u / cosh_s_sq)
 
     return _de_sum(weighted, 1e-12).value
 
@@ -334,31 +382,47 @@ def _p_integrand(point: ModularPoint) -> Callable[[np.ndarray], np.ndarray]:
       (e^{i(nu-1)w} - e^{-i(nu+1)w}) / (2i (1 - e^{-iw})) past it, as in
       sin_ratio: on an admissible ray every exponential there decays.
 
-    No node is tested against f's real poles 2 pi k: a ray along the real
-    axis, which only a caller's RaySpec can give, does not converge.
+    The kernel fills one output array in place: the Horner steps of the
+    series run on its near slice from the leading coefficient, the three
+    exponentials e^{i(nu-1)w}, e^{-i(nu+1)w} and e^{-iw} of the far slice
+    come from one np.exp of an outer product, and the arithmetic keeps the
+    operands and the order of the expressions above, so it rounds as they
+    do.  No node is tested against f's real poles 2 pi k: a ray along the
+    real axis, which only a caller's RaySpec can give, does not converge.
     """
     tau = point.tau
     nu = point.nu
-    a = 1j * (nu - 1.0)
-    b = -1j * (nu + 1.0)
+    far_rates = np.array([1j * (nu - 1.0), -1j * (nu + 1.0), -1j])
     near = abs(tau) / (1.0 + abs(nu))
+    c0, *coeffs = _BOSE_COEFFS
 
     def integrand(t):
         r = np.abs(t)
         out = np.empty_like(t)
         k = r.searchsorted(SERIES_RADIUS)
         t2 = -t[:k] * t[:k]
-        series = np.zeros_like(t2)
-        for coeff in _BOSE_COEFFS:
-            series = series * t2 + coeff
-        out[:k] = -2.0 * series
+        series = out[:k]
+        series[:] = c0
+        for coeff in coeffs:
+            series *= t2
+            series += coeff
+        series *= -2.0
         v = (-1j if t[-1].imag < 0.0 else 1j) * t[k:]
-        out[k:] = (2.0 / v - 2.0 / np.expm1(v) - 1.0) / v
+        far = np.divide(2.0, v, out=out[k:])
+        e = np.expm1(v)
+        far -= np.divide(2.0, e, out=e)
+        far -= 1.0
+        far /= v
         m = r.searchsorted(near)
         w = t[:m] / tau
-        out[:m] *= np.sin(nu * w) / np.expm1(1j * w)
-        w = t[m:] / tau
-        out[m:] *= (np.exp(a * w) - np.exp(b * w)) / (2j * (1.0 - np.exp(-1j * w)))
+        ratio = np.sin(nu * w)
+        ratio /= np.expm1(1j * w)
+        out[:m] *= ratio
+        e_a, e_b, e_w = np.exp(np.multiply.outer(far_rates, t[m:] / tau))
+        e_a -= e_b
+        np.subtract(1.0, e_w, out=e_w)
+        e_a /= np.multiply(2j, e_w, out=e_w)
+        out[m:] *= e_a
         return out
 
     return integrand
@@ -486,9 +550,7 @@ def _coth_derivative(m: int, centre: int) -> tuple[float, ...]:
 def _poles(pairs: int) -> np.ndarray:
     """The poles 2 pi i k of A_n for 0 < |k| <= pairs."""
     k = np.arange(pairs, 0, -1)
-    poles = TWO_PI * 1j * np.concatenate((k, -k))
-    poles.setflags(write=False)
-    return poles
+    return _frozen(TWO_PI * 1j * np.concatenate((k, -k)))
 
 
 @functools.cache

@@ -19,6 +19,7 @@ from qmod.qcore import ModularPoint
 from qmod.raysum import (
     A_N_MAX,
     ABS_FLOOR,
+    BATCH_LEVELS,
     DE_SPAN,
     FIRST_STEP,
     MAX_NODES,
@@ -33,9 +34,12 @@ from qmod.raysum import (
     RaySpec,
     _de_sum,
     _grid,
+    _interval_nodes,
     _p_integrand,
     _p_series,
+    _ray_nodes,
     _slack,
+    _u_nodes,
     big_G,
     choose_ray,
     dP_dnu,
@@ -141,11 +145,20 @@ def _on_ray(f):
 
 
 def _counted(f, calls):
+    """f, recording the size of each array it returns: the nodes of an
+    integrand or of a weighted(u) or weighted(level) of _de_sum."""
+
     def wrapped(x):
-        calls.append(x.size)
-        return f(x)
+        values = f(x)
+        calls.append(values.size)
+        return values
 
     return wrapped
+
+
+def _by_level(weighted):
+    """weighted(u) as _de_sum calls it: on the nodes of one level."""
+    return lambda level: weighted(_u_nodes(level))
 
 
 # int_0^oo e^{-t} cos(k t) dt = 1/(1 + k^2): k = 20 is accepted at level 8
@@ -163,7 +176,7 @@ def test_de_sum_first_call_covers_five_levels():
 def test_de_sum_one_call_per_level_past_the_batch():
     ladder, batched = [], []
     want = _ladder_de_sum(_counted(_SLOW, ladder), 1e-11)
-    got = _de_sum(_counted(_SLOW, batched), 1e-11)
+    got = _de_sum(_by_level(_counted(_SLOW, batched)), 1e-11)
     assert got == want
     assert rel(got.value, 1.0 / 401.0) < 1e-11
     assert len(ladder) > 5  # accepted past level 4
@@ -192,10 +205,19 @@ def test_de_sum_matches_the_level_by_level_ladder(weighted):
         want = _ladder_de_sum(weighted, 1e-11)
     except ConvergenceError as exc:
         with pytest.raises(ConvergenceError) as info:
-            _de_sum(weighted, 1e-11)
+            _de_sum(_by_level(weighted), 1e-11)
         assert str(info.value) == str(exc)
     else:
-        assert _de_sum(weighted, 1e-11) == want
+        assert _de_sum(_by_level(weighted), 1e-11) == want
+
+
+def test_de_node_tables_are_read_only():
+    # the tables are cached and shared by every integral: none may change
+    for level in (BATCH_LEVELS, BATCH_LEVELS + 1):
+        assert _u_nodes(level).size == (289 if level == BATCH_LEVELS else 288)
+        for table in (_u_nodes(level), *_ray_nodes(level), *_interval_nodes(level)):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 def test_rayspec_validation():
@@ -442,6 +464,40 @@ def test_P_minus_small_slack_frozen(tau, nu, want):
     # rays with decay slack 0.02-0.1 that pass close to the poles of f:
     # the costliest integrals of a domain-wide sample
     assert rel(P_minus(ModularPoint(tau, nu)), want) < 1e-11
+
+
+# P_minus along choose_ray's ray at points of _domain_fuzz_points(40, seed=11),
+# by index: point 5 takes 2,305 nodes, 20 takes 1,153, 24 takes 577, the
+# others 289
+_P_RAY_BITS = {
+    0: 0.0686148979073497 + 0.00011771625599891465j,
+    1: -0.021383082388815717 + 0.08701571088971996j,
+    2: -0.002784327371774761 + 0.010390839647920196j,
+    5: -0.031068904252464488 + 0.01120078001458048j,
+    9: -0.026463181554081158 - 0.09302669048291179j,
+    20: -0.005681584233614749 - 0.024990176507798573j,
+    24: -0.013425048977291486 - 0.010258639972661347j,
+    27: 0.1921299170354815 + 0.12542179081873167j,
+}
+
+
+def test_de_values_to_the_last_bit():
+    # every DE path, compared with ==: P's fused kernel on the ray, the
+    # generic ray integrand (dP_dnu), K_N's ray and tanh-sinh branches and
+    # the principal-value route, where a floating-point operation done in
+    # another order moves the last bits of some of these values.  They are
+    # those of numpy 2.4.6 on x86-64 with AVX-512; another build or CPU may
+    # round differently
+    points = _domain_fuzz_points(40, seed=11)
+    for k, want in _P_RAY_BITS.items():
+        assert _p_series(points[k]) is None
+        assert P_minus(points[k]) == want, k
+    assert dP_dnu(ModularPoint(0.8j, 0.2)) == 0.0076670537234476335 + 0.25551511002857974j
+    assert K_N(3, 0.3) == 4321.990246778421
+    assert K_N(2, 0.5j) == 17.217548299683028
+    assert K_N(1, 0.25j) == 1.3430798568016313
+    assert pv_M_direct(0.8, 0.3) == -0.05319109389520646
+    assert pv_M_direct(0.5, 0.1) == -0.006975220518611532
 
 
 def test_P_ray_independence():
