@@ -25,8 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-
-POLE_GUARD = 1e-12
+from .specialfns import POLE_GUARD
 
 
 #: every series stops once the terms it leaves out sum below TERM_TOL in
@@ -141,10 +140,6 @@ class ModularPoint:
     @cached_property
     def x(self) -> complex:
         return cmath.exp(2j * math.pi * self.nu)
-
-    @cached_property
-    def sqrt_q(self) -> complex:
-        return cmath.exp(1j * math.pi * self.tau)
 
     @cached_property
     def tau_star(self) -> complex:

@@ -23,13 +23,13 @@ On it the module builds:
 * big_G  -- the Stirling-remainder Laplace integral g^+ in closed form,
   minus Binet's function;
 * P_minus / P_plus and their nu- and tau-derivatives -- the oscillatory
-  ray sums along the admissible grid angle farthest from the integrand's
-  poles and the cone's edges (choose_ray), since a trapezoid sum
-  converges like e^{-2 pi a/h} in the half-width a of the strip of
-  analyticity about the ray; P's own
-  integrand is one fused numpy kernel that splits the ascending nodes by
-  slices and works in place on its output, where the derivatives
-  multiply the masked kernels fn_f and sin_ratio (or cos_ratio);
+  ray sums along the ray farthest from the integrand's poles and the
+  cone's edges, the midpoint of the admissible arc (choose_ray), since a
+  trapezoid sum converges like e^{-2 pi a/h} in the half-width a of the
+  strip of analyticity about the ray; P's own integrand is one fused
+  numpy kernel that splits the ascending nodes by slices and works in
+  place on its output, where the derivatives multiply the masked kernels
+  fn_f and sin_ratio (or cos_ratio);
 * A_n and K_N -- the coefficients of P's divergent series at q -> 1, in
   closed form, and the norm integrals of its remainder bound;
 * the series itself, which P_minus sums instead of its ray integral
@@ -48,7 +48,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,10 @@ FIRST_STEP = 0.5
 BATCH_LEVELS = 4
 #: integrand nodes one integral may spend before it fails
 MAX_NODES = 2**18
-#: candidate ray angles per half-plane and the exclusion radius around poles
-RAY_GRID_STEP = math.pi / 36.0
+#: the narrowest admissible arc a P ray is taken from: in a narrower one
+#: every ray passes so near an obstacle that the trapezoid step must
+#: shrink until the integral runs out of nodes
+RAY_MIN_ARC = math.pi / 36.0
 #: relative tolerance of every ray integral
 RAY_REL_TOL = 1e-11
 #: the principal-value route's truncation of both sums and the half-width
@@ -252,96 +254,56 @@ def _integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: floa
 # admissible cones and ray choice for the P integrals
 
 
-def _pole_direction(point: ModularPoint, half: str) -> float:
-    """The ray angle (within the requested half-plane) hitting integrand poles.
-
-    1/(e^{it/tau} - 1) has poles along arg t = arg tau (and the opposite
-    ray); cot(t/2) contributes the real axis, excluded by the grid itself.
-    """
-    arg_tau = cmath.phase(point.tau)  # in (0, pi)
-    return arg_tau if half == "upper" else arg_tau - math.pi
-
-
 def _slack(point: ModularPoint, d: float) -> float:
     e_id = cmath.exp(1j * d)
     return (e_id * 1j / point.tau).real - abs((e_id * point.nu * 1j / point.tau).real)
 
 
-@functools.cache
-def _grid(half: str) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """The candidate ray angles d of one half-plane, and cos d and sin d
-    as the real and imaginary parts of e^{id}."""
+def _admissible_arc(point: ModularPoint, half: str) -> tuple[float, float]:
+    """The admissible arc (lo, hi) of one half-plane; a domain error where
+    it is narrower than RAY_MIN_ARC.
+
+    A ray converges where Re(e^{id} e) > 0 for both cone edges
+    e = (1 -/+ nu) i/tau, the half-circle |d + arg e| < pi/2 each, and
+    within a half-plane both leave one arc.  Its ends are the obstacles
+    of the ray integral: the real axis, where f has its poles, and the
+    edges.  The poles 2 pi k tau of 1/(e^{it/tau} - 1) lie on no
+    admissible ray: the two conditions add up to Re(e^{id} i/tau) > 0,
+    which fails on arg t = arg tau and arg tau - pi.
+    """
     if half not in ("lower", "upper"):
         raise DomainError(f"half must be 'lower' or 'upper', got {half!r}")
-    angles = RAY_GRID_STEP * np.arange(1, 36) * (-1.0 if half == "lower" else 1.0)
-    e_id = np.exp(1j * angles)
-    return tuple(angles.tolist()), tuple(e_id.real.tolist()), tuple(e_id.imag.tolist())
-
-
-def _admissible(point: ModularPoint, half: str) -> Iterator[tuple[float, float, float, float]]:
-    """The admissible grid angles d of one half-plane, lazily and in grid
-    order, each with sin d, a = Re(e^{id} w) and b = Re(e^{id} nu w),
-    w = i/tau.
-
-    An angle is admissible where its convergence slack a - |b| is
-    positive and it keeps clear of the pole ray.  The slack is a plain
-    loop in floats: as fast as an array expression, and much faster after
-    other work has evicted the caches.
-    """
-    w = 1j / point.tau
-    nu_w = point.nu * 1j / point.tau
-    wr, wi, vr, vi = w.real, w.imag, nu_w.real, nu_w.imag
-    pole = _pole_direction(point, half)
-    exclusion = 0.999 * RAY_GRID_STEP
-    for d, c, s in zip(*_grid(half)):
-        a = c * wr - s * wi
-        b = c * vr - s * vi
-        if a - abs(b) > 0.0 and abs(d - pole) >= exclusion:
-            yield d, s, a, b
-
-
-def _empty_cone(point: ModularPoint, half: str) -> DomainError:
-    return DomainError(f"empty admissible cone (tau = {point.tau}, nu = {point.nu}, {half})")
+    mid = -0.5 * math.pi if half == "lower" else 0.5 * math.pi
+    lo, hi = mid - 0.5 * math.pi, mid + 0.5 * math.pi
+    edges = ((1.0 - point.nu) * 1j / point.tau, (1.0 + point.nu) * 1j / point.tau)
+    for e in edges:
+        # the centre -arg e of e's half-circle, turned to within pi of mid
+        centre = mid + math.remainder(-cmath.phase(e) - mid, TWO_PI)
+        lo, hi = max(lo, centre - 0.5 * math.pi), min(hi, centre + 0.5 * math.pi)
+    # at nu = +-1 an edge vanishes and no angle converges
+    if not (hi - lo >= RAY_MIN_ARC and all(edges)):
+        raise DomainError(
+            f"empty admissible cone (tau = {point.tau}, nu = {point.nu}, {half})"
+        )
+    return lo, hi
 
 
 def choose_ray(point: ModularPoint, half: str) -> RaySpec:
-    """The admissible grid angle farthest from every obstacle of the DE
-    trapezoid rule, with its slack as the decay rate.
+    """The ray farthest from every obstacle of the DE trapezoid rule, with
+    its slack as the decay rate.
 
     A trapezoid sum converges like e^{-2 pi c/h}, c the half-width of the
     strip about the ray in which the integrand stays analytic and bounded,
-    so the ray keeps away from four obstacles: the real axis (f's poles
-    2 pi k), the pole ray, and the two edges of the cone, where
-    Re(e^{id} e) = 0 for e = (1 -/+ nu) i/tau.  Its clearance is the
-    smallest sine of the angle to them,
-    min(|sin d|, |sin(d - arg tau)|, Re(e^{id} e_-)/|e_-|, Re(e^{id} e_+)/|e_+|).
-    With _admissible's a and b, Re(e^{id} e_-/+) = a -/+ b,
-    |e_-/+| = |1 -/+ nu|/|tau| and sin(d - arg tau) = -a |tau|, where
-    a > |b| >= 0, so each term is one product or quotient.  The first
-    angle of largest clearance wins.  Its decay is then the slack _slack
-    computes, so it does not depend on how the loop rounds.  Raises a
-    domain error when no direction converges (the point lies outside the
-    relevant analyticity domain).
+    so the ray keeps away from the real axis (f's poles 2 pi k) and the
+    two edges of the cone, the ends of the admissible arc (_admissible_arc).
+    Its clearance, the sine of the angle to the nearer end, peaks at the
+    arc's midpoint, which is the ray.  Raises a domain error where the arc
+    is narrower than RAY_MIN_ARC (the point lies outside the relevant
+    analyticity domain, or every ray passes too close to an obstacle).
     """
-    abs_tau = abs(point.tau)
-    # both are nonzero wherever an angle is admissible: at nu = +-1, b = +-a
-    abs_e_minus = abs(1.0 - point.nu) / abs_tau
-    abs_e_plus = abs(1.0 + point.nu) / abs_tau
-    best_d, best = None, -math.inf
-    for d, s, a, b in _admissible(point, half):
-        # an angle no clearer than the best so far falls short on one term
-        if (
-            (a - b) / abs_e_minus > best
-            and (a + b) / abs_e_plus > best
-            and a * abs_tau > best
-            and abs(s) > best
-        ):
-            best_d = d
-            best = min(abs(s), a * abs_tau, (a - b) / abs_e_minus, (a + b) / abs_e_plus)
-    slack = -math.inf if best_d is None else _slack(point, best_d)
-    if not slack > 0.0:
-        raise _empty_cone(point, half)
-    return RaySpec(direction_d=best_d, decay=slack)
+    lo, hi = _admissible_arc(point, half)
+    d = 0.5 * (lo + hi)
+    return RaySpec(direction_d=d, decay=_slack(point, d))
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +393,14 @@ def _p_integrand(point: ModularPoint) -> Callable[[np.ndarray], np.ndarray]:
 def P_minus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
     """P computed from a lower-half-plane ray (the production branch).
 
-    Without spec, a point with no admissible lower grid angle is a domain
-    error.  Where the divergent series' proven bound certifies it to
-    TERM_TOL (_p_series), the series is P, and the domain check stops at
-    the first admissible angle, so the series pays for no ray choice;
-    elsewhere the integral runs along choose_ray's ray, the one farthest
-    from the integrand's poles and the cone's edges.  With spec the
-    integral runs along that ray.  Either way the ray's decay rate is the
-    convergence slack at its direction.
+    Without spec, a point whose admissible lower arc is narrower than
+    RAY_MIN_ARC (_admissible_arc) is a domain error.  Where the divergent
+    series' proven bound certifies it to TERM_TOL (_p_series), the series
+    is P, and that check is all the ray choice it pays for; elsewhere the
+    integral runs along choose_ray's ray, the one farthest from the
+    integrand's poles and the cone's edges.  With spec the integral runs
+    along that ray.  Either way the ray's decay rate is the convergence
+    slack at its direction.
     """
     if point.nu == 0:
         return 0.0 + 0.0j
@@ -446,9 +408,8 @@ def P_minus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
         series = _p_series(point)
         if series is None:
             spec = choose_ray(point, "lower")
-        elif next(_admissible(point, "lower"), None) is None:
-            raise _empty_cone(point, "lower")
         else:
+            _admissible_arc(point, "lower")
             return series
     else:
         spec = replace(spec, decay=_slack(point, spec.direction_d))

@@ -47,10 +47,6 @@ class BernoulliTable:
 
     values: tuple[float, ...]
 
-    @property
-    def max_index(self) -> int:
-        return len(self.values)
-
     def b2(self, n: int) -> float:
         """Return B_{2n} (1-based: b2(1) = B_2 = 1/6)."""
         return self.values[n - 1]

@@ -2,7 +2,8 @@
 imports scipy (Gamma-type quantities come from specialfns.binet).  The
 benchmark's tracer patches qmod module attributes by name; those names
 are part of the package's contract with it.  Every top-level function
-or class of the package has a caller other than the tests."""
+or class of the package, and every method or property of its classes,
+has a caller other than the tests."""
 
 import ast
 import glob
@@ -95,30 +96,45 @@ UNCALLED = {
 }
 
 
+def _uses(node, owners=()):
+    """(name, whether it is an attribute obj.name, the definitions around
+    it) for every name and attribute in node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        owners = (*owners, node.name)
+    if isinstance(node, ast.Name):
+        yield node.id, False, owners
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, True, owners
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, owners)
+
+
 def test_every_src_function_has_a_caller():
     # every top-level function or class in src/qmod is used outside its own
     # definition: by some src/qmod module, by qmod.__all__, or by the
-    # benchmark tracer's patch list; an import alone is not a use
+    # benchmark tracer's patch list; an import alone is not a use.  Every
+    # method or property of a class (dunders aside) is read as an
+    # attribute obj.name outside its own definition, or is in one of the
+    # two lists
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    defined = []  # (module, name)
-    used = set(qmod.__all__)
+    defined = []  # (module, owners): (name,) or (class, member)
+    uses = []
     for path in glob.glob(os.path.join(root, "src", "qmod", "*.py")):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
+        module = os.path.basename(path)
         for stmt in tree.body:
-            owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = stmt.name
-                defined.append((os.path.basename(path), owner))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != owner:
-                    used.add(name)
+                defined.append((module, (stmt.name,)))
+            if isinstance(stmt, ast.ClassDef):
+                defined.extend(
+                    (module, (stmt.name, member.name))
+                    for member in stmt.body
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not member.name.startswith("__")
+                )
+        uses.extend(_uses(tree))
+    named = set(qmod.__all__)
     with open(os.path.join(root, "perfbench", "tracing.py"), encoding="utf-8") as fh:
         tracing_tree = ast.parse(fh.read())
     for node in ast.walk(tracing_tree):
@@ -126,10 +142,18 @@ def test_every_src_function_has_a_caller():
         if isinstance(node, ast.Tuple) and len(node.elts) == 3:
             attr = node.elts[1]
             if isinstance(attr, ast.Constant) and isinstance(attr.value, str):
-                used.add(attr.value)
+                named.add(attr.value)
+
+    def used(owners):
+        name = owners[-1]
+        return name in named or any(
+            use == name and (attr or len(owners) == 1) and around[: len(owners)] != owners
+            for use, attr, around in uses
+        )
+
     uncalled = sorted(
-        f"{module}:{name}" for module, name in defined
-        if name not in used and name not in UNCALLED
+        f"{module}:{'.'.join(owners)}" for module, owners in defined
+        if owners[-1] not in UNCALLED and not used(owners)
     )
     assert not uncalled, uncalled
-    assert set(UNCALLED) <= {name for _, name in defined}
+    assert set(UNCALLED) <= {owners[-1] for _, owners in defined}

@@ -112,6 +112,32 @@ def test_modular_where_x_star_alone_overflows():
         assert abs(got - want) < 1e-11 * abs(want), f.__name__
 
 
+@pytest.mark.parametrize(
+    "tau, nu",
+    [
+        # domain-fuzz census seeds 4 and 5: the admissible lower arc is
+        # (-5.0, 0) degrees, and a ray at -5 degrees, beside the cone's
+        # edge, ran out of nodes
+        (
+            -0.2759397039189935 + 0.05845833800397404j,
+            0.3784855131991207 + 0.07583940029144287j,
+        ),
+        (
+            -0.15925175603479147 + 0.6978255612535618j,
+            0.8839863680303097 + 0.3598329443484545j,
+        ),
+    ],
+)
+def test_modular_where_the_admissible_arc_is_narrow(tau, nu):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = complex(
+            mpmath.qp(mpmath.expjpi(2 * mpmath.mpc(nu)), mpmath.expjpi(2 * mpmath.mpc(tau)))
+        )
+    got = qpochhammer_modular(ModularPoint(tau, nu))
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_modular_overflow_is_a_domain_error():
     # Li2(x)/log q is ~1e4 at tau = 1e-5 i: e^expo leaves the double range
     p = ModularPoint(1e-5j, 0.3 + 0.1j)

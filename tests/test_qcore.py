@@ -55,13 +55,6 @@ def test_modular_point_exact_star_coordinates():
     assert abs(p.q) < 1.0 and abs(p.q_star) < 1.0
 
 
-def test_modular_point_sqrt_q_branch():
-    # e^{pi i tau} squares to q but is NOT the principal root here
-    p = ModularPoint(0.75 + 0.4j)
-    assert rel(p.sqrt_q**2, p.q) < 1e-15
-    assert abs(p.sqrt_q - cmath.sqrt(p.q)) > 1e-3
-
-
 def test_admissibility_flag():
     assert ModularPoint(1j, 0.3j).admissible_thm29
     assert ModularPoint(1j, 1.5j).admissible_thm29

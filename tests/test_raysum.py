@@ -28,12 +28,11 @@ from qmod.raysum import (
     M_almost_modular,
     P_minus,
     P_plus,
-    RAY_GRID_STEP,
+    RAY_MIN_ARC,
     RAY_REL_TOL,
     RayResult,
     RaySpec,
     _de_sum,
-    _grid,
     _interval_nodes,
     _p_integrand,
     _p_series,
@@ -238,52 +237,46 @@ def test_choose_ray_lower_half():
 
 def test_choose_ray_inside_cone():
     # the chosen ray decays, keeps clear of the pole ray arg(tau) - pi, and
-    # is the clearest of every lower grid angle that keeps clear too: at
-    # tau = i the cone's edges are the real axis, so that is -pi/4
+    # is the clearest lower angle: at tau = i the cone's edges are the real
+    # axis and the pole ray -pi/2, so that is -pi/4
     p = ModularPoint(1j, 0.25)
-    d = choose_ray(p, "lower").direction_d
-    pole = cmath.phase(p.tau) - math.pi
-    assert _slack(p, d) > 0.0
-    assert abs(d - pole) >= 0.999 * RAY_GRID_STEP
-    grid = [-k * RAY_GRID_STEP for k in range(1, 36)]
-    admissible = [a for a in grid if abs(a - pole) >= 0.999 * RAY_GRID_STEP]
-    assert len(admissible) == len(grid) - 1
-    assert _clearance(p, d, "lower") == max(_clearance(p, a, "lower") for a in admissible)
-    assert d == -9 * RAY_GRID_STEP
+    spec = choose_ray(p, "lower")
+    d = spec.direction_d
+    assert spec.decay == _slack(p, d) > 0.0
+    assert abs(_clearance(p, d, "lower") - _mesh_clearance(p, "lower")) <= 1e-4
+    assert d == -0.25 * math.pi
 
 
 def _clearance(point, d, half):
-    """The angle from d to the nearest obstacle of the ray integral: the
-    real axis, the pole ray, and the edges of the cone, where
-    Re(e^{id} (1 -/+ nu) i/tau) changes sign (negative outside it)."""
+    """The angle from d (a float or an array) to the nearest obstacle of
+    the ray integral: the real axis, the pole ray, and the edges of the
+    cone, where Re(e^{id} (1 -/+ nu) i/tau) changes sign (negative outside
+    it)."""
     pole = cmath.phase(point.tau) - (math.pi if half == "lower" else 0.0)
     edges = [
-        0.5 * math.pi - abs(math.remainder(d + cmath.phase(e * 1j / point.tau), 2.0 * math.pi))
+        0.5 * np.pi
+        - np.abs(np.remainder(d + cmath.phase(e * 1j / point.tau) + np.pi, 2.0 * np.pi) - np.pi)
         for e in (1.0 - point.nu, 1.0 + point.nu)
     ]
-    return min(abs(d), math.pi - abs(d), abs(d - pole), *edges)
+    return np.minimum.reduce([np.abs(d), np.pi - np.abs(d), np.abs(d - pole), *edges])
 
 
-def _clearest_angle(point, half):
-    """The first grid angle of largest clearance among those of positive
-    slack that keep clear of the pole ray, and the slack there by the
-    scalar _slack (-inf if every angle is excluded)."""
-    pole = cmath.phase(point.tau) - (math.pi if half == "lower" else 0.0)
-    best_d, best = None, -math.inf
-    for d in _grid(half)[0]:
-        d = float(d)
-        if abs(d - pole) < 0.999 * RAY_GRID_STEP or not _slack(point, d) > 0.0:
-            continue
-        clear = _clearance(point, d, half)
-        if clear > best:
-            best_d, best = d, clear
-    return best_d, (-math.inf if best_d is None else _slack(point, best_d))
+#: the dense mesh of one half-plane: MESH angles, each angle of the
+#: half-plane within half a step of one of them
+MESH = 20_000
+
+
+def _mesh_clearance(point, half):
+    """The largest _clearance on the dense mesh of one half-plane, which
+    is within half a mesh step below the largest of all."""
+    d = (np.arange(MESH) + 0.5) * (math.pi / MESH) * (-1.0 if half == "lower" else 1.0)
+    return float(_clearance(point, d, half).max())
 
 
 def _domain_fuzz_points(n, seed):
     """(tau, nu) from the domain-fuzz box; every fourth tau is turned so
-    that its pole ray lies on a grid angle or at the edge of the
-    exclusion radius around one."""
+    that its pole ray lies on a multiple of pi/36 or just beside one."""
+    step = math.pi / 36.0
     rng = np.random.default_rng(seed)
     offsets = (0.0, 0.999, -0.999, 0.999 * (1 - 1e-12), 0.999 * (1 + 1e-12), 0.5)
     points = []
@@ -291,7 +284,7 @@ def _domain_fuzz_points(n, seed):
         tau = complex(rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(-2.5, 0.5))
         nu = complex(rng.uniform(-0.95, 0.95), rng.uniform(-1.0, 1.0))
         if k % 4 == 0:
-            angle = (rng.integers(1, 35) + offsets[k // 4 % len(offsets)]) * RAY_GRID_STEP
+            angle = (rng.integers(1, 35) + offsets[k // 4 % len(offsets)]) * step
             tau = abs(tau) * cmath.exp(1j * angle)
         points.append(ModularPoint(tau, nu))
     return points
@@ -299,26 +292,32 @@ def _domain_fuzz_points(n, seed):
 
 @pytest.mark.parametrize("half", ["lower", "upper"])
 def test_choose_ray_is_the_scalar_argmax(half):
+    # the ray is the clearest angle of the half-plane, and the refusals are
+    # exactly the points whose admissible arc, twice the largest clearance,
+    # is narrower than RAY_MIN_ARC
     chosen = empty = 0
     for p in _domain_fuzz_points(200, seed=5):
-        best_d, best = _clearest_angle(p, half)
-        if best > 0.0:
+        best = _mesh_clearance(p, half)
+        try:
             spec = choose_ray(p, half)
-            assert (spec.direction_d, spec.decay) == (best_d, best)
-            chosen += 1
-        else:
+        except DomainError as exc:
             message = f"empty admissible cone (tau = {p.tau}, nu = {p.nu}, {half})"
-            with pytest.raises(DomainError) as info:
-                choose_ray(p, half)
-            assert str(info.value) == message
+            assert str(exc) == message
+            assert 2.0 * (best + 0.5 * math.pi / MESH) < RAY_MIN_ARC
             empty += 1
+            continue
+        clear = _clearance(p, spec.direction_d, half)
+        assert abs(clear - best) <= 1e-4
+        assert 2.0 * clear >= RAY_MIN_ARC
+        assert spec.decay == _slack(p, spec.direction_d)
+        chosen += 1
     assert chosen > 50 and empty > 20
 
 
 def test_choose_ray_keeps_the_P_integrals_short(monkeypatch):
     # a ray beside a pole or a cone edge needs a finer trapezoid step: the
     # nodes of every lower and upper P ray integral over the seed-5 fuzz
-    # points total 145,448 on the clearest ray, against 210,248 on the ray
+    # points total 139,114 on the clearest ray, against 210,248 on the ray
     # of largest slack
     nodes = []
     monkeypatch.setattr(
@@ -466,18 +465,30 @@ def test_P_minus_small_slack_frozen(tau, nu, want):
     assert rel(P_minus(ModularPoint(tau, nu)), want) < 1e-11
 
 
-# P_minus along choose_ray's ray at points of _domain_fuzz_points(40, seed=11),
-# by index: point 5 takes 2,305 nodes, 20 takes 1,153, 24 takes 577, the
-# others 289
+def test_P_minus_where_the_admissible_arc_is_narrow(monkeypatch):
+    # domain-fuzz seed 201: the admissible lower arc is (-5.05, 0) degrees;
+    # its midpoint keeps clear of both ends, where a ray at -5 degrees,
+    # beside the cone's edge, took 147,457 nodes
+    nodes = []
+    monkeypatch.setattr(
+        "qmod.raysum._de_sum", lambda weighted, tol: _de_sum(_counted(weighted, nodes), tol)
+    )
+    P_minus(ModularPoint(-0.1191 + 0.1034j, -0.1846 + 0.8580j))
+    assert sum(nodes) <= 5_000
+
+
+# P_minus at points of _domain_fuzz_points(40, seed=11), by index, along
+# the lower ray -k pi/36 given with each (k = 6, 22, 14, 1, 11, 2, 3, 4):
+# point 5 takes 2,305 nodes, 20 takes 1,153, 24 takes 577, the others 289
 _P_RAY_BITS = {
-    0: 0.0686148979073497 + 0.00011771625599891465j,
-    1: -0.021383082388815717 + 0.08701571088971996j,
-    2: -0.002784327371774761 + 0.010390839647920196j,
-    5: -0.031068904252464488 + 0.01120078001458048j,
-    9: -0.026463181554081158 - 0.09302669048291179j,
-    20: -0.005681584233614749 - 0.024990176507798573j,
-    24: -0.013425048977291486 - 0.010258639972661347j,
-    27: 0.1921299170354815 + 0.12542179081873167j,
+    0: (-0.5235987755982988, 0.0686148979073497 + 0.00011771625599891465j),
+    1: (-1.9198621771937625, -0.021383082388815717 + 0.08701571088971996j),
+    2: (-1.2217304763960306, -0.002784327371774761 + 0.010390839647920196j),
+    5: (-0.08726646259971647, -0.031068904252464488 + 0.01120078001458048j),
+    9: (-0.9599310885968813, -0.026463181554081158 - 0.09302669048291179j),
+    20: (-0.17453292519943295, -0.005681584233614749 - 0.024990176507798573j),
+    24: (-0.2617993877991494, -0.013425048977291486 - 0.010258639972661347j),
+    27: (-0.3490658503988659, 0.1921299170354815 + 0.12542179081873167j),
 }
 
 
@@ -489,9 +500,8 @@ def test_de_values_to_the_last_bit():
     # those of numpy 2.4.6 on x86-64 with AVX-512; another build or CPU may
     # round differently
     points = _domain_fuzz_points(40, seed=11)
-    for k, want in _P_RAY_BITS.items():
-        assert _p_series(points[k]) is None
-        assert P_minus(points[k]) == want, k
+    for k, (d, want) in _P_RAY_BITS.items():
+        assert P_minus(points[k], RaySpec(d)) == want, k
     assert dP_dnu(ModularPoint(0.8j, 0.2)) == 0.0076670537234476335 + 0.25551511002857974j
     assert K_N(3, 0.3) == 4321.990246778421
     assert K_N(2, 0.5j) == 17.217548299683028
@@ -619,12 +629,21 @@ def test_P_minus_takes_the_ray_where_the_stokes_sum_counts():
 
 def test_P_minus_series_keeps_the_lower_cone_refusal():
     # the lower cone is empty, while the series' own ray (Re tau < 0: the
-    # upper half-plane) converges
+    # upper half-plane) converges.  At the second point the series' bound
+    # certifies P, and the lower arc, (-3.6, 0) degrees, is narrower than
+    # RAY_MIN_ARC: the series must not stand in for the refusal
     p = ModularPoint(
         -0.011245422065258026 + 0.01998320998098329j,
         0.5375601444393396 + 0.9095536004751921j,
     )
     with pytest.raises(DomainError):
+        P_minus(p)
+    p = ModularPoint(
+        -0.002368844413071383 + 0.0027548278201332366j,
+        -0.3367407374526491 - 0.6800050053083299j,
+    )
+    assert _p_series(p) is not None
+    with pytest.raises(DomainError, match="empty admissible cone"):
         P_minus(p)
 
 
