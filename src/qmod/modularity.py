@@ -175,13 +175,29 @@ def _refuse_underflow(value: complex, point: ModularPoint, *factors: complex) ->
     return value
 
 
+def _wedge(point: ModularPoint) -> complex:
+    """2 pi i nu/tau + i pi where arg tau - pi < arg nu < -pi/2 (Re tau >= 0),
+    else 0: in that wedge between the cuts of Li_2 and sqrt(1 - x)
+    (nu in -i (0, oo) for |Re nu| < 1) and of G (nu in -tau (0, oo)), each
+    of which jumps by this term, the exponent's pieces lie on different
+    sheets.  It is added to the exponent, not multiplied in as -x*, since
+    x* = e^{2 pi i nu/tau} alone may overflow where the value does not."""
+    if cmath.phase(point.tau) - math.pi < cmath.phase(point.nu) < -0.5 * math.pi:
+        return 2j * math.pi * point.nu_star + 1j * math.pi
+    return 0j
+
+
 def qpochhammer_modular_with_count(point: ModularPoint) -> tuple[complex, int]:
     """Transformed-side evaluation of (x; q)_oo, plus the number of
-    product terms the (tau*, nu*) side actually needed.  A value that
-    underflows past the normal double range is a domain error."""
+    product terms the (tau*, nu*) side actually needed; at Re tau < 0 the
+    conjugate of the mirror point's.  A value that underflows past the
+    normal double range is a domain error."""
     _require_thm29(point)
+    if point.tau.real < 0.0:
+        value, n_terms = qpochhammer_modular_with_count(point.mirror)
+        return value.conjugate(), n_terms
     prod, n_terms = qpochhammer_with_count(_x_star_q_star(point), point.q_star)
-    expo = dilog(point.x) / point.log_q + big_G(point) + P_minus(point)
+    expo = dilog(point.x) / point.log_q + big_G(point) + P_minus(point) + _wedge(point)
     root = cmath.sqrt(1.0 - point.x)
     value = _finite(_q_pow_minus_1_24(point.tau) * root * prod * _exp(expo))
     return _refuse_underflow(value, point, root, prod), n_terms
@@ -197,17 +213,19 @@ def ramanujan_completed(point: ModularPoint) -> complex:
     Equivalent to :func:`qpochhammer_modular` because
     exp(G) = sqrt(2 pi s) e^{s log s - s} / Gamma(s+1).  The Stirling
     factor e^{s log s - s} / Gamma(s+1) is formed as exp(G - log(2 pi s)/2),
-    never from its two halves of size |s log s|; the roots are
-    taken individually principal (sqrt(2 pi) * sqrt(s) * sqrt(1 - x)),
-    which is the combination that stays single-valued on the whole
-    domain.  A value that underflows past the normal double range is a
-    domain error.
+    never from its two halves of size |s log s|; the roots are taken
+    individually principal, sqrt(2 pi) sqrt(s) sqrt(1 - x) = sqrt(2 pi s)
+    sqrt(1 - x), so the exponent takes the same sheet term (_wedge) and
+    Re tau < 0 the same mirror.  A value that underflows past the normal
+    double range is a domain error.
     """
     _require_thm29(point)
+    if point.tau.real < 0.0:
+        return ramanujan_completed(point.mirror).conjugate()
     s = point.nu_star
     prod = qpochhammer(_x_star_q_star(point), point.q_star)
     stirling = _exp(big_G(point) - 0.5 * cmath.log(TWO_PI * s))
-    expo = dilog(point.x) / point.log_q + P_minus(point)
+    expo = dilog(point.x) / point.log_q + P_minus(point) + _wedge(point)
     root = cmath.sqrt(1.0 - point.x)
     value = _finite(
         math.sqrt(TWO_PI)
@@ -507,7 +525,7 @@ def theta_series_table(
                 f"arg tau = {arg:.4f} outside the sector ({eps:.4f}, {math.pi - eps:.4f})"
             )
         point = ModularPoint(tau, nu)
-        minus_p = -P_minus(point, choose_ray(point, "lower"))
+        minus_p = -P_minus(point, choose_ray(point))
         log_q = point.log_q
         partial = 0.0 + 0.0j
         for N in range(n_max + 1):

@@ -158,8 +158,17 @@ class ModularPoint:
         return cmath.exp(2j * math.pi * self.nu_star)
 
     @cached_property
+    def mirror(self) -> "ModularPoint":
+        """(-conj tau, -conj nu), where q, x and every function of them
+        real-analytic in (q, x) take their conjugate values."""
+        return ModularPoint(-self.tau.conjugate(), -self.nu.conjugate())
+
+    @cached_property
     def admissible_thm29(self) -> bool:
-        """True iff nu avoids (-oo,-1] u [1,oo) and nu/tau avoids (-oo,0]."""
+        """True iff nu avoids (-oo,-1] u [1,oo) and nu/tau avoids (-oo,0]:
+        the domain of the transformation formula, on all of which it holds
+        for |Re nu| < 1, at Re tau < 0 through the mirror point, once the
+        sheets of Li_2 and G agree (modularity._wedge)."""
         nu = self.nu
         if nu.imag == 0.0 and abs(nu.real) >= 1.0:
             return False

@@ -9,32 +9,29 @@ decays double-exponentially in u, so trapezoid sums over
 halves on nested nodes until two successive sums agree to the tolerance,
 RAY_REL_TOL for every ray integral.  Only integrate_ray and P_minus take
 a RaySpec from their caller; everything else picks its own ray.
-Integrands are evaluated on numpy arrays of nodes: the first call covers
-the 289 nodes of step 1/32, which hold the first five levels, and each
-later level costs one call on its new nodes.  The nodes of a level do not
-depend on the integral, so they and the point-free parts of both maps
-(exp(u - e^{-u}) and 1 + e^{-u} for a ray; 1 + e^{-2s}, cosh u and
-cosh(s)^2 for an interval) are read-only tables built once per level: an
-integral pays for its integrand and a few array products.  An integral
-that has not converged within MAX_NODES nodes, has not decayed at the
-ends of the range, or meets a non-finite value raises ConvergenceError.
-On it the module builds:
+Integrands are evaluated on numpy arrays of nodes, one call for the first
+five levels and one per level after them (_de_sum); the nodes and the
+point-free parts of both maps are read-only tables built once per level
+(_ray_nodes, _interval_nodes).  An integral that has not converged within
+MAX_NODES nodes, has not decayed at the ends of the range, or meets a
+non-finite value raises ConvergenceError.  On it the module builds:
 
 * big_G  -- the Stirling-remainder Laplace integral g^+ in closed form,
   minus Binet's function;
-* P_minus / P_plus and their nu- and tau-derivatives -- the oscillatory
-  ray sums along the ray farthest from the integrand's poles and the
-  cone's edges, the midpoint of the admissible arc (choose_ray), since a
+* P_minus and its nu- and tau-derivatives -- the oscillatory ray sums
+  along the lower ray farthest from the integrand's poles and the cone's
+  edges, the midpoint of the admissible arc (choose_ray), since a
   trapezoid sum converges like e^{-2 pi a/h} in the half-width a of the
   strip of analyticity about the ray; P's own integrand is one fused
   numpy kernel that splits the ascending nodes by slices and works in
   place on its output, where the derivatives multiply the masked kernels
-  fn_f and sin_ratio (or cos_ratio);
+  fn_f and sin_ratio (or cos_ratio).  The upper ray sum P_plus is the
+  conjugate of P_minus at the mirror point (-conj tau, -conj nu);
 * A_n and K_N -- the coefficients of P's divergent series at q -> 1, in
   closed form, and the norm integrals of its remainder bound;
-* the series itself, which P_minus sums instead of its ray integral
-  wherever the proven bound (with K_N bounded in closed form) certifies
-  it to TERM_TOL;
+* the series itself, which P_minus sums instead of its ray integral at
+  Re tau >= 0 wherever the proven bound (with K_N bounded in closed form)
+  certifies it to TERM_TOL;
 * M_almost_modular and pv_M_direct -- two genuinely independent routes
   to the real-case almost-modular term (the second never touches the
   ray sums: it integrates over finite intervals, and its only
@@ -259,22 +256,20 @@ def _slack(point: ModularPoint, d: float) -> float:
     return (e_id * 1j / point.tau).real - abs((e_id * point.nu * 1j / point.tau).real)
 
 
-def _admissible_arc(point: ModularPoint, half: str) -> tuple[float, float]:
-    """The admissible arc (lo, hi) of one half-plane; a domain error where
-    it is narrower than RAY_MIN_ARC.
+def _admissible_arc(point: ModularPoint) -> tuple[float, float]:
+    """The admissible arc (lo, hi) of the lower half-plane; a domain error
+    where it is narrower than RAY_MIN_ARC.
 
     A ray converges where Re(e^{id} e) > 0 for both cone edges
     e = (1 -/+ nu) i/tau, the half-circle |d + arg e| < pi/2 each, and
-    within a half-plane both leave one arc.  Its ends are the obstacles
+    within the half-plane both leave one arc.  Its ends are the obstacles
     of the ray integral: the real axis, where f has its poles, and the
     edges.  The poles 2 pi k tau of 1/(e^{it/tau} - 1) lie on no
     admissible ray: the two conditions add up to Re(e^{id} i/tau) > 0,
-    which fails on arg t = arg tau and arg tau - pi.
+    which fails on arg t = arg tau and arg tau - pi.  The upper half-plane
+    is the lower one at the mirror point (P_plus).
     """
-    if half not in ("lower", "upper"):
-        raise DomainError(f"half must be 'lower' or 'upper', got {half!r}")
-    mid = -0.5 * math.pi if half == "lower" else 0.5 * math.pi
-    lo, hi = mid - 0.5 * math.pi, mid + 0.5 * math.pi
+    mid, lo, hi = -0.5 * math.pi, -math.pi, 0.0
     edges = ((1.0 - point.nu) * 1j / point.tau, (1.0 + point.nu) * 1j / point.tau)
     for e in edges:
         # the centre -arg e of e's half-circle, turned to within pi of mid
@@ -282,15 +277,13 @@ def _admissible_arc(point: ModularPoint, half: str) -> tuple[float, float]:
         lo, hi = max(lo, centre - 0.5 * math.pi), min(hi, centre + 0.5 * math.pi)
     # at nu = +-1 an edge vanishes and no angle converges
     if not (hi - lo >= RAY_MIN_ARC and all(edges)):
-        raise DomainError(
-            f"empty admissible cone (tau = {point.tau}, nu = {point.nu}, {half})"
-        )
+        raise DomainError(f"empty admissible cone (tau = {point.tau}, nu = {point.nu})")
     return lo, hi
 
 
-def choose_ray(point: ModularPoint, half: str) -> RaySpec:
-    """The ray farthest from every obstacle of the DE trapezoid rule, with
-    its slack as the decay rate.
+def choose_ray(point: ModularPoint) -> RaySpec:
+    """The lower ray farthest from every obstacle of the DE trapezoid
+    rule, with its slack as the decay rate.
 
     A trapezoid sum converges like e^{-2 pi c/h}, c the half-width of the
     strip about the ray in which the integrand stays analytic and bounded,
@@ -301,7 +294,7 @@ def choose_ray(point: ModularPoint, half: str) -> RaySpec:
     is narrower than RAY_MIN_ARC (the point lies outside the relevant
     analyticity domain, or every ray passes too close to an obstacle).
     """
-    lo, hi = _admissible_arc(point, half)
+    lo, hi = _admissible_arc(point)
     d = 0.5 * (lo + hi)
     return RaySpec(direction_d=d, decay=_slack(point, d))
 
@@ -407,9 +400,9 @@ def P_minus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
     if spec is None:
         series = _p_series(point)
         if series is None:
-            spec = choose_ray(point, "lower")
+            spec = choose_ray(point)
         else:
-            _admissible_arc(point, "lower")
+            _admissible_arc(point)
             return series
     else:
         spec = replace(spec, decay=_slack(point, spec.direction_d))
@@ -417,11 +410,10 @@ def P_minus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
 
 
 def P_plus(point: ModularPoint) -> complex:
-    """P computed from an upper-half-plane ray (differs from P_minus by
-    the Stokes sum)."""
-    if point.nu == 0:
-        return 0.0 + 0.0j
-    return integrate_ray(_p_integrand(point), choose_ray(point, "upper")).value
+    """P from an upper-half-plane ray (P_minus less the Stokes sum): the
+    conjugate of P_minus, ray or series, at the mirror point, whose lower
+    rays and integrand are the conjugates of the upper ones here."""
+    return P_minus(point.mirror).conjugate()
 
 
 def dP_dnu(point: ModularPoint) -> complex:
@@ -432,7 +424,7 @@ def dP_dnu(point: ModularPoint) -> complex:
     def integrand(t):
         return cos_ratio(nu, t / tau) * fn_f(t) / tau
 
-    return integrate_ray(integrand, choose_ray(point, "lower")).value
+    return integrate_ray(integrand, choose_ray(point)).value
 
 
 def dP_dtau(point: ModularPoint) -> complex:
@@ -452,7 +444,7 @@ def dP_dtau(point: ModularPoint) -> complex:
             * fn_f(t)
         )
 
-    return integrate_ray(integrand, choose_ray(point, "lower")).value
+    return integrate_ray(integrand, choose_ray(point)).value
 
 
 def stokes_sum(point: ModularPoint) -> complex:
@@ -580,16 +572,6 @@ def A_n(n: int, z: complex) -> complex:
     points tested against mpmath, and about 9e-16 n up to A_N_MAX, the
     rounding of an s-th power; near a zero of A_n on the real axis no
     form keeps the relative digits.
-
-    One Hurwitz form for n >= 2, (2n-2)! (2 pi i)^{-s} [zeta(s, 1 + u) -
-    zeta(s, 1 - u)] with u = z/(2 pi i), summed directly to a shift and by
-    Euler-Maclaurin past it, was tried in place of the partial fractions
-    and the coth form.  It is as accurate (below 9e-15 for n <= 12 on the
-    same points), but its Euler-Maclaurin tail reaches 2^-53 only with a
-    shift that grows with n and |Im u|, and for all n <= 3, 6 and 12 at
-    seven z in (-32, 0), like the fixed-x points at q -> 1, it took 27, 40
-    and 92 us against 11, 12 and 29 us here (CPython 3.11, one core of a
-    shared 2-core machine): most of the series' gain over the ray integral.
     """
     if not 1 <= n <= A_N_MAX:
         raise DomainError(f"n must be an integer in [1, {A_N_MAX}], got {n}")
@@ -760,16 +742,16 @@ def _p_series(point: ModularPoint) -> complex | None:
     |T_1| - b_1 <= |P| is the first term's modulus less its bound, and
     the ray is used where b_{N_MAX} is not: the bounds are compared
     before any A_n past the first is formed.
-    For Re tau < 0 the ray lies in the upper half-plane and the series
-    is P_plus = P_minus - stokes_sum, so it stands only where the Stokes
-    sum's own tail bound from its first term is below the same tolerance.
+    The series is tried only for SERIES_EPS < arg tau <= pi/2, where its
+    ray lies in the lower half-plane and it sums P_minus; at Re tau < 0 it
+    would sum P_plus, which reaches it through the mirror point.
     """
     tau, nu = point.tau, point.nu
     a = abs(nu.real)
     abs_tau = abs(tau)
     # tried only for |tau| < 1 - a, far past where the bound can certify P
     # (|tau| up to about 0.13 (1 - a)); there no power below overflows
-    if not (abs_tau < 1.0 - a and SERIES_EPS < cmath.phase(tau) < math.pi - SERIES_EPS):
+    if not (abs_tau < 1.0 - a and tau.real >= 0.0 and cmath.phase(tau) > SERIES_EPS):
         return None
     consts = _series_constants()
     abs_nu, inv = abs(nu), 1.0 / (1.0 - a)
@@ -789,14 +771,6 @@ def _p_series(point: ModularPoint) -> complex | None:
     if not bound(N_MAX) < tol:
         return None
     N = next(N for N in range(1, N_MAX + 1) if bound(N) < tol)
-    if tau.real < 0.0:
-        # term n of the Stokes sum is at most 2 r^n / (1 - |q*|)
-        decay = -(1.0 / tau).imag - abs((nu / tau).imag)
-        if not decay > 0.0:
-            return None
-        r = math.exp(-TWO_PI * decay)
-        if 2.0 * r / ((1.0 - r) * -math.expm1(TWO_PI * (1.0 / tau).imag)) >= tol:
-            return None
     log_q_sq = log_q * log_q
     power = log_q
     for n, a_n in enumerate(_a_values(range(2, N + 1), z), 2):

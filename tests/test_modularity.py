@@ -9,9 +9,10 @@ not noise.
 import math
 import random
 
+import numpy as np
 import pytest
 
-from qmod.errors import DomainError
+from qmod.errors import ConvergenceError, DomainError
 from qmod.qcore import ModularPoint, qpochhammer, qpochhammer_with_count
 from qmod.raysum import P_minus, _p_integrand, _p_series, choose_ray, integrate_ray
 from qmod.modularity import (
@@ -130,12 +131,63 @@ def test_modular_where_x_star_alone_overflows():
 )
 def test_modular_where_the_admissible_arc_is_narrow(tau, nu):
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        want = complex(
-            mpmath.qp(mpmath.expjpi(2 * mpmath.mpc(nu)), mpmath.expjpi(2 * mpmath.mpc(tau)))
-        )
+    want = _qp_mpmath(mpmath, tau, nu)
     got = qpochhammer_modular(ModularPoint(tau, nu))
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _qp_mpmath(mpmath, tau, nu):
+    """(x; q)_oo at 30 digits."""
+    with mpmath.workdps(30):
+        return complex(
+            mpmath.qp(mpmath.expjpi(2 * mpmath.mpc(nu)), mpmath.expjpi(2 * mpmath.mpc(tau)))
+        )
+
+
+@pytest.mark.parametrize(
+    "tau, nu",
+    [
+        # Re tau > 0, nu between the cuts of Li_2 (nu in -i (0, oo)) and of
+        # G (nu in -tau (0, oo)): the value was off by -e^{2 pi i nu/tau}
+        (0.23982859142074187 + 2.6742701839441563j, -0.011497320186277027 - 0.23487904553503003j),
+        # Re tau < 0, the same wedge at the mirror point
+        (-0.31927 + 0.17571j, 0.26394 - 0.2552j),
+    ],
+)
+def test_modular_across_the_branch_wedge(tau, nu):
+    mpmath = pytest.importorskip("mpmath")
+    want = _qp_mpmath(mpmath, tau, nu)
+    for f in (qpochhammer_modular, ramanujan_completed):
+        got = f(ModularPoint(tau, nu))
+        assert abs(got - want) <= 1e-14 * abs(want), f.__name__
+
+
+def test_modular_forms_against_mpmath_on_the_fuzz_box():
+    # every value both forms return on seeded points of the domain-fuzz
+    # box, Re tau < 0 and Im nu < 0 included; a refusal must be a domain
+    # or convergence error (on this sample only a value past the double
+    # range is refused)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261020)
+    checked = mirrored = wedge = 0
+    for _ in range(120):
+        tau = complex(rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(-2.5, 0.5))
+        nu = complex(rng.uniform(-0.95, 0.95), rng.uniform(-1.0, 1.0))
+        point = ModularPoint(tau, nu)
+        want = None
+        for f in (qpochhammer_modular, ramanujan_completed):
+            try:
+                got = f(point)
+            except (DomainError, ConvergenceError):
+                continue
+            if want is None:
+                want = _qp_mpmath(mpmath, tau, nu)
+            assert abs(got - want) <= 1e-10 * abs(want), (f.__name__, tau, nu)
+            checked += 1
+        if want is not None:
+            mirrored += tau.real < 0.0
+            wedge += nu.imag < 0.0
+    assert checked >= 230 and mirrored >= 50 and wedge >= 50
 
 
 def test_modular_overflow_is_a_domain_error():
@@ -362,20 +414,25 @@ def test_table_reference_is_the_lower_ray():
     for tau in (0.01j, 0.02 + 0.05j):
         point = ModularPoint(tau, 0.3)
         assert _p_series(point) is not None
-        ray = integrate_ray(_p_integrand(point), choose_ray(point, "lower")).value
+        ray = integrate_ray(_p_integrand(point), choose_ray(point)).value
         for row in theta_series_table(0.3, [tau], n_max=2):
             assert row.minus_P == -ray
 
 
-def test_modular_keeps_the_lower_cone_refusal():
-    # domain-fuzz seed 1312: the lower cone is empty, and the series, whose
-    # ray is in the upper half-plane for Re tau < 0, must not stand in
+def test_modular_mirrors_past_an_empty_lower_cone():
+    # domain-fuzz seed 1312: the lower cone is empty, so P_minus refuses,
+    # but Re tau < 0 sends the modular route to the mirror point, whose
+    # lower cone is the conjugate of this point's upper one
+    mpmath = pytest.importorskip("mpmath")
     p = ModularPoint(
         -0.011245422065258026 + 0.01998320998098329j,
         0.5375601444393396 + 0.9095536004751921j,
     )
-    with pytest.raises(DomainError):
-        qpochhammer_modular(p)
+    with pytest.raises(DomainError, match="empty admissible cone"):
+        P_minus(p)
+    want = _qp_mpmath(mpmath, p.tau, p.nu)
+    for f in (qpochhammer_modular, ramanujan_completed):
+        assert abs(f(p) - want) <= 1e-12 * abs(want), f.__name__
 
 
 def test_table_validation():

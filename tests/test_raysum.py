@@ -231,7 +231,7 @@ def test_rayspec_validation():
 
 
 def test_choose_ray_lower_half():
-    spec = choose_ray(ModularPoint(1j, 0.25), "lower")
+    spec = choose_ray(ModularPoint(1j, 0.25))
     assert -math.pi < spec.direction_d < 0.0
 
 
@@ -240,19 +240,19 @@ def test_choose_ray_inside_cone():
     # is the clearest lower angle: at tau = i the cone's edges are the real
     # axis and the pole ray -pi/2, so that is -pi/4
     p = ModularPoint(1j, 0.25)
-    spec = choose_ray(p, "lower")
+    spec = choose_ray(p)
     d = spec.direction_d
     assert spec.decay == _slack(p, d) > 0.0
-    assert abs(_clearance(p, d, "lower") - _mesh_clearance(p, "lower")) <= 1e-4
+    assert abs(_clearance(p, d) - _mesh_clearance(p)) <= 1e-4
     assert d == -0.25 * math.pi
 
 
-def _clearance(point, d, half):
-    """The angle from d (a float or an array) to the nearest obstacle of
-    the ray integral: the real axis, the pole ray, and the edges of the
-    cone, where Re(e^{id} (1 -/+ nu) i/tau) changes sign (negative outside
-    it)."""
-    pole = cmath.phase(point.tau) - (math.pi if half == "lower" else 0.0)
+def _clearance(point, d):
+    """The angle from the lower angle d (a float or an array) to the
+    nearest obstacle of the ray integral: the real axis, the pole ray, and
+    the edges of the cone, where Re(e^{id} (1 -/+ nu) i/tau) changes sign
+    (negative outside it)."""
+    pole = cmath.phase(point.tau) - math.pi
     edges = [
         0.5 * np.pi
         - np.abs(np.remainder(d + cmath.phase(e * 1j / point.tau) + np.pi, 2.0 * np.pi) - np.pi)
@@ -261,16 +261,16 @@ def _clearance(point, d, half):
     return np.minimum.reduce([np.abs(d), np.pi - np.abs(d), np.abs(d - pole), *edges])
 
 
-#: the dense mesh of one half-plane: MESH angles, each angle of the
+#: the dense mesh of the lower half-plane: MESH angles, each angle of the
 #: half-plane within half a step of one of them
 MESH = 20_000
 
 
-def _mesh_clearance(point, half):
-    """The largest _clearance on the dense mesh of one half-plane, which
-    is within half a mesh step below the largest of all."""
-    d = (np.arange(MESH) + 0.5) * (math.pi / MESH) * (-1.0 if half == "lower" else 1.0)
-    return float(_clearance(point, d, half).max())
+def _mesh_clearance(point):
+    """The largest _clearance on the dense mesh of the lower half-plane,
+    which is within half a mesh step below the largest of all."""
+    d = (np.arange(MESH) + 0.5) * (-math.pi / MESH)
+    return float(_clearance(point, d).max())
 
 
 def _domain_fuzz_points(n, seed):
@@ -292,21 +292,23 @@ def _domain_fuzz_points(n, seed):
 
 @pytest.mark.parametrize("half", ["lower", "upper"])
 def test_choose_ray_is_the_scalar_argmax(half):
-    # the ray is the clearest angle of the half-plane, and the refusals are
-    # exactly the points whose admissible arc, twice the largest clearance,
-    # is narrower than RAY_MIN_ARC
+    # the ray is the clearest angle of the lower half-plane, and the
+    # refusals are exactly the points whose admissible arc, twice the
+    # largest clearance, is narrower than RAY_MIN_ARC; the upper
+    # half-plane is the lower one at the mirror point
     chosen = empty = 0
     for p in _domain_fuzz_points(200, seed=5):
-        best = _mesh_clearance(p, half)
+        if half == "upper":
+            p = p.mirror
+        best = _mesh_clearance(p)
         try:
-            spec = choose_ray(p, half)
+            spec = choose_ray(p)
         except DomainError as exc:
-            message = f"empty admissible cone (tau = {p.tau}, nu = {p.nu}, {half})"
-            assert str(exc) == message
+            assert str(exc) == f"empty admissible cone (tau = {p.tau}, nu = {p.nu})"
             assert 2.0 * (best + 0.5 * math.pi / MESH) < RAY_MIN_ARC
             empty += 1
             continue
-        clear = _clearance(p, spec.direction_d, half)
+        clear = _clearance(p, spec.direction_d)
         assert abs(clear - best) <= 1e-4
         assert 2.0 * clear >= RAY_MIN_ARC
         assert spec.decay == _slack(p, spec.direction_d)
@@ -316,21 +318,21 @@ def test_choose_ray_is_the_scalar_argmax(half):
 
 def test_choose_ray_keeps_the_P_integrals_short(monkeypatch):
     # a ray beside a pole or a cone edge needs a finer trapezoid step: the
-    # nodes of every lower and upper P ray integral over the seed-5 fuzz
-    # points total 139,114 on the clearest ray, against 210,248 on the ray
-    # of largest slack
+    # nodes of every P ray integral at the seed-5 fuzz points and their
+    # mirrors (the upper rays) total 139,114 on the clearest ray, against
+    # 210,248 on the ray of largest slack
     nodes = []
     monkeypatch.setattr(
         "qmod.raysum._de_sum", lambda weighted, tol: _de_sum(_counted(weighted, nodes), tol)
     )
     integrals = 0
     for p in _domain_fuzz_points(200, seed=5):
-        for half in ("lower", "upper"):
+        for q in (p, p.mirror):
             try:
-                spec = choose_ray(p, half)
+                spec = choose_ray(q)
             except DomainError:
                 continue
-            integrate_ray(_p_integrand(p), spec)
+            integrate_ray(_p_integrand(q), spec)
             integrals += 1
     assert integrals > 200
     assert sum(nodes) <= 157_000
@@ -338,20 +340,17 @@ def test_choose_ray_keeps_the_P_integrals_short(monkeypatch):
 
 def test_choose_ray_empty_cone():
     with pytest.raises(DomainError):
-        choose_ray(ModularPoint(1j, 1.2), "lower")
+        choose_ray(ModularPoint(1j, 1.2))
 
 
 @pytest.mark.parametrize("nu", [1.0, -1.0])
 @pytest.mark.parametrize("half", ["lower", "upper"])
 def test_choose_ray_empty_cone_at_a_vanishing_edge(nu, half):
-    # (1 -/+ nu) i/tau, the normal of one cone edge, is 0: no angle converges
+    # (1 -/+ nu) i/tau, the normal of one cone edge, is 0: no angle
+    # converges, in the lower half-plane or in the upper (at the mirror)
+    p = ModularPoint(0.3 + 1j, nu)
     with pytest.raises(DomainError, match="empty admissible cone"):
-        choose_ray(ModularPoint(0.3 + 1j, nu), half)
-
-
-def test_choose_ray_bad_half_label():
-    with pytest.raises(DomainError):
-        choose_ray(ModularPoint(1j, 0.2), "sideways")
+        choose_ray(p if half == "lower" else p.mirror)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +528,16 @@ def test_P_vanishes_at_zero():
     assert P_plus(ModularPoint(0.7j, 0)) == 0
 
 
+@pytest.mark.parametrize("tau, nu", [(1.895e-6j, 3.280e-7j), (2.867e-6j, 4.691e-7j)])
+def test_P_plus_takes_the_series_through_the_mirror(tau, nu):
+    # x -> 1 points where the Stokes sum is below 1e-300: P_plus is P_minus
+    # at the mirror, here the point itself, and so the certified series;
+    # an upper ray of its own was 8.7e-11 and 3.0e-11 off
+    p = ModularPoint(tau, nu)
+    assert _p_series(p.mirror) is not None
+    assert abs(P_plus(p) - P_minus(p)) <= 1e-15 * abs(P_minus(p))
+
+
 def test_stokes_jump_matches_discrete_sum():
     p = ModularPoint(1j, 0.3j)
     jump = P_minus(p) - P_plus(p)
@@ -615,23 +624,26 @@ def test_P_minus_ray_against_mpmath_near_the_real_axis(tau, nu):
 
 
 def test_P_minus_takes_the_ray_where_the_stokes_sum_counts():
-    # Re tau < 0 puts the series' ray in the upper half-plane, so it sums
-    # P_plus = P_minus - stokes_sum.  Here the Stokes sum is ~4e-6 against
-    # |P| ~ 7e-3, and the bound alone (the same at -conj(tau)) would take it
+    # at Re tau < 0 the series' ray is in the upper half-plane, where it
+    # sums P_plus = P_minus - stokes_sum, so P_minus takes the ray.  Here
+    # the Stokes sum is ~4e-6 against |P| ~ 7e-3, while the bound alone
+    # (the same at -conj(tau)) would take the series
     tau = -0.014410381229193893 + 0.024693004618361783j
     nu = -0.7301091219703506 - 0.3504649730058935j
     p = ModularPoint(tau, nu)
+    assert _p_series(p) is None
     assert _p_series(ModularPoint(-tau.conjugate(), nu)) is not None
     assert abs(stokes_sum(p)) > 1e-4 * abs(P_plus(p))
-    ray = integrate_ray(_p_integrand(p), choose_ray(p, "lower")).value
+    ray = integrate_ray(_p_integrand(p), choose_ray(p)).value
     assert P_minus(p) == ray
 
 
 def test_P_minus_series_keeps_the_lower_cone_refusal():
     # the lower cone is empty, while the series' own ray (Re tau < 0: the
     # upper half-plane) converges.  At the second point the series' bound
-    # certifies P, and the lower arc, (-3.6, 0) degrees, is narrower than
-    # RAY_MIN_ARC: the series must not stand in for the refusal
+    # would certify P (it does at the mirror, for P_plus), and the lower
+    # arc, (-3.6, 0) degrees, is narrower than RAY_MIN_ARC: the series is
+    # not tried at Re tau < 0, so it cannot stand in for the refusal
     p = ModularPoint(
         -0.011245422065258026 + 0.01998320998098329j,
         0.5375601444393396 + 0.9095536004751921j,
@@ -642,14 +654,16 @@ def test_P_minus_series_keeps_the_lower_cone_refusal():
         -0.002368844413071383 + 0.0027548278201332366j,
         -0.3367407374526491 - 0.6800050053083299j,
     )
-    assert _p_series(p) is not None
+    assert _p_series(p) is None
+    assert _p_series(p.mirror) is not None
     with pytest.raises(DomainError, match="empty admissible cone"):
         P_minus(p)
 
 
 def test_p_integrand_matches_the_two_kernels():
     # the fused integrand against sin_ratio and fn_f node by node, on the
-    # lower and upper rays of seeded points of the domain-fuzz box, on
+    # lower and upper rays of seeded points of the domain-fuzz box (an
+    # upper ray is the conjugate of the mirror point's lower ray), on
     # integrate_ray's nodes (ascending |t|) at step h = 1/64: weighted as
     # the trapezoid sum weighs them, the differences add up to at most
     # 1e-13 |I| (measured: 2.5e-14).  Single nodes may carry more where
@@ -668,9 +682,11 @@ def test_p_integrand_matches_the_two_kernels():
 
         for half in ("lower", "upper"):
             try:
-                spec = choose_ray(point, half)
+                spec = choose_ray(point if half == "lower" else point.mirror)
             except DomainError:
                 continue
+            if half == "upper":  # the conjugate of the mirror's lower ray
+                spec = RaySpec(-spec.direction_d, spec.decay)
             r = np.exp(u - np.exp(-u)) / spec.decay
             radii = (SERIES_RADIUS, abs(tau) / (1.0 + abs(nu)))
             assert r[0] < min(radii) and r[-1] > max(radii)

@@ -55,6 +55,14 @@ PRODUCTS = [
     "--x-re 0.5 --q-re 0.9999", "--x-re 0.9 --q-re 0.9999",
 ]
 
+#: modular points with nu between the branch cuts of Li_2 and G, at
+#: Re tau > 0 and at Re tau < 0
+MODULAR = [
+    "--tau-re 0.23982859142074187 --tau-im 2.6742701839441563"
+    " --nu-re -0.011497320186277027 --nu-im -0.23487904553503003",
+    "--tau-re -0.31927 --tau-im 0.17571 --nu-re 0.26394 --nu-im -0.2552",
+]
+
 
 def run(main, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -83,6 +91,7 @@ def main() -> int:
     cases += [f"check {t} {CHECK_POINTS.get(t, TN)}" for t in cli.CHECK_TARGETS]
     cases += ERRORS
     cases += [f"eval pochhammer-direct {p}" for p in PRODUCTS]
+    cases += [f"eval pochhammer-modular {p}" for p in MODULAR]
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for case in cases:
