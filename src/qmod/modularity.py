@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stability import cexpm1, inv_expm1
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .qcore import (
     ModularPoint,
     _below_normal,
@@ -187,15 +187,34 @@ def _wedge(point: ModularPoint) -> complex:
     return 0j
 
 
-def qpochhammer_modular_with_count(point: ModularPoint) -> tuple[complex, int]:
-    """Transformed-side evaluation of (x; q)_oo, plus the number of
-    product terms the (tau*, nu*) side actually needed; at Re tau < 0 the
-    conjugate of the mirror point's.  A value that underflows past the
-    normal double range is a domain error."""
+def _at_lower_half(point: ModularPoint, evaluate) -> tuple[complex, int]:
+    """evaluate(base), (value, n_terms), at the point base of Re tau >= 0
+    and |Re nu| < 1 where (x; q)_oo takes point's value or its conjugate,
+    the value conjugated back.  Where |Re nu| >= 1, nu less round(Re nu),
+    which leaves x unchanged: the principal Li_2 and sqrt(1 - x) also have
+    cuts on Re nu = +-1, +-2, ..., which _wedge does not join.  Then at
+    Re tau < 0 the mirror point.  A refusal at base (one on G's cut
+    nu/tau in (-oo, 0] after the shift among them) names both points."""
     _require_thm29(point)
-    if point.tau.real < 0.0:
-        value, n_terms = qpochhammer_modular_with_count(point.mirror)
-        return value.conjugate(), n_terms
+    base = point
+    if abs(base.nu.real) >= 1.0:
+        base = ModularPoint(base.tau, base.nu - round(base.nu.real))
+    if base.tau.real < 0.0:
+        base = base.mirror
+    if base is point:
+        return evaluate(point)
+    try:
+        _require_thm29(base)
+        value, n_terms = evaluate(base)
+    except (DomainError, ConvergenceError) as exc:
+        raise type(exc)(
+            f"tau = {point.tau}, nu = {point.nu} evaluated at tau = {base.tau}, "
+            f"nu = {base.nu}: {exc}"
+        ) from exc
+    return (value.conjugate() if point.tau.real < 0.0 else value), n_terms
+
+
+def _modular_with_count(point: ModularPoint) -> tuple[complex, int]:
     prod, n_terms = qpochhammer_with_count(_x_star_q_star(point), point.q_star)
     expo = dilog(point.x) / point.log_q + big_G(point) + P_minus(point) + _wedge(point)
     root = cmath.sqrt(1.0 - point.x)
@@ -203,25 +222,19 @@ def qpochhammer_modular_with_count(point: ModularPoint) -> tuple[complex, int]:
     return _refuse_underflow(value, point, root, prod), n_terms
 
 
+def qpochhammer_modular_with_count(point: ModularPoint) -> tuple[complex, int]:
+    """Transformed-side evaluation of (x; q)_oo, plus the number of
+    product terms the (tau*, nu*) side actually needed, at the point
+    _at_lower_half reduces to.  A value that underflows past the normal
+    double range is a domain error."""
+    return _at_lower_half(point, _modular_with_count)
+
+
 def qpochhammer_modular(point: ModularPoint) -> complex:
     return qpochhammer_modular_with_count(point)[0]
 
 
-def ramanujan_completed(point: ModularPoint) -> complex:
-    """The completed product formula with the Stirling factor written out.
-
-    Equivalent to :func:`qpochhammer_modular` because
-    exp(G) = sqrt(2 pi s) e^{s log s - s} / Gamma(s+1).  The Stirling
-    factor e^{s log s - s} / Gamma(s+1) is formed as exp(G - log(2 pi s)/2),
-    never from its two halves of size |s log s|; the roots are taken
-    individually principal, sqrt(2 pi) sqrt(s) sqrt(1 - x) = sqrt(2 pi s)
-    sqrt(1 - x), so the exponent takes the same sheet term (_wedge) and
-    Re tau < 0 the same mirror.  A value that underflows past the normal
-    double range is a domain error.
-    """
-    _require_thm29(point)
-    if point.tau.real < 0.0:
-        return ramanujan_completed(point.mirror).conjugate()
+def _ramanujan(point: ModularPoint) -> complex:
     s = point.nu_star
     prod = qpochhammer(_x_star_q_star(point), point.q_star)
     stirling = _exp(big_G(point) - 0.5 * cmath.log(TWO_PI * s))
@@ -237,6 +250,21 @@ def ramanujan_completed(point: ModularPoint) -> complex:
         * prod
     )
     return _refuse_underflow(value, point, root, prod)
+
+
+def ramanujan_completed(point: ModularPoint) -> complex:
+    """The completed product formula with the Stirling factor written out.
+
+    Equivalent to :func:`qpochhammer_modular` because
+    exp(G) = sqrt(2 pi s) e^{s log s - s} / Gamma(s+1).  The Stirling
+    factor e^{s log s - s} / Gamma(s+1) is formed as exp(G - log(2 pi s)/2),
+    never from its two halves of size |s log s|; the roots are taken
+    individually principal, sqrt(2 pi) sqrt(s) sqrt(1 - x) = sqrt(2 pi s)
+    sqrt(1 - x), so the exponent takes the same sheet term (_wedge) and
+    the same reduction (_at_lower_half).  A value that underflows past the
+    normal double range is a domain error.
+    """
+    return _at_lower_half(point, lambda base: (_ramanujan(base), 0))[0]
 
 
 def thm29_residual(point: ModularPoint, tol: float | None = None) -> ResidualReport:

@@ -167,8 +167,9 @@ class ModularPoint:
     def admissible_thm29(self) -> bool:
         """True iff nu avoids (-oo,-1] u [1,oo) and nu/tau avoids (-oo,0]:
         the domain of the transformation formula, on all of which it holds
-        for |Re nu| < 1, at Re tau < 0 through the mirror point, once the
-        sheets of Li_2 and G agree (modularity._wedge)."""
+        for |Re nu| < 1 and Re tau >= 0 once the sheets of Li_2 and G agree
+        (modularity._wedge), and elsewhere through nu - round(Re nu) and the
+        mirror point (modularity._at_lower_half)."""
         nu = self.nu
         if nu.imag == 0.0 and abs(nu.real) >= 1.0:
             return False

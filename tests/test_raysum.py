@@ -32,6 +32,7 @@ from qmod.raysum import (
     RAY_REL_TOL,
     RayResult,
     RaySpec,
+    _admissible_arc,
     _de_sum,
     _interval_nodes,
     _p_integrand,
@@ -656,6 +657,16 @@ def test_P_minus_series_keeps_the_lower_cone_refusal():
     )
     assert _p_series(p) is None
     assert _p_series(p.mirror) is not None
+    with pytest.raises(DomainError, match="empty admissible cone"):
+        P_minus(p)
+    # Re tau > 0, where the series is tried: its bound certifies P, while
+    # the edge (1 + nu) i/tau, with 1 + nu = 0.05 - i close to -i (0, oo),
+    # leaves a lower arc narrower than RAY_MIN_ARC: only P_minus's own
+    # check refuses
+    p = ModularPoint(2e-05 + 0.001j, -0.95 - 1j)
+    assert _p_series(p) is not None
+    with pytest.raises(DomainError, match="empty admissible cone"):
+        _admissible_arc(p)
     with pytest.raises(DomainError, match="empty admissible cone"):
         P_minus(p)
 

@@ -56,11 +56,13 @@ PRODUCTS = [
 ]
 
 #: modular points with nu between the branch cuts of Li_2 and G, at
-#: Re tau > 0 and at Re tau < 0
+#: Re tau > 0 and at Re tau < 0, and two past the cut Re nu = +-1
 MODULAR = [
     "--tau-re 0.23982859142074187 --tau-im 2.6742701839441563"
     " --nu-re -0.011497320186277027 --nu-im -0.23487904553503003",
     "--tau-re -0.31927 --tau-im 0.17571 --nu-re 0.26394 --nu-im -0.2552",
+    "--tau-re 0.1 --tau-im 0.3 --nu-re 1.3 --nu-im -0.2",
+    "--tau-re -0.2 --tau-im 0.25 --nu-re -1.7 --nu-im -0.3",
 ]
 
 
