@@ -15,9 +15,12 @@ later level costs one call on its new nodes.  The nodes of a level do not
 depend on the integral, so they and the point-free parts of both maps
 (exp(u - e^{-u}) and 1 + e^{-u} for a ray; 1 + e^{-2s}, cosh u and
 cosh(s)^2 for an interval) are read-only tables built once per level: an
-integral pays for its integrand and a few array products.  An integral
-that has not converged within MAX_NODES nodes, has not decayed at the
-ends of the range, or meets a non-finite value raises ConvergenceError.
+integral pays for its integrand and a few array products.  P's integrand
+hands _de_sum its weighted values itself (_p_weighted): its nodes are one
+scalar times the ray table, so its Bernoulli series is one matrix product
+with a per-level table of the series' terms.  An integral that has not
+converged within MAX_NODES nodes, has not decayed at the ends of the
+range, or meets a non-finite value raises ConvergenceError.
 On it the module builds:
 
 * big_G  -- the Stirling-remainder Laplace integral g^+ in closed form,
@@ -27,9 +30,10 @@ On it the module builds:
   edges, the midpoint of the admissible arc (choose_ray), since a
   trapezoid sum converges like e^{-2 pi a/h} in the half-width a of the
   strip of analyticity about the ray; P's own integrand is one fused
-  numpy kernel that splits the ascending nodes by slices and works in
-  place on its output, where the derivatives multiply the masked kernels
-  fn_f and sin_ratio (or cos_ratio).  The upper ray sum P_plus is the
+  numpy kernel that takes the point and the ray as scalars, splits the
+  ascending nodes by slices and works in place on its output, where the
+  derivatives multiply the masked kernels fn_f and sin_ratio (or
+  cos_ratio) through integrate_ray.  The upper ray sum P_plus is the
   conjugate of P_minus at the mirror point (-conj tau, -conj nu);
 * A_n and K_N -- the coefficients of P's divergent series at q -> 1, in
   closed form, and the norm integrals of its remainder bound;
@@ -212,8 +216,7 @@ def integrate_ray(
     nodes where that decay happens.  Its point-free part comes from the
     per-level tables of _ray_nodes, so a level costs the integrand and
     four array operations.  _de_sum passes u in ascending order and the
-    map is increasing, so every call's nodes come in ascending |t|: P's
-    fused integrand relies on it to split them by slicing.
+    map is increasing, so every call's nodes come in ascending |t|.
     """
     e_id = cmath.exp(1j * spec.direction_d)
     decay = spec.decay
@@ -324,67 +327,82 @@ def big_G(point: ModularPoint) -> complex:
 # the P integrals and their derivatives
 
 
-def _p_integrand(point: ModularPoint) -> Callable[[np.ndarray], np.ndarray]:
-    """sin(nu w)/(e^{iw} - 1) f(t)/t, w = t/tau, as one fused kernel on the
-    nodes of one ray, which integrate_ray passes in ascending |t|.
+@functools.cache
+def _p_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(u - e^{-u}), 1 + e^{-u} and the terms of fn_f's Bernoulli series
+    -2 B_{2j+2}/(2j+2)! r^{2j+1} (1 + e^{-u}), j < 10, one row per node, on
+    _u_nodes(level) with r = exp(u - e^{-u}), read-only: the point-free
+    part of P's weighted integrand."""
+    r0, one_plus_e_u = _ray_nodes(level)
+    powers = r0[:, None] ** (2 * np.arange(len(_BOSE_COEFFS)) + 1)
+    return r0, one_plus_e_u, _frozen(-2.0 * powers * _BOSE_COEFFS[::-1] * one_plus_e_u[:, None])
 
-    Each factor splits the nodes once, at the first node past its radius
-    (np.searchsorted on |t|), and works on slices either side, where the
-    two kernels fn_f and sin_ratio mask every node into two branches:
 
-    * f(t)/t is -2 sum_m B_2m (-t^2)^{m-1}/(2m)! below SERIES_RADIUS,
-      fn_f's Bernoulli series, and (2/v - 2/expm1(v) - 1)/v above it,
-      v = ist with s the sign of Im t on the ray, so that Re v <= 0:
-      fn_f's expm1 form, which keeps the digits cot(t/2) - 2/t cancels
-      just past the radius;
+def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int], np.ndarray]:
+    """P's integrand sin(nu w)/(e^{iw} - 1) f(t)/t, w = t/tau, times
+    dt/du = t (1 + e^{-u}) along spec's ray: the weighted(level) that
+    _de_sum takes, one fused kernel on the nodes of a level.
+
+    Every node is t = rho r0, with rho = e^{id}/decay one scalar and r0
+    the ascending radii of _p_nodes.  Each factor splits the nodes once,
+    at the first past its radius (np.searchsorted on r0), and works on
+    slices either side, where the kernels fn_f and sin_ratio mask every
+    node into two branches:
+
+    * below SERIES_RADIUS, fn_f's Bernoulli series in -t^2: one matrix
+      product of _p_nodes' table of its terms with the ten scalars
+      rho (-rho^2)^j; above it f(t) = (2/v - 2/expm1(v) - 1)/(is), v = ist
+      with s the sign of Im t on the ray, so that Re v <= 0: fn_f's expm1
+      form, which keeps the digits cot(t/2) - 2/t cancels just past the
+      radius;
     * the sine ratio is sin(nu w)/expm1(iw) where |w| (1 + |nu|) < 1 and
       (e^{i(nu-1)w} - e^{-i(nu+1)w}) / (2i (1 - e^{-iw})) past it, as in
-      sin_ratio: on an admissible ray every exponential there decays.
+      sin_ratio: on an admissible ray every exponential there decays.  Its
+      three exponentials are one np.exp of an outer product.
 
-    The kernel fills one output array in place: the Horner steps of the
-    series run on its near slice from the leading coefficient, the three
-    exponentials e^{i(nu-1)w}, e^{-i(nu+1)w} and e^{-iw} of the far slice
-    come from one np.exp of an outer product, and the arithmetic keeps the
-    operands and the order of the expressions above, so it rounds as they
-    do.  No node is tested against f's real poles 2 pi k: a ray along the
-    real axis, which only a caller's RaySpec can give, does not converge.
+    w is t/tau node by node: one rounded scalar rho/tau would move every w
+    by the same relative error, as a change of tau would, which P's
+    sensitivity to tau at tau near the real axis turned into up to 3e-14
+    of P on seeded fuzz points.  The kernel fills one output array in
+    place.  No node is tested against
+    f's real poles 2 pi k: a ray along the real axis, which only a caller's
+    RaySpec can give, does not converge.
     """
-    tau = point.tau
-    nu = point.nu
+    tau, nu = point.tau, point.nu
+    rho = cmath.exp(1j * spec.direction_d) / spec.decay
+    # the series' scalars as the two real columns of one (10, 2) matrix
+    scalars = [rho * (-rho * rho) ** j for j in range(len(_BOSE_COEFFS))]
+    scalars = np.array(scalars).view(float).reshape(-1, 2)
+    i_s = -1j if rho.imag < 0.0 else 1j
+    series_end = SERIES_RADIUS * spec.decay
+    near_end = abs(tau) / (1.0 + abs(nu)) * spec.decay
     far_rates = np.array([1j * (nu - 1.0), -1j * (nu + 1.0), -1j])
-    near = abs(tau) / (1.0 + abs(nu))
-    c0, *coeffs = _BOSE_COEFFS
 
-    def integrand(t):
-        r = np.abs(t)
-        out = np.empty_like(t)
-        k = r.searchsorted(SERIES_RADIUS)
-        t2 = -t[:k] * t[:k]
-        series = out[:k]
-        series[:] = c0
-        for coeff in coeffs:
-            series *= t2
-            series += coeff
-        series *= -2.0
-        v = (-1j if t[-1].imag < 0.0 else 1j) * t[k:]
-        far = np.divide(2.0, v, out=out[k:])
+    def weighted(level: int) -> np.ndarray:
+        r0, one_plus_e_u, series = _p_nodes(level)
+        out = np.empty(r0.size, dtype=complex)
+        k = r0.searchsorted(series_end)
+        np.matmul(series[:k], scalars, out=out[:k].view(float).reshape(k, 2))
+        v = (i_s * rho) * r0[k:]
+        far = np.divide(-2.0 * i_s, v, out=out[k:])  # 1/(is) = -is
         e = np.expm1(v)
-        far -= np.divide(2.0, e, out=e)
-        far -= 1.0
-        far /= v
-        m = r.searchsorted(near)
-        w = t[:m] / tau
-        ratio = np.sin(nu * w)
-        ratio /= np.expm1(1j * w)
+        far -= np.divide(-2.0 * i_s, e, out=e)
+        far += i_s
+        far *= one_plus_e_u[k:]
+        w = rho * r0
+        w /= tau
+        m = r0.searchsorted(near_end)
+        ratio = np.sin(nu * w[:m])
+        ratio /= np.expm1(1j * w[:m])
         out[:m] *= ratio
-        e_a, e_b, e_w = np.exp(np.multiply.outer(far_rates, t[m:] / tau))
+        e_a, e_b, e_w = np.exp(np.multiply.outer(far_rates, w[m:]))
         e_a -= e_b
         np.subtract(1.0, e_w, out=e_w)
         e_a /= np.multiply(2j, e_w, out=e_w)
         out[m:] *= e_a
         return out
 
-    return integrand
+    return weighted
 
 
 def P_minus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
@@ -410,7 +428,7 @@ def P_minus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
             return series
     else:
         spec = replace(spec, decay=_slack(point, spec.direction_d))
-    return integrate_ray(_p_integrand(point), spec).value
+    return _de_sum(_p_weighted(point, spec), RAY_REL_TOL).value
 
 
 def P_plus(point: ModularPoint) -> complex:

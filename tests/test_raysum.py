@@ -35,8 +35,9 @@ from qmod.raysum import (
     _admissible_arc,
     _de_sum,
     _interval_nodes,
-    _p_integrand,
+    _p_nodes,
     _p_series,
+    _p_weighted,
     _ray_nodes,
     _slack,
     _u_nodes,
@@ -215,7 +216,8 @@ def test_de_node_tables_are_read_only():
     # the tables are cached and shared by every integral: none may change
     for level in (BATCH_LEVELS, BATCH_LEVELS + 1):
         assert _u_nodes(level).size == (289 if level == BATCH_LEVELS else 288)
-        for table in (_u_nodes(level), *_ray_nodes(level), *_interval_nodes(level)):
+        tables = (_u_nodes(level), *_ray_nodes(level), *_interval_nodes(level), *_p_nodes(level))
+        for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 0.0
 
@@ -317,15 +319,12 @@ def test_choose_ray_is_the_scalar_argmax(half):
     assert chosen > 50 and empty > 20
 
 
-def test_choose_ray_keeps_the_P_integrals_short(monkeypatch):
+def test_choose_ray_keeps_the_P_integrals_short():
     # a ray beside a pole or a cone edge needs a finer trapezoid step: the
     # nodes of every P ray integral at the seed-5 fuzz points and their
     # mirrors (the upper rays) total 139,114 on the clearest ray, against
     # 210,248 on the ray of largest slack
     nodes = []
-    monkeypatch.setattr(
-        "qmod.raysum._de_sum", lambda weighted, tol: _de_sum(_counted(weighted, nodes), tol)
-    )
     integrals = 0
     for p in _domain_fuzz_points(200, seed=5):
         for q in (p, p.mirror):
@@ -333,7 +332,7 @@ def test_choose_ray_keeps_the_P_integrals_short(monkeypatch):
                 spec = choose_ray(q)
             except DomainError:
                 continue
-            integrate_ray(_p_integrand(q), spec)
+            _de_sum(_counted(_p_weighted(q, spec), nodes), RAY_REL_TOL)
             integrals += 1
     assert integrals > 200
     assert sum(nodes) <= 157_000
@@ -481,14 +480,14 @@ def test_P_minus_where_the_admissible_arc_is_narrow(monkeypatch):
 # the lower ray -k pi/36 given with each (k = 6, 22, 14, 1, 11, 2, 3, 4):
 # point 5 takes 2,305 nodes, 20 takes 1,153, 24 takes 577, the others 289
 _P_RAY_BITS = {
-    0: (-0.5235987755982988, 0.0686148979073497 + 0.00011771625599891465j),
-    1: (-1.9198621771937625, -0.021383082388815717 + 0.08701571088971996j),
-    2: (-1.2217304763960306, -0.002784327371774761 + 0.010390839647920196j),
-    5: (-0.08726646259971647, -0.031068904252464488 + 0.01120078001458048j),
-    9: (-0.9599310885968813, -0.026463181554081158 - 0.09302669048291179j),
-    20: (-0.17453292519943295, -0.005681584233614749 - 0.024990176507798573j),
-    24: (-0.2617993877991494, -0.013425048977291486 - 0.010258639972661347j),
-    27: (-0.3490658503988659, 0.1921299170354815 + 0.12542179081873167j),
+    0: (-0.5235987755982988, 0.0686148979073497 + 0.00011771625599888662j),
+    1: (-1.9198621771937625, -0.021383082388815693 + 0.08701571088971995j),
+    2: (-1.2217304763960306, -0.0027843273717747617 + 0.010390839647920196j),
+    5: (-0.08726646259971647, -0.031068904252464488 + 0.011200780014580542j),
+    9: (-0.9599310885968813, -0.026463181554081144 - 0.09302669048291179j),
+    20: (-0.17453292519943295, -0.005681584233614744 - 0.02499017650779857j),
+    24: (-0.2617993877991494, -0.013425048977291486 - 0.010258639972661344j),
+    27: (-0.3490658503988659, 0.1921299170354815 + 0.12542179081873173j),
 }
 
 
@@ -592,6 +591,56 @@ def _P_mpmath(mpmath, tau, nu):
         return complex(mpmath.quad(integrand, splits))
 
 
+def _P_binet(mpmath, tau, nu):
+    """P_minus(tau, nu) = sum_{k>=1} [mu((k - nu)/tau) - mu((k + nu)/tau)]
+    at 25 digits, mu Binet's function from mpmath.loggamma: no ray and no
+    quadrature.  At Re tau < 0 the arguments lie beside the cut of mu,
+    where its terms carry e^{-2 pi i z}, which falls only like
+    e^{-2 pi k |Im(1/tau)|} and which nsum's extrapolation does not model:
+    those terms are summed one by one until it is below 1e-40."""
+    with mpmath.workdps(25):
+        mt, mn = mpmath.mpc(tau), mpmath.mpc(nu)
+
+        def mu(z):  # less its constant log(2 pi)/2, which each term cancels
+            return mpmath.loggamma(z) - (z - 0.5) * mpmath.log(z) + z
+
+        def term(k):
+            return mu((k - mn) / mt) - mu((k + mn) / mt)
+
+        head = 1
+        if tau.real < 0.0:
+            head = math.ceil(40.0 * math.log(10.0) / (2.0 * math.pi * abs((1.0 / tau).imag)))
+        tail = mpmath.nsum(term, [head, mpmath.inf])
+        return complex(mpmath.fsum(term(k) for k in range(1, head)) + tail)
+
+
+def test_P_against_the_binet_sum():
+    # the pinned rays of test_de_values_to_the_last_bit, and P_minus and
+    # P_plus (P_minus at the mirror point, the other sign of Re tau) at the
+    # first two ray points and the first series point of seeded fuzz points
+    mpmath = pytest.importorskip("mpmath")
+    points = _domain_fuzz_points(40, seed=11)
+    for k, (d, _) in _P_RAY_BITS.items():
+        p = points[k]
+        assert rel(P_minus(p, RaySpec(d)), _P_binet(mpmath, p.tau, p.nu)) <= 1e-14, k
+    left = {"ray": 2, "series": 1}
+    for p in _domain_fuzz_points(300, seed=13):
+        try:
+            got = P_minus(p), P_plus(p)
+        except DomainError:
+            continue
+        kind = "ray" if _p_series(p) is None else "series"
+        if not left[kind]:
+            continue
+        left[kind] -= 1
+        assert rel(got[0], _P_binet(mpmath, p.tau, p.nu)) <= 1e-14, p
+        q = p.mirror
+        assert rel(got[1], _P_binet(mpmath, q.tau, q.nu).conjugate()) <= 1e-14, p
+        if not any(left.values()):
+            break
+    assert not any(left.values())
+
+
 def test_P_minus_series_against_mpmath():
     # fixed x (nu = i c) and x -> 1 (real_case) for alpha in [1e-6, 0.1],
     # where the series replaces the ray; the ray itself was off by up to
@@ -635,7 +684,7 @@ def test_P_minus_takes_the_ray_where_the_stokes_sum_counts():
     assert _p_series(p) is None
     assert _p_series(ModularPoint(-tau.conjugate(), nu)) is not None
     assert abs(stokes_sum(p)) > 1e-4 * abs(P_plus(p))
-    ray = integrate_ray(_p_integrand(p), choose_ray(p)).value
+    ray = _de_sum(_p_weighted(p, choose_ray(p)), RAY_REL_TOL).value
     assert P_minus(p) == ray
 
 
@@ -672,16 +721,16 @@ def test_P_minus_series_keeps_the_lower_cone_refusal():
 
 
 def test_p_integrand_matches_the_two_kernels():
-    # the fused integrand against sin_ratio and fn_f node by node, on the
-    # lower and upper rays of seeded points of the domain-fuzz box (an
-    # upper ray is the conjugate of the mirror point's lower ray), on
-    # integrate_ray's nodes (ascending |t|) at step h = 1/64: weighted as
-    # the trapezoid sum weighs them, the differences add up to at most
-    # 1e-13 |I| (measured: 2.5e-14).  Single nodes may carry more where
-    # the weighted integrand is 66 |I| and both kernels round to 5e-15
+    # the fused weighted integrand against sin_ratio and fn_f node by node,
+    # on the lower and upper rays of seeded points of the domain-fuzz box
+    # (an upper ray is the conjugate of the mirror point's lower ray), at
+    # the kernel's nodes t = (e^{id}/decay) r0 of the levels BATCH_LEVELS
+    # and BATCH_LEVELS + 1, which make up the step h = 1/64: weighted as the
+    # trapezoid sum weighs them, the differences add up to at most
+    # 1e-13 |I| (measured: 1.8e-14).  Single nodes may carry more where the
+    # weighted integrand is 66 |I| and both kernels round to 5e-15
     rng = np.random.default_rng(20261019)
-    h = 1.0 / 64.0
-    u = np.arange(-DE_SPAN, DE_SPAN + 1e-9, h)
+    h = FIRST_STEP / 2 ** (BATCH_LEVELS + 1)
     rays = 0
     for _ in range(60):
         tau = complex(rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(-2.5, 0.5))
@@ -698,15 +747,17 @@ def test_p_integrand_matches_the_two_kernels():
                 continue
             if half == "upper":  # the conjugate of the mirror's lower ray
                 spec = RaySpec(-spec.direction_d, spec.decay)
-            r = np.exp(u - np.exp(-u)) / spec.decay
-            radii = (SERIES_RADIUS, abs(tau) / (1.0 + abs(nu)))
-            assert r[0] < min(radii) and r[-1] > max(radii)
-            e_id = cmath.exp(1j * spec.direction_d)
-            t = r * e_id
-            weight = h * r * (1.0 + np.exp(-u))
+            weighted = _p_weighted(point, spec)
             value = integrate_ray(reference, spec).value
-            diff = np.abs(_p_integrand(point)(t) - reference(t)) * weight
-            assert diff.sum() <= 1e-13 * abs(value), (tau, nu, half)
+            rho = cmath.exp(1j * spec.direction_d) / spec.decay
+            diff = 0.0
+            for level in (BATCH_LEVELS, BATCH_LEVELS + 1):
+                r0, one_plus_e_u = _ray_nodes(level)
+                t = rho * r0
+                diff += h * np.abs(weighted(level) - reference(t) * t * one_plus_e_u).sum()
+            radii = (SERIES_RADIUS, abs(tau) / (1.0 + abs(nu)))
+            assert abs(t[0]) < min(radii) and abs(t[-1]) > max(radii)
+            assert diff <= 1e-13 * abs(value), (tau, nu, half)
             rays += 1
     assert rays >= 60
 

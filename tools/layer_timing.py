@@ -1,0 +1,120 @@
+"""Time the modular route of two source trees layer by layer, alternating.
+
+    python tools/layer_timing.py OLD_SRC NEW_SRC [--seeds 1301] [--rounds 4] [--repeat 7]
+
+OLD_SRC and NEW_SRC are ``src`` directories or checkouts holding one.  At the
+timed domain-fuzz points of each seed (this checkout's ``perfbench``, imported
+read-only) each tree, in a process of its own, times the best of --repeat calls
+of ``qpochhammer_modular``, of ``P_minus`` at the point the modular route hands
+it and, where P takes its ray, of the first level (289 nodes) of P's weighted
+integrand.  The trees alternate for --rounds rounds, each point keeping its
+best time.  Per layer it prints the quartiles of each tree's times (us) and the
+median of the per-point ratio new/old.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import json
+import math
+import os
+import subprocess
+import sys
+import time
+import types
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def measure(src: str, seeds: list[int], repeat: int) -> list[list[float | None]]:
+    """Per layer, the best time in seconds at every point (None: no ray)."""
+    sys.path[:0] = [src, PERFBENCH]
+    import workloads
+
+    qcore, raysum, modularity, errors = (
+        importlib.import_module(f"qmod.{mod}") for mod in ("qcore", "raysum", "modularity", "errors")
+    )
+    qm = types.SimpleNamespace(qcore=qcore, modularity=modularity, ModularPoint=qcore.ModularPoint)
+    refusals = (errors.DomainError, errors.ConvergenceError)  # timed like values
+
+    def best(f, *args) -> float:
+        seconds = math.inf
+        for _ in range(repeat):
+            start = time.perf_counter()
+            with contextlib.suppress(*refusals):
+                f(*args)
+            seconds = min(seconds, time.perf_counter() - start)
+        return seconds
+
+    def first_args(module, attr: str, call) -> list:
+        """The first argument of every call of module.attr during call()."""
+        seen, real = [], getattr(module, attr)
+        setattr(module, attr, lambda first, *rest: seen.append(first) or real(first, *rest))
+        try:
+            with contextlib.suppress(*refusals):
+                call()
+        finally:
+            setattr(module, attr, real)
+        return seen
+
+    times: list[list[float | None]] = [[], [], []]
+    for seed in seeds:
+        for _, calls in workloads.DomainFuzz(seed, qm).timed:
+            point = next(args[0] for route, *_, args, _ in calls if route == "modular")
+            times[0].append(best(modularity.qpochhammer_modular, point))
+            p_point = (first_args(modularity, "P_minus",
+                                  lambda: modularity.qpochhammer_modular(point)) or [point])[0]
+            times[1].append(best(raysum.P_minus, p_point))
+            weighted = first_args(raysum, "_de_sum", lambda: raysum.P_minus(p_point))
+            times[2].append(best(weighted[0], raysum.BATCH_LEVELS) if weighted else None)
+    return times
+
+
+def _quartiles(values: list[float]) -> tuple[float, ...]:
+    v = sorted(values)
+    return tuple(v[round(f * (len(v) - 1))] for f in (0.25, 0.5, 0.75))
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] == "--measure":
+        _, src, seeds, repeat = argv
+        json.dump(measure(src, [int(s) for s in seeds.split(",")], int(repeat)), sys.stdout)
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old")
+    parser.add_argument("new")
+    parser.add_argument("--seeds", default="1301")
+    parser.add_argument("--rounds", type=int, default=4)
+    parser.add_argument("--repeat", type=int, default=7)
+    args = parser.parse_args(argv)
+    trees = [os.path.abspath(path) for path in (args.old, args.new)]
+    trees = [t + "/src" if os.path.isdir(t + "/src/qmod") else t for t in trees]
+    best: list = [None, None]
+    for r in range(args.rounds):
+        for side in (0, 1) if r % 2 == 0 else (1, 0):  # alternate which tree runs first
+            proc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--measure",
+                 trees[side], args.seeds, str(args.repeat)],
+                check=True, capture_output=True, text=True,
+            )
+            times = json.loads(proc.stdout)
+            best[side] = times if best[side] is None else [
+                [a if b is None else min(a, b) for a, b in zip(kept, run)]
+                for kept, run in zip(best[side], times)
+            ]
+    print(f"{len(best[0][0])} timed domain-fuzz points, seeds {args.seeds}, "
+          f"best of {args.repeat} calls x {args.rounds} rounds")
+    for name, old, new in zip(("qpochhammer_modular", "P_minus", "P kernel, first call"), *best):
+        pairs = [(a, b) for a, b in zip(old, new) if a is not None and b is not None]
+        cols = ["%7.1f %7.1f %7.1f" % _quartiles([1e6 * p[side] for p in pairs]) for side in (0, 1)]
+        print(f"  {name:<22} ({len(pairs)} points) old q1/med/q3 us {cols[0]} | new {cols[1]}"
+              f" | median ratio {_quartiles([b / a for a, b in pairs])[1]:.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
