@@ -10,15 +10,20 @@ halves on nested nodes until two successive sums agree to the tolerance,
 RAY_REL_TOL for every ray integral.  Only integrate_ray and P_minus take
 a RaySpec from their caller; everything else picks its own ray.
 Integrands are evaluated on numpy arrays of nodes: the first call covers
-the 289 nodes of step 1/32, which hold the first five levels, and each
-later level costs one call on its new nodes.  The nodes of a level do not
-depend on the integral, so they and the point-free parts of both maps
-(exp(u - e^{-u}) and 1 + e^{-u} for a ray; 1 + e^{-2s}, cosh u and
-cosh(s)^2 for an interval) are read-only tables built once per level: an
-integral pays for its integrand and a few array products.  P's integrand
-hands _de_sum its weighted values itself (_p_weighted): its nodes are one
-scalar times the ray table, so its Bernoulli series is one matrix product
-with a per-level table of the series' terms.  An integral that has not
+the full grid of one level, which holds every coarser level, and each
+later level costs one call on its new nodes.  The first call is the 289
+nodes of step 1/32 (level BATCH_LEVELS), except on P_minus's own ray,
+where the width of the admissible arc predicts the accepted level and
+the first call takes 145 to 2,305 nodes (P_FIRST_ARC); the sums, and so
+every value, are the same whichever call computes a node.  The nodes of
+a level do not depend on the integral, so they and the point-free parts
+of both maps (exp(u - e^{-u}) and 1 + e^{-u} for a ray; 1 + e^{-2s},
+cosh u and cosh(s)^2 for an interval) are read-only tables built once
+per level and kind (full grid or new nodes): an integral pays for its
+integrand and a few array products.  P's integrand hands _de_sum its
+weighted values itself (_p_weighted): its nodes are one scalar times the
+ray table, so its Bernoulli series is one matrix product with a
+per-level table of the series' terms.  An integral that has not
 converged within MAX_NODES nodes, has not decayed at the ends of the
 range, or meets a non-finite value raises ConvergenceError.
 On it the module builds:
@@ -77,7 +82,8 @@ ABS_FLOOR = 1e-15
 DE_SPAN = 4.5
 _DE_END = math.exp(DE_SPAN - math.exp(-DE_SPAN))  # r at u = DE_SPAN, decay 1
 FIRST_STEP = 0.5
-#: levels after the first that _de_sum takes from its first integrand call
+#: the level of _de_sum's first call, whose full grid holds the levels
+#: 0..BATCH_LEVELS, unless its caller sizes that call (P_minus)
 BATCH_LEVELS = 4
 #: integrand nodes one integral may spend before it fails
 MAX_NODES = 2**18
@@ -85,6 +91,15 @@ MAX_NODES = 2**18
 #: every ray passes so near an obstacle that the trapezoid step must
 #: shrink until the integral runs out of nodes
 RAY_MIN_ARC = math.pi / 36.0
+#: P_minus's own ray makes the first DE call at the smallest level L >= 3
+#: with arc 2^L >= P_FIRST_ARC, at most 7 (where RAY_MIN_ARC is 640
+#: degrees), arc the width of the admissible arc.  The step a trapezoid
+#: sum needs shrinks with the strip about the ray, and the accepted level
+#: follows the arc: on the rays of seeded domain-fuzz points its median is
+#: 159, 98, 61, 33, 21 and 14 degrees at accepted levels 2 to 7.  A first
+#: level short of the accepted one pays a call per level more, one past it
+#: computes nodes no sum reads
+P_FIRST_ARC = math.radians(580.0)
 #: relative tolerance of every ray integral
 RAY_REL_TOL = 1e-11
 #: the principal-value route's truncation of both sums and the half-width
@@ -129,30 +144,36 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _u_nodes(level: int) -> np.ndarray:
-    """The u-nodes _de_sum evaluates at one level, read-only: at level
-    BATCH_LEVELS all 289 nodes of step FIRST_STEP / 2^BATCH_LEVELS on
-    [-DE_SPAN, DE_SPAN], past it the new (odd) nodes of step
-    FIRST_STEP / 2^level."""
+def _u_nodes(level: int, full: bool) -> np.ndarray:
+    """The u-nodes of step FIRST_STEP / 2^level on [-DE_SPAN, DE_SPAN],
+    read-only: all 18 * 2^level + 1 of them if full (a first call of
+    _de_sum), else the 9 * 2^level new (odd) ones of the level."""
     h = FIRST_STEP / 2**level
     half = round(DE_SPAN / FIRST_STEP) * 2**level
-    if level == BATCH_LEVELS:
+    if full:
         return _frozen(h * np.arange(-half, half + 1))
     return _frozen(h * np.arange(1 - half, half, 2))
 
 
-def _de_sum(weighted: Callable[[int], np.ndarray], rel_tol: float) -> RayResult:
+def _de_sum(
+    weighted: Callable[[int, bool], np.ndarray], rel_tol: float, first: int = BATCH_LEVELS
+) -> RayResult:
     """Integral over the u-line of a double-exponentially decaying weighted
-    function, which weighted(level) returns on the nodes _u_nodes(level).
+    function, which weighted(level, full) returns on the nodes
+    _u_nodes(level, full).
 
     Trapezoid sums on [-DE_SPAN, DE_SPAN]; each level halves the step and
-    adds only the new (odd) nodes.  Levels 0..BATCH_LEVELS come from one
-    call on the finest of their grids (289 nodes, step 1/32), read back
-    level by level through strided views; every level after that costs
-    one call on its new nodes.  The nodes are power-of-two multiples, so
-    each level sums the same numbers as a call of its own would.  The
-    node tables do not depend on the integrand, so callers keep theirs
-    per level behind functools.cache, and the levels are summed as Python
+    adds only the new (odd) nodes.  Levels 0..first come from one call on
+    the full grid of level first (18 * 2^first + 1 nodes), read back level
+    by level through strided views; every level after that costs one call
+    on its new nodes.  The nodes are power-of-two multiples, so each level
+    sums the same numbers as a call of its own would: the value, the error
+    and every refusal are the same whatever first is, which decides only
+    the calls that compute the nodes.  A first level past the accepted one
+    computes nodes that no sum reads; one short of it pays a call per
+    level after it, and a call costs a fixed part besides its nodes.  The
+    node tables do not depend on the integrand, so callers keep theirs per
+    level behind functools.cache, and the levels are summed as Python
     complex numbers, which round as numpy's scalars do.
     Accepts the first sum within tol = rel_tol |I| + ABS_FLOOR of the one
     before, reporting that distance as its error, provided the end nodes
@@ -162,9 +183,9 @@ def _de_sum(weighted: Callable[[int], np.ndarray], rel_tol: float) -> RayResult:
     accepted.
     """
     half = round(DE_SPAN / FIRST_STEP)
-    stride = 2**BATCH_LEVELS
-    level = BATCH_LEVELS
-    bulk = weighted(level)
+    stride = 2**first
+    level = first
+    bulk = weighted(level, True)
     ends = np.abs(bulk[:: len(bulk) - 1]).max()
     h = FIRST_STEP
     total = h * complex(bulk[::stride].sum())
@@ -181,7 +202,7 @@ def _de_sum(weighted: Callable[[int], np.ndarray], rel_tol: float) -> RayResult:
             new = bulk[stride :: 2 * stride]
         else:
             level += 1
-            new = weighted(level)
+            new = weighted(level, False)
         prev, total = total, 0.5 * total + h * complex(new.sum())
         if not cmath.isfinite(total):
             raise ConvergenceError("non-finite integrand value")
@@ -197,10 +218,10 @@ def _de_sum(weighted: Callable[[int], np.ndarray], rel_tol: float) -> RayResult:
 
 
 @functools.cache
-def _ray_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp(u - e^{-u}) and 1 + e^{-u} on _u_nodes(level), read-only: the
-    radii of integrate_ray's map at decay 1, and dr/du over r."""
-    u = _u_nodes(level)
+def _ray_nodes(level: int, full: bool) -> tuple[np.ndarray, np.ndarray]:
+    """exp(u - e^{-u}) and 1 + e^{-u} on _u_nodes(level, full), read-only:
+    the radii of integrate_ray's map at decay 1, and dr/du over r."""
+    u = _u_nodes(level, full)
     e_u = np.exp(-u)
     return _frozen(np.exp(u - e_u)), _frozen(1.0 + e_u)
 
@@ -221,8 +242,8 @@ def integrate_ray(
     e_id = cmath.exp(1j * spec.direction_d)
     decay = spec.decay
 
-    def weighted(level: int) -> np.ndarray:
-        r0, one_plus_e_u = _ray_nodes(level)
+    def weighted(level: int, full: bool) -> np.ndarray:
+        r0, one_plus_e_u = _ray_nodes(level, full)
         t = r0 / decay * e_id
         return integrand(t) * (t * one_plus_e_u)
 
@@ -230,10 +251,11 @@ def integrate_ray(
 
 
 @functools.cache
-def _interval_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _interval_nodes(level: int, full: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """1 + e^{-2s}, cosh u and cosh(s)^2, s = (pi/2) sinh u, on
-    _u_nodes(level), read-only: the point-free part of the tanh-sinh map."""
-    u = _u_nodes(level)
+    _u_nodes(level, full), read-only: the point-free part of the tanh-sinh
+    map."""
+    u = _u_nodes(level, full)
     s = 0.5 * math.pi * np.sinh(u)
     return _frozen(1.0 + np.exp(-2.0 * s)), _frozen(np.cosh(u)), _frozen(np.cosh(s) ** 2)
 
@@ -246,8 +268,8 @@ def _integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: floa
     precision; f must be finite on (a, b].
     """
 
-    def weighted(level: int) -> np.ndarray:
-        one_plus_e_2s, cosh_u, cosh_s_sq = _interval_nodes(level)
+    def weighted(level: int, full: bool) -> np.ndarray:
+        one_plus_e_2s, cosh_u, cosh_s_sq = _interval_nodes(level, full)
         t = a + (b - a) / one_plus_e_2s
         return f(t) * ((b - a) * 0.25 * math.pi * cosh_u / cosh_s_sq)
 
@@ -328,20 +350,20 @@ def big_G(point: ModularPoint) -> complex:
 
 
 @functools.cache
-def _p_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _p_nodes(level: int, full: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp(u - e^{-u}), 1 + e^{-u} and the terms of fn_f's Bernoulli series
     -2 B_{2j+2}/(2j+2)! r^{2j+1} (1 + e^{-u}), j < 10, one row per node, on
-    _u_nodes(level) with r = exp(u - e^{-u}), read-only: the point-free
-    part of P's weighted integrand."""
-    r0, one_plus_e_u = _ray_nodes(level)
+    _u_nodes(level, full) with r = exp(u - e^{-u}), read-only: the
+    point-free part of P's weighted integrand."""
+    r0, one_plus_e_u = _ray_nodes(level, full)
     powers = r0[:, None] ** (2 * np.arange(len(_BOSE_COEFFS)) + 1)
     return r0, one_plus_e_u, _frozen(-2.0 * powers * _BOSE_COEFFS[::-1] * one_plus_e_u[:, None])
 
 
-def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int], np.ndarray]:
+def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.ndarray]:
     """P's integrand sin(nu w)/(e^{iw} - 1) f(t)/t, w = t/tau, times
-    dt/du = t (1 + e^{-u}) along spec's ray: the weighted(level) that
-    _de_sum takes, one fused kernel on the nodes of a level.
+    dt/du = t (1 + e^{-u}) along spec's ray: the weighted(level, full)
+    that _de_sum takes, one fused kernel on the nodes of a call.
 
     Every node is t = rho r0, with rho = e^{id}/decay one scalar and r0
     the ascending radii of _p_nodes.  Each factor splits the nodes once,
@@ -378,8 +400,8 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int], np.ndarra
     near_end = abs(tau) / (1.0 + abs(nu)) * spec.decay
     far_rates = np.array([1j * (nu - 1.0), -1j * (nu + 1.0), -1j])
 
-    def weighted(level: int) -> np.ndarray:
-        r0, one_plus_e_u, series = _p_nodes(level)
+    def weighted(level: int, full: bool) -> np.ndarray:
+        r0, one_plus_e_u, series = _p_nodes(level, full)
         out = np.empty(r0.size, dtype=complex)
         k = r0.searchsorted(series_end)
         np.matmul(series[:k], scalars, out=out[:k].view(float).reshape(k, 2))
@@ -413,22 +435,28 @@ def P_minus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
     series' proven bound certifies it to TERM_TOL (_p_series), the series
     is P, and that check is all the ray choice it pays for; elsewhere the
     integral runs along choose_ray's ray, the one farthest from the
-    integrand's poles and the cone's edges.  With spec the integral runs
-    along that ray.  Either way the ray's decay rate is the convergence
-    slack at its direction.
+    integrand's poles and the cone's edges, and its first DE call takes
+    the level that the arc's width predicts (P_FIRST_ARC).  With spec the
+    integral runs along that ray from the first call of any other
+    integral (BATCH_LEVELS).  Either way the ray's decay rate is the
+    convergence slack at its direction, and the value is the same whatever
+    the first level.
     """
     if point.nu == 0:
         return 0.0 + 0.0j
+    first = BATCH_LEVELS
     if spec is None:
         series = _p_series(point)
-        if series is None:
-            spec = choose_ray(point)
-        else:
-            _admissible_arc(point)
+        lo, hi = _admissible_arc(point)
+        if series is not None:
             return series
+        spec = choose_ray(point)
+        first = 3
+        while first < 7 and (hi - lo) * 2**first < P_FIRST_ARC:
+            first += 1
     else:
         spec = replace(spec, decay=_slack(point, spec.direction_d))
-    return _de_sum(_p_weighted(point, spec), RAY_REL_TOL).value
+    return _de_sum(_p_weighted(point, spec), RAY_REL_TOL, first).value
 
 
 def P_plus(point: ModularPoint) -> complex:

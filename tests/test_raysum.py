@@ -8,6 +8,7 @@ constants come the same way from 30-digit mpmath.
 """
 
 import cmath
+import contextlib
 import math
 import warnings
 
@@ -147,10 +148,10 @@ def _on_ray(f):
 
 def _counted(f, calls):
     """f, recording the size of each array it returns: the nodes of an
-    integrand or of a weighted(u) or weighted(level) of _de_sum."""
+    integrand or of a weighted(u) or weighted(level, full) of _de_sum."""
 
-    def wrapped(x):
-        values = f(x)
+    def wrapped(*args):
+        values = f(*args)
         calls.append(values.size)
         return values
 
@@ -158,8 +159,8 @@ def _counted(f, calls):
 
 
 def _by_level(weighted):
-    """weighted(u) as _de_sum calls it: on the nodes of one level."""
-    return lambda level: weighted(_u_nodes(level))
+    """weighted(u) as _de_sum calls it: on the nodes of one call."""
+    return lambda level, full: weighted(_u_nodes(level, full))
 
 
 # int_0^oo e^{-t} cos(k t) dt = 1/(1 + k^2): k = 20 is accepted at level 8
@@ -174,14 +175,20 @@ def test_de_sum_first_call_covers_five_levels():
     assert calls == [289]
 
 
+#: the first levels of a DE sum: BATCH_LEVELS and those of P_minus's rays,
+#: and level 2, whose first call misses nodes that every other one sees
+FIRST_LEVELS = range(2, 8)
+
+
 def test_de_sum_one_call_per_level_past_the_batch():
-    ladder, batched = [], []
+    ladder = []
     want = _ladder_de_sum(_counted(_SLOW, ladder), 1e-11)
-    got = _de_sum(_by_level(_counted(_SLOW, batched)), 1e-11)
-    assert got == want
-    assert rel(got.value, 1.0 / 401.0) < 1e-11
-    assert len(ladder) > 5  # accepted past level 4
-    assert batched == [289] + ladder[5:]
+    assert rel(want.value, 1.0 / 401.0) < 1e-11
+    assert len(ladder) == 9  # accepted at level 8, past every first level
+    for first in FIRST_LEVELS:
+        batched = []
+        assert _de_sum(_by_level(_counted(_SLOW, batched)), 1e-11, first) == want
+        assert batched == [18 * 2**first + 1] + ladder[first + 1 :], first
 
 
 @pytest.mark.parametrize(
@@ -192,7 +199,7 @@ def test_de_sum_one_call_per_level_past_the_batch():
         _on_ray(lambda t: np.exp(-t) * np.sin(3.0 * t) / t),
         _on_ray(lambda t: np.exp((-1.0 + 0.7j) * t)),
         # NaN only on the nodes of levels 3 and 4, which the ladder never
-        # reaches: the first call sees them, the sum must not
+        # reaches: a first call past level 2 sees them, the sum must not
         lambda u: np.where(u * 8.0 % 1.0 == 0.0, _FAST(u), np.nan),
         # failures: not decayed at the ends, a NaN on the first level, and
         # no settling within MAX_NODES
@@ -202,24 +209,30 @@ def test_de_sum_one_call_per_level_past_the_batch():
     ],
 )
 def test_de_sum_matches_the_level_by_level_ladder(weighted):
+    # at every first level: the call that computes a node does not matter
     try:
         want = _ladder_de_sum(weighted, 1e-11)
     except ConvergenceError as exc:
-        with pytest.raises(ConvergenceError) as info:
-            _de_sum(_by_level(weighted), 1e-11)
-        assert str(info.value) == str(exc)
+        for first in FIRST_LEVELS:
+            with pytest.raises(ConvergenceError) as info:
+                _de_sum(_by_level(weighted), 1e-11, first)
+            assert str(info.value) == str(exc), first
     else:
-        assert _de_sum(_by_level(weighted), 1e-11) == want
+        for first in FIRST_LEVELS:
+            assert _de_sum(_by_level(weighted), 1e-11, first) == want, first
 
 
 def test_de_node_tables_are_read_only():
-    # the tables are cached and shared by every integral: none may change
-    for level in (BATCH_LEVELS, BATCH_LEVELS + 1):
-        assert _u_nodes(level).size == (289 if level == BATCH_LEVELS else 288)
-        tables = (_u_nodes(level), *_ray_nodes(level), *_interval_nodes(level), *_p_nodes(level))
-        for table in tables:
-            with pytest.raises(ValueError):
-                table[0] = 0.0
+    # the tables are cached and shared by every integral: none may change,
+    # the full grid of any first level nor the new nodes of a later one
+    for level in range(FIRST_LEVELS.stop + 1):
+        for full in (True, False):
+            key = (level, full)
+            assert _u_nodes(*key).size == (18 * 2**level + 1 if full else 9 * 2**level)
+            tables = (_u_nodes(*key), *_ray_nodes(*key), *_interval_nodes(*key), *_p_nodes(*key))
+            for table in tables:
+                with pytest.raises(ValueError):
+                    table[0] = 0.0
 
 
 def test_rayspec_validation():
@@ -470,10 +483,73 @@ def test_P_minus_where_the_admissible_arc_is_narrow(monkeypatch):
     # beside the cone's edge, took 147,457 nodes
     nodes = []
     monkeypatch.setattr(
-        "qmod.raysum._de_sum", lambda weighted, tol: _de_sum(_counted(weighted, nodes), tol)
+        "qmod.raysum._de_sum",
+        lambda weighted, tol, first: _de_sum(_counted(weighted, nodes), tol, first),
     )
     P_minus(ModularPoint(-0.1191 + 0.1034j, -0.1846 + 0.8580j))
     assert sum(nodes) <= 5_000
+
+
+def _ray_points(points):
+    """The points where P_minus takes its ray: no series, and a lower arc."""
+    rays = []
+    for p in points:
+        with contextlib.suppress(DomainError):
+            if _p_series(p) is None and choose_ray(p):
+                rays.append(p)
+    return rays
+
+
+def test_p_kernel_does_not_depend_on_the_first_level():
+    # P_minus starts its DE sum at any level 3 to 7: the table product and
+    # the slice splits must give a node the same value whatever the size
+    # of the call that holds it, so that every level sums the same numbers
+    # and every integral, or its refusal, is that of level BATCH_LEVELS
+    def outcome(weighted, first):
+        try:
+            return _de_sum(weighted, RAY_REL_TOL, first)
+        except ConvergenceError as exc:
+            return str(exc)
+
+    points = _ray_points(_domain_fuzz_points(200, seed=11))
+    assert len(points) == 140
+    for p in points:
+        weighted = _p_weighted(p, choose_ray(p))
+        want = outcome(weighted, BATCH_LEVELS)
+        for first in FIRST_LEVELS:
+            assert outcome(weighted, first) == want, (p, first)
+
+
+def test_P_minus_sizes_its_first_call_by_the_arc(monkeypatch):
+    # at the 140 ray points of _domain_fuzz_points(200, seed=11) P_minus,
+    # its first level sized by the admissible arc, takes 49,244 nodes, where
+    # a first call of level BATCH_LEVELS (every P ray before the arc sized
+    # it) takes 58,316; the accepted levels themselves, each in one call and
+    # none below 3, would take 46,364.  A point takes more nodes only where
+    # its first call, past level BATCH_LEVELS, is past the accepted level
+    # too: 5 of the 140 (and 7 pay a second call where the first fell short)
+    calls, firsts = [], []
+
+    def counted_de_sum(weighted, tol, first):
+        firsts.append(first)
+        return _de_sum(_counted(weighted, calls), tol, first)
+
+    monkeypatch.setattr("qmod.raysum._de_sum", counted_de_sum)
+    total = batch_total = more = 0
+    for p in _ray_points(_domain_fuzz_points(200, seed=11)):
+        calls.clear()
+        firsts.clear()
+        P_minus(p)
+        batch = []
+        _de_sum(_counted(_p_weighted(p, choose_ray(p)), batch), RAY_REL_TOL, BATCH_LEVELS)
+        if sum(calls) > sum(batch):
+            assert firsts[0] > BATCH_LEVELS and calls == [18 * 2 ** firsts[0] + 1], p
+            more += 1
+        total += sum(calls)
+        batch_total += sum(batch)
+    assert batch_total == 58_316
+    assert total <= 0.85 * batch_total
+    assert more <= 5
 
 
 # P_minus at points of _domain_fuzz_points(40, seed=11), by index, along
@@ -751,10 +827,10 @@ def test_p_integrand_matches_the_two_kernels():
             value = integrate_ray(reference, spec).value
             rho = cmath.exp(1j * spec.direction_d) / spec.decay
             diff = 0.0
-            for level in (BATCH_LEVELS, BATCH_LEVELS + 1):
-                r0, one_plus_e_u = _ray_nodes(level)
+            for key in ((BATCH_LEVELS, True), (BATCH_LEVELS + 1, False)):
+                r0, one_plus_e_u = _ray_nodes(*key)
                 t = rho * r0
-                diff += h * np.abs(weighted(level) - reference(t) * t * one_plus_e_u).sum()
+                diff += h * np.abs(weighted(*key) - reference(t) * t * one_plus_e_u).sum()
             radii = (SERIES_RADIUS, abs(tau) / (1.0 + abs(nu)))
             assert abs(t[0]) < min(radii) and abs(t[-1]) > max(radii)
             assert diff <= 1e-13 * abs(value), (tau, nu, half)

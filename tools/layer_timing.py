@@ -6,15 +6,18 @@ OLD_SRC and NEW_SRC are ``src`` directories or checkouts holding one.  At the
 timed domain-fuzz points of each seed (this checkout's ``perfbench``, imported
 read-only) each tree, in a process of its own, times the best of --repeat calls
 of ``qpochhammer_modular``, of ``P_minus`` at the point the modular route hands
-it and, where P takes its ray, of the first level (289 nodes) of P's weighted
-integrand.  The trees alternate for --rounds rounds, each point keeping its
-best time.  Per layer it prints the quartiles of each tree's times (us) and the
-median of the per-point ratio new/old.
+it and, where P takes its ray, of the first call that ``_de_sum`` makes of P's
+weighted integrand: the full grid of its first level, 289 nodes at level 4 or,
+where the admissible arc sizes it, 145 to 2,305.  The trees alternate for
+--rounds rounds, each point keeping its best time.  Per layer it prints the
+quartiles of each tree's times (us) and the median of the per-point ratio
+new/old, then each tree's histogram of first levels.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import importlib
 import json
@@ -29,8 +32,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
-def measure(src: str, seeds: list[int], repeat: int) -> list[list[float | None]]:
-    """Per layer, the best time in seconds at every point (None: no ray)."""
+def measure(src: str, seeds: list[int], repeat: int) -> dict:
+    """Per layer, the best time in seconds at every point (None: no ray),
+    and the first level of every ray."""
     sys.path[:0] = [src, PERFBENCH]
     import workloads
 
@@ -49,10 +53,10 @@ def measure(src: str, seeds: list[int], repeat: int) -> list[list[float | None]]
             seconds = min(seconds, time.perf_counter() - start)
         return seconds
 
-    def first_args(module, attr: str, call) -> list:
-        """The first argument of every call of module.attr during call()."""
+    def calls_of(module, attr: str, call) -> list[tuple]:
+        """The arguments of every call of module.attr during call()."""
         seen, real = [], getattr(module, attr)
-        setattr(module, attr, lambda first, *rest: seen.append(first) or real(first, *rest))
+        setattr(module, attr, lambda *args: seen.append(args) or real(*args))
         try:
             with contextlib.suppress(*refusals):
                 call()
@@ -61,16 +65,25 @@ def measure(src: str, seeds: list[int], repeat: int) -> list[list[float | None]]
         return seen
 
     times: list[list[float | None]] = [[], [], []]
+    levels = []
     for seed in seeds:
         for _, calls in workloads.DomainFuzz(seed, qm).timed:
             point = next(args[0] for route, *_, args, _ in calls if route == "modular")
             times[0].append(best(modularity.qpochhammer_modular, point))
-            p_point = (first_args(modularity, "P_minus",
-                                  lambda: modularity.qpochhammer_modular(point)) or [point])[0]
+            p_point = (calls_of(modularity, "P_minus",
+                                lambda: modularity.qpochhammer_modular(point)) or [(point,)])[0][0]
             times[1].append(best(raysum.P_minus, p_point))
-            weighted = first_args(raysum, "_de_sum", lambda: raysum.P_minus(p_point))
-            times[2].append(best(weighted[0], raysum.BATCH_LEVELS) if weighted else None)
-    return times
+            de_sums = calls_of(raysum, "_de_sum", lambda: raysum.P_minus(p_point))
+            if not de_sums:
+                times[2].append(None)
+                continue
+            weighted, _, *first = de_sums[0]
+            # a tree whose _de_sum takes no first level starts every sum with
+            # weighted(BATCH_LEVELS), the full grid of that level
+            args = (first[0], True) if first else (raysum.BATCH_LEVELS,)
+            levels.append(args[0])
+            times[2].append(best(weighted, *args))
+    return {"times": times, "levels": levels}
 
 
 def _quartiles(values: list[float]) -> tuple[float, ...]:
@@ -94,6 +107,7 @@ def main(argv=None) -> int:
     trees = [os.path.abspath(path) for path in (args.old, args.new)]
     trees = [t + "/src" if os.path.isdir(t + "/src/qmod") else t for t in trees]
     best: list = [None, None]
+    levels: list = [None, None]
     for r in range(args.rounds):
         for side in (0, 1) if r % 2 == 0 else (1, 0):  # alternate which tree runs first
             proc = subprocess.run(
@@ -101,7 +115,8 @@ def main(argv=None) -> int:
                  trees[side], args.seeds, str(args.repeat)],
                 check=True, capture_output=True, text=True,
             )
-            times = json.loads(proc.stdout)
+            out = json.loads(proc.stdout)
+            times, levels[side] = out["times"], out["levels"]
             best[side] = times if best[side] is None else [
                 [a if b is None else min(a, b) for a, b in zip(kept, run)]
                 for kept, run in zip(best[side], times)
@@ -113,6 +128,8 @@ def main(argv=None) -> int:
         cols = ["%7.1f %7.1f %7.1f" % _quartiles([1e6 * p[side] for p in pairs]) for side in (0, 1)]
         print(f"  {name:<22} ({len(pairs)} points) old q1/med/q3 us {cols[0]} | new {cols[1]}"
               f" | median ratio {_quartiles([b / a for a, b in pairs])[1]:.3f}")
+    hists = [dict(sorted(collections.Counter(side).items())) for side in levels]
+    print(f"  first DE level of P's ray, points per level: old {hists[0]} | new {hists[1]}")
     return 0
 
 
