@@ -36,10 +36,14 @@ On it the module builds:
   trapezoid sum converges like e^{-2 pi a/h} in the half-width a of the
   strip of analyticity about the ray; P's own integrand is one fused
   numpy kernel that takes the point and the ray as scalars, splits the
-  ascending nodes by slices and works in place on its output, where the
-  derivatives multiply the masked kernels fn_f and sin_ratio (or
-  cos_ratio) through integrate_ray.  The upper ray sum P_plus is the
-  conjugate of P_minus at the mirror point (-conj tau, -conj nu);
+  ascending nodes by slices and works in place on its output.  Its sine
+  ratio is sin(nu w)/expm1(iw), w = t/tau, out to the radius where -Im w
+  reaches _EXP_LIMIT (on an admissible ray |Im(nu w)| < -Im w, so nothing
+  below it overflows or cancels), and a form in decaying exponentials past
+  it, which most rays never reach.  The derivatives multiply the masked
+  kernels fn_f and sin_ratio (or cos_ratio) through integrate_ray.  The
+  upper ray sum P_plus is the conjugate of P_minus at the mirror point
+  (-conj tau, -conj nu);
 * A_n and K_N -- the coefficients of P's divergent series at q -> 1, in
   closed form, and the norm integrals of its remainder bound;
 * the series itself, which P_minus sums instead of its ray integral at
@@ -102,6 +106,9 @@ RAY_MIN_ARC = math.pi / 36.0
 P_FIRST_ARC = math.radians(580.0)
 #: relative tolerance of every ray integral
 RAY_REL_TOL = 1e-11
+#: the log of the largest double (709.78) less a margin: e^z and expm1(z)
+#: stay finite while Re z is below it, sin(z) while |Im z| is
+_EXP_LIMIT = 700.0
 #: the principal-value route's truncation of both sums and the half-width
 #: of its symmetric window around t = 1
 PV_TERMS = 40
@@ -377,10 +384,17 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
       with s the sign of Im t on the ray, so that Re v <= 0: fn_f's expm1
       form, which keeps the digits cot(t/2) - 2/t cancels just past the
       radius;
-    * the sine ratio is sin(nu w)/expm1(iw) where |w| (1 + |nu|) < 1 and
-      (e^{i(nu-1)w} - e^{-i(nu+1)w}) / (2i (1 - e^{-iw})) past it, as in
-      sin_ratio: on an admissible ray every exponential there decays.  Its
-      three exponentials are one np.exp of an outer product.
+    * the sine ratio is sin(nu w)/expm1(iw) while -Im w < _EXP_LIMIT.  On
+      an admissible ray the two cone edges give -Im((1 -/+ nu) w) > 0, so
+      |Im(nu w)| < -Im w: below the limit neither sin(nu w) nor expm1(iw)
+      overflows, and no difference of nearly equal exponentials is formed,
+      so P keeps its relative digits as nu -> 0.  -Im w grows linearly
+      along the ray, so the split is the one radius
+      _EXP_LIMIT / -Im(rho/tau), which most rays never reach within the DE
+      range.  Past it the ratio is
+      (e^{i(nu-1)w} - e^{-i(nu+1)w}) / (2i (1 - e^{-iw})), as in sin_ratio's
+      far branch, where every exponential decays: one np.exp of an outer
+      product.
 
     w is t/tau node by node: one rounded scalar rho/tau would move every w
     by the same relative error, as a change of tau would, which P's
@@ -397,7 +411,9 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
     scalars = np.array(scalars).view(float).reshape(-1, 2)
     i_s = -1j if rho.imag < 0.0 else 1j
     series_end = SERIES_RADIUS * spec.decay
-    near_end = abs(tau) / (1.0 + abs(nu)) * spec.decay
+    # -Im(rho/tau) = Re(i e^{id}/tau)/decay >= 1, as the decay is that
+    # less |Re(i nu e^{id}/tau)|
+    direct_end = _EXP_LIMIT / -(rho / tau).imag
     far_rates = np.array([1j * (nu - 1.0), -1j * (nu + 1.0), -1j])
 
     def weighted(level: int, full: bool) -> np.ndarray:
@@ -413,15 +429,16 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
         far *= one_plus_e_u[k:]
         w = rho * r0
         w /= tau
-        m = r0.searchsorted(near_end)
+        m = r0.searchsorted(direct_end)
         ratio = np.sin(nu * w[:m])
         ratio /= np.expm1(1j * w[:m])
         out[:m] *= ratio
-        e_a, e_b, e_w = np.exp(np.multiply.outer(far_rates, w[m:]))
-        e_a -= e_b
-        np.subtract(1.0, e_w, out=e_w)
-        e_a /= np.multiply(2j, e_w, out=e_w)
-        out[m:] *= e_a
+        if m < r0.size:
+            e_a, e_b, e_w = np.exp(np.multiply.outer(far_rates, w[m:]))
+            e_a -= e_b
+            np.subtract(1.0, e_w, out=e_w)
+            e_a /= np.multiply(2j, e_w, out=e_w)
+            out[m:] *= e_a
         return out
 
     return weighted

@@ -33,6 +33,7 @@ from qmod.raysum import (
     RAY_REL_TOL,
     RayResult,
     RaySpec,
+    _EXP_LIMIT,
     _admissible_arc,
     _de_sum,
     _interval_nodes,
@@ -556,12 +557,12 @@ def test_P_minus_sizes_its_first_call_by_the_arc(monkeypatch):
 # the lower ray -k pi/36 given with each (k = 6, 22, 14, 1, 11, 2, 3, 4):
 # point 5 takes 2,305 nodes, 20 takes 1,153, 24 takes 577, the others 289
 _P_RAY_BITS = {
-    0: (-0.5235987755982988, 0.0686148979073497 + 0.00011771625599888662j),
-    1: (-1.9198621771937625, -0.021383082388815693 + 0.08701571088971995j),
-    2: (-1.2217304763960306, -0.0027843273717747617 + 0.010390839647920196j),
-    5: (-0.08726646259971647, -0.031068904252464488 + 0.011200780014580542j),
+    0: (-0.5235987755982988, 0.0686148979073497 + 0.00011771625599888592j),
+    1: (-1.9198621771937625, -0.021383082388815693 + 0.08701571088971993j),
+    2: (-1.2217304763960306, -0.0027843273717747625 + 0.010390839647920196j),
+    5: (-0.08726646259971647, -0.03106890425246448 + 0.011200780014580521j),
     9: (-0.9599310885968813, -0.026463181554081144 - 0.09302669048291179j),
-    20: (-0.17453292519943295, -0.005681584233614744 - 0.02499017650779857j),
+    20: (-0.17453292519943295, -0.005681584233614742 - 0.02499017650779857j),
     24: (-0.2617993877991494, -0.013425048977291486 - 0.010258639972661344j),
     27: (-0.3490658503988659, 0.1921299170354815 + 0.12542179081873173j),
 }
@@ -717,6 +718,44 @@ def test_P_against_the_binet_sum():
     assert not any(left.values())
 
 
+@pytest.mark.parametrize(
+    "tau, nu", [(0.1 + 0.5j, 0.001 + 0.001j), (0.1 + 0.5j, 1e-6j), (0.4 + 0.05j, 1e-4j)]
+)
+def test_P_minus_keeps_its_digits_as_nu_goes_to_zero(tau, nu):
+    # P ~ nu as nu -> 0: its sine ratio as (e^{i(nu-1)w} - e^{-i(nu+1)w}) /
+    # (2i (1 - e^{-iw})) cancels like 1/|nu| and left P 2.9e-14, 6.5e-12
+    # and 4.0e-14 off here; sin(nu w)/expm1(iw) keeps every digit
+    mpmath = pytest.importorskip("mpmath")
+    p = ModularPoint(tau, nu)
+    assert _p_series(p) is None
+    assert rel(P_minus(p), _P_binet(mpmath, tau, nu)) <= 1e-14
+
+
+def test_P_minus_past_the_overflow_radius(monkeypatch):
+    # points 88 and 162 of _domain_fuzz_points(200, seed=11), at Re tau >= 0:
+    # their rays reach -Im w = _EXP_LIMIT, w = t/tau, inside P's first DE
+    # call (at node 1,090 of 1,153 and 546 of 577), past which sin(nu w) and
+    # expm1(iw) overflow and the sine ratio takes its three-exponential form
+    mpmath = pytest.importorskip("mpmath")
+    firsts = []
+
+    def first_level(weighted, tol, first):
+        firsts.append(first)
+        return _de_sum(weighted, tol, first)
+
+    monkeypatch.setattr("qmod.raysum._de_sum", first_level)
+    points = _domain_fuzz_points(200, seed=11)
+    for k in (88, 162):
+        p = points[k] if points[k].tau.real >= 0.0 else points[k].mirror
+        firsts.clear()
+        value = P_minus(p)
+        spec = choose_ray(p)
+        r0, _ = _ray_nodes(firsts[0], True)
+        reach = -(cmath.exp(1j * spec.direction_d) / spec.decay * r0 / p.tau).imag
+        assert reach[0] < _EXP_LIMIT < reach[-1], k
+        assert rel(value, _P_binet(mpmath, p.tau, p.nu)) <= 1e-14, k
+
+
 def test_P_minus_series_against_mpmath():
     # fixed x (nu = i c) and x -> 1 (real_case) for alpha in [1e-6, 0.1],
     # where the series replaces the ray; the ray itself was off by up to
@@ -803,7 +842,7 @@ def test_p_integrand_matches_the_two_kernels():
     # the kernel's nodes t = (e^{id}/decay) r0 of the levels BATCH_LEVELS
     # and BATCH_LEVELS + 1, which make up the step h = 1/64: weighted as the
     # trapezoid sum weighs them, the differences add up to at most
-    # 1e-13 |I| (measured: 1.8e-14).  Single nodes may carry more where the
+    # 1e-13 |I| (measured: 4.6e-14).  Single nodes may carry more where the
     # weighted integrand is 66 |I| and both kernels round to 5e-15
     rng = np.random.default_rng(20261019)
     h = FIRST_STEP / 2 ** (BATCH_LEVELS + 1)

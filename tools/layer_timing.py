@@ -9,9 +9,11 @@ of ``qpochhammer_modular``, of ``P_minus`` at the point the modular route hands
 it and, where P takes its ray, of the first call that ``_de_sum`` makes of P's
 weighted integrand: the full grid of its first level, 289 nodes at level 4 or,
 where the admissible arc sizes it, 145 to 2,305.  The trees alternate for
---rounds rounds, each point keeping its best time.  Per layer it prints the
-quartiles of each tree's times (us) and the median of the per-point ratio
-new/old, then each tree's histogram of first levels.
+--rounds rounds, each point keeping its best time.  A second block times
+q-to-one's timed calls of the same seeds the same way: ``qpochhammer_modular``
+at fixed x and ``P_minus`` as x -> 1.  Per layer it prints the quartiles of
+each tree's times (us) and the median of the per-point ratio new/old, and
+after the domain-fuzz block each tree's histogram of first levels.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
+#: the layers of each block, in the order measure() lists their times, and
+#: the layer of each q-to-one route it times
+DOMAIN_FUZZ = ("qpochhammer_modular", "P_minus", "P kernel, first call")
+Q_TO_ONE = {"modular": "fixed-x qpochhammer_modular", "P": "x -> 1 P_minus"}
+LAYERS = DOMAIN_FUZZ + tuple(Q_TO_ONE.values())
+
+
 def measure(src: str, seeds: list[int], repeat: int) -> dict:
     """Per layer, the best time in seconds at every point (None: no ray),
     and the first level of every ray."""
@@ -41,7 +50,8 @@ def measure(src: str, seeds: list[int], repeat: int) -> dict:
     qcore, raysum, modularity, errors = (
         importlib.import_module(f"qmod.{mod}") for mod in ("qcore", "raysum", "modularity", "errors")
     )
-    qm = types.SimpleNamespace(qcore=qcore, modularity=modularity, ModularPoint=qcore.ModularPoint)
+    qm = types.SimpleNamespace(qcore=qcore, modularity=modularity, raysum=raysum,
+                               ModularPoint=qcore.ModularPoint)
     refusals = (errors.DomainError, errors.ConvergenceError)  # timed like values
 
     def best(f, *args) -> float:
@@ -64,7 +74,7 @@ def measure(src: str, seeds: list[int], repeat: int) -> dict:
             setattr(module, attr, real)
         return seen
 
-    times: list[list[float | None]] = [[], [], []]
+    times: list[list[float | None]] = [[] for _ in LAYERS]
     levels = []
     for seed in seeds:
         for _, calls in workloads.DomainFuzz(seed, qm).timed:
@@ -83,6 +93,11 @@ def measure(src: str, seeds: list[int], repeat: int) -> dict:
             args = (first[0], True) if first else (raysum.BATCH_LEVELS,)
             levels.append(args[0])
             times[2].append(best(weighted, *args))
+        for _, calls in workloads.QToOne(seed, qm).timed:
+            for route, _, module, attr, args, _ in calls:
+                if route in Q_TO_ONE:
+                    layer = LAYERS.index(Q_TO_ONE[route])
+                    times[layer].append(best(getattr(module, attr), *args))
     return {"times": times, "levels": levels}
 
 
@@ -121,16 +136,23 @@ def main(argv=None) -> int:
                 [a if b is None else min(a, b) for a, b in zip(kept, run)]
                 for kept, run in zip(best[side], times)
             ]
+    layers = list(zip(LAYERS, *best))
     print(f"{len(best[0][0])} timed domain-fuzz points, seeds {args.seeds}, "
           f"best of {args.repeat} calls x {args.rounds} rounds")
-    for name, old, new in zip(("qpochhammer_modular", "P_minus", "P kernel, first call"), *best):
-        pairs = [(a, b) for a, b in zip(old, new) if a is not None and b is not None]
-        cols = ["%7.1f %7.1f %7.1f" % _quartiles([1e6 * p[side] for p in pairs]) for side in (0, 1)]
-        print(f"  {name:<22} ({len(pairs)} points) old q1/med/q3 us {cols[0]} | new {cols[1]}"
-              f" | median ratio {_quartiles([b / a for a, b in pairs])[1]:.3f}")
+    _print_layers(layers[: len(DOMAIN_FUZZ)])
     hists = [dict(sorted(collections.Counter(side).items())) for side in levels]
     print(f"  first DE level of P's ray, points per level: old {hists[0]} | new {hists[1]}")
+    print(f"timed q-to-one calls, seeds {args.seeds}")
+    _print_layers(layers[len(DOMAIN_FUZZ) :])
     return 0
+
+
+def _print_layers(layers: list) -> None:
+    for name, old, new in layers:
+        pairs = [(a, b) for a, b in zip(old, new) if a is not None and b is not None]
+        cols = ["%7.1f %7.1f %7.1f" % _quartiles([1e6 * p[side] for p in pairs]) for side in (0, 1)]
+        print(f"  {name:<27} ({len(pairs)} points) old q1/med/q3 us {cols[0]} | new {cols[1]}"
+              f" | median ratio {_quartiles([b / a for a, b in pairs])[1]:.3f}")
 
 
 if __name__ == "__main__":
