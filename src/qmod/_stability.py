@@ -10,7 +10,9 @@ these helpers solve:
   with a hugely decaying one.  Rewriting them as differences of single
   exponentials keeps every intermediate bounded whenever the combined
   exponents decay, which is exactly the admissible-cone condition the
-  ray sums operate under.
+  ray sums operate under; but such a difference cancels where its two
+  exponents are close, so sin_ratio takes it only past _EXP_LIMIT, where
+  a factor of the direct form would overflow.
 
 The kernels take a scalar or a numpy array: a scalar gives a Python
 ``complex``, an array an array of the same shape, so a quadrature can
@@ -22,6 +24,10 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
+
+#: the log of the largest double (709.78) less a margin: e^z and expm1(z)
+#: stay finite while Re z is below it, sin(z) while |Im z| is
+_EXP_LIMIT = 700.0
 
 
 def cexpm1(w: complex) -> complex:
@@ -65,16 +71,23 @@ def inv_expm1(w):
 
 
 def sin_ratio(nu: complex, w):
-    """sin(nu*w) / (exp(i*w) - 1) without overflow.
+    """sin(nu*w) / (exp(i*w) - 1) without overflow or cancellation.
 
-    Valid wherever the exponents i(nu - 1)w and -i(nu + 1)w both have
-    negative real part eventually (the admissible-cone condition); near
-    w = 0 the naive form is fine and is used directly.
+    sin(nu w)/expm1(iw) wherever neither factor can overflow, |Im(nu w)|
+    and -Im w both below _EXP_LIMIT: no difference of nearly equal
+    exponentials is formed, so the ratio keeps its relative digits as
+    nu -> 0.  Past that, (e^{i(nu-1)w} - e^{-i(nu+1)w}) / (2i(1 - e^{-iw})),
+    whose exponentials all decay where i(nu - 1)w and -i(nu + 1)w have
+    negative real part (the admissible-cone condition).  There
+    |nu w| >= _EXP_LIMIT or |w| >= _EXP_LIMIT, so the difference loses
+    digits only where |nu| is below about 1/_EXP_LIMIT, and then at most
+    a factor 1/|nu w|.
     """
+    w = np.asarray(w, dtype=complex)
     return piecewise(
         w,
-        np.abs(w) * (1.0 + abs(nu)) < 1.0,
-        lambda v: np.sin(nu * v) * inv_expm1(1j * v),
+        (np.abs((nu * w).imag) < _EXP_LIMIT) & (-w.imag < _EXP_LIMIT),
+        lambda v: np.sin(nu * v) / np.expm1(1j * v),
         lambda v: (np.exp(1j * (nu - 1.0) * v) - np.exp(-1j * (nu + 1.0) * v))
         / (2j * (1.0 - np.exp(-1j * v))),
     )

@@ -14,16 +14,19 @@ the full grid of one level, which holds every coarser level, and each
 later level costs one call on its new nodes.  The first call is the 289
 nodes of step 1/32 (level BATCH_LEVELS), except on P_minus's own ray,
 where the width of the admissible arc predicts the accepted level and
-the first call takes 145 to 2,305 nodes (P_FIRST_ARC); the sums, and so
-every value, are the same whichever call computes a node.  The nodes of
-a level do not depend on the integral, so they and the point-free parts
-of both maps (exp(u - e^{-u}) and 1 + e^{-u} for a ray; 1 + e^{-2s},
-cosh u and cosh(s)^2 for an interval) are read-only tables built once
-per level and kind (full grid or new nodes): an integral pays for its
-integrand and a few array products.  P's integrand hands _de_sum its
-weighted values itself (_p_weighted): its nodes are one scalar times the
-ray table, so its Bernoulli series is one matrix product with a
-per-level table of the series' terms.  An integral that has not
+the first call takes 145 to 2,305 nodes (P_FIRST_ARC).  One
+np.add.reduceat sums every level of the first call, its grid regrouped by
+level (_level_order), and the same reduceat sums each later level, so the
+sums, and so every value, are the same whichever call computes a node.
+The nodes of a level do not depend on the integral, so they and the
+point-free parts of both maps (exp(u - e^{-u}) and 1 + e^{-u} for a
+ray; 1 + e^{-2s}, cosh u and cosh(s)^2 for an interval) are read-only
+tables built once per level and kind (full grid or new nodes), as is
+the regrouping: an integral pays for its integrand and a few array
+products.  P's integrand hands _de_sum its weighted values itself
+(_p_weighted): its nodes are one scalar times the ray table, so its
+Bernoulli series is one matrix product with a per-level table of the
+series' terms.  An integral that has not
 converged within MAX_NODES nodes, has not decayed at the ends of the
 range, or meets a non-finite value raises ConvergenceError.
 On it the module builds:
@@ -66,7 +69,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._stability import cos_ratio, inv_expm1, sin_ratio
+from ._stability import _EXP_LIMIT, cos_ratio, inv_expm1, sin_ratio
 from .errors import ConvergenceError, DomainError
 from .qcore import TERM_TOL, ModularPoint, _tail_length
 from .specialfns import (
@@ -106,9 +109,6 @@ RAY_MIN_ARC = math.pi / 36.0
 P_FIRST_ARC = math.radians(580.0)
 #: relative tolerance of every ray integral
 RAY_REL_TOL = 1e-11
-#: the log of the largest double (709.78) less a margin: e^z and expm1(z)
-#: stay finite while Re z is below it, sin(z) while |Im z| is
-_EXP_LIMIT = 700.0
 #: the principal-value route's truncation of both sums and the half-width
 #: of its symmetric window around t = 1
 PV_TERMS = 40
@@ -162,6 +162,18 @@ def _u_nodes(level: int, full: bool) -> np.ndarray:
     return _frozen(h * np.arange(1 - half, half, 2))
 
 
+@functools.cache
+def _level_order(first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of _u_nodes(first, True) grouped by level, and where
+    each group starts, read-only: level 0's nodes, then each later level's
+    new ones, each group ascending."""
+    index = np.arange(18 * 2**first + 1)
+    groups = [index[:: 2**first]]
+    groups += [index[2**j :: 2 ** (j + 1)] for j in reversed(range(first))]
+    starts = np.cumsum([0] + [g.size for g in groups[:-1]])
+    return _frozen(np.concatenate(groups)), _frozen(starts)
+
+
 def _de_sum(
     weighted: Callable[[int, bool], np.ndarray], rel_tol: float, first: int = BATCH_LEVELS
 ) -> RayResult:
@@ -171,17 +183,19 @@ def _de_sum(
 
     Trapezoid sums on [-DE_SPAN, DE_SPAN]; each level halves the step and
     adds only the new (odd) nodes.  Levels 0..first come from one call on
-    the full grid of level first (18 * 2^first + 1 nodes), read back level
-    by level through strided views; every level after that costs one call
-    on its new nodes.  The nodes are power-of-two multiples, so each level
-    sums the same numbers as a call of its own would: the value, the error
-    and every refusal are the same whatever first is, which decides only
-    the calls that compute the nodes.  A first level past the accepted one
-    computes nodes that no sum reads; one short of it pays a call per
-    level after it, and a call costs a fixed part besides its nodes.  The
-    node tables do not depend on the integrand, so callers keep theirs per
-    level behind functools.cache, and the levels are summed as Python
-    complex numbers, which round as numpy's scalars do.
+    the full grid of level first (18 * 2^first + 1 nodes), regrouped by
+    level (_level_order) and summed group by group in one np.add.reduceat;
+    every level after that costs one call on its new nodes, summed by the
+    same np.add.reduceat.  A group's sum depends only on its values, not
+    on where it lies in the array, so each level sums the same numbers in
+    the same order as a call of its own would: the value, the error and
+    every refusal are the same whatever first is, which decides only the
+    calls that compute the nodes.  (ndarray.sum rounds differently from
+    reduceat, so every level takes reduceat.)  A first level past the
+    accepted one computes nodes that no sum reads; one short of it pays a
+    call per level after it, and a call costs a fixed part besides its
+    nodes.  The node tables do not depend on the integrand, so callers
+    keep theirs per level behind functools.cache.
     Accepts the first sum within tol = rel_tol |I| + ABS_FLOOR of the one
     before, reporting that distance as its error, provided the end nodes
     are below tol too.  The error of a DE sum roughly squares when the
@@ -190,27 +204,27 @@ def _de_sum(
     accepted.
     """
     half = round(DE_SPAN / FIRST_STEP)
-    stride = 2**first
-    level = first
-    bulk = weighted(level, True)
-    ends = np.abs(bulk[:: len(bulk) - 1]).max()
+    bulk = weighted(first, True)
+    order, starts = _level_order(first)
+    level_sums = np.add.reduceat(bulk.take(order), starts).tolist()
+    ends = max(abs(bulk[0].item()), abs(bulk[-1].item()))
     h = FIRST_STEP
-    total = h * complex(bulk[::stride].sum())
+    total = h * complex(level_sums[0])
     change = math.inf
+    level = 0
     while True:
+        level += 1
         h *= 0.5
         half *= 2
         if 2 * half + 1 > MAX_NODES:  # nodes in the sum after this level
             raise ConvergenceError(
                 f"DE quadrature has not converged within {MAX_NODES} nodes"
             )
-        if stride > 1:
-            stride //= 2
-            new = bulk[stride :: 2 * stride]
+        if level <= first:
+            new_sum = level_sums[level]
         else:
-            level += 1
-            new = weighted(level, False)
-        prev, total = total, 0.5 * total + h * complex(new.sum())
+            new_sum = np.add.reduceat(weighted(level, False), [0]).item()
+        prev, total = total, 0.5 * total + h * new_sum
         if not cmath.isfinite(total):
             raise ConvergenceError("non-finite integrand value")
         tol = rel_tol * abs(total) + ABS_FLOOR
@@ -367,6 +381,20 @@ def _p_nodes(level: int, full: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return r0, one_plus_e_u, _frozen(-2.0 * powers * _BOSE_COEFFS[::-1] * one_plus_e_u[:, None])
 
 
+def _series_scalars(rho: complex) -> tuple[complex, ...]:
+    """rho (-rho^2)^j for j < 10, the scalars of _p_weighted's series
+    product, each power m^j of m = -rho^2 formed as CPython's complex ** int
+    forms it (binary powering: m^3 = m m^2, m^7 = (m m^2) m^4, ...), so the
+    ten equal rho * m**j bit for bit at a fraction of the cost."""
+    m = -rho * rho
+    m2 = m * m
+    m3 = m * m2
+    m4 = m2 * m2
+    m8 = m4 * m4
+    powers = (1.0, m, m2, m3, m4, m * m4, m2 * m4, m3 * m4, m8, m * m8)
+    return tuple(rho * p for p in powers)
+
+
 def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.ndarray]:
     """P's integrand sin(nu w)/(e^{iw} - 1) f(t)/t, w = t/tau, times
     dt/du = t (1 + e^{-u}) along spec's ray: the weighted(level, full)
@@ -400,21 +428,21 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
     by the same relative error, as a change of tau would, which P's
     sensitivity to tau at tau near the real axis turned into up to 3e-14
     of P on seeded fuzz points.  The kernel fills one output array in
-    place.  No node is tested against
-    f's real poles 2 pi k: a ray along the real axis, which only a caller's
-    RaySpec can give, does not converge.
+    place, and its setup is scalar: the ten series scalars are products
+    (_series_scalars), and the far branch's rates are formed only where a
+    node lies past its radius.  No node is tested against f's real poles
+    2 pi k: a ray along the real axis, which only a caller's RaySpec can
+    give, does not converge.
     """
     tau, nu = point.tau, point.nu
     rho = cmath.exp(1j * spec.direction_d) / spec.decay
     # the series' scalars as the two real columns of one (10, 2) matrix
-    scalars = [rho * (-rho * rho) ** j for j in range(len(_BOSE_COEFFS))]
-    scalars = np.array(scalars).view(float).reshape(-1, 2)
+    scalars = np.array(_series_scalars(rho)).view(float).reshape(-1, 2)
     i_s = -1j if rho.imag < 0.0 else 1j
     series_end = SERIES_RADIUS * spec.decay
     # -Im(rho/tau) = Re(i e^{id}/tau)/decay >= 1, as the decay is that
     # less |Re(i nu e^{id}/tau)|
     direct_end = _EXP_LIMIT / -(rho / tau).imag
-    far_rates = np.array([1j * (nu - 1.0), -1j * (nu + 1.0), -1j])
 
     def weighted(level: int, full: bool) -> np.ndarray:
         r0, one_plus_e_u, series = _p_nodes(level, full)
@@ -434,6 +462,7 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
         ratio /= np.expm1(1j * w[:m])
         out[:m] *= ratio
         if m < r0.size:
+            far_rates = np.array([1j * (nu - 1.0), -1j * (nu + 1.0), -1j])
             e_a, e_b, e_w = np.exp(np.multiply.outer(far_rates, w[m:]))
             e_a -= e_b
             np.subtract(1.0, e_w, out=e_w)

@@ -37,10 +37,12 @@ from qmod.raysum import (
     _admissible_arc,
     _de_sum,
     _interval_nodes,
+    _level_order,
     _p_nodes,
     _p_series,
     _p_weighted,
     _ray_nodes,
+    _series_scalars,
     _slack,
     _u_nodes,
     big_G,
@@ -110,20 +112,25 @@ def test_integrate_ray_flags_non_finite():
 
 
 def _ladder_de_sum(weighted, rel_tol):
-    """_de_sum's ladder with one integrand call per level: the reference
-    the batched first call must reproduce bit for bit."""
+    """_de_sum's ladder with one integrand call per level, each summed by
+    np.add.reduceat as _de_sum sums a level: the reference the batched
+    first call must reproduce bit for bit."""
+
+    def level_sum(values):
+        return np.add.reduceat(values, [0])[0]
+
     half = round(DE_SPAN / FIRST_STEP)
     h = FIRST_STEP
     values = weighted(h * np.arange(-half, half + 1))
     ends = np.abs(values[[0, -1]]).max()
-    total = h * values.sum()
+    total = h * level_sum(values)
     change = math.inf
     while True:
         h *= 0.5
         half *= 2
         if 2 * half + 1 > MAX_NODES:
             raise ConvergenceError(f"DE quadrature has not converged within {MAX_NODES} nodes")
-        prev, total = total, 0.5 * total + h * weighted(h * np.arange(1 - half, half, 2)).sum()
+        prev, total = total, 0.5 * total + h * level_sum(weighted(h * np.arange(1 - half, half, 2)))
         if not np.isfinite(total):
             raise ConvergenceError("non-finite integrand value")
         tol = rel_tol * abs(total) + ABS_FLOOR
@@ -234,6 +241,21 @@ def test_de_node_tables_are_read_only():
             for table in tables:
                 with pytest.raises(ValueError):
                     table[0] = 0.0
+    # and the regrouping of a first call's grid by level, from which one
+    # reduction sums every level: a permutation whose groups are level 0's
+    # nodes and then each later level's new ones, in ascending order
+    for first in FIRST_LEVELS:
+        order, starts = _level_order(first)
+        for table in (order, starts):
+            with pytest.raises(ValueError):
+                table[0] = 0
+        u = _u_nodes(first, True)
+        assert np.array_equal(np.sort(order), np.arange(u.size))
+        groups = np.split(order, starts[1:])
+        assert len(groups) == first + 1
+        for level, group in enumerate(groups):
+            want = _u_nodes(0, True) if level == 0 else _u_nodes(level, False)
+            assert np.array_equal(u[group], want), (first, level)
 
 
 def test_rayspec_validation():
@@ -557,12 +579,12 @@ def test_P_minus_sizes_its_first_call_by_the_arc(monkeypatch):
 # the lower ray -k pi/36 given with each (k = 6, 22, 14, 1, 11, 2, 3, 4):
 # point 5 takes 2,305 nodes, 20 takes 1,153, 24 takes 577, the others 289
 _P_RAY_BITS = {
-    0: (-0.5235987755982988, 0.0686148979073497 + 0.00011771625599888592j),
+    0: (-0.5235987755982988, 0.0686148979073497 + 0.0001177162559988855j),
     1: (-1.9198621771937625, -0.021383082388815693 + 0.08701571088971993j),
-    2: (-1.2217304763960306, -0.0027843273717747625 + 0.010390839647920196j),
-    5: (-0.08726646259971647, -0.03106890425246448 + 0.011200780014580521j),
-    9: (-0.9599310885968813, -0.026463181554081144 - 0.09302669048291179j),
-    20: (-0.17453292519943295, -0.005681584233614742 - 0.02499017650779857j),
+    2: (-1.2217304763960306, -0.002784327371774762 + 0.010390839647920196j),
+    5: (-0.08726646259971647, -0.031068904252464488 + 0.011200780014580525j),
+    9: (-0.9599310885968813, -0.026463181554081148 - 0.09302669048291179j),
+    20: (-0.17453292519943295, -0.005681584233614739 - 0.024990176507798566j),
     24: (-0.2617993877991494, -0.013425048977291486 - 0.010258639972661344j),
     27: (-0.3490658503988659, 0.1921299170354815 + 0.12542179081873173j),
 }
@@ -578,10 +600,10 @@ def test_de_values_to_the_last_bit():
     points = _domain_fuzz_points(40, seed=11)
     for k, (d, want) in _P_RAY_BITS.items():
         assert P_minus(points[k], RaySpec(d)) == want, k
-    assert dP_dnu(ModularPoint(0.8j, 0.2)) == 0.0076670537234476335 + 0.25551511002857974j
-    assert K_N(3, 0.3) == 4321.990246778421
+    assert dP_dnu(ModularPoint(0.8j, 0.2)) == 0.007667053723447631 + 0.25551511002857974j
+    assert K_N(3, 0.3) == 4321.9902467784195
     assert K_N(2, 0.5j) == 17.217548299683028
-    assert K_N(1, 0.25j) == 1.3430798568016313
+    assert K_N(1, 0.25j) == 1.3430798568016316
     assert pv_M_direct(0.8, 0.3) == -0.05319109389520646
     assert pv_M_direct(0.5, 0.1) == -0.006975220518611532
 
@@ -724,11 +746,24 @@ def test_P_against_the_binet_sum():
 def test_P_minus_keeps_its_digits_as_nu_goes_to_zero(tau, nu):
     # P ~ nu as nu -> 0: its sine ratio as (e^{i(nu-1)w} - e^{-i(nu+1)w}) /
     # (2i (1 - e^{-iw})) cancels like 1/|nu| and left P 2.9e-14, 6.5e-12
-    # and 4.0e-14 off here; sin(nu w)/expm1(iw) keeps every digit
+    # and 4.0e-14 off here; sin(nu w)/expm1(iw) keeps every digit, in P's
+    # fused kernel and in sin_ratio, through the generic ray integrand
     mpmath = pytest.importorskip("mpmath")
     p = ModularPoint(tau, nu)
     assert _p_series(p) is None
-    assert rel(P_minus(p), _P_binet(mpmath, tau, nu)) <= 1e-14
+    want = _P_binet(mpmath, tau, nu)
+    assert rel(P_minus(p), want) <= 1e-14
+    generic = integrate_ray(lambda t: sin_ratio(nu, t / tau) * fn_f(t) / t, choose_ray(p))
+    assert rel(generic.value, want) <= 1e-14
+
+
+def test_series_scalars_are_the_powers():
+    # _p_weighted's ten series scalars, formed by products in the order
+    # CPython's complex ** int takes them: bit for bit the powers
+    rng = np.random.default_rng(20261020)
+    for _ in range(2000):
+        rho = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-2.0, 1.0)
+        assert _series_scalars(rho) == tuple(rho * (-rho * rho) ** j for j in range(10)), rho
 
 
 def test_P_minus_past_the_overflow_radius(monkeypatch):

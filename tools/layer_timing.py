@@ -8,12 +8,16 @@ read-only) each tree, in a process of its own, times the best of --repeat calls
 of ``qpochhammer_modular``, of ``P_minus`` at the point the modular route hands
 it and, where P takes its ray, of the first call that ``_de_sum`` makes of P's
 weighted integrand: the full grid of its first level, 289 nodes at level 4 or,
-where the admissible arc sizes it, 145 to 2,305.  The trees alternate for
---rounds rounds, each point keeping its best time.  A second block times
-q-to-one's timed calls of the same seeds the same way: ``qpochhammer_modular``
-at fixed x and ``P_minus`` as x -> 1.  Per layer it prints the quartiles of
-each tree's times (us) and the median of the per-point ratio new/old, and
-after the domain-fuzz block each tree's histogram of first levels.
+where the admissible arc sizes it, 145 to 2,305.  As a control it also times
+the direct ``qcore.qpochhammer`` call of each point, a layer that no change to
+P touches: a median ratio away from 1 there is the host's drift between the
+trees, not the change, and bounds what the other ratios can show.  The trees
+alternate for --rounds rounds, each point keeping its best time.  A second
+block times q-to-one's timed calls of the same seeds the same way:
+``qpochhammer_modular`` at fixed x and ``P_minus`` as x -> 1.  Per layer it
+prints the quartiles of each tree's times (us) and the median of the per-point
+ratio new/old, and after the domain-fuzz block each tree's histogram of first
+levels.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 
 #: the layers of each block, in the order measure() lists their times, and
 #: the layer of each q-to-one route it times
-DOMAIN_FUZZ = ("qpochhammer_modular", "P_minus", "P kernel, first call")
+DOMAIN_FUZZ = ("qpochhammer_modular", "qpochhammer (control)", "P_minus",
+               "P kernel, first call")
 Q_TO_ONE = {"modular": "fixed-x qpochhammer_modular", "P": "x -> 1 P_minus"}
 LAYERS = DOMAIN_FUZZ + tuple(Q_TO_ONE.values())
 
@@ -78,21 +83,23 @@ def measure(src: str, seeds: list[int], repeat: int) -> dict:
     levels = []
     for seed in seeds:
         for _, calls in workloads.DomainFuzz(seed, qm).timed:
-            point = next(args[0] for route, *_, args, _ in calls if route == "modular")
+            route_args = {route: args for route, *_, args, _ in calls}
+            point = route_args["modular"][0]
             times[0].append(best(modularity.qpochhammer_modular, point))
+            times[1].append(best(qcore.qpochhammer, *route_args["direct"]))
             p_point = (calls_of(modularity, "P_minus",
                                 lambda: modularity.qpochhammer_modular(point)) or [(point,)])[0][0]
-            times[1].append(best(raysum.P_minus, p_point))
+            times[2].append(best(raysum.P_minus, p_point))
             de_sums = calls_of(raysum, "_de_sum", lambda: raysum.P_minus(p_point))
             if not de_sums:
-                times[2].append(None)
+                times[3].append(None)
                 continue
             weighted, _, *first = de_sums[0]
             # a tree whose _de_sum takes no first level starts every sum with
             # weighted(BATCH_LEVELS), the full grid of that level
             args = (first[0], True) if first else (raysum.BATCH_LEVELS,)
             levels.append(args[0])
-            times[2].append(best(weighted, *args))
+            times[3].append(best(weighted, *args))
         for _, calls in workloads.QToOne(seed, qm).timed:
             for route, _, module, attr, args, _ in calls:
                 if route in Q_TO_ONE:
