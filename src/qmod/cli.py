@@ -10,9 +10,10 @@ shortest round-trip ``repr``, and rows are emitted in generation order.
 
 Each target reads its inputs from these flags.  A complex input comes from
 a (re, im) pair such as ``--tau-re/--tau-im`` (``--tau-*``); a missing half
-of a pair, or a missing ``--nu-re`` for xi, reads as 0.  For ``eval`` and
-``check`` an input flag the target does not read is a usage error;
-``--tol``, ``--format`` and ``--out`` apply to every target.
+of a pair, or a missing ``--nu-re`` for xi, reads as 0; a missing sweep
+input reads from ``defaults.json``.  An input flag the target does not
+read is a usage error; ``--tol``, ``--format`` and ``--out`` apply to
+every target.
 
     target                                               inputs     flags
     pochhammer-direct, pochhammer-euler, euler-identity  x, q       --x-*, --q-*
@@ -24,6 +25,8 @@ of a pair, or a missing ``--nu-re`` for xi, reads as 0.  For ``eval`` and
     binet74, binet75                                     lambda     --x-*
     M, M-pv (tau = alpha*i, nu = xi*alpha*i)             alpha, xi  --tau-im, --nu-re
     every other eval and check target                    tau, nu    --tau-*, --nu-*
+    sweep asym-table                                     nu, n      --nu-*, --n-max
+    sweep asym-table, q-to-one                           alphas     --alpha
 
 Exit codes: 0 pass, 2 domain error or failed check, 3 convergence
 failure, 64 usage error, 74 output I/O error.
@@ -41,10 +44,10 @@ from importlib import resources
 
 from .errors import ConvergenceError, DomainError
 from .modularity import (
-    TOLERANCES,
     ResidualReport,
     binet74_residual,
     binet75_residual,
+    compare,
     eta_modular_residual,
     euler_residual,
     lambert_relation_residuals,
@@ -110,7 +113,7 @@ def _point(p: dict) -> ModularPoint:
 
 
 def _lambert(which: int):
-    return lambda p, tol: lambert_relation_residuals(_point(p), which, tol=tol)
+    return lambda p: lambert_relation_residuals(_point(p), which)
 
 
 # Each entry reads its inputs from a dict keyed by the input names.  The
@@ -134,47 +137,41 @@ EVAL = {
     "M": (("alpha", "xi"), lambda p: M_almost_modular(p["alpha"], p["xi"]), _quad_err),
 }
 
-#: check target -> (input names, residual taking the inputs and a tolerance or None)
+#: check target -> (input names, residual at the target's TOLERANCES entry)
 CHECK = {
-    "euler-identity": (("x", "q"), lambda p, tol: euler_residual(p["x"], p["q"], tol=tol)),
-    "thm29": (("tau", "nu"), lambda p, tol: thm29_residual(_point(p), tol=tol)),
-    "ramanujan47": (("tau", "nu"), lambda p, tol: ramanujan_residual(_point(p), tol=tol)),
-    "eta-modular": (("tau",), lambda p, tol: eta_modular_residual(p["tau"], tol=tol)),
-    "theta-modular": (
-        ("tau", "nu"), lambda p, tol: theta_modular_residual(p["tau"], p["nu"], tol=tol)
-    ),
-    "stokes28": (("tau", "nu"), lambda p, tol: stokes_residual(_point(p), tol=tol)),
-    "reflection34": (("tau", "nu"), lambda p, tol: reflection_residual(_point(p), tol=tol)),
+    "euler-identity": (("x", "q"), lambda p: euler_residual(p["x"], p["q"])),
+    "thm29": (("tau", "nu"), lambda p: thm29_residual(_point(p))),
+    "ramanujan47": (("tau", "nu"), lambda p: ramanujan_residual(_point(p))),
+    "eta-modular": (("tau",), lambda p: eta_modular_residual(p["tau"])),
+    "theta-modular": (("tau", "nu"), lambda p: theta_modular_residual(p["tau"], p["nu"])),
+    "stokes28": (("tau", "nu"), lambda p: stokes_residual(_point(p))),
+    "reflection34": (("tau", "nu"), lambda p: reflection_residual(_point(p))),
     "lambert67": (("tau", "nu"), _lambert(67)),
     "lambert68": (("tau", "nu"), _lambert(68)),
     "lambert71": (("tau",), _lambert(71)),
     "lambert72": (("tau",), _lambert(72)),
-    "binet74": (("lambda",), lambda p, tol: binet74_residual(p["lambda"], tol=tol)),
-    "binet75": (("lambda",), lambda p, tol: binet75_residual(p["lambda"], tol=tol)),
-    "M-pv": (
-        ("alpha", "xi"), lambda p, tol: mpv_residual(p["alpha"].real, p["xi"].real, tol=tol)
-    ),
+    "binet74": (("lambda",), lambda p: binet74_residual(p["lambda"])),
+    "binet75": (("lambda",), lambda p: binet75_residual(p["lambda"])),
+    "M-pv": (("alpha", "xi"), lambda p: mpv_residual(p["alpha"].real, p["xi"].real)),
 }
 
 
-def _asym_table(args, cfg: dict, alphas: list[float]) -> list[dict]:
+def _asym_table(p: dict, cfg: dict) -> list[dict]:
     """Truncated correction series against -P, one row per (alpha, N)."""
-    nu = _pair(args.nu_re, args.nu_im)
-    if nu is None:
-        nu = _complex_of(cfg["nu"])
-    n_max = args.n_max if args.n_max is not None else cfg["n_max"]
+    nu = p["nu"] if p["nu"] is not None else _complex_of(cfg["nu"])
+    n_max = p["n"] if p["n"] is not None else cfg["n_max"]
+    rows = theta_series_table(nu, [1j * alpha for alpha in p["alphas"]], n_max=n_max)
     # AsymptoticRow's fields after tau are the remaining columns, in order
     return [
-        {"alpha": alpha, "nu": nu, **{k: v for k, v in vars(row).items() if k != "tau"}}
-        for alpha in alphas
-        for row in theta_series_table(nu, [1j * alpha], n_max=n_max, eps=cfg["eps"])
+        {"alpha": row.tau.imag, "nu": nu, **{k: v for k, v in vars(row).items() if k != "tau"}}
+        for row in rows
     ]
 
 
-def _q_to_one(args, cfg: dict, alphas: list[float]) -> list[dict]:
+def _q_to_one(p: dict, cfg: dict) -> list[dict]:
     """Direct-product cost against transformed-side cost as q -> 1."""
     rows = []
-    for alpha in alphas:
+    for alpha in p["alphas"]:
         tau = 1j * alpha
         point = ModularPoint(tau, cfg["s"] * tau)
         direct, n_direct = qpochhammer_with_count(point.x, point.q)
@@ -185,8 +182,12 @@ def _q_to_one(args, cfg: dict, alphas: list[float]) -> list[dict]:
     return rows
 
 
-#: sweep target -> row builder taking (args, its defaults entry, alphas)
-SWEEP = {"asym-table": _asym_table, "q-to-one": _q_to_one}
+#: sweep target -> (input names, row builder taking the inputs and the
+#: target's defaults entry, which stands in for an input no flag sets)
+SWEEP = {
+    "asym-table": (("nu", "n", "alphas"), _asym_table),
+    "q-to-one": (("alphas",), _q_to_one),
+}
 
 EVAL_TARGETS = tuple(EVAL)
 CHECK_TARGETS = tuple(CHECK)
@@ -217,10 +218,11 @@ _INPUTS = {
     "q": (lambda a: _pair(a.q_re, a.q_im), "--q-re/--q-im", ("q_re", "q_im")),
     "n": (lambda a: a.n_max, "--n-max", ("n_max",)),
     "alpha": (lambda a: a.tau_im, "--tau-im (alpha)", ("tau_im",)),
+    "alphas": (lambda a: a.alpha, "--alpha", ("alpha",)),
     "xi": (lambda a: a.nu_re or 0.0, None, ("nu_re",)),
 }
 _INPUTS["z"] = _INPUTS["lambda"] = _INPUTS["x"]
-#: parsed arguments that every eval and check target accepts
+#: parsed arguments that every target accepts
 _GENERAL = ("command", "target", "tol", "format", "out")
 
 
@@ -396,13 +398,17 @@ def _cmd_check(args, err) -> tuple[str, int]:
         grid = [_read_inputs(names, args, err)]
     else:
         grid = check_grid(target, load_defaults())
-    tol_effective = args.tol if args.tol is not None else TOLERANCES[target]
     reports: list[ResidualReport] = []
     for inputs in grid:
         try:
-            reports.append(residual(inputs, args.tol))
+            r = residual(inputs)
         except DomainError as exc:
-            reports.append(skipped_report(target, inputs, tol_effective, str(exc)))
+            r = skipped_report(target, inputs, args.tol, str(exc))
+        else:
+            if args.tol is not None:
+                # the same pass rule on the same sides, at the given tolerance
+                r = compare(target, dict(r.inputs), r.lhs, r.rhs, args.tol)
+        reports.append(r)
     n_pass = sum(1 for r in reports if r.passed)
     n_skip = sum(1 for r in reports if r.skipped)
     n_fail = len(reports) - n_pass - n_skip
@@ -422,14 +428,17 @@ def _cmd_check(args, err) -> tuple[str, int]:
 
 
 def _cmd_sweep(args, err) -> tuple[str, int]:
+    names, build = SWEEP[args.target]
+    _reject_unread(names, args, err)
     cfg = load_defaults()["sweeps"][args.target]
-    alphas = args.alpha if args.alpha is not None else list(cfg["alphas"])
+    inputs = {name: _INPUTS[name][0](args) for name in names}
+    alphas = inputs["alphas"] = inputs["alphas"] or list(cfg["alphas"])
     if not alphas:
         err("empty alpha range")
     if any(a <= 0 for a in alphas):
         err("alpha values must be positive")
     # text is CSV: the sweeps are tables for plotting
-    return _render(SWEEP[args.target](args, cfg, alphas), args.format), EXIT_OK
+    return _render(build(inputs, cfg), args.format), EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .raysum import (
     P_minus,
     P_plus,
     RaySpec,
+    SERIES_EPS,
     _f_tail_constant,
     big_G,
     choose_ray,
@@ -98,8 +99,12 @@ def compare(
     inputs: dict[str, complex],
     lhs: complex,
     rhs: complex,
-    tolerance: float,
+    tolerance: float | None = None,
 ) -> ResidualReport:
+    """The residual report of lhs against rhs, judged at tolerance, or at
+    the identity's TOLERANCES entry when tolerance is None."""
+    if tolerance is None:
+        tolerance = TOLERANCES[identity_id]
     lhs = complex(lhs)
     rhs = complex(rhs)
     abs_res = abs(lhs - rhs)
@@ -121,25 +126,13 @@ def compare(
 
 
 def skipped_report(
-    identity_id: str, inputs: dict[str, complex], tolerance: float, reason: str
+    identity_id: str, inputs: dict[str, complex], tolerance: float | None, reason: str
 ) -> ResidualReport:
-    nan = float("nan")
-    return ResidualReport(
-        identity_id=identity_id,
-        inputs=tuple((k, complex(v)) for k, v in inputs.items()),
-        lhs=complex(nan, nan),
-        rhs=complex(nan, nan),
-        abs_residual=nan,
-        rel_residual=nan,
-        tolerance=tolerance,
-        passed=False,
-        skipped=True,
-        skip_reason=reason,
-    )
-
-
-def _tol(identity_id: str, tol: float | None) -> float:
-    return TOLERANCES[identity_id] if tol is None else tol
+    """The report of a point outside the identity's domain: NaN sides,
+    which fail every pass rule."""
+    nan = complex(math.nan, math.nan)
+    report = compare(identity_id, inputs, nan, nan, tolerance)
+    return replace(report, skipped=True, skip_reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -267,39 +260,29 @@ def ramanujan_completed(point: ModularPoint) -> complex:
     return _at_lower_half(point, lambda base: (_ramanujan(base), 0))[0]
 
 
-def thm29_residual(point: ModularPoint, tol: float | None = None) -> ResidualReport:
+def thm29_residual(point: ModularPoint) -> ResidualReport:
     lhs = qpochhammer(point.x, point.q)
     rhs = qpochhammer_modular(point)
-    return compare(
-        "thm29", {"tau": point.tau, "nu": point.nu}, lhs, rhs, _tol("thm29", tol)
-    )
+    return compare("thm29", {"tau": point.tau, "nu": point.nu}, lhs, rhs)
 
 
-def ramanujan_residual(point: ModularPoint, tol: float | None = None) -> ResidualReport:
+def ramanujan_residual(point: ModularPoint) -> ResidualReport:
     lhs = qpochhammer_modular(point)
     rhs = ramanujan_completed(point)
-    return compare(
-        "ramanujan47",
-        {"tau": point.tau, "nu": point.nu},
-        lhs,
-        rhs,
-        _tol("ramanujan47", tol),
-    )
+    return compare("ramanujan47", {"tau": point.tau, "nu": point.nu}, lhs, rhs)
 
 
-def euler_residual(x: complex, q: complex, tol: float | None = None) -> ResidualReport:
+def euler_residual(x: complex, q: complex) -> ResidualReport:
     lhs = qpochhammer(x, q)
     rhs = euler_series(x, q)
-    return compare(
-        "euler-identity", {"x": x, "q": q}, lhs, rhs, _tol("euler-identity", tol)
-    )
+    return compare("euler-identity", {"x": x, "q": q}, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # eta and theta
 
 
-def eta_modular_residual(tau: complex, tol: float | None = None) -> ResidualReport:
+def eta_modular_residual(tau: complex) -> ResidualReport:
     """(q; q)_oo against its inverted-tau expression."""
     tau = complex(tau)
     point = ModularPoint(tau, tau)  # x = q
@@ -310,12 +293,10 @@ def eta_modular_residual(tau: complex, tol: float | None = None) -> ResidualRepo
         * cmath.exp(1j * math.pi * point.tau_star / 12)
         * qpochhammer(point.q_star, point.q_star)
     )
-    return compare("eta-modular", {"tau": tau}, lhs, rhs, _tol("eta-modular", tol))
+    return compare("eta-modular", {"tau": tau}, lhs, rhs)
 
 
-def theta_modular_residual(
-    tau: complex, nu: complex, tol: float | None = None
-) -> ResidualReport:
+def theta_modular_residual(tau: complex, nu: complex) -> ResidualReport:
     """Jacobi triple-product theta against its inverted-tau expression.
 
     The root sqrt(i/(tau x)) is read as sqrt(i/tau) e^{-pi i nu} (the
@@ -331,30 +312,20 @@ def theta_modular_residual(
         * cmath.exp(-(w**2) / (2.0 * point.log_q))
         * theta_product_tau(point.tau_star, point.x_star)
     )
-    return compare(
-        "theta-modular",
-        {"tau": point.tau, "nu": point.nu},
-        lhs,
-        rhs,
-        _tol("theta-modular", tol),
-    )
+    return compare("theta-modular", {"tau": point.tau, "nu": point.nu}, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # Stokes and reflection
 
 
-def stokes_residual(point: ModularPoint, tol: float | None = None) -> ResidualReport:
+def stokes_residual(point: ModularPoint) -> ResidualReport:
     lhs = P_minus(point) - P_plus(point)
     rhs = stokes_sum(point)
-    return compare(
-        "stokes28", {"tau": point.tau, "nu": point.nu}, lhs, rhs, _tol("stokes28", tol)
-    )
+    return compare("stokes28", {"tau": point.tau, "nu": point.nu}, lhs, rhs)
 
 
-def reflection_residual(
-    point: ModularPoint, tol: float | None = None
-) -> ResidualReport:
+def reflection_residual(point: ModularPoint) -> ResidualReport:
     """G(tau, nu) + G(tau, -nu) against log(1 - e^{+-2 pi i nu/tau}).
 
     The exponent sign follows the half-plane of nu/tau (the decaying
@@ -373,22 +344,14 @@ def reflection_residual(
     else:
         w = cmath.exp(-TWO_PI * 1j * s)
     rhs = cmath.log(1.0 - w)
-    return compare(
-        "reflection34",
-        {"tau": point.tau, "nu": point.nu},
-        lhs,
-        rhs,
-        _tol("reflection34", tol),
-    )
+    return compare("reflection34", {"tau": point.tau, "nu": point.nu}, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # Lambert-sum relations
 
 
-def lambert_relation_residuals(
-    point: ModularPoint, which: int, tol: float | None = None
-) -> ResidualReport:
+def lambert_relation_residuals(point: ModularPoint, which: int) -> ResidualReport:
     """The four Lambert-sum transformation relations.
 
     ``which`` selects the relation: 67/68 involve a generic nu (and the
@@ -398,7 +361,6 @@ def lambert_relation_residuals(
     if which not in (67, 68, 71, 72):
         raise DomainError(f"unknown Lambert relation {which!r}; expected 67/68/71/72")
     ident = f"lambert{which}"
-    tolerance = _tol(ident, tol)
     tau = point.tau
     l2pit = point.log_q  # 2 pi i tau
 
@@ -422,7 +384,7 @@ def lambert_relation_residuals(
                 - dP_dnu(ModularPoint(tau, 0.0)) / (2j * math.pi)
                 + lambert_L1(star_pt) / tau
             )
-        return compare(ident, inputs, lhs, rhs, tolerance)
+        return compare(ident, inputs, lhs, rhs)
 
     s = point.nu_star
     if point.nu == 0 or (s.imag == 0.0 and s.real <= 0.0):
@@ -450,7 +412,7 @@ def lambert_relation_residuals(
             + lambert_L2(shifted_star) / tau**2
             - point.nu / (2j * math.pi * tau**2) * bracket
         )
-    return compare(ident, inputs, lhs, rhs, tolerance)
+    return compare(ident, inputs, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +425,7 @@ def _binet_spec(lam: complex) -> RaySpec:
     return RaySpec(direction_d=0.0, decay=TWO_PI - abs(lam.imag))
 
 
-def binet74_residual(lam: complex, tol: float | None = None) -> ResidualReport:
+def binet74_residual(lam: complex) -> ResidualReport:
     """Integral of sin(lam u)/(e^{2 pi u} - 1) over u > 0 vs closed form."""
     lam = complex(lam)
     if abs(lam.imag) >= TWO_PI:
@@ -474,10 +436,10 @@ def binet74_residual(lam: complex, tol: float | None = None) -> ResidualReport:
 
     lhs = integrate_ray(integrand, _binet_spec(lam)).value
     rhs = 0.25 + 0.5 * (inv_expm1(lam) - 1.0 / lam)
-    return compare("binet74", {"lambda": lam}, lhs, rhs, _tol("binet74", tol))
+    return compare("binet74", {"lambda": lam}, lhs, rhs)
 
 
-def binet75_residual(lam: complex, tol: float | None = None) -> ResidualReport:
+def binet75_residual(lam: complex) -> ResidualReport:
     """Integral of (1 - cos(lam u))/((e^{2 pi u} - 1) u) vs closed form."""
     lam = complex(lam)
     if abs(lam.imag) >= TWO_PI:
@@ -490,14 +452,14 @@ def binet75_residual(lam: complex, tol: float | None = None) -> ResidualReport:
 
     lhs = integrate_ray(integrand, _binet_spec(lam)).value
     rhs = lam / 4.0 + 0.5 * cmath.log(-cexpm1(-lam) / lam)
-    return compare("binet75", {"lambda": lam}, lhs, rhs, _tol("binet75", tol))
+    return compare("binet75", {"lambda": lam}, lhs, rhs)
 
 
-def mpv_residual(alpha: float, xi: float, tol: float | None = None) -> ResidualReport:
+def mpv_residual(alpha: float, xi: float) -> ResidualReport:
     """The almost-modular M against the principal-value route."""
     lhs = M_almost_modular(alpha, xi)
     rhs = pv_M_direct(alpha, xi)
-    return compare("M-pv", {"alpha": alpha, "xi": xi}, lhs, rhs, _tol("M-pv", tol))
+    return compare("M-pv", {"alpha": alpha, "xi": xi}, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -515,27 +477,24 @@ class AsymptoticRow:
 
 
 def theta_series_table(
-    nu: complex,
-    tau_list: list[complex],
-    n_max: int = 8,
-    eps: float = math.pi / 4,
+    nu: complex, tau_list: list[complex], n_max: int = 8
 ) -> list[AsymptoticRow]:
     """Partial sums of the divergent correction series against -P.
 
     For each tau and each N = 0..n_max the row records the partial sum
     through N terms, the reference value -P(tau, nu), their distance,
-    and the certified bound C_eps K_N(nu) |tau|^{2N+1} / (2pi-eps)^{2N}
-    plus a rounding allowance of 4 ulps of |P|: at large N the proven
-    bound falls below the floating-point floor of the computed -P, where
-    the distance measures rounding, not the series.
+    and the certified bound C_eps K_N(nu) |tau|^{2N+1} / (2pi-eps)^{2N},
+    eps = SERIES_EPS the sector margin of P_minus's series, plus a
+    rounding allowance of 4 ulps of |P|: at large N the proven bound
+    falls below the floating-point floor of the computed -P, where the
+    distance measures rounding, not the series.
     The reference is always the lower ray integral, never the series
     that P_minus takes as q -> 1, and K_N is the exact integral, so the
     table checks the series independently.  The coefficients A_n do not
     depend on tau and are computed once.
     """
     nu = complex(nu)
-    if not 0.0 < eps < 0.5 * math.pi:
-        raise DomainError(f"eps must lie in (0, pi/2), got {eps}")
+    eps = SERIES_EPS
     if abs(nu.real) >= 1.0:
         raise DomainError(f"|Re nu| = {abs(nu.real)} >= 1: K_N diverges")
     if n_max < 0:

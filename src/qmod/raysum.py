@@ -136,8 +136,8 @@ class RaySpec:
     decay: float = 1.0
 
     def __post_init__(self):
-        if not self.decay > 0.0:
-            raise DomainError(f"decay must be positive, got {self.decay}")
+        if not 0.0 < self.decay < math.inf:
+            raise DomainError(f"decay must be finite and positive, got {self.decay}")
 
 
 class RayResult(NamedTuple):

@@ -97,6 +97,9 @@ def test_eval_missing_flags_is_usage_error(capsys, target):
         ("check eta-modular --tau-im 1 --nu-im 0.3", "--nu-im"),
         ("check binet74 --x-re 1.5 --q-re 0.2", "--q-re"),
         ("check M-pv --n-max 3", "--n-max"),
+        ("sweep q-to-one --nu-im 0.3", "--nu-im"),
+        ("sweep q-to-one --n-max 3", "--n-max"),
+        ("sweep asym-table --tau-im 0.5", "--tau-im"),
     ],
 )
 def test_unread_flag_is_usage_error(capsys, argv, flag):
@@ -134,6 +137,15 @@ def test_eval_domain_error_exit(capsys):
     code, _, err = run(capsys, "eval", "eta", "--tau-im", "-1")
     assert code == EXIT_DOMAIN
     assert "domain error" in err
+
+
+@pytest.mark.parametrize("target", ["P", "pochhammer-modular"])
+def test_eval_subnormal_tau_is_domain_error(capsys, target):
+    # 1/tau overflows, so the ray's decay rate is inf: once a ZeroDivisionError
+    code, out, err = run(capsys, "eval", target, "--tau-im", "1e-315", "--nu-im", "3e-316")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "decay must be finite" in err
 
 
 def test_eval_modular_overflow_exit(capsys):
@@ -269,6 +281,15 @@ def test_check_custom_tolerance_can_fail(capsys):
     code, out, _ = run(capsys, "check", "lambert72", "--tol", "1e-18")
     assert code == EXIT_DOMAIN
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("target", CHECK_TARGETS)
+def test_check_tol_at_default_changes_nothing(capsys, target):
+    # --tol re-judges each report; at the target's own tolerance that is
+    # the pass rule the residual applied
+    default = run(capsys, "check", target, "--format", "json")
+    given = run(capsys, "check", target, "--format", "json", "--tol", repr(TOLERANCES[target]))
+    assert given == default
 
 
 def test_check_euler_grid_size(capsys):

@@ -463,14 +463,12 @@ def test_modular_mirrors_past_an_empty_lower_cone():
 
 def test_table_validation():
     with pytest.raises(DomainError):
-        theta_series_table(0.3, [0.1j], eps=2.0)
-    with pytest.raises(DomainError):
         theta_series_table(1.5, [0.1j])
     with pytest.raises(DomainError):
         theta_series_table(0.3, [0.1j], n_max=-1)
     with pytest.raises(DomainError):
-        # arg tau = pi/2 is fine, but eps close to pi/2 excludes it
-        theta_series_table(0.3, [1.0 + 0.01j], eps=1.0)
+        # arg tau = 0.01 lies outside the series' sector (pi/4, 3 pi/4)
+        theta_series_table(0.3, [1.0 + 0.01j])
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ ERRORS = [
     "eval L1 --tau-im 1e-7 --nu-re 0.3", "eval pochhammer-euler --x-re 0.5 --q-re 0.99",
     "eval qgamma --x-re -1100.5 --q-re 0.5", "sweep asym-table --alpha 0.01 --n-max 65",
     "eval pochhammer-modular --tau-im 1e-5 --nu-im 3e-6",
+    "sweep q-to-one --nu-im 0.3", "sweep q-to-one --n-max 3", "sweep asym-table --tau-im 0.5",
+    "eval P --tau-im 1e-315 --nu-im 3e-316",
 ]
 
 #: direct products long enough for numpy blocks (about 5e4 factors, and
@@ -73,6 +75,8 @@ def run(main, argv: list[str]) -> str:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:  # an escaped exception is an outcome to compare too
+            code = f"uncaught {type(exc).__name__}: {exc}"
     dump = f"$ qmod {' '.join(argv)}\n[exit {code}]\n--- stdout\n{out.getvalue()}"
     dump += f"--- stderr\n{err.getvalue()}"
     if "--out" in argv and os.path.exists(argv[-1]):
