@@ -9,9 +9,9 @@ identity as a residual check.
 
 Layout:
 
-- ``specialfns``: Bernoulli numbers, the building-block function f, the
-  dilogarithm, and Binet's function mu (with log-Gamma as a wrapper
-  over it).
+- ``specialfns``: Bernoulli numbers (``b2``), the building-block
+  function f, the dilogarithm, and Binet's function mu (with log-Gamma as
+  a wrapper over it).
 - ``qcore``: q-Pochhammer products and series, the Jackson q-Gamma
   function, Dedekind eta, Jacobi theta, Lambert sums, and the
   ``ModularPoint`` container.  Every series fixes its length before its
@@ -20,10 +20,10 @@ Layout:
   (10^6).
 - ``raysum``: certified quadrature along rays, the correction integral
   P and its derivatives, G (the integral g^+ in closed form), P's
-  divergent series at q -> 1 with its closed-form coefficients A_n, the
-  K_N norm integrals, and the almost-modular function M.
-- ``modularity``: residual evaluation of each transformation law, plus
-  the asymptotic table machinery.
+  divergent series at q -> 1 with its closed-form coefficients A_n and
+  the asymptotic table of its partial sums, the K_N norm integrals, and
+  the almost-modular function M.
+- ``modularity``: residual evaluation of each transformation law.
 - ``cli``: the ``qmod`` command line front end.
 """
 

@@ -59,10 +59,10 @@ from .modularity import (
     skipped_report,
     stokes_residual,
     theta_modular_residual,
-    theta_series_table,
     thm29_residual,
 )
 from .qcore import (
+    TERM_TOL,
     ModularPoint,
     admitted_rounding,
     eta,
@@ -74,7 +74,15 @@ from .qcore import (
     qpochhammer_with_count,
     theta_product,
 )
-from .raysum import A_n, M_almost_modular, P_minus, big_G
+from .raysum import (
+    ABS_FLOOR,
+    RAY_REL_TOL,
+    A_n,
+    M_almost_modular,
+    P_minus,
+    big_G,
+    theta_series_table,
+)
 from .specialfns import dilog
 
 EXIT_OK = 0
@@ -85,7 +93,7 @@ EXIT_IO = 74
 
 
 def _series_err(v: complex) -> float:
-    return 1e-16 * (1.0 + abs(v))
+    return TERM_TOL * (1.0 + abs(v))
 
 
 def _euler_err(v: complex) -> float:
@@ -95,7 +103,7 @@ def _euler_err(v: complex) -> float:
 
 
 def _quad_err(v: complex) -> float:
-    return 1e-11 * abs(v) + 1e-15
+    return RAY_REL_TOL * abs(v) + ABS_FLOOR
 
 
 def _closed_err(v: complex) -> float:
@@ -433,8 +441,6 @@ def _cmd_sweep(args, err) -> tuple[str, int]:
     cfg = load_defaults()["sweeps"][args.target]
     inputs = {name: _INPUTS[name][0](args) for name in names}
     alphas = inputs["alphas"] = inputs["alphas"] or list(cfg["alphas"])
-    if not alphas:
-        err("empty alpha range")
     if any(a <= 0 for a in alphas):
         err("alpha values must be positive")
     # text is CSV: the sweeps are tables for plotting

@@ -9,6 +9,9 @@ jump rather than a wrong answer with no witness.
 Residual convention: ``rel = |lhs - rhs| / max(|lhs|, |rhs|, 1e-300)``,
 and the pass decision switches to the absolute residual when both sides
 are below 1e-8 (relative error is meaningless near a common zero).
+
+P enters every law here through P_minus alone: its divergent series at
+q -> 1 and the asymptotic table that checks that series belong to raysum.
 """
 
 from __future__ import annotations
@@ -35,23 +38,18 @@ from .qcore import (
     theta_product_tau,
 )
 from .raysum import (
-    A_n,
-    K_N,
     M_almost_modular,
     P_minus,
     P_plus,
     RaySpec,
-    SERIES_EPS,
-    _f_tail_constant,
     big_G,
-    choose_ray,
     dP_dnu,
     dP_dtau,
     integrate_ray,
     pv_M_direct,
     stokes_sum,
 )
-from .specialfns import TWO_PI, bernoulli, binet, dilog
+from .specialfns import TWO_PI, binet, dilog
 from .specialfns import log_gamma  # noqa: F401  (perfbench's tracer wraps this name)
 
 _TINY = 1e-300
@@ -460,87 +458,6 @@ def mpv_residual(alpha: float, xi: float) -> ResidualReport:
     lhs = M_almost_modular(alpha, xi)
     rhs = pv_M_direct(alpha, xi)
     return compare("M-pv", {"alpha": alpha, "xi": xi}, lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
-# the divergent correction series and its error bound
-
-
-@dataclass(frozen=True)
-class AsymptoticRow:
-    tau: complex
-    N: int
-    theta_partial: complex
-    minus_P: complex
-    error: float
-    bound_rhs: float
-
-
-def theta_series_table(
-    nu: complex, tau_list: list[complex], n_max: int = 8
-) -> list[AsymptoticRow]:
-    """Partial sums of the divergent correction series against -P.
-
-    For each tau and each N = 0..n_max the row records the partial sum
-    through N terms, the reference value -P(tau, nu), their distance,
-    and the certified bound C_eps K_N(nu) |tau|^{2N+1} / (2pi-eps)^{2N},
-    eps = SERIES_EPS the sector margin of P_minus's series, plus a
-    rounding allowance of 4 ulps of |P|: at large N the proven bound
-    falls below the floating-point floor of the computed -P, where the
-    distance measures rounding, not the series.
-    The reference is always the lower ray integral, never the series
-    that P_minus takes as q -> 1, and K_N is the exact integral, so the
-    table checks the series independently.  The coefficients A_n do not
-    depend on tau and are computed once.
-    """
-    nu = complex(nu)
-    eps = SERIES_EPS
-    if abs(nu.real) >= 1.0:
-        raise DomainError(f"|Re nu| = {abs(nu.real)} >= 1: K_N diverges")
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    b_table = bernoulli(n_max) if n_max >= 1 else None
-    k_vals = [K_N(N, nu) for N in range(n_max + 1)]
-    a_vals = [A_n(n, TWO_PI * 1j * nu) for n in range(1, n_max + 1)]
-    c_vals = [_f_tail_constant(N, eps) for N in range(n_max + 1)]
-    rows: list[AsymptoticRow] = []
-    for tau in tau_list:
-        tau = complex(tau)
-        arg = cmath.phase(tau)
-        if not eps < arg < math.pi - eps:
-            raise DomainError(
-                f"arg tau = {arg:.4f} outside the sector ({eps:.4f}, {math.pi - eps:.4f})"
-            )
-        point = ModularPoint(tau, nu)
-        minus_p = -P_minus(point, choose_ray(point))
-        log_q = point.log_q
-        partial = 0.0 + 0.0j
-        for N in range(n_max + 1):
-            if N >= 1:
-                partial += (
-                    b_table.b2(N)
-                    * a_vals[N - 1]
-                    * log_q ** (2 * N - 1)
-                    / math.factorial(2 * N)
-                )
-            bound = (
-                c_vals[N]
-                * k_vals[N]
-                * abs(tau) ** (2 * N + 1)
-                / (TWO_PI - eps) ** (2 * N)
-                + 4.0 * math.ulp(abs(minus_p))
-            )
-            rows.append(
-                AsymptoticRow(
-                    tau=tau,
-                    N=N,
-                    theta_partial=partial,
-                    minus_P=minus_p,
-                    error=abs(minus_p - partial),
-                    bound_rhs=bound,
-                )
-            )
-    return rows
 
 
 # ---------------------------------------------------------------------------

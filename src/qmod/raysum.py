@@ -7,8 +7,8 @@ finite interval by the tanh-sinh map.  Either way the mapped integrand
 decays double-exponentially in u, so trapezoid sums over
 [-DE_SPAN, DE_SPAN] converge geometrically in the node count.  The step
 halves on nested nodes until two successive sums agree to the tolerance,
-RAY_REL_TOL for every ray integral.  Only integrate_ray and P_minus take
-a RaySpec from their caller; everything else picks its own ray.
+RAY_REL_TOL for every ray integral.  Only integrate_ray takes a RaySpec
+from its caller; everything else picks its own ray.
 Integrands are evaluated on numpy arrays of nodes: the first call covers
 the full grid of one level, which holds every coarser level, and each
 later level costs one call on its new nodes.  The first call is the 289
@@ -51,7 +51,10 @@ On it the module builds:
   closed form, and the norm integrals of its remainder bound;
 * the series itself, which P_minus sums instead of its ray integral at
   Re tau >= 0 wherever the proven bound (with K_N bounded in closed form)
-  certifies it to TERM_TOL;
+  certifies it to TERM_TOL, and the asymptotic table, which sets each of
+  its partial sums against the lower ray integral and the bound with the
+  exact K_N: one set of constants (_series_constants) and one partial-sum
+  helper (_partial_sums) serve both;
 * M_almost_modular and pv_M_direct -- two genuinely independent routes
   to the real-case almost-modular term (the second never touches the
   ray sums: it integrates over finite intervals, and its only
@@ -63,8 +66,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,7 +81,7 @@ from .specialfns import (
     PI_SQ_OVER_6,
     SERIES_RADIUS,
     TWO_PI,
-    bernoulli,
+    b2,
     binet,
     fn_f,
 )
@@ -88,6 +92,7 @@ ABS_FLOOR = 1e-15
 #: a ray integrand has decayed by e^{-89} and tanh-sinh weights are < 1e-60
 DE_SPAN = 4.5
 _DE_END = math.exp(DE_SPAN - math.exp(-DE_SPAN))  # r at u = DE_SPAN, decay 1
+_DE_START = math.exp(-DE_SPAN - math.exp(DE_SPAN))  # r at u = -DE_SPAN, decay 1
 FIRST_STEP = 0.5
 #: the level of _de_sum's first call, whose full grid holds the levels
 #: 0..BATCH_LEVELS, unless its caller sizes that call (P_minus)
@@ -98,7 +103,7 @@ MAX_NODES = 2**18
 #: every ray passes so near an obstacle that the trapezoid step must
 #: shrink until the integral runs out of nodes
 RAY_MIN_ARC = math.pi / 36.0
-#: P_minus's own ray makes the first DE call at the smallest level L >= 3
+#: P_minus's ray makes the first DE call at the smallest level L >= 3
 #: with arc 2^L >= P_FIRST_ARC, at most 7 (where RAY_MIN_ARC is 640
 #: degrees), arc the width of the admissible arc.  The step a trapezoid
 #: sum needs shrinks with the strip about the ray, and the accepted level
@@ -121,8 +126,9 @@ A_N_MAX = 60
 A_PF_PAIRS = 128
 A_TAYLOR_TERMS = 64
 LOG_A_LOSS_MAX = math.log(16.0)
-#: P's divergent series: the sector margin eps of its bound (as in the
-#: asymptotic table) and the most terms it takes
+_LOG_2_53 = 53.0 * math.log(2.0)
+#: P's divergent series: the sector margin eps of its bound and the most
+#: terms P_minus takes (the asymptotic table takes as many as it is asked)
 SERIES_EPS = math.pi / 4
 N_MAX = 12
 
@@ -431,11 +437,18 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
     place, and its setup is scalar: the ten series scalars are products
     (_series_scalars), and the far branch's rates are formed only where a
     node lies past its radius.  No node is tested against f's real poles
-    2 pi k: a ray along the real axis, which only a caller's RaySpec can
-    give, does not converge.
+    2 pi k: a ray along the real axis, which choose_ray never takes, does
+    not converge.  Where the smallest node t underflows to 0
+    (|tau| below about 1e-282, as rho is of the order of |tau|), the ray
+    cannot be sampled in doubles and w = 0 would make the sine ratio 0/0:
+    that is a ConvergenceError, raised before any node is computed.
     """
     tau, nu = point.tau, point.nu
     rho = cmath.exp(1j * spec.direction_d) / spec.decay
+    if rho * _DE_START == 0:
+        raise ConvergenceError(
+            f"P's ray underflows: its first node is 0 at tau = {tau}, nu = {nu}"
+        )
     # the series' scalars as the two real columns of one (10, 2) matrix
     scalars = np.array(_series_scalars(rho)).view(float).reshape(-1, 2)
     i_s = -1j if rho.imag < 0.0 else 1j
@@ -473,36 +486,28 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
     return weighted
 
 
-def P_minus(point: ModularPoint, spec: RaySpec | None = None) -> complex:
+def P_minus(point: ModularPoint) -> complex:
     """P computed from a lower-half-plane ray (the production branch).
 
-    Without spec, a point whose admissible lower arc is narrower than
-    RAY_MIN_ARC (_admissible_arc) is a domain error.  Where the divergent
-    series' proven bound certifies it to TERM_TOL (_p_series), the series
-    is P, and that check is all the ray choice it pays for; elsewhere the
+    A point whose admissible lower arc is narrower than RAY_MIN_ARC
+    (_admissible_arc) is a domain error.  Where the divergent series'
+    proven bound certifies it to TERM_TOL (_p_series), the series is P,
+    and that check is all the ray choice it pays for; elsewhere the
     integral runs along choose_ray's ray, the one farthest from the
     integrand's poles and the cone's edges, and its first DE call takes
-    the level that the arc's width predicts (P_FIRST_ARC).  With spec the
-    integral runs along that ray from the first call of any other
-    integral (BATCH_LEVELS).  Either way the ray's decay rate is the
-    convergence slack at its direction, and the value is the same whatever
-    the first level.
+    the level that the arc's width predicts (P_FIRST_ARC); the value is
+    the same whatever the first level.
     """
     if point.nu == 0:
         return 0.0 + 0.0j
-    first = BATCH_LEVELS
-    if spec is None:
-        series = _p_series(point)
-        lo, hi = _admissible_arc(point)
-        if series is not None:
-            return series
-        spec = choose_ray(point)
-        first = 3
-        while first < 7 and (hi - lo) * 2**first < P_FIRST_ARC:
-            first += 1
-    else:
-        spec = replace(spec, decay=_slack(point, spec.direction_d))
-    return _de_sum(_p_weighted(point, spec), RAY_REL_TOL, first).value
+    series = _p_series(point)
+    lo, hi = _admissible_arc(point)
+    if series is not None:
+        return series
+    first = 3
+    while first < 7 and (hi - lo) * 2**first < P_FIRST_ARC:
+        first += 1
+    return _de_sum(_p_weighted(point, choose_ray(point)), RAY_REL_TOL, first).value
 
 
 def P_plus(point: ModularPoint) -> complex:
@@ -606,9 +611,8 @@ def _poles(pairs: int) -> np.ndarray:
 def _taylor_coefficients(n: int, terms: int) -> tuple[float, ...]:
     """B_{2n+2j} / ((2n+2j) (2j+1)!) for j < terms: the Taylor
     coefficients of A_n, which multiply z^{2j+1}."""
-    table = bernoulli(n + terms - 1)
     return tuple(
-        table.b2(n + j) / (2 * (n + j)) / math.factorial(2 * j + 1) for j in range(terms)
+        b2(n + j) / (2 * (n + j)) / math.factorial(2 * j + 1) for j in range(terms)
     )
 
 
@@ -679,9 +683,13 @@ def A_n(n: int, z: complex) -> complex:
     and 92 us against 11, 12 and 29 us here (CPython 3.11, one core of a
     shared 2-core machine): most of the series' gain over the ray integral.
     """
+    _require_n(n)
+    return _a_values((n,), z)[0]
+
+
+def _require_n(n: int) -> None:
     if not 1 <= n <= A_N_MAX:
         raise DomainError(f"n must be an integer in [1, {A_N_MAX}], got {n}")
-    return _a_values((n,), z)[0]
 
 
 def _a_values(ns, z: complex) -> list[complex]:
@@ -699,7 +707,8 @@ def _a_values(ns, z: complex) -> list[complex]:
     r = abs(z)
     k1 = round(z.imag / TWO_PI) or (1 if z.imag >= 0.0 else -1)
     log_d = math.log(abs(z - TWO_PI * 1j * k1))
-    log_r = math.log(r)
+    log_d_over_r = log_d - math.log(r)
+    log_2pi_over_r = math.log(TWO_PI / r)
     inv_gaps = None  # 1/(z - 2 pi i k) for the partial fractions
     x = None  # c or c - 1 for the closed forms
     out = []
@@ -707,13 +716,11 @@ def _a_values(ns, z: complex) -> list[complex]:
         s = 2 * n - 1
         # the closed forms' terms (2n-2)!/r^s against a value of order
         # (2n-2)!/d^s, or (2n-1)! 2r/(2 pi)^{2n} near z = 0
-        log_loss = max(s * (log_d - log_r), 2 * n * math.log(TWO_PI / r) - math.log(2 * s))
+        log_loss = max(s * log_d_over_r, 2 * n * log_2pi_over_r - math.log(2 * s))
         if n >= 2 and s * r >= TWO_PI and (z.real < TWO_PI or log_loss > LOG_A_LOSS_MAX):
             # the pairs past K sum below 2 (2 pi K - r)^{1-s} / (2 pi (s-1)),
             # which is at most 2^-53 d^-s once 2 pi K - r >= reach
-            reach = math.exp(
-                (53.0 * math.log(2.0) + s * log_d - math.log(math.pi * (s - 1))) / (s - 1)
-            )
+            reach = math.exp((_LOG_2_53 + s * log_d - math.log(math.pi * (s - 1))) / (s - 1))
             pairs = math.ceil((r + reach) / TWO_PI)
             if pairs <= A_PF_PAIRS:
                 if inv_gaps is None or len(inv_gaps) < 2 * pairs:
@@ -787,9 +794,9 @@ def K_N(N: int, nu: complex) -> float:
 # P from its divergent series at q -> 1
 
 
-def _f_tail_constant(N: int, eps: float) -> float:
+def _f_tail_constant(N: int) -> float:
     """Constant C with |f(t) - f_N(t)| <= C |t|^{2N+1} / (2pi-eps)^{2N}
-    on |t| <= 2pi - eps.
+    on |t| <= 2pi - eps, eps = SERIES_EPS.
 
     f_N is the odd Taylor polynomial of f through degree 2N - 1.  The
     poles of f sit on the real axis, so the supremum over any admissible
@@ -798,38 +805,52 @@ def _f_tail_constant(N: int, eps: float) -> float:
     (t/2pi)^{2m}, whose modulus grows with |t|: the supremum sits at
     t = 2pi - eps, where f - f_N is not small and so keeps its digits.
     """
-    radius = TWO_PI - eps
-    table = bernoulli(N) if N >= 1 else None
+    radius = TWO_PI - SERIES_EPS
     partial = sum(
-        2.0 * (-1.0) ** n * table.b2(n) * radius ** (2 * n - 1) / math.factorial(2 * n)
+        2.0 * (-1.0) ** n * b2(n) * radius ** (2 * n - 1) / math.factorial(2 * n)
         for n in range(1, N + 1)
     )
     return abs(fn_f(radius) - partial) / radius
 
 
 def _zeta_upper(s: int) -> float:
-    """An upper bound of zeta(s), s >= 2: 63 terms plus the integral of
-    x^-s from 63 on, which exceeds the rest."""
+    """An upper bound of zeta(s), s >= 1 (inf at the pole s = 1): 63 terms
+    plus the integral of x^-s from 63 on, which exceeds the rest."""
+    if s == 1:
+        return math.inf
     return math.fsum(k ** -s for k in range(1, 64)) + 63.0 ** (1 - s) / (s - 1)
 
 
 @functools.cache
-def _series_constants() -> tuple[tuple[float, ...], ...]:
-    """Per N = 1..N_MAX: the coefficient B_2N/(2N)! of the series, the
-    bound's C_eps(N)/(2pi - eps)^{2N}, and (2N)!/2, 2 zeta(2N+1),
-    (2N+1)!/2, 2 zeta(2N+2) of the closed-form K_N bound (_p_series)."""
-    table = bernoulli(N_MAX)
+def _series_constants(n_max: int) -> tuple[tuple[float, ...], ...]:
+    """Per N = 0..n_max: the coefficient B_2N/(2N)! of the series (1 at
+    N = 0, which has no term), the bound's C_eps(N)/(2pi - eps)^{2N}, and
+    (2N)!/2, 2 zeta(2N+1), (2N+1)!/2, 2 zeta(2N+2) of the closed-form K_N
+    bound (_p_series)."""
     return tuple(
         (
-            table.b2(N) / math.factorial(2 * N),
-            _f_tail_constant(N, SERIES_EPS) / (TWO_PI - SERIES_EPS) ** (2 * N),
+            b2(N) / math.factorial(2 * N) if N else 1.0,
+            _f_tail_constant(N) / (TWO_PI - SERIES_EPS) ** (2 * N),
             0.5 * math.factorial(2 * N),
             2.0 * _zeta_upper(2 * N + 1),
             0.5 * math.factorial(2 * N + 1),
             2.0 * _zeta_upper(2 * N + 2),
         )
-        for N in range(1, N_MAX + 1)
+        for N in range(n_max + 1)
     )
+
+
+def _partial_sums(a_values: list[complex], log_q: complex, consts) -> list[complex]:
+    """The partial sums through N = 0, 1, ..., len(a_values) terms of
+    sum_n B_2n A_n (log q)^{2n-1} / (2n)!, a_values holding A_1, A_2, ...
+    at 2 pi i nu and consts _series_constants."""
+    log_q_sq = log_q * log_q
+    power = log_q
+    terms = []
+    for n, a_n in enumerate(a_values, 1):
+        terms.append(consts[n][0] * a_n * power)
+        power *= log_q_sq
+    return list(accumulate(terms, initial=0j))
 
 
 def _p_series(point: ModularPoint) -> complex | None:
@@ -859,30 +880,88 @@ def _p_series(point: ModularPoint) -> complex | None:
     # (|tau| up to about 0.13 (1 - a)); there no power below overflows
     if not (abs_tau < 1.0 - a and tau.real >= 0.0 and cmath.phase(tau) > SERIES_EPS):
         return None
-    consts = _series_constants()
+    consts = _series_constants(N_MAX)
     abs_nu, inv = abs(nu), 1.0 / (1.0 - a)
 
     def bound(N: int) -> float:
-        _, coef, f1, z1, f2, z2 = consts[N - 1]
+        _, coef, f1, z1, f2, z2 = consts[N]
         t = abs_tau ** (2 * N + 1)
         x = (inv * abs_tau) ** (2 * N + 1)
         return coef * min(f1 * (x + z1 * t), abs_nu * f2 * (inv * x + z2 * t))
 
     z = TWO_PI * 1j * nu
     log_q = point.log_q
-    total = consts[0][0] * _a_values((1,), z)[0] * log_q
-    tol = TERM_TOL * (abs(total) - bound(1))
+    a_values = _a_values((1,), z)
+    tol = TERM_TOL * (abs(consts[1][0] * a_values[0] * log_q) - bound(1))
     # the bound falls up to N ~ pi (1 - a)/|tau|, past N_MAX wherever it
     # can certify P at all; where even b_{N_MAX} misses, the ray is used
     if not bound(N_MAX) < tol:
         return None
-    N = next(N for N in range(1, N_MAX + 1) if bound(N) < tol)
-    log_q_sq = log_q * log_q
-    power = log_q
-    for n, a_n in enumerate(_a_values(range(2, N + 1), z), 2):
-        power *= log_q_sq
-        total += consts[n - 1][0] * a_n * power
-    return -total
+    N = 1
+    while not bound(N) < tol:
+        N += 1
+    a_values += _a_values(range(2, N + 1), z)
+    return -_partial_sums(a_values, log_q, consts)[-1]
+
+
+# ---------------------------------------------------------------------------
+# the asymptotic table: every partial sum of P's series against the ray
+
+
+@dataclass(frozen=True)
+class AsymptoticRow:
+    tau: complex
+    N: int
+    theta_partial: complex
+    minus_P: complex
+    error: float
+    bound_rhs: float
+
+
+def theta_series_table(
+    nu: complex, tau_list: list[complex], n_max: int = 8
+) -> list[AsymptoticRow]:
+    """Partial sums of P's divergent series against -P.
+
+    For each tau and each N = 0..n_max the row records the partial sum
+    through N terms (_partial_sums, as _p_series sums them), the reference
+    value -P(tau, nu), their distance, and the bound of _p_series,
+    C_eps K_N(nu) |tau|^{2N+1} / (2pi-eps)^{2N} with eps = SERIES_EPS,
+    plus a rounding allowance of 4 ulps of |P|: at large N the proven
+    bound falls below the floating-point floor of the computed -P, where
+    the distance measures rounding, not the series.
+    The reference is always the lower ray integral along choose_ray's ray,
+    never the series that P_minus takes as q -> 1, and K_N is the exact
+    integral, not _p_series' closed-form bound, so the table checks the
+    series independently.  The coefficients A_n do not depend on tau and
+    are computed once.
+    """
+    nu = complex(nu)
+    if abs(nu.real) >= 1.0:
+        raise DomainError(f"|Re nu| = {abs(nu.real)} >= 1: K_N diverges")
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    for n in range(1, n_max + 1):
+        _require_n(n)
+    consts = _series_constants(n_max)
+    k_vals = [K_N(N, nu) for N in range(n_max + 1)]
+    a_vals = _a_values(range(1, n_max + 1), TWO_PI * 1j * nu)
+    rows: list[AsymptoticRow] = []
+    for tau in tau_list:
+        tau = complex(tau)
+        arg = cmath.phase(tau)
+        if not SERIES_EPS < arg < math.pi - SERIES_EPS:
+            raise DomainError(
+                f"arg tau = {arg:.4f} outside the sector "
+                f"({SERIES_EPS:.4f}, {math.pi - SERIES_EPS:.4f})"
+            )
+        point = ModularPoint(tau, nu)
+        minus_p = -_de_sum(_p_weighted(point, choose_ray(point)), RAY_REL_TOL).value
+        for N, partial in enumerate(_partial_sums(a_vals, point.log_q, consts)):
+            bound = consts[N][1] * k_vals[N] * abs(tau) ** (2 * N + 1)
+            bound += 4.0 * math.ulp(abs(minus_p))
+            rows.append(AsymptoticRow(tau, N, partial, minus_p, abs(minus_p - partial), bound))
+    return rows
 
 
 # ---------------------------------------------------------------------------

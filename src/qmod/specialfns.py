@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,21 +34,10 @@ PI_SQ_OVER_6 = math.pi * math.pi / 6.0
 SERIES_RADIUS = 0.5
 #: raise rather than evaluate within this distance of a (non-removable) pole
 POLE_GUARD = 1e-12
-#: highest supported half-index for the Bernoulli table
+#: the largest n for which b2 returns B_{2n}
 BERNOULLI_CAP = 200
 
 _TERM_EPS = 1e-18
-
-
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Even-index Bernoulli numbers B_2, B_4, ..., B_{2*max_index}."""
-
-    values: tuple[float, ...]
-
-    def b2(self, n: int) -> float:
-        """Return B_{2n} (1-based: b2(1) = B_2 = 1/6)."""
-        return self.values[n - 1]
 
 
 # Exact rationals B_0, B_1, B_2, ... in the B_1 = +1/2 convention the
@@ -69,45 +57,32 @@ def _extend_fractions(upto: int) -> None:
         _bern_fractions.append(_at_row[0])
 
 
-def bernoulli(max_index: int) -> BernoulliTable:
-    """Bernoulli numbers B_2 ... B_{2*max_index} as a table of floats.
-
-    Parameters
-    ----------
-    max_index : int
-        Number of even-index values to produce, at most ``BERNOULLI_CAP``.
+def b2(n: int) -> float:
+    """B_{2n} as a float (b2(1) = B_2 = 1/6), for an integer n >= 1.
 
     Raises
     ------
     DomainError
-        If ``max_index`` is not a positive integer within the cap, or if a
-        requested value exceeds the double-precision range (first happens
-        at B_260, i.e. max_index >= 130).
+        If ``n`` is below 1 or above ``BERNOULLI_CAP``, or if B_{2n}
+        exceeds the double-precision range (first at B_260, n = 130).
     """
-    if not isinstance(max_index, int) or max_index < 1:
-        raise DomainError("max_index must be a positive integer")
-    if max_index > BERNOULLI_CAP:
-        raise DomainError(f"max_index {max_index} exceeds cap {BERNOULLI_CAP}")
-    _extend_fractions(2 * max_index)
-    while len(_b2_floats) < max_index:
-        n = len(_b2_floats) + 1
+    if 0 < n <= len(_b2_floats):  # the cached floats, read once per term by dilog
+        return _b2_floats[n - 1]
+    if not 1 <= n <= BERNOULLI_CAP:
+        raise DomainError(f"n = {n} outside [1, {BERNOULLI_CAP}]")
+    _extend_fractions(2 * n)
+    while len(_b2_floats) < n:
+        m = len(_b2_floats) + 1
         try:
-            _b2_floats.append(float(_bern_fractions[2 * n]))
+            _b2_floats.append(float(_bern_fractions[2 * m]))
         except OverflowError:
-            raise DomainError(f"B_{2 * n} exceeds the double range") from None
-    return BernoulliTable(tuple(_b2_floats[:max_index]))
-
-
-def _b2(n: int) -> float:
-    """B_{2n} as a float, for internal series (n modest, well below overflow)."""
-    if len(_b2_floats) < n:
-        bernoulli(n)
+            raise DomainError(f"B_{2 * m} exceeds the double range") from None
     return _b2_floats[n - 1]
 
 
 #: B_{2m}/(2m)! for m = 10 down to 1: on |w| < SERIES_RADIUS the terms fall
 #: by (|w|/2 pi)^2 < 0.007 each, so the eleventh is below 1e-22
-_BOSE_COEFFS = tuple(_b2(m) / math.factorial(2 * m) for m in range(10, 0, -1))
+_BOSE_COEFFS = tuple(b2(m) / math.factorial(2 * m) for m in range(10, 0, -1))
 
 
 def _bn_float(n: int) -> float:
@@ -118,7 +93,7 @@ def _bn_float(n: int) -> float:
         return -0.5
     if n % 2:
         return 0.0
-    return _b2(n // 2)
+    return b2(n // 2)
 
 
 def _reject_poles(name: str, t: np.ndarray, poles) -> None:
@@ -202,9 +177,9 @@ def _stirling_tables(coeffs: tuple[float, ...]):
 
 _STIRLING = (
     _stirling_tables(
-        tuple(_b2(k) / (2 * k * (2 * k - 1)) for k in range(1, STIRLING_TERMS + 2))
+        tuple(b2(k) / (2 * k * (2 * k - 1)) for k in range(1, STIRLING_TERMS + 2))
     ),
-    _stirling_tables(tuple(-_b2(k) / (2 * k) for k in range(1, STIRLING_TERMS + 2))),
+    _stirling_tables(tuple(-b2(k) / (2 * k) for k in range(1, STIRLING_TERMS + 2))),
 )
 #: below this real part (and modulus below sqrt 2 times it) mu is shifted
 STIRLING_RADIUS = -min(radii[-1] for radii, _ in _STIRLING)

@@ -29,7 +29,6 @@ from qmod.modularity import (
     reflection_residual,
     stokes_residual,
     theta_modular_residual,
-    theta_series_table,
     thm29_residual,
 )
 from qmod.qcore import (
@@ -40,7 +39,7 @@ from qmod.qcore import (
     qpochhammer_with_count,
     theta_product,
 )
-from qmod.raysum import P_minus
+from qmod.raysum import P_minus, theta_series_table
 from qmod.specialfns import dilog
 
 

@@ -14,7 +14,16 @@ import pytest
 
 from qmod.errors import ConvergenceError, DomainError
 from qmod.qcore import ModularPoint, qpochhammer, qpochhammer_with_count
-from qmod.raysum import RAY_REL_TOL, P_minus, _de_sum, _p_series, _p_weighted, choose_ray
+from qmod.raysum import (
+    N_MAX,
+    RAY_REL_TOL,
+    P_minus,
+    _de_sum,
+    _p_series,
+    _p_weighted,
+    choose_ray,
+    theta_series_table,
+)
 from qmod.modularity import (
     TOLERANCES,
     binet74_residual,
@@ -33,7 +42,6 @@ from qmod.modularity import (
     skipped_report,
     stokes_residual,
     theta_modular_residual,
-    theta_series_table,
     thm29_residual,
 )
 
@@ -436,13 +444,16 @@ def test_table_divergence_signature():
 
 def test_table_reference_is_the_lower_ray():
     # the table checks the series against -P from the ray, bit for bit,
-    # also where P_minus itself would take the series
+    # also where P_minus itself would take the series; its partial sums
+    # are the production series', so the sum P_minus takes is among them
     for tau in (0.01j, 0.02 + 0.05j):
         point = ModularPoint(tau, 0.3)
         assert _p_series(point) is not None
         ray = _de_sum(_p_weighted(point, choose_ray(point)), RAY_REL_TOL).value
-        for row in theta_series_table(0.3, [tau], n_max=2):
+        rows = theta_series_table(0.3, [tau], n_max=N_MAX)
+        for row in rows:
             assert row.minus_P == -ray
+        assert -P_minus(point) in [row.theta_partial for row in rows]
 
 
 def test_modular_mirrors_past_an_empty_lower_cone():

@@ -52,6 +52,7 @@ from qmod.raysum import (
     integrate_ray,
     pv_M_direct,
     stokes_sum,
+    theta_series_table,
 )
 from qmod._stability import sin_ratio
 from qmod.specialfns import SERIES_RADIUS, fn_f
@@ -513,6 +514,12 @@ def test_P_minus_where_the_admissible_arc_is_narrow(monkeypatch):
     assert sum(nodes) <= 5_000
 
 
+def _p_along(point, d):
+    """P's ray integral along direction d, its decay rate the slack there:
+    the kernel P_minus runs on its own ray, on any other."""
+    return _de_sum(_p_weighted(point, RaySpec(d, _slack(point, d))), RAY_REL_TOL).value
+
+
 def _ray_points(points):
     """The points where P_minus takes its ray: no series, and a lower arc."""
     rays = []
@@ -599,7 +606,7 @@ def test_de_values_to_the_last_bit():
     # round differently
     points = _domain_fuzz_points(40, seed=11)
     for k, (d, want) in _P_RAY_BITS.items():
-        assert P_minus(points[k], RaySpec(d)) == want, k
+        assert _p_along(points[k], d) == want, k
     assert dP_dnu(ModularPoint(0.8j, 0.2)) == 0.007667053723447631 + 0.25551511002857974j
     assert K_N(3, 0.3) == 4321.9902467784195
     assert K_N(2, 0.5j) == 17.217548299683028
@@ -610,8 +617,8 @@ def test_de_values_to_the_last_bit():
 
 def test_P_ray_independence():
     p = ModularPoint(1j, 0.3j)
-    a = P_minus(p, RaySpec(direction_d=-math.pi / 3.0))
-    b = P_minus(p, RaySpec(direction_d=-math.pi / 5.0))
+    a = _p_along(p, -math.pi / 3.0)
+    b = _p_along(p, -math.pi / 5.0)
     assert abs(a - b) < 1e-10
 
 
@@ -625,6 +632,18 @@ def test_P_odd_in_nu():
 def test_P_vanishes_at_zero():
     assert P_minus(ModularPoint(1j, 0)) == 0
     assert P_plus(ModularPoint(0.7j, 0)) == 0
+
+
+def test_P_ray_refuses_where_its_first_node_underflows():
+    # at |tau| ~ 1e-290 the ray's scale rho = e^{id}/decay is of the order
+    # of |tau|, so its smallest nodes t = rho r0 are 0 in doubles, where
+    # sin(nu w)/expm1(iw) would be 0/0: a refusal, raised before the kernel
+    # runs, not an invalid-value warning from numpy (an error under the
+    # test suite's filterwarnings) followed by a non-finite sum
+    with pytest.raises(ConvergenceError, match="underflows"):
+        P_minus(ModularPoint(1e-290j, 3e-291j))
+    with pytest.raises(ConvergenceError, match="underflows"):
+        theta_series_table(0.3, [1e-300j], n_max=1)
 
 
 @pytest.mark.parametrize("tau, nu", [(1.895e-6j, 3.280e-7j), (2.867e-6j, 4.691e-7j)])
@@ -721,7 +740,7 @@ def test_P_against_the_binet_sum():
     points = _domain_fuzz_points(40, seed=11)
     for k, (d, _) in _P_RAY_BITS.items():
         p = points[k]
-        assert rel(P_minus(p, RaySpec(d)), _P_binet(mpmath, p.tau, p.nu)) <= 1e-14, k
+        assert rel(_p_along(p, d), _P_binet(mpmath, p.tau, p.nu)) <= 1e-14, k
     left = {"ray": 2, "series": 1}
     for p in _domain_fuzz_points(300, seed=13):
         try:
@@ -916,7 +935,7 @@ def test_p_integrand_matches_the_two_kernels():
 def test_P_minus_along_the_real_axis_raises(d):
     # the real axis runs through the poles 2 pi k of f: no value may come back
     with pytest.raises((ConvergenceError, DomainError)):
-        P_minus(ModularPoint(1j, 0.1j), RaySpec(d))
+        _p_along(ModularPoint(1j, 0.1j), d)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qmod.errors import DomainError
 from qmod.specialfns import (
     TWO_PI,
-    bernoulli,
+    b2,
     binet,
     dilog,
     fn_f,
@@ -31,34 +31,30 @@ def rel(got, want):
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli table
+# Bernoulli numbers
 
 
 def test_bernoulli_small_values():
-    tb = bernoulli(5)
-    assert tb.b2(1) == pytest.approx(1.0 / 6.0, rel=1e-15)
-    assert tb.b2(2) == pytest.approx(-1.0 / 30.0, rel=1e-15)
-    assert tb.b2(3) == pytest.approx(1.0 / 42.0, rel=1e-15)
-    assert tb.b2(4) == pytest.approx(-1.0 / 30.0, rel=1e-15)
-    assert tb.b2(5) == pytest.approx(5.0 / 66.0, rel=1e-15)
+    assert b2(1) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert b2(2) == pytest.approx(-1.0 / 30.0, rel=1e-15)
+    assert b2(3) == pytest.approx(1.0 / 42.0, rel=1e-15)
+    assert b2(4) == pytest.approx(-1.0 / 30.0, rel=1e-15)
+    assert b2(5) == pytest.approx(5.0 / 66.0, rel=1e-15)
 
 
 def test_bernoulli_b20():
     # B_20 = -174611/330
-    assert bernoulli(10).b2(10) == pytest.approx(-174611.0 / 330.0, rel=1e-14)
+    assert b2(10) == pytest.approx(-174611.0 / 330.0, rel=1e-14)
 
 
 def test_bernoulli_signs_alternate():
-    tb = bernoulli(60)
     for n in range(1, 61):
-        assert math.copysign(1.0, tb.b2(n)) == (1.0 if n % 2 == 1 else -1.0)
+        assert math.copysign(1.0, b2(n)) == (1.0 if n % 2 == 1 else -1.0)
 
 
 def test_bernoulli_defining_recurrence():
     # sum_{j=0}^{m} C(m+1, j) B_j = 0, with B_0 = 1, B_1 = -1/2 and odd
     # indices > 1 vanishing.
-    tb = bernoulli(25)
-
     def b(j):
         if j == 0:
             return 1.0
@@ -66,7 +62,7 @@ def test_bernoulli_defining_recurrence():
             return -0.5
         if j % 2 == 1:
             return 0.0
-        return tb.b2(j // 2)
+        return b2(j // 2)
 
     for m in range(1, 50):
         terms = [math.comb(m + 1, j) * b(j) for j in range(m + 1)]
@@ -76,14 +72,17 @@ def test_bernoulli_defining_recurrence():
 
 def test_bernoulli_cap():
     with pytest.raises(DomainError):
-        bernoulli(201)
+        b2(201)
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            b2(n)
 
 
 def test_bernoulli_overflow_band():
     # B_258 is the last even Bernoulli number representable in a double.
-    assert math.isfinite(bernoulli(129).b2(129))
+    assert math.isfinite(b2(129))
     with pytest.raises(DomainError):
-        bernoulli(130)
+        b2(130)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +273,13 @@ def test_dilog_branch_cut_upper_limit():
     got = dilog(3.0)
     assert rel(got, 2.3201804233130984 + 3.4513922952232027j) < 1e-12
     assert got.imag > 0
+    # 1 < x <= 2 reflects into the disk around 1 (the series up to 1.5,
+    # the Bernoulli series in -log(1 - x) past it)
+    mpmath = pytest.importorskip("mpmath")
+    for x in (1.2, 1.5, 1.7, 2.0):
+        with mpmath.workdps(30):
+            want = complex(mpmath.polylog(2, mpmath.mpc(x, 1e-40)))
+        assert abs(dilog(x) - want) <= 1e-15 * abs(want), x
 
 
 @given(st.floats(min_value=1e-3, max_value=1.0 - 1e-3))

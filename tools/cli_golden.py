@@ -46,7 +46,8 @@ ERRORS = [
     "eval qgamma --x-re -1100.5 --q-re 0.5", "sweep asym-table --alpha 0.01 --n-max 65",
     "eval pochhammer-modular --tau-im 1e-5 --nu-im 3e-6",
     "sweep q-to-one --nu-im 0.3", "sweep q-to-one --n-max 3", "sweep asym-table --tau-im 0.5",
-    "eval P --tau-im 1e-315 --nu-im 3e-316",
+    "eval P --tau-im 1e-315 --nu-im 3e-316", "eval P --tau-im 1e-290 --nu-im 3e-291",
+    "sweep asym-table --alpha 1e-300 --n-max 1",
 ]
 
 #: direct products long enough for numpy blocks (about 5e4 factors, and
