@@ -11,8 +11,9 @@ these helpers solve:
   exponentials keeps every intermediate bounded whenever the combined
   exponents decay, which is exactly the admissible-cone condition the
   ray sums operate under; but such a difference cancels where its two
-  exponents are close, so sin_ratio takes it only past _EXP_LIMIT, where
-  a factor of the direct form would overflow.
+  exponents are close, so it is taken only past direct_side, where a
+  factor of the direct quotient would overflow: sin_ratio, cos_ratio and
+  raysum's P kernel all split there.
 
 The kernels take a scalar or a numpy array: a scalar gives a Python
 ``complex``, an array an array of the same shape, so a quadrature can
@@ -70,35 +71,49 @@ def inv_expm1(w):
     )
 
 
-def sin_ratio(nu: complex, w):
-    """sin(nu*w) / (exp(i*w) - 1) without overflow or cancellation.
+def direct_side(nu: complex, w: np.ndarray) -> np.ndarray:
+    """Where no factor of trig(nu w)/expm1(iw) can overflow: |Im(nu w)| and
+    -Im w below _EXP_LIMIT.  On an admissible ray, one radius."""
+    return (np.abs((nu * w).imag) < _EXP_LIMIT) & (-w.imag < _EXP_LIMIT)
 
-    sin(nu w)/expm1(iw) wherever neither factor can overflow, |Im(nu w)|
-    and -Im w both below _EXP_LIMIT: no difference of nearly equal
-    exponentials is formed, so the ratio keeps its relative digits as
-    nu -> 0.  Past that, (e^{i(nu-1)w} - e^{-i(nu+1)w}) / (2i(1 - e^{-iw})),
-    whose exponentials all decay where i(nu - 1)w and -i(nu + 1)w have
-    negative real part (the admissible-cone condition).  There
-    |nu w| >= _EXP_LIMIT or |w| >= _EXP_LIMIT, so the difference loses
-    digits only where |nu| is below about 1/_EXP_LIMIT, and then at most
-    a factor 1/|nu w|.
-    """
+
+def sin_ratio_direct(nu: complex, w: np.ndarray) -> np.ndarray:
+    """sin(nu w)/expm1(iw) on direct_side: no difference of nearly equal
+    exponentials, so the ratio keeps its relative digits as nu -> 0."""
+    ratio = np.sin(nu * w)
+    ratio /= np.expm1(1j * w)
+    return ratio
+
+
+def sin_ratio_decaying(nu: complex, w: np.ndarray) -> np.ndarray:
+    """sin(nu w)/expm1(iw) past direct_side from one np.exp of an outer
+    product, (e^{i(nu-1)w} - e^{-i(nu+1)w}) / (2i(1 - e^{-iw})): on an
+    admissible ray all decay, and |nu w| or |w| >= _EXP_LIMIT, so the
+    difference cancels by at most 1/|nu w|, where |nu| < 1/_EXP_LIMIT."""
+    rates = np.array([1j * (nu - 1.0), -1j * (nu + 1.0), -1j])
+    e_a, e_b, e_w = np.exp(np.multiply.outer(rates, w))
+    e_a -= e_b
+    np.subtract(1.0, e_w, out=e_w)
+    e_a /= np.multiply(2j, e_w, out=e_w)
+    return e_a
+
+
+def sin_ratio(nu: complex, w):
+    """sin(nu*w) / (exp(i*w) - 1) without overflow or cancellation: the
+    direct form on direct_side, the decaying one past it."""
     w = np.asarray(w, dtype=complex)
-    return piecewise(
-        w,
-        (np.abs((nu * w).imag) < _EXP_LIMIT) & (-w.imag < _EXP_LIMIT),
-        lambda v: np.sin(nu * v) / np.expm1(1j * v),
-        lambda v: (np.exp(1j * (nu - 1.0) * v) - np.exp(-1j * (nu + 1.0) * v))
-        / (2j * (1.0 - np.exp(-1j * v))),
-    )
+    near, far = (lambda v: sin_ratio_direct(nu, v)), (lambda v: sin_ratio_decaying(nu, v))
+    return piecewise(w, direct_side(nu, w), near, far)
 
 
 def cos_ratio(nu: complex, w):
-    """cos(nu*w) / (exp(i*w) - 1), same regime as :func:`sin_ratio`."""
+    """cos(nu*w) / (exp(i*w) - 1), split as sin_ratio is, past direct_side
+    as (e^{i(nu-1)w} + e^{-i(nu+1)w}) / (2(1 - e^{-iw}))."""
+    w = np.asarray(w, dtype=complex)
     return piecewise(
         w,
-        np.abs(w) * (1.0 + abs(nu)) < 1.0,
-        lambda v: np.cos(nu * v) * inv_expm1(1j * v),
+        direct_side(nu, w),
+        lambda v: np.cos(nu * v) / np.expm1(1j * v),
         lambda v: (np.exp(1j * (nu - 1.0) * v) + np.exp(-1j * (nu + 1.0) * v))
         / (2.0 * (1.0 - np.exp(-1j * v))),
     )

@@ -184,7 +184,7 @@ def _q_to_one(p: dict, cfg: dict) -> list[dict]:
         point = ModularPoint(tau, cfg["s"] * tau)
         direct, n_direct = qpochhammer_with_count(point.x, point.q)
         modular, n_modular = qpochhammer_modular_with_count(point)
-        rel = abs(direct - modular) / max(abs(direct), abs(modular), 1e-300)
+        rel = compare("thm29", {}, direct, modular).rel_residual
         rows.append({"alpha": alpha, "direct_terms": n_direct,
                      "modular_terms": n_modular, "rel_diff": rel})
     return rows

@@ -205,12 +205,19 @@ def _at_lower_half(point: ModularPoint, evaluate) -> tuple[complex, int]:
     return (value.conjugate() if point.tau.real < 0.0 else value), n_terms
 
 
-def _modular_with_count(point: ModularPoint) -> tuple[complex, int]:
+def _transformed(point: ModularPoint, g_share: complex, prefactor=1.0) -> tuple[complex, int]:
+    """prefactor q^{-1/24} sqrt(1 - x) (x* q*; q*)_oo e^{Li_2(x)/log q +
+    g_share + P + wedge}, G's share of the one exponent given, and the
+    product's terms.  A value that underflows is a domain error."""
     prod, n_terms = qpochhammer_with_count(_x_star_q_star(point), point.q_star)
-    expo = dilog(point.x) / point.log_q + big_G(point) + P_minus(point) + _wedge(point)
+    expo = dilog(point.x) / point.log_q + g_share + P_minus(point) + _wedge(point)
     root = cmath.sqrt(1.0 - point.x)
-    value = _finite(_q_pow_minus_1_24(point.tau) * root * prod * _exp(expo))
+    value = _finite(prefactor * _q_pow_minus_1_24(point.tau) * root * prod * _exp(expo))
     return _refuse_underflow(value, point, root, prod), n_terms
+
+
+def _modular_with_count(point: ModularPoint) -> tuple[complex, int]:
+    return _transformed(point, big_G(point))
 
 
 def qpochhammer_modular_with_count(point: ModularPoint) -> tuple[complex, int]:
@@ -225,22 +232,10 @@ def qpochhammer_modular(point: ModularPoint) -> complex:
     return qpochhammer_modular_with_count(point)[0]
 
 
-def _ramanujan(point: ModularPoint) -> complex:
+def _ramanujan(point: ModularPoint) -> tuple[complex, int]:
     s = point.nu_star
-    prod = qpochhammer(_x_star_q_star(point), point.q_star)
-    stirling = _exp(big_G(point) - 0.5 * cmath.log(TWO_PI * s))
-    expo = dilog(point.x) / point.log_q + P_minus(point) + _wedge(point)
-    root = cmath.sqrt(1.0 - point.x)
-    value = _finite(
-        math.sqrt(TWO_PI)
-        * cmath.sqrt(s)
-        * root
-        * _q_pow_minus_1_24(point.tau)
-        * stirling
-        * _exp(expo)
-        * prod
-    )
-    return _refuse_underflow(value, point, root, prod)
+    stirling = big_G(point) - 0.5 * cmath.log(TWO_PI * s)
+    return _transformed(point, stirling, math.sqrt(TWO_PI) * cmath.sqrt(s))
 
 
 def ramanujan_completed(point: ModularPoint) -> complex:
@@ -248,14 +243,14 @@ def ramanujan_completed(point: ModularPoint) -> complex:
 
     Equivalent to :func:`qpochhammer_modular` because
     exp(G) = sqrt(2 pi s) e^{s log s - s} / Gamma(s+1).  The Stirling
-    factor e^{s log s - s} / Gamma(s+1) is formed as exp(G - log(2 pi s)/2),
-    never from its two halves of size |s log s|; the roots are taken
-    individually principal, sqrt(2 pi) sqrt(s) sqrt(1 - x) = sqrt(2 pi s)
-    sqrt(1 - x), so the exponent takes the same sheet term (_wedge) and
-    the same reduction (_at_lower_half).  A value that underflows past the
-    normal double range is a domain error.
+    factor e^{s log s - s} / Gamma(s+1) enters the exponent as
+    G - log(2 pi s)/2, never as its two halves of size |s log s|, and the
+    roots are taken individually principal, sqrt(2 pi) sqrt(s) sqrt(1 - x)
+    = sqrt(2 pi s) sqrt(1 - x).  The rest is the modular route's assembly
+    (_transformed), so their residual tests the Stirling factor and roots.
+    A value that underflows past the normal double range is a domain error.
     """
-    return _at_lower_half(point, lambda base: (_ramanujan(base), 0))[0]
+    return _at_lower_half(point, _ramanujan)[0]
 
 
 def thm29_residual(point: ModularPoint) -> ResidualReport:

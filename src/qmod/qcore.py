@@ -48,15 +48,18 @@ def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms
     """Terms of a series whose n-th term is at most amplitude * ratio^n.
 
     The smallest N with amplitude ratio^N / (1 - ratio) < TERM_TOL, which
-    bounds the terms from N on; ConvergenceError when N > MAX_TERMS.
+    bounds the terms from N on; ConvergenceError when N > MAX_TERMS or no N exists.
     """
     need = TERM_TOL * (1.0 - ratio) / amplitude if amplitude else 1.0
     if need >= 1.0:
         return 0
     if ratio == 0.0:
         return 1
-    # need == 0 where ratio rounds to 1: no length is enough
-    n = math.ceil(math.log(need) / math.log(ratio)) if need > 0.0 else math.inf
+    if need == 0.0:  # where the ratio rounds to 1
+        raise ConvergenceError(
+            f"{series}: its ratio rounds to 1, so no number of {unit} reaches TERM_TOL"
+        )
+    n = math.ceil(math.log(need) / math.log(ratio))
     if n > MAX_TERMS:
         raise ConvergenceError(f"{series} needs {n} {unit}, budget {MAX_TERMS}")
     return n

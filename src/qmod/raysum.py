@@ -6,8 +6,8 @@ lambda being the integrand's decay rate along the ray (RaySpec.decay); a
 finite interval by the tanh-sinh map.  Either way the mapped integrand
 decays double-exponentially in u, so trapezoid sums over
 [-DE_SPAN, DE_SPAN] converge geometrically in the node count.  The step
-halves on nested nodes until two successive sums agree to the tolerance,
-RAY_REL_TOL for every ray integral.  Only integrate_ray takes a RaySpec
+halves on nested nodes until two successive sums agree to RAY_REL_TOL,
+the one tolerance of every DE sum.  Only integrate_ray takes a RaySpec
 from its caller; everything else picks its own ray.
 Integrands are evaluated on numpy arrays of nodes: the first call covers
 the full grid of one level, which holds every coarser level, and each
@@ -40,10 +40,10 @@ On it the module builds:
   strip of analyticity about the ray; P's own integrand is one fused
   numpy kernel that takes the point and the ray as scalars, splits the
   ascending nodes by slices and works in place on its output.  Its sine
-  ratio is sin(nu w)/expm1(iw), w = t/tau, out to the radius where -Im w
-  reaches _EXP_LIMIT (on an admissible ray |Im(nu w)| < -Im w, so nothing
-  below it overflows or cancels), and a form in decaying exponentials past
-  it, which most rays never reach.  The derivatives multiply the masked
+  ratio is sin_ratio's two forms: sin(nu w)/expm1(iw), w = t/tau, up to
+  the radius where -Im w, which bounds |Im(nu w)| on an admissible ray,
+  reaches _EXP_LIMIT, and decaying exponentials past it, which most rays
+  never reach.  The derivatives multiply the masked
   kernels fn_f and sin_ratio (or cos_ratio) through integrate_ray.  The
   upper ray sum P_plus is the conjugate of P_minus at the mirror point
   (-conj tau, -conj nu);
@@ -74,6 +74,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._stability import _EXP_LIMIT, cos_ratio, inv_expm1, sin_ratio
+from ._stability import sin_ratio_decaying, sin_ratio_direct
 from .errors import ConvergenceError, DomainError
 from .qcore import TERM_TOL, ModularPoint, _tail_length
 from .specialfns import (
@@ -112,7 +113,7 @@ RAY_MIN_ARC = math.pi / 36.0
 #: level short of the accepted one pays a call per level more, one past it
 #: computes nodes no sum reads
 P_FIRST_ARC = math.radians(580.0)
-#: relative tolerance of every ray integral
+#: relative tolerance of every DE sum, ray or interval
 RAY_REL_TOL = 1e-11
 #: the principal-value route's truncation of both sums and the half-width
 #: of its symmetric window around t = 1
@@ -180,9 +181,7 @@ def _level_order(first: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(np.concatenate(groups)), _frozen(starts)
 
 
-def _de_sum(
-    weighted: Callable[[int, bool], np.ndarray], rel_tol: float, first: int = BATCH_LEVELS
-) -> RayResult:
+def _de_sum(weighted: Callable[[int, bool], np.ndarray], first: int = BATCH_LEVELS) -> RayResult:
     """Integral over the u-line of a double-exponentially decaying weighted
     function, which weighted(level, full) returns on the nodes
     _u_nodes(level, full).
@@ -202,11 +201,11 @@ def _de_sum(
     call per level after it, and a call costs a fixed part besides its
     nodes.  The node tables do not depend on the integrand, so callers
     keep theirs per level behind functools.cache.
-    Accepts the first sum within tol = rel_tol |I| + ABS_FLOOR of the one
-    before, reporting that distance as its error, provided the end nodes
-    are below tol too.  The error of a DE sum roughly squares when the
-    step halves, so a small distance right after one above
-    tol / sqrt(rel_tol) is a coincidence, not convergence, and is not
+    Accepts the first sum within tol = RAY_REL_TOL |I| + ABS_FLOOR of the
+    one before, reporting that distance as its error, provided the end
+    nodes are below tol too.  The error of a DE sum roughly squares when
+    the step halves, so a small distance right after one above
+    tol / sqrt(RAY_REL_TOL) is a coincidence, not convergence, and is not
     accepted.
     """
     half = round(DE_SPAN / FIRST_STEP)
@@ -233,9 +232,9 @@ def _de_sum(
         prev, total = total, 0.5 * total + h * new_sum
         if not cmath.isfinite(total):
             raise ConvergenceError("non-finite integrand value")
-        tol = rel_tol * abs(total) + ABS_FLOOR
+        tol = RAY_REL_TOL * abs(total) + ABS_FLOOR
         prev_change, change = change, abs(total - prev)
-        if change <= tol and prev_change <= tol / math.sqrt(rel_tol):
+        if change <= tol and prev_change <= tol / math.sqrt(RAY_REL_TOL):
             if ends > tol:
                 raise ConvergenceError(
                     f"integrand has not decayed at the ends of the range: "
@@ -274,7 +273,7 @@ def integrate_ray(
         t = r0 / decay * e_id
         return integrand(t) * (t * one_plus_e_u)
 
-    return _de_sum(weighted, RAY_REL_TOL)
+    return _de_sum(weighted)
 
 
 @functools.cache
@@ -288,8 +287,8 @@ def _interval_nodes(level: int, full: bool) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> complex:
-    """int_a^b f(t) dt to 1e-12 relative, by the tanh-sinh map
-    t = a + (b - a)/(1 + e^{-pi sinh u}).
+    """int_a^b f(t) dt to RAY_REL_TOL relative, as every DE sum, by the
+    tanh-sinh map t = a + (b - a)/(1 + e^{-pi sinh u}).
 
     Nodes are offsets from a, so near a they keep their full relative
     precision; f must be finite on (a, b].
@@ -300,7 +299,7 @@ def _integrate_interval(f: Callable[[np.ndarray], np.ndarray], a: float, b: floa
         t = a + (b - a) / one_plus_e_2s
         return f(t) * ((b - a) * 0.25 * math.pi * cosh_u / cosh_s_sq)
 
-    return _de_sum(weighted, 1e-12).value
+    return _de_sum(weighted).value
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +417,19 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
       with s the sign of Im t on the ray, so that Re v <= 0: fn_f's expm1
       form, which keeps the digits cot(t/2) - 2/t cancels just past the
       radius;
-    * the sine ratio is sin(nu w)/expm1(iw) while -Im w < _EXP_LIMIT.  On
-      an admissible ray the two cone edges give -Im((1 -/+ nu) w) > 0, so
-      |Im(nu w)| < -Im w: below the limit neither sin(nu w) nor expm1(iw)
-      overflows, and no difference of nearly equal exponentials is formed,
-      so P keeps its relative digits as nu -> 0.  -Im w grows linearly
-      along the ray, so the split is the one radius
-      _EXP_LIMIT / -Im(rho/tau), which most rays never reach within the DE
-      range.  Past it the ratio is
-      (e^{i(nu-1)w} - e^{-i(nu+1)w}) / (2i (1 - e^{-iw})), as in sin_ratio's
-      far branch, where every exponential decays: one np.exp of an outer
-      product.
+    * the sine ratio is sin_ratio_direct on direct_side and
+      sin_ratio_decaying past it, the two forms sin_ratio masks.  On an
+      admissible ray the cone edges give -Im((1 -/+ nu) w) > 0, so
+      |Im(nu w)| < -Im w, and direct_side ends at the one radius
+      _EXP_LIMIT / -Im(rho/tau), which most rays never reach.
 
     w is t/tau node by node: one rounded scalar rho/tau would move every w
     by the same relative error, as a change of tau would, which P's
     sensitivity to tau at tau near the real axis turned into up to 3e-14
     of P on seeded fuzz points.  The kernel fills one output array in
     place, and its setup is scalar: the ten series scalars are products
-    (_series_scalars), and the far branch's rates are formed only where a
-    node lies past its radius.  No node is tested against f's real poles
+    (_series_scalars), and the decaying form is called only where a node
+    lies past its radius.  No node is tested against f's real poles
     2 pi k: a ray along the real axis, which choose_ray never takes, does
     not converge.  Where the smallest node t underflows to 0
     (|tau| below about 1e-282, as rho is of the order of |tau|), the ray
@@ -471,16 +464,9 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
         w = rho * r0
         w /= tau
         m = r0.searchsorted(direct_end)
-        ratio = np.sin(nu * w[:m])
-        ratio /= np.expm1(1j * w[:m])
-        out[:m] *= ratio
+        out[:m] *= sin_ratio_direct(nu, w[:m])
         if m < r0.size:
-            far_rates = np.array([1j * (nu - 1.0), -1j * (nu + 1.0), -1j])
-            e_a, e_b, e_w = np.exp(np.multiply.outer(far_rates, w[m:]))
-            e_a -= e_b
-            np.subtract(1.0, e_w, out=e_w)
-            e_a /= np.multiply(2j, e_w, out=e_w)
-            out[m:] *= e_a
+            out[m:] *= sin_ratio_decaying(nu, w[m:])
         return out
 
     return weighted
@@ -507,7 +493,7 @@ def P_minus(point: ModularPoint) -> complex:
     first = 3
     while first < 7 and (hi - lo) * 2**first < P_FIRST_ARC:
         first += 1
-    return _de_sum(_p_weighted(point, choose_ray(point)), RAY_REL_TOL, first).value
+    return _de_sum(_p_weighted(point, choose_ray(point)), first).value
 
 
 def P_plus(point: ModularPoint) -> complex:
@@ -956,7 +942,7 @@ def theta_series_table(
                 f"({SERIES_EPS:.4f}, {math.pi - SERIES_EPS:.4f})"
             )
         point = ModularPoint(tau, nu)
-        minus_p = -_de_sum(_p_weighted(point, choose_ray(point)), RAY_REL_TOL).value
+        minus_p = -_de_sum(_p_weighted(point, choose_ray(point))).value
         for N, partial in enumerate(_partial_sums(a_vals, point.log_q, consts)):
             bound = consts[N][1] * k_vals[N] * abs(tau) ** (2 * N + 1)
             bound += 4.0 * math.ulp(abs(minus_p))
@@ -992,7 +978,7 @@ def _pv_cosine_sum(alpha: float, xi: float) -> float:
     total = 0.0
     for n in range(1, PV_TERMS + 1):
         arg = TWO_PI * n / alpha
-        if arg > 700.0:
+        if arg > _EXP_LIMIT:
             break
         total -= math.cos(TWO_PI * n * xi) / (n * math.expm1(arg))
     return total

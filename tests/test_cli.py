@@ -381,6 +381,16 @@ def test_convergence_failure_exit(capsys):
     assert "convergence" in err
 
 
+def test_series_whose_ratio_rounds_to_one_exits_3(capsys):
+    # q = e^{-2 pi 1e-290} rounds to 1: the tail rule says so, not that
+    # the Lambert series needs inf terms
+    code, out, err = run(capsys, "eval", "L1", "--tau-im", "1e-290", "--nu-im", "0.1")
+    assert code == 3
+    assert out == ""
+    assert "Lambert series: its ratio rounds to 1, so no number of terms reaches TERM_TOL" in err
+    assert "inf" not in err
+
+
 def test_asym_table_reads_only_the_bernoulli_numbers_it_uses(capsys):
     # n_max = 65 needs B_2 .. B_130; asking for twice as many overflowed
     # a double (B_260) and escaped as an OverflowError traceback.  K_N

@@ -54,7 +54,7 @@ from qmod.raysum import (
     stokes_sum,
     theta_series_table,
 )
-from qmod._stability import sin_ratio
+from qmod._stability import cos_ratio, direct_side, sin_ratio
 from qmod.specialfns import SERIES_RADIUS, fn_f
 
 
@@ -112,7 +112,7 @@ def test_integrate_ray_flags_non_finite():
         )
 
 
-def _ladder_de_sum(weighted, rel_tol):
+def _ladder_de_sum(weighted):
     """_de_sum's ladder with one integrand call per level, each summed by
     np.add.reduceat as _de_sum sums a level: the reference the batched
     first call must reproduce bit for bit."""
@@ -134,9 +134,9 @@ def _ladder_de_sum(weighted, rel_tol):
         prev, total = total, 0.5 * total + h * level_sum(weighted(h * np.arange(1 - half, half, 2)))
         if not np.isfinite(total):
             raise ConvergenceError("non-finite integrand value")
-        tol = rel_tol * abs(total) + ABS_FLOOR
+        tol = RAY_REL_TOL * abs(total) + ABS_FLOOR
         prev_change, change = change, abs(total - prev)
-        if change <= tol and prev_change <= tol / math.sqrt(rel_tol):
+        if change <= tol and prev_change <= tol / math.sqrt(RAY_REL_TOL):
             if ends > tol:
                 raise ConvergenceError(
                     f"integrand has not decayed at the ends of the range: "
@@ -191,12 +191,12 @@ FIRST_LEVELS = range(2, 8)
 
 def test_de_sum_one_call_per_level_past_the_batch():
     ladder = []
-    want = _ladder_de_sum(_counted(_SLOW, ladder), 1e-11)
+    want = _ladder_de_sum(_counted(_SLOW, ladder))
     assert rel(want.value, 1.0 / 401.0) < 1e-11
     assert len(ladder) == 9  # accepted at level 8, past every first level
     for first in FIRST_LEVELS:
         batched = []
-        assert _de_sum(_by_level(_counted(_SLOW, batched)), 1e-11, first) == want
+        assert _de_sum(_by_level(_counted(_SLOW, batched)), first) == want
         assert batched == [18 * 2**first + 1] + ladder[first + 1 :], first
 
 
@@ -220,15 +220,15 @@ def test_de_sum_one_call_per_level_past_the_batch():
 def test_de_sum_matches_the_level_by_level_ladder(weighted):
     # at every first level: the call that computes a node does not matter
     try:
-        want = _ladder_de_sum(weighted, 1e-11)
+        want = _ladder_de_sum(weighted)
     except ConvergenceError as exc:
         for first in FIRST_LEVELS:
             with pytest.raises(ConvergenceError) as info:
-                _de_sum(_by_level(weighted), 1e-11, first)
+                _de_sum(_by_level(weighted), first)
             assert str(info.value) == str(exc), first
     else:
         for first in FIRST_LEVELS:
-            assert _de_sum(_by_level(weighted), 1e-11, first) == want, first
+            assert _de_sum(_by_level(weighted), first) == want, first
 
 
 def test_de_node_tables_are_read_only():
@@ -369,7 +369,7 @@ def test_choose_ray_keeps_the_P_integrals_short():
                 spec = choose_ray(q)
             except DomainError:
                 continue
-            _de_sum(_counted(_p_weighted(q, spec), nodes), RAY_REL_TOL)
+            _de_sum(_counted(_p_weighted(q, spec), nodes))
             integrals += 1
     assert integrals > 200
     assert sum(nodes) <= 157_000
@@ -508,7 +508,7 @@ def test_P_minus_where_the_admissible_arc_is_narrow(monkeypatch):
     nodes = []
     monkeypatch.setattr(
         "qmod.raysum._de_sum",
-        lambda weighted, tol, first: _de_sum(_counted(weighted, nodes), tol, first),
+        lambda weighted, first: _de_sum(_counted(weighted, nodes), first),
     )
     P_minus(ModularPoint(-0.1191 + 0.1034j, -0.1846 + 0.8580j))
     assert sum(nodes) <= 5_000
@@ -517,7 +517,7 @@ def test_P_minus_where_the_admissible_arc_is_narrow(monkeypatch):
 def _p_along(point, d):
     """P's ray integral along direction d, its decay rate the slack there:
     the kernel P_minus runs on its own ray, on any other."""
-    return _de_sum(_p_weighted(point, RaySpec(d, _slack(point, d))), RAY_REL_TOL).value
+    return _de_sum(_p_weighted(point, RaySpec(d, _slack(point, d)))).value
 
 
 def _ray_points(points):
@@ -537,7 +537,7 @@ def test_p_kernel_does_not_depend_on_the_first_level():
     # and every integral, or its refusal, is that of level BATCH_LEVELS
     def outcome(weighted, first):
         try:
-            return _de_sum(weighted, RAY_REL_TOL, first)
+            return _de_sum(weighted, first)
         except ConvergenceError as exc:
             return str(exc)
 
@@ -560,9 +560,9 @@ def test_P_minus_sizes_its_first_call_by_the_arc(monkeypatch):
     # too: 5 of the 140 (and 7 pay a second call where the first fell short)
     calls, firsts = [], []
 
-    def counted_de_sum(weighted, tol, first):
+    def counted_de_sum(weighted, first):
         firsts.append(first)
-        return _de_sum(_counted(weighted, calls), tol, first)
+        return _de_sum(_counted(weighted, calls), first)
 
     monkeypatch.setattr("qmod.raysum._de_sum", counted_de_sum)
     total = batch_total = more = 0
@@ -571,7 +571,7 @@ def test_P_minus_sizes_its_first_call_by_the_arc(monkeypatch):
         firsts.clear()
         P_minus(p)
         batch = []
-        _de_sum(_counted(_p_weighted(p, choose_ray(p)), batch), RAY_REL_TOL, BATCH_LEVELS)
+        _de_sum(_counted(_p_weighted(p, choose_ray(p)), batch), BATCH_LEVELS)
         if sum(calls) > sum(batch):
             assert firsts[0] > BATCH_LEVELS and calls == [18 * 2 ** firsts[0] + 1], p
             more += 1
@@ -607,12 +607,29 @@ def test_de_values_to_the_last_bit():
     points = _domain_fuzz_points(40, seed=11)
     for k, (d, want) in _P_RAY_BITS.items():
         assert _p_along(points[k], d) == want, k
-    assert dP_dnu(ModularPoint(0.8j, 0.2)) == 0.007667053723447631 + 0.25551511002857974j
+    assert dP_dnu(ModularPoint(0.8j, 0.2)) == 0.007667053723447635 + 0.25551511002857974j
     assert K_N(3, 0.3) == 4321.9902467784195
     assert K_N(2, 0.5j) == 17.217548299683028
     assert K_N(1, 0.25j) == 1.3430798568016316
     assert pv_M_direct(0.8, 0.3) == -0.05319109389520646
     assert pv_M_direct(0.5, 0.1) == -0.006975220518611532
+
+
+def test_dP_dnu_against_the_binet_sum():
+    # the pinned dP_dnu of test_de_values_to_the_last_bit against
+    # -(1/tau) sum_k [mu'((k - nu)/tau) + mu'((k + nu)/tau)] at 30 digits,
+    # mu' = psi - log + 1/(2z) the derivative of Binet's function: no ray
+    mpmath = pytest.importorskip("mpmath")
+    tau, nu = 0.8j, 0.2
+    with mpmath.workdps(30):
+        mt, mn = mpmath.mpc(tau), mpmath.mpc(nu)
+
+        def dmu(z):
+            return mpmath.digamma(z) - mpmath.log(z) + 1 / (2 * z)
+
+        want = -mpmath.nsum(lambda k: dmu((k - mn) / mt) + dmu((k + mn) / mt), [1, mpmath.inf])
+        want = complex(want / mt)
+    assert rel(dP_dnu(ModularPoint(tau, nu)), want) <= 3e-16
 
 
 def test_P_ray_independence():
@@ -776,6 +793,39 @@ def test_P_minus_keeps_its_digits_as_nu_goes_to_zero(tau, nu):
     assert rel(generic.value, want) <= 1e-14
 
 
+def test_sine_and_cosine_ratios_against_mpmath():
+    # sin(nu w)/expm1(iw) and cos(nu w)/expm1(iw) on admissible rays,
+    # |Im(nu w)| < -Im w, at radii either side of direct_side's limit
+    # -Im w = _EXP_LIMIT and of the split |w|(1 + |nu|) = 1 that cos_ratio
+    # took before, for |nu| down to 1e-6, against 40-digit mpmath at the
+    # same doubles.  Rounding nu w and i(nu -/+ 1)w costs about
+    # eps |w|(1 + |nu|) of the value (measured: at most 4.3e-16 times
+    # 1 + |w|(1 + |nu|))
+    mpmath = pytest.importorskip("mpmath")
+    sides = set()
+    nus = (0.3 + 0.2j, -0.7 + 0.4j, 0.5 - 0.45j, 0.9, 0.25j, 1e-3j, 1e-6, 1e-6j, -1e-6 + 1e-6j)
+    for nu in nus:
+        for phi in math.pi * np.array([-0.5, -1 / 3, -2 / 3, -0.2, -0.9]):
+            e = cmath.exp(1j * phi)
+            if not abs((nu * e).imag) < -e.imag:
+                continue
+            radii = [1e-3, 0.5, 5.0, 60.0, 1300.0]
+            radii += [(1.0 + k) / (1.0 + abs(nu)) for k in (-1e-3, 1e-3)]
+            radii += [(_EXP_LIMIT + k) / -e.imag for k in (-0.5, 0.5)]
+            for w in (r * e for r in radii):
+                with mpmath.workdps(40):
+                    mnu, mw = mpmath.mpc(nu), mpmath.mpc(w)
+                    den = mpmath.expm1(1j * mw)
+                    want = [mpmath.sin(mnu * mw) / den, mpmath.cos(mnu * mw) / den]
+                if abs(want[0]) < 1e-300:  # past the double range
+                    continue
+                sides.add(bool(direct_side(nu, np.array(w))))
+                tol = 1e-15 * (1.0 + abs(w) * (1.0 + abs(nu)))
+                assert rel(sin_ratio(nu, w), complex(want[0])) <= tol, (nu, w)
+                assert rel(cos_ratio(nu, w), complex(want[1])) <= tol, (nu, w)
+    assert sides == {True, False}
+
+
 def test_series_scalars_are_the_powers():
     # _p_weighted's ten series scalars, formed by products in the order
     # CPython's complex ** int takes them: bit for bit the powers
@@ -793,9 +843,9 @@ def test_P_minus_past_the_overflow_radius(monkeypatch):
     mpmath = pytest.importorskip("mpmath")
     firsts = []
 
-    def first_level(weighted, tol, first):
+    def first_level(weighted, first):
         firsts.append(first)
-        return _de_sum(weighted, tol, first)
+        return _de_sum(weighted, first)
 
     monkeypatch.setattr("qmod.raysum._de_sum", first_level)
     points = _domain_fuzz_points(200, seed=11)
@@ -853,7 +903,7 @@ def test_P_minus_takes_the_ray_where_the_stokes_sum_counts():
     assert _p_series(p) is None
     assert _p_series(ModularPoint(-tau.conjugate(), nu)) is not None
     assert abs(stokes_sum(p)) > 1e-4 * abs(P_plus(p))
-    ray = _de_sum(_p_weighted(p, choose_ray(p)), RAY_REL_TOL).value
+    ray = _de_sum(_p_weighted(p, choose_ray(p))).value
     assert P_minus(p) == ray
 
 

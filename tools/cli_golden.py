@@ -48,6 +48,7 @@ ERRORS = [
     "sweep q-to-one --nu-im 0.3", "sweep q-to-one --n-max 3", "sweep asym-table --tau-im 0.5",
     "eval P --tau-im 1e-315 --nu-im 3e-316", "eval P --tau-im 1e-290 --nu-im 3e-291",
     "sweep asym-table --alpha 1e-300 --n-max 1",
+    "eval L1 --tau-im 1e-290 --nu-im 0.1", "check lambert67 --tau-im 1e-290 --nu-im 3e-291",
 ]
 
 #: direct products long enough for numpy blocks (about 5e4 factors, and

@@ -94,10 +94,13 @@ def measure(src: str, seeds: list[int], repeat: int) -> dict:
             if not de_sums:
                 times[3].append(None)
                 continue
-            weighted, _, *first = de_sums[0]
-            # a tree whose _de_sum takes no first level starts every sum with
+            # the first level is _de_sum's last int argument, after a
+            # tolerance in trees whose _de_sum still takes one; a tree whose
+            # _de_sum takes no first level starts every sum with
             # weighted(BATCH_LEVELS), the full grid of that level
-            args = (first[0], True) if first else (raysum.BATCH_LEVELS,)
+            weighted, *rest = de_sums[0]
+            first = [a for a in rest if isinstance(a, int)]
+            args = (first[-1], True) if first else (raysum.BATCH_LEVELS,)
             levels.append(args[0])
             times[3].append(best(weighted, *args))
         for _, calls in workloads.QToOne(seed, qm).timed:
