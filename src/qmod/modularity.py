@@ -1,7 +1,9 @@
 """Executable forms of the transformation laws.
 
-Every law is exposed two ways: an evaluator producing the transformed
-side, and a residual check returning a :class:`ResidualReport`.  Checks
+Every law has a residual check returning a :class:`ResidualReport`;
+only (x; q)_oo also has an evaluator of its transformed side
+(qpochhammer_modular, with ramanujan_completed and q_gamma_modular
+built on the same assembly).  Checks
 compare two independently computed routes to the same number, so a
 silent branch or sign error anywhere upstream shows up as a residual
 jump rather than a wrong answer with no witness.
@@ -105,12 +107,14 @@ def compare(
         tolerance = TOLERANCES[identity_id]
     lhs = complex(lhs)
     rhs = complex(rhs)
-    abs_res = abs(lhs - rhs)
-    rel_res = abs_res / max(abs(lhs), abs(rhs), _TINY)
-    if max(abs(lhs), abs(rhs)) < _SMALL_SIDES:
-        passed = abs_res <= tolerance
+    if cmath.isnan(lhs - rhs):
+        # fails every pass rule; abs is not taken: CPython's abs of a NaN
+        # complex raises OverflowError on an errno a failed cmath call left
+        abs_res = rel_res = size = math.nan
     else:
-        passed = rel_res <= tolerance
+        abs_res, size = abs(lhs - rhs), max(abs(lhs), abs(rhs))
+        rel_res = abs_res / max(size, _TINY)
+    passed = (abs_res if size < _SMALL_SIDES else rel_res) <= tolerance
     return ResidualReport(
         identity_id=identity_id,
         inputs=tuple((k, complex(v)) for k, v in inputs.items()),
@@ -135,17 +139,6 @@ def skipped_report(
 
 # ---------------------------------------------------------------------------
 # (x; q)_oo through the transformed variables
-
-
-def _q_pow_minus_1_24(tau: complex) -> complex:
-    """q^{-1/24} = e^{-pi i tau / 12}, the eta-type prefactor."""
-    return cmath.exp(-1j * math.pi * tau / 12)
-
-
-def _x_star_q_star(point: ModularPoint) -> complex:
-    """x* q* = e^{2 pi i (nu - 1)/tau} as one exponential: x* alone
-    overflows where the product is still representable."""
-    return cmath.exp(2j * math.pi * (point.nu - 1.0) / point.tau)
 
 
 def _require_thm29(point: ModularPoint) -> None:
@@ -209,10 +202,10 @@ def _transformed(point: ModularPoint, g_share: complex, prefactor=1.0) -> tuple[
     """prefactor q^{-1/24} sqrt(1 - x) (x* q*; q*)_oo e^{Li_2(x)/log q +
     g_share + P + wedge}, G's share of the one exponent given, and the
     product's terms.  A value that underflows is a domain error."""
-    prod, n_terms = qpochhammer_with_count(_x_star_q_star(point), point.q_star)
+    prod, n_terms = qpochhammer_with_count(point.x_star_q_star, point.q_star)
     expo = dilog(point.x) / point.log_q + g_share + P_minus(point) + _wedge(point)
     root = cmath.sqrt(1.0 - point.x)
-    value = _finite(prefactor * _q_pow_minus_1_24(point.tau) * root * prod * _exp(expo))
+    value = _finite(prefactor * _exp(-point.log_q / 24) * root * prod * _exp(expo))
     return _refuse_underflow(value, point, root, prod), n_terms
 
 
@@ -281,7 +274,7 @@ def eta_modular_residual(tau: complex) -> ResidualReport:
     point = ModularPoint(tau, tau)  # x = q
     lhs = qpochhammer(point.q, point.q)
     rhs = (
-        _q_pow_minus_1_24(tau)
+        _exp(-point.log_q / 24)  # q^{-1/24}
         * cmath.sqrt(1j / tau)
         * cmath.exp(1j * math.pi * point.tau_star / 12)
         * qpochhammer(point.q_star, point.q_star)
@@ -301,8 +294,8 @@ def theta_modular_residual(tau: complex, nu: complex) -> ResidualReport:
     rhs = (
         cmath.exp(1j * math.pi * point.tau / 4.0)  # q^{1/8}
         * cmath.sqrt(1j / point.tau)
-        * cmath.exp(-1j * math.pi * point.nu)
-        * cmath.exp(-(w**2) / (2.0 * point.log_q))
+        * _exp(-1j * math.pi * point.nu)
+        * _exp(-(w**2) / (2.0 * point.log_q))
         * theta_product_tau(point.tau_star, point.x_star)
     )
     return compare("theta-modular", {"tau": point.tau, "nu": point.nu}, lhs, rhs)
@@ -319,10 +312,9 @@ def stokes_residual(point: ModularPoint) -> ResidualReport:
 
 
 def reflection_residual(point: ModularPoint) -> ResidualReport:
-    """G(tau, nu) + G(tau, -nu) against log(1 - e^{+-2 pi i nu/tau}).
-
-    The exponent sign follows the half-plane of nu/tau (the decaying
-    exponential on each side); nu/tau real is a branch boundary and is
+    """G(tau, nu) + G(tau, -nu) against log(1 - x*) at whichever of
+    nu and -nu puts nu/tau in the upper half-plane, where x* =
+    e^{2 pi i nu/tau} decays; nu/tau real is a branch boundary and is
     rejected.  ``specialfns.binet`` evaluates Re s < 0 through this same
     reflection, so the residual alone cannot catch an error in it; the
     mpmath oracle test of ``binet`` on both half-planes is what makes
@@ -331,12 +323,9 @@ def reflection_residual(point: ModularPoint) -> ResidualReport:
     s = point.nu_star
     if s.imag == 0.0:
         raise DomainError("nu/tau is real: reflection needs s off the real axis")
-    lhs = big_G(point) + big_G(ModularPoint(point.tau, -point.nu))
-    if s.imag > 0.0:
-        w = cmath.exp(TWO_PI * 1j * s)
-    else:
-        w = cmath.exp(-TWO_PI * 1j * s)
-    rhs = cmath.log(1.0 - w)
+    reflected = ModularPoint(point.tau, -point.nu)
+    lhs = big_G(point) + big_G(reflected)
+    rhs = cmath.log(1.0 - (point if s.imag > 0.0 else reflected).x_star)
     return compare("reflection34", {"tau": point.tau, "nu": point.nu}, lhs, rhs)
 
 

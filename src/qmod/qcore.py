@@ -4,8 +4,8 @@ Everything here is summed term by term inside the unit q-disk: the
 infinite product (x;q)_oo, Euler's series for it, Jackson's q-Gamma,
 Dedekind eta, Jacobi theta as a triple product, and the
 generalized Lambert series L1/L2.  These are the slow-but-sure oracles
-the modular identities are checked against; nothing in this module knows
-about modular transformations.
+the modular identities are checked against.  ModularPoint forms a
+point's exponentials on both sides of the modular transformation.
 
 A long product (x;q)_oo, which the tail rule makes about 6/alpha factors
 at q = e^{-2 pi alpha}, runs in numpy blocks rather than a Python loop.
@@ -111,7 +111,9 @@ class ModularPoint:
     Derived quantities use the exact exponential conventions
     q = e^{2 pi i tau}, x = e^{2 pi i nu}, tau* = -1/tau, nu* = nu/tau;
     in particular log_q is 2 pi i tau itself, never a principal log of
-    the computed q (which would be wrong off the imaginary axis).
+    the computed q (which would be wrong off the imaginary axis).  q and
+    q* lie in the unit disk; x, x* and x* q* that overflow are a
+    DomainError (_exp).
     """
 
     tau: complex
@@ -142,7 +144,7 @@ class ModularPoint:
 
     @cached_property
     def x(self) -> complex:
-        return cmath.exp(2j * math.pi * self.nu)
+        return _exp(2j * math.pi * self.nu)
 
     @cached_property
     def tau_star(self) -> complex:
@@ -158,7 +160,13 @@ class ModularPoint:
 
     @cached_property
     def x_star(self) -> complex:
-        return cmath.exp(2j * math.pi * self.nu_star)
+        return _exp(2j * math.pi * self.nu_star)
+
+    @cached_property
+    def x_star_q_star(self) -> complex:
+        """x* q* = e^{2 pi i (nu - 1)/tau} as one exponential: x* alone
+        overflows where the product is still representable."""
+        return _exp(2j * math.pi * (self.nu - 1.0) / self.tau)
 
     @cached_property
     def mirror(self) -> "ModularPoint":
@@ -330,11 +338,8 @@ def _gamma_quotient(num: complex, den: complex) -> complex:
 
 def eta(tau: complex) -> complex:
     """Dedekind eta(tau) = e^{pi i tau / 12} (q;q)_oo, Im tau > 0."""
-    tau = complex(tau)
-    if not tau.imag > 0.0:
-        raise DomainError(f"Im tau must be positive, got {tau}")
-    q = cmath.exp(2j * math.pi * tau)
-    return cmath.exp(1j * math.pi * tau / 12.0) * qpochhammer(q, q)
+    point = ModularPoint(tau)
+    return cmath.exp(point.log_q / 24) * qpochhammer(point.q, point.q)
 
 
 def theta_product(q: complex, x: complex) -> complex:
@@ -358,13 +363,10 @@ def theta_product(q: complex, x: complex) -> complex:
 
 def theta_product_tau(tau: complex, x: complex) -> complex:
     """Triple product with q = e^{2 pi i tau} and sqrt(q) := e^{pi i tau}."""
-    tau = complex(tau)
-    if not tau.imag > 0.0:
-        raise DomainError(f"Im tau must be positive, got {tau}")
+    point = ModularPoint(tau)
     if x == 0:
         raise DomainError("x must be nonzero")
-    q = cmath.exp(2j * math.pi * tau)
-    return _triple_product(q, cmath.exp(1j * math.pi * tau), x)
+    return _triple_product(point.q, cmath.exp(0.5 * point.log_q), x)
 
 
 def _triple_product(q: complex, sqrt_q: complex, x: complex) -> complex:

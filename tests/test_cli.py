@@ -11,14 +11,17 @@ import random
 import pytest
 
 from qmod.cli import (
+    CHECK,
     CHECK_TARGETS,
     EVAL,
     EVAL_TARGETS,
+    EXIT_CONVERGENCE,
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     SWEEP_TARGETS,
+    _INPUTS,
     load_defaults,
     main,
 )
@@ -399,6 +402,36 @@ def test_asym_table_reads_only_the_bernoulli_numbers_it_uses(capsys):
     assert code == 2
     assert out == ""
     assert "n must be an integer in [1, 60]" in err and "Traceback" not in err
+
+
+def _fuzz_draw(rng: random.Random, flag: str):
+    """A flag's value from a wide box: Im tau log-uniform in [1e-7, 100],
+    n in [1, 60], and every other part of either sign, its modulus
+    log-uniform in [1e-4, 10^2.5]."""
+    if flag == "tau_im":
+        return 10.0 ** rng.uniform(-7.0, 2.0)
+    if flag == "n_max":
+        return rng.randint(1, 60)
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 2.5)
+
+
+def test_no_input_ends_in_a_traceback(capsys):
+    # 8 seeded points per eval and check target: each call refuses (exit 2
+    # or 3) or exits 0, an eval with finite numbers; an exception that
+    # escapes main, such as an OverflowError, fails the test
+    rng = random.Random(1)
+    for command, table in (("eval", EVAL), ("check", CHECK)):
+        for target, (names, *_) in table.items():
+            for _ in range(8):
+                argv = [command, target] + [
+                    f"--{flag.replace('_', '-')}={_fuzz_draw(rng, flag)}"
+                    for name in names
+                    for flag in _INPUTS[name][2]
+                ]
+                code, out, _ = run(capsys, *argv)
+                assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONVERGENCE), argv
+                if command == "eval" and code == EXIT_OK:
+                    assert all(math.isfinite(float(v)) for v in out.split()), argv
 
 
 def test_out_io_error(capsys):

@@ -6,6 +6,7 @@ magnitude below those tolerances, so failures mean real regressions,
 not noise.
 """
 
+import cmath
 import math
 import random
 
@@ -72,6 +73,17 @@ def test_skipped_report_shape():
     assert r.skipped and not r.passed
     assert r.skip_reason == "inadmissible"
     assert math.isnan(r.abs_residual)
+
+
+def test_skipped_report_after_a_failed_cmath_call():
+    # CPython's abs of a NaN complex keeps the errno a failed cmath call
+    # left, and so raised OverflowError on a skipped report's NaN sides
+    with pytest.raises(OverflowError):
+        cmath.exp(1735 - 367j)
+    r = skipped_report("ramanujan47", {"tau": 1j}, None, "value overflows")
+    assert r.skipped and not r.passed
+    assert math.isnan(r.abs_residual) and math.isnan(r.rel_residual)
+    assert r.tolerance == TOLERANCES["ramanujan47"]
 
 
 # ---------------------------------------------------------------------------

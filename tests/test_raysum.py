@@ -947,14 +947,24 @@ def test_p_integrand_matches_the_two_kernels():
     # and BATCH_LEVELS + 1, which make up the step h = 1/64: weighted as the
     # trapezoid sum weighs them, the differences add up to at most
     # 1e-13 |I| (measured: 4.6e-14).  Single nodes may carry more where the
-    # weighted integrand is 66 |I| and both kernels round to 5e-15
+    # weighted integrand is 66 |I| and both kernels round to 5e-15.  Every
+    # ray's nodes straddle the series' radius; the rays of points 88 and 162
+    # of _domain_fuzz_points(200, seed=11), and three seeded ones, also
+    # cross the end of the sine ratio's direct side, past which it decays
     rng = np.random.default_rng(20261019)
+    points = [
+        ModularPoint(
+            complex(rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(-2.5, 0.5)),
+            complex(rng.uniform(-0.95, 0.95), rng.uniform(-1.0, 1.0)),
+        )
+        for _ in range(60)
+    ]
+    fuzz = _domain_fuzz_points(200, seed=11)
+    points += [fuzz[k] if fuzz[k].tau.real >= 0.0 else fuzz[k].mirror for k in (88, 162)]
     h = FIRST_STEP / 2 ** (BATCH_LEVELS + 1)
-    rays = 0
-    for _ in range(60):
-        tau = complex(rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(-2.5, 0.5))
-        nu = complex(rng.uniform(-0.95, 0.95), rng.uniform(-1.0, 1.0))
-        point = ModularPoint(tau, nu)
+    rays = past_direct_end = 0
+    for point in points:
+        tau, nu = point.tau, point.nu
 
         def reference(t):
             return sin_ratio(nu, t / tau) * fn_f(t) / t
@@ -974,11 +984,16 @@ def test_p_integrand_matches_the_two_kernels():
                 r0, one_plus_e_u = _ray_nodes(*key)
                 t = rho * r0
                 diff += h * np.abs(weighted(*key) - reference(t) * t * one_plus_e_u).sum()
-            radii = (SERIES_RADIUS, abs(tau) / (1.0 + abs(nu)))
-            assert abs(t[0]) < min(radii) and abs(t[-1]) > max(radii)
+            # the kernel's two splits, on r0 as _p_weighted takes them
+            assert r0[0] < SERIES_RADIUS * spec.decay < r0[-1]
+            direct_end = _EXP_LIMIT / -(rho / tau).imag
+            if direct_end < r0[-1]:
+                assert r0[0] < direct_end
+                past_direct_end += 1
             assert diff <= 1e-13 * abs(value), (tau, nu, half)
             rays += 1
     assert rays >= 60
+    assert past_direct_end >= 2
 
 
 @pytest.mark.parametrize("d", [0.0, 1e-13, -1e-13])
@@ -1018,6 +1033,10 @@ def test_A_n_domain():
         A_n(1, 7j)  # z^2 on the cut
     with pytest.raises(DomainError):
         A_n(A_N_MAX + 1, 1.0)
+    # (2n-2)!/d^{2n-1} overflows next to the pole 2 pi i, and z^{2n-1} far out
+    for z in (6.28j, 6.2831j, 1000.0):
+        with pytest.raises(DomainError):
+            A_n(A_N_MAX, z)
 
 
 def _a_n_ray(n, z):

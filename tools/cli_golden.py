@@ -49,6 +49,12 @@ ERRORS = [
     "eval P --tau-im 1e-315 --nu-im 3e-316", "eval P --tau-im 1e-290 --nu-im 3e-291",
     "sweep asym-table --alpha 1e-300 --n-max 1",
     "eval L1 --tau-im 1e-290 --nu-im 0.1", "check lambert67 --tau-im 1e-290 --nu-im 3e-291",
+    "eval L1 --tau-im 0.5 --nu-im -120", "check theta-modular --tau-im 0.005 --nu-re 0.9",
+    "check ramanujan47 --tau-re=-0.0013111049688174091 --tau-im=0.01913712254960586"
+    " --nu-re=-0.04414693914181593 --nu-im=-3.246979882040488",
+    "eval pochhammer-modular --tau-re=0.0002454191184890434 --tau-im=6.447661933091511e-07"
+    " --nu-re=-0.005777443348660566 --nu-im=-0.7564400693818488",
+    "eval An --n-max 60 --x-im 6.28",
 ]
 
 #: direct products long enough for numpy blocks (about 5e4 factors, and
