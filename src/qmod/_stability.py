@@ -34,11 +34,14 @@ _EXP_LIMIT = 700.0
 def cexpm1(w: complex) -> complex:
     """exp(w) - 1 without cancellation near w = 0.
 
-    Uses the identity exp(w) - 1 = 2 exp(w/2) sinh(w/2), accurate for
-    all complex w whose result is representable.
+    Uses the identity exp(w) - 1 = 2 exp(w/2) sinh(w/2), and exp(w) - 1
+    where sinh(w/2) overflows: -1 to the last bit at Re w below about -1420.
     """
     w = complex(w)
-    return 2.0 * cmath.exp(0.5 * w) * cmath.sinh(0.5 * w)
+    try:
+        return 2.0 * cmath.exp(0.5 * w) * cmath.sinh(0.5 * w)
+    except OverflowError:
+        return cmath.exp(w) - 1.0
 
 
 def piecewise(z, near, f_near, f_far):

@@ -28,8 +28,8 @@ every target.
     sweep asym-table                                     nu, n      --nu-*, --n-max
     sweep asym-table, q-to-one                           alphas     --alpha
 
-Exit codes: 0 pass, 2 domain error or failed check, 3 convergence
-failure, 64 usage error, 74 output I/O error.
+Exit codes: 0 pass, 2 domain error (a non-finite eval value among them)
+or failed check, 3 convergence failure, 64 usage error, 74 output I/O error.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .modularity import (
 from .qcore import (
     TERM_TOL,
     ModularPoint,
+    _finite,
     admitted_rounding,
     eta,
     euler_series,
@@ -389,7 +390,7 @@ def _build_parser() -> _Parser:
 def _cmd_eval(args, err) -> tuple[str, int]:
     names, evaluate, error_model = EVAL[args.target]
     _reject_unread(names, args, err)
-    value = complex(evaluate(_read_inputs(names, args, err)))
+    value = _finite(complex(evaluate(_read_inputs(names, args, err))))
     row = {"value": value, "error": error_model(value)}
     if args.format == "json":
         return _json({"target": args.target, **row}), EXIT_OK

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._stability import cexpm1, inv_expm1
+from ._stability import cexpm1, inv_expm1, sin_ratio
 from .errors import ConvergenceError, DomainError
 from .qcore import (
     ModularPoint,
@@ -166,7 +166,8 @@ def _wedge(point: ModularPoint) -> complex:
     of which jumps by this term, the exponent's pieces lie on different
     sheets.  It is added to the exponent, not multiplied in as -x*, since
     x* = e^{2 pi i nu/tau} alone may overflow where the value does not."""
-    if cmath.phase(point.tau) - math.pi < cmath.phase(point.nu) < -0.5 * math.pi:
+    tau, nu = point.tau, point.nu
+    if math.atan2(tau.imag, tau.real) - math.pi < math.atan2(nu.imag, nu.real) < -0.5 * math.pi:
         return 2j * math.pi * point.nu_star + 1j * math.pi
     return 0j
 
@@ -295,7 +296,7 @@ def theta_modular_residual(tau: complex, nu: complex) -> ResidualReport:
         cmath.exp(1j * math.pi * point.tau / 4.0)  # q^{1/8}
         * cmath.sqrt(1j / point.tau)
         * _exp(-1j * math.pi * point.nu)
-        * _exp(-(w**2) / (2.0 * point.log_q))
+        * _exp(-(w * w) / (2.0 * point.log_q))
         * theta_product_tau(point.tau_star, point.x_star)
     )
     return compare("theta-modular", {"tau": point.tau, "nu": point.nu}, lhs, rhs)
@@ -408,32 +409,33 @@ def _binet_spec(lam: complex) -> RaySpec:
 
 
 def binet74_residual(lam: complex) -> ResidualReport:
-    """Integral of sin(lam u)/(e^{2 pi u} - 1) over u > 0 vs closed form."""
+    """Integral of sin(lam u)/(e^{2 pi u} - 1) = sin_ratio(i lam/(2 pi),
+    -2 pi i u) over u > 0 vs closed form."""
     lam = complex(lam)
     if abs(lam.imag) >= TWO_PI:
         raise DomainError(f"|Im lam| = {abs(lam.imag)} >= 2 pi: integral diverges")
-
-    def integrand(u):
-        return np.sin(lam * u) * inv_expm1(TWO_PI * u)
-
-    lhs = integrate_ray(integrand, _binet_spec(lam)).value
+    nu = 1j * lam / TWO_PI
+    lhs = integrate_ray(lambda u: sin_ratio(nu, -TWO_PI * 1j * u), _binet_spec(lam)).value
     rhs = 0.25 + 0.5 * (inv_expm1(lam) - 1.0 / lam)
     return compare("binet74", {"lambda": lam}, lhs, rhs)
 
 
 def binet75_residual(lam: complex) -> ResidualReport:
-    """Integral of (1 - cos(lam u))/((e^{2 pi u} - 1) u) vs closed form."""
+    """Integral of (1 - cos(lam u))/((e^{2 pi u} - 1) u), even in lam, vs its
+    closed form, principal at whichever of +-lam has Re >= 0.  The integrand
+    is 2 sin_ratio(i lam/(2 pi), -i pi u)^2 tanh(pi u/2)/u: exact, and free
+    of cancellation as u -> 0."""
     lam = complex(lam)
     if abs(lam.imag) >= TWO_PI:
         raise DomainError(f"|Im lam| = {abs(lam.imag)} >= 2 pi: integral diverges")
+    nu = 1j * lam / TWO_PI
 
     def integrand(u):
-        # 1 - cos w = 2 sin^2(w/2): exact, and free of the cancellation
-        # that would otherwise drown the u -> 0 end in rounding noise
-        return 2.0 * np.sin(0.5 * lam * u) ** 2 * inv_expm1(TWO_PI * u) / u
+        return 2.0 * sin_ratio(nu, -math.pi * 1j * u) ** 2 * np.tanh(0.5 * math.pi * u) / u
 
     lhs = integrate_ray(integrand, _binet_spec(lam)).value
-    rhs = lam / 4.0 + 0.5 * cmath.log(-cexpm1(-lam) / lam)
+    even = lam if lam.real >= 0.0 else -lam
+    rhs = even / 4.0 + 0.5 * cmath.log(-cexpm1(-even) / even)
     return compare("binet75", {"lambda": lam}, lhs, rhs)
 
 

@@ -66,18 +66,19 @@ def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms
 
 
 def _exp(expo: complex) -> complex:
-    """e^expo, where an exponent past the double range is a domain error."""
+    """e^expo, where a value past the double range or a non-finite exponent
+    (on which cmath.exp returns nan quietly or raises) is a domain error."""
     try:
-        return cmath.exp(expo)
+        return cmath.exp(_finite(expo, "exponent"))
     except OverflowError:
         raise DomainError(f"value overflows: exponent {expo}") from None
 
 
-def _finite(value: complex) -> complex:
+def _finite(value: complex, name: str = "value") -> complex:
     """A value that must lie in the double range: an overflowed product or
     sum is a domain error, not inf or nan."""
     if not cmath.isfinite(value):
-        raise DomainError(f"value is not finite: {value}")
+        raise DomainError(f"{name} is not finite: {value}")
     return value
 
 
@@ -112,8 +113,8 @@ class ModularPoint:
     q = e^{2 pi i tau}, x = e^{2 pi i nu}, tau* = -1/tau, nu* = nu/tau;
     in particular log_q is 2 pi i tau itself, never a principal log of
     the computed q (which would be wrong off the imaginary axis).  q and
-    q* lie in the unit disk; x, x* and x* q* that overflow are a
-    DomainError (_exp).
+    q* lie in the unit disk; tau* and nu* that are not finite and x, x*
+    and x* q* that overflow (_exp) are a DomainError, for every consumer.
     """
 
     tau: complex
@@ -148,11 +149,11 @@ class ModularPoint:
 
     @cached_property
     def tau_star(self) -> complex:
-        return -1.0 / self.tau
+        return _finite(-1.0 / self.tau, "tau* = -1/tau")
 
     @cached_property
     def nu_star(self) -> complex:
-        return self.nu / self.tau
+        return _finite(self.nu / self.tau, "nu* = nu/tau")
 
     @cached_property
     def q_star(self) -> complex:
@@ -322,17 +323,11 @@ def q_gamma(z: complex, q: complex) -> complex:
 
 
 def _gamma_quotient(num: complex, den: complex) -> complex:
-    """num / den, the two infinite products of a q-Gamma value.
-
-    A product outside the normal double range has lost its digits (as
-    q -> 1 both underflow long before their quotient does), so that is
-    a domain error rather than a quietly wrong quotient.
-    """
-    for v in (num, den):
-        if not sys.float_info.min <= abs(v) <= sys.float_info.max:
-            raise DomainError(
-                f"q-Gamma product {v} is outside the normal double range"
-            )
+    """num / den, the two infinite products of a q-Gamma value: both have
+    refused a value outside the normal double range that no factor 0
+    explains (as q -> 1 both underflow long before their quotient does)."""
+    if den == 0:
+        raise DomainError(f"q-Gamma pole: its denominator product is 0 (numerator {num})")
     return num / den
 
 

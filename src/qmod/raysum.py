@@ -203,44 +203,48 @@ def _de_sum(weighted: Callable[[int, bool], np.ndarray], first: int = BATCH_LEVE
     keep theirs per level behind functools.cache.
     Accepts the first sum within tol = RAY_REL_TOL |I| + ABS_FLOOR of the
     one before, reporting that distance as its error, provided the end
-    nodes are below tol too.  The error of a DE sum roughly squares when
-    the step halves, so a small distance right after one above
-    tol / sqrt(RAY_REL_TOL) is a coincidence, not convergence, and is not
-    accepted.
+    nodes are below tol too: a DE sum's error roughly squares as the step
+    halves, so a small distance right after one above tol / sqrt(RAY_REL_TOL)
+    is a coincidence, not convergence.  A non-finite sum, or a node or sum
+    whose modulus passes the double range, is a ConvergenceError.
     """
     half = round(DE_SPAN / FIRST_STEP)
     bulk = weighted(first, True)
     order, starts = _level_order(first)
     level_sums = np.add.reduceat(bulk.take(order), starts).tolist()
-    ends = max(abs(bulk[0].item()), abs(bulk[-1].item()))
     h = FIRST_STEP
     total = h * complex(level_sums[0])
     change = math.inf
     level = 0
-    while True:
-        level += 1
-        h *= 0.5
-        half *= 2
-        if 2 * half + 1 > MAX_NODES:  # nodes in the sum after this level
-            raise ConvergenceError(
-                f"DE quadrature has not converged within {MAX_NODES} nodes"
-            )
-        if level <= first:
-            new_sum = level_sums[level]
-        else:
-            new_sum = np.add.reduceat(weighted(level, False), [0]).item()
-        prev, total = total, 0.5 * total + h * new_sum
-        if not cmath.isfinite(total):
-            raise ConvergenceError("non-finite integrand value")
-        tol = RAY_REL_TOL * abs(total) + ABS_FLOOR
-        prev_change, change = change, abs(total - prev)
-        if change <= tol and prev_change <= tol / math.sqrt(RAY_REL_TOL):
-            if ends > tol:
+    try:
+        ends = max(abs(bulk[0].item()), abs(bulk[-1].item()))
+        while True:
+            level += 1
+            h *= 0.5
+            half *= 2
+            if 2 * half + 1 > MAX_NODES:  # nodes in the sum after this level
                 raise ConvergenceError(
-                    f"integrand has not decayed at the ends of the range: "
-                    f"{ends:.3e} > {tol:.3e}"
+                    f"DE quadrature has not converged within {MAX_NODES} nodes"
                 )
-            return RayResult(total, change)
+            if level <= first:
+                new_sum = level_sums[level]
+            else:
+                new_sum = np.add.reduceat(weighted(level, False), [0]).item()
+            prev, total = total, 0.5 * total + h * new_sum
+            if not cmath.isfinite(total):
+                break
+            tol = RAY_REL_TOL * abs(total) + ABS_FLOOR
+            prev_change, change = change, abs(total - prev)
+            if change <= tol and prev_change <= tol / math.sqrt(RAY_REL_TOL):
+                if ends > tol:
+                    raise ConvergenceError(
+                        f"integrand has not decayed at the ends of the range: "
+                        f"{ends:.3e} > {tol:.3e}"
+                    )
+                return RayResult(total, change)
+    except OverflowError:  # complex abs, where a modulus passes the double range
+        pass
+    raise ConvergenceError("non-finite integrand value")
 
 
 @functools.cache
@@ -328,7 +332,7 @@ def _admissible_arc(point: ModularPoint) -> tuple[float, float]:
     edges = ((1.0 - point.nu) * 1j / point.tau, (1.0 + point.nu) * 1j / point.tau)
     for e in edges:
         # the centre -arg e of e's half-circle, turned to within pi of mid
-        centre = mid + math.remainder(-cmath.phase(e) - mid, TWO_PI)
+        centre = mid + math.remainder(-math.atan2(e.imag, e.real) - mid, TWO_PI)
         lo, hi = max(lo, centre - 0.5 * math.pi), min(hi, centre + 0.5 * math.pi)
     # at nu = +-1 an edge vanishes and no angle converges
     if not (hi - lo >= RAY_MIN_ARC and all(edges)):
@@ -433,8 +437,8 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
     2 pi k: a ray along the real axis, which choose_ray never takes, does
     not converge.  Where the smallest node t underflows to 0
     (|tau| below about 1e-282, as rho is of the order of |tau|), the ray
-    cannot be sampled in doubles and w = 0 would make the sine ratio 0/0:
-    that is a ConvergenceError, raised before any node is computed.
+    cannot be sampled in doubles and w = 0 would make the sine ratio 0/0, and
+    past |rho| ~ 1.7e16 the series scalar rho^19 overflows: both refused first.
     """
     tau, nu = point.tau, point.nu
     rho = cmath.exp(1j * spec.direction_d) / spec.decay
@@ -442,8 +446,11 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
         raise ConvergenceError(
             f"P's ray underflows: its first node is 0 at tau = {tau}, nu = {nu}"
         )
+    scalars = _series_scalars(rho)
+    if not cmath.isfinite(scalars[-1]):
+        raise ConvergenceError(f"P's ray overflows: rho^19 = {scalars[-1]} at tau = {tau}")
     # the series' scalars as the two real columns of one (10, 2) matrix
-    scalars = np.array(_series_scalars(rho)).view(float).reshape(-1, 2)
+    scalars = np.array(scalars).view(float).reshape(-1, 2)
     i_s = -1j if rho.imag < 0.0 else 1j
     series_end = SERIES_RADIUS * spec.decay
     # -Im(rho/tau) = Re(i e^{id}/tau)/decay >= 1, as the decay is that
@@ -520,13 +527,13 @@ def dP_dtau(point: ModularPoint) -> complex:
         return 0.0 + 0.0j
     tau = point.tau
     nu = point.nu
-    inv_tau_sq = 1.0 / (tau * tau)
+    tau_star_sq = _finite(point.tau_star * point.tau_star, "1/tau^2")
 
     def integrand(t):
         w = t / tau
         u = inv_expm1(1j * w)
         return (
-            inv_tau_sq
+            tau_star_sq
             * (-nu * cos_ratio(nu, w) + 1j * sin_ratio(nu, w) * (1.0 + u))
             * fn_f(t)
         )
@@ -542,7 +549,7 @@ def stokes_sum(point: ModularPoint) -> complex:
     """
     tau = point.tau
     nu = point.nu
-    decay = -(1.0 / tau).imag - abs((nu / tau).imag)
+    decay = point.tau_star.imag - abs(point.nu_star.imag)
     if not decay > 0.0:
         raise DomainError(
             f"Stokes sum diverges: |Im(nu/tau)| >= -Im(1/tau) at tau = {tau}"
@@ -550,7 +557,7 @@ def stokes_sum(point: ModularPoint) -> complex:
     # term n is at most r^n / (1 - |q*|) with r = e^{-2 pi decay}.  One term
     # more than the tail bound asks for leaves a tail below r^2 TERM_TOL,
     # while the sum is of order r: a sum far below TERM_TOL keeps its digits
-    amplitude = -1.0 / math.expm1(TWO_PI * (1.0 / tau).imag)
+    amplitude = -1.0 / math.expm1(-TWO_PI * point.tau_star.imag)
     n_terms = _tail_length(amplitude, math.exp(-TWO_PI * decay), "Stokes sum") + 1
     n = range(1, n_terms + 1)
     terms = sin_ratio(nu, np.array([TWO_PI * k / tau for k in n]))
@@ -669,14 +676,11 @@ def A_n(n: int, z: complex) -> complex:
     and 92 us against 11, 12 and 29 us here (CPython 3.11, one core of a
     shared 2-core machine): most of the series' gain over the ray integral.
     A value (next to a pole) or a z^{2n-1} past the double range is a
-    domain error.
+    domain error (_a_values).
     """
     _require_n(n)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(_a_values((n,), z)[0])
-    except OverflowError:
-        raise DomainError(f"A_n overflows: z^{2 * n - 1} at z = {z}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _a_values((n,), z)[0]
 
 
 def _require_n(n: int) -> None:
@@ -685,9 +689,9 @@ def _require_n(n: int) -> None:
 
 
 def _a_values(ns, z: complex) -> list[complex]:
-    """A_n(z) for each n of ns (in [1, A_N_MAX]), sharing the work that
-    depends on z alone: the pole distance, c = coth(z/2) and the partial
-    fractions' 1/(z - 2 pi i k)."""
+    """A_n(z) for each n of ns (in [1, A_N_MAX]), sharing the pole distance,
+    c = coth(z/2) and the partial fractions' 1/(z - 2 pi i k); a value or a
+    z^{2n-1} past the double range is a domain error, for A_n and P alike."""
     z = complex(z)
     if z.real == 0.0 and abs(z.imag) >= TWO_PI:
         raise DomainError(f"z^2 = {z * z} lies on the cut (-oo, -4 pi^2]")
@@ -717,7 +721,7 @@ def _a_values(ns, z: complex) -> list[complex]:
             if pairs <= A_PF_PAIRS:
                 if inv_gaps is None or len(inv_gaps) < 2 * pairs:
                     inv_gaps = 1.0 / (z - _poles(pairs))
-                out.append(sign * math.factorial(s - 1) * complex((inv_gaps**s).sum()))
+                out.append(_finite(sign * math.factorial(s - 1) * complex((inv_gaps**s).sum())))
                 continue
         if r < math.pi and log_loss > LOG_A_LOSS_MAX:
             out.append(sign * _a_taylor(n, z))
@@ -732,12 +736,16 @@ def _a_values(ns, z: complex) -> list[complex]:
         p = 0j
         for a in reversed(_coth_derivative(s - 1, centre)):
             p = p * x + a
-        out.append(sign * (2.0 * p - math.factorial(s - 1) / z**s))
+        try:
+            out.append(_finite(sign * (2.0 * p - math.factorial(s - 1) / z**s)))
+        except OverflowError:  # complex ** int, where z^s passes the double range
+            raise DomainError(f"A_n overflows: z^{s} at z = {z}") from None
     return out
 
 
 def K_N(N: int, nu: complex) -> float:
-    """K_N(nu) = int_0^oo |sinh(nu t)| t^{2N} / (e^t - 1) dt, |Re nu| < 1."""
+    """K_N(nu) = int_0^oo |sinh(nu t)| t^{2N} / (e^t - 1) dt, |Re nu| < 1; its
+    pieces at imaginary nu, a first DE call each, share one MAX_NODES."""
     if N < 0:
         raise DomainError("N must be >= 0")
     nu = complex(nu)
@@ -769,6 +777,8 @@ def K_N(N: int, nu: complex) -> float:
         # quadrature converges: integrate between them
         step = math.pi / abs(nu.imag)
         end = _DE_END * stretch  # a = 1
+        if math.ceil(end / step) * _u_nodes(BATCH_LEVELS, True).size > MAX_NODES:
+            raise ConvergenceError(f"K_{N}({nu}): {end / step:.4g} pieces pass {MAX_NODES} nodes")
         knots = [k * step for k in range(math.ceil(end / step))] + [end]
         scaled = math.fsum(
             _integrate_interval(integrand, lo, hi).real for lo, hi in zip(knots, knots[1:])
@@ -870,7 +880,7 @@ def _p_series(point: ModularPoint) -> complex | None:
     abs_tau = abs(tau)
     # tried only for |tau| < 1 - a, far past where the bound can certify P
     # (|tau| up to about 0.13 (1 - a)); there no power below overflows
-    if not (abs_tau < 1.0 - a and tau.real >= 0.0 and cmath.phase(tau) > SERIES_EPS):
+    if not (abs_tau < 1.0 - a and tau.real >= 0.0 and math.atan2(tau.imag, tau.real) > SERIES_EPS):
         return None
     consts = _series_constants(N_MAX)
     abs_nu, inv = abs(nu), 1.0 / (1.0 - a)
@@ -941,7 +951,7 @@ def theta_series_table(
     rows: list[AsymptoticRow] = []
     for tau in tau_list:
         tau = complex(tau)
-        arg = cmath.phase(tau)
+        arg = math.atan2(tau.imag, tau.real)
         if not SERIES_EPS < arg < math.pi - SERIES_EPS:
             raise DomainError(
                 f"arg tau = {arg:.4f} outside the sector "
@@ -949,8 +959,11 @@ def theta_series_table(
             )
         point = ModularPoint(tau, nu)
         minus_p = -_de_sum(_p_weighted(point, choose_ray(point))).value
-        for N, partial in enumerate(_partial_sums(a_vals, point.log_q, consts)):
-            bound = consts[N][1] * k_vals[N] * abs(tau) ** (2 * N + 1)
+        for N, partial in enumerate(map(_finite, _partial_sums(a_vals, point.log_q, consts))):
+            try:
+                bound = _finite(consts[N][1] * k_vals[N] * abs(tau) ** (2 * N + 1), "bound")
+            except OverflowError:  # float ** int, where |tau|^{2N+1} passes the range
+                raise DomainError(f"the bound's |tau|^{2 * N + 1} overflows at {tau}") from None
             bound += 4.0 * math.ulp(abs(minus_p))
             rows.append(AsymptoticRow(tau, N, partial, minus_p, abs(minus_p - partial), bound))
     return rows
@@ -1034,4 +1047,5 @@ def pv_M_direct(alpha: float, xi: float) -> float:
     """
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
-    return _pv_cosine_sum(alpha, xi) + _pv_sine_part(alpha, xi)
+    with np.errstate(all="ignore"):  # a non-finite value is refused instead
+        return _finite(_pv_cosine_sum(alpha, xi) + _pv_sine_part(alpha, xi))

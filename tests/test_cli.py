@@ -7,6 +7,7 @@ capture output through capsys.
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ from qmod.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    SWEEP,
     SWEEP_TARGETS,
     _INPUTS,
     load_defaults,
@@ -144,11 +146,14 @@ def test_eval_domain_error_exit(capsys):
 
 @pytest.mark.parametrize("target", ["P", "pochhammer-modular"])
 def test_eval_subnormal_tau_is_domain_error(capsys, target):
-    # 1/tau overflows, so the ray's decay rate is inf: once a ZeroDivisionError
+    # 1/tau overflows: P's ray has decay rate inf (once a ZeroDivisionError),
+    # and the modular route's point refuses the exponent of x* q*,
+    # 2 pi i (nu - 1)/tau, before P's ray is formed
     code, out, err = run(capsys, "eval", target, "--tau-im", "1e-315", "--nu-im", "3e-316")
     assert code == EXIT_DOMAIN
     assert out == ""
-    assert "decay must be finite" in err
+    message = {"P": "decay must be finite", "pochhammer-modular": "exponent is not finite"}
+    assert message[target] in err
 
 
 def test_eval_modular_overflow_exit(capsys):
@@ -405,33 +410,47 @@ def test_asym_table_reads_only_the_bernoulli_numbers_it_uses(capsys):
 
 
 def _fuzz_draw(rng: random.Random, flag: str):
-    """A flag's value from a wide box: Im tau log-uniform in [1e-7, 100],
-    n in [1, 60], and every other part of either sign, its modulus
-    log-uniform in [1e-4, 10^2.5]."""
-    if flag == "tau_im":
-        return 10.0 ** rng.uniform(-7.0, 2.0)
+    """A flag's value: n in [1, 60], and every other part of either sign
+    (Im tau and the sweeps' alphas positive), its modulus log-uniform in a
+    box, [1e-7, 100] for Im tau and [1e-4, 10^2.5] for the rest, or on half
+    the draws over the double range, [1e-300, 1e300]."""
     if flag == "n_max":
         return rng.randint(1, 60)
-    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 2.5)
+    lo, hi = (-7.0, 2.0) if flag == "tau_im" else (-4.0, 2.5)
+    if rng.random() < 0.5:
+        lo, hi = -300.0, 300.0
+    size = 10.0 ** rng.uniform(lo, hi)
+    return size if flag in ("tau_im", "alpha") else rng.choice((-1.0, 1.0)) * size
+
+
+def _fuzz_argv(rng: random.Random, command: str, target: str, names) -> list[str]:
+    return [command, target] + [
+        f"--{flag.replace('_', '-')}={_fuzz_draw(rng, flag)}"
+        for name in names
+        for flag in _INPUTS[name][2]
+    ]
 
 
 def test_no_input_ends_in_a_traceback(capsys):
-    # 8 seeded points per eval and check target: each call refuses (exit 2
-    # or 3) or exits 0, an eval with finite numbers; an exception that
-    # escapes main, such as an OverflowError, fails the test
-    rng = random.Random(1)
-    for command, table in (("eval", EVAL), ("check", CHECK)):
-        for target, (names, *_) in table.items():
-            for _ in range(8):
-                argv = [command, target] + [
-                    f"--{flag.replace('_', '-')}={_fuzz_draw(rng, flag)}"
-                    for name in names
-                    for flag in _INPUTS[name][2]
-                ]
-                code, out, _ = run(capsys, *argv)
-                assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONVERGENCE), argv
-                if command == "eval" and code == EXIT_OK:
-                    assert all(math.isfinite(float(v)) for v in out.split()), argv
+    # 8 points per eval, check and sweep target on each of seeds 1-5: each
+    # call refuses (exit 2 or 3) or exits 0, an eval or a sweep with finite
+    # numbers, within 1 s; an exception that escapes main, such as an
+    # OverflowError or a numpy warning (an error under the test suite's
+    # filterwarnings), fails
+    for seed in range(1, 6):
+        rng = random.Random(seed)
+        for command, table in (("eval", EVAL), ("check", CHECK), ("sweep", SWEEP)):
+            for target, (names, *_) in table.items():
+                for _ in range(8):
+                    argv = _fuzz_argv(rng, command, target, names)
+                    start = time.perf_counter()
+                    code, out, _ = run(capsys, *argv)
+                    assert time.perf_counter() - start < 1.0, argv
+                    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONVERGENCE), argv
+                    if command != "check" and code == EXIT_OK:
+                        body = out if command == "eval" else out.split("\n", 1)[1]
+                        cells = body.replace(",", " ").split()
+                        assert all(math.isfinite(float(v)) for v in cells), argv
 
 
 def test_out_io_error(capsys):

@@ -7,23 +7,34 @@ not noise.
 """
 
 import cmath
+import inspect
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import qmod
 from qmod.errors import ConvergenceError, DomainError
 from qmod.qcore import ModularPoint, qpochhammer, qpochhammer_with_count
 from qmod.raysum import (
+    A_N_MAX,
+    K_N,
     N_MAX,
+    A_n,
     P_minus,
     _de_sum,
     _p_series,
     _p_weighted,
     choose_ray,
+    dP_dnu,
+    dP_dtau,
+    pv_M_direct,
+    stokes_sum,
     theta_series_table,
 )
+from qmod.specialfns import binet, dilog
 from qmod.modularity import (
     TOLERANCES,
     binet74_residual,
@@ -398,10 +409,36 @@ def test_lambert_domain():
 # Binet integrals, M decomposition
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 1 + 1j])
+# the last: sin(lam u) alone overflows before the integrand decays
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 1 + 1j, -3.2494634273541285 + 5.748565251512438j])
 def test_binet_integrals(lam):
     assert binet74_residual(lam).passed
     assert binet75_residual(lam).passed
+
+
+def test_binet75_far_left():
+    # the closed form's cexpm1(-lam) at Re(-lam) < -1420, where sinh(-lam/2)
+    # overflows and e^{-lam} - 1 is -1
+    assert binet75_residual(-15378.359443602436 - 5.4e-244j).passed
+
+
+@pytest.mark.parametrize("lam", [-4 + 5j, -0.5 + 6.2j, -1 - 1j])
+def test_binet75_at_negative_real_part_against_mpmath(lam):
+    # the integral is even in lam; the closed form's principal branch holds
+    # for Re lam >= 0 and was off by pi i at the reflected lam.  The oracle
+    # expands 1/(e^{2 pi u} - 1) = sum_k e^{-2 pi k u}, each term integrating
+    # to log(1 + (lam/(2 pi k))^2)/2 on its principal branch for |Im lam| <
+    # 2 pi: quad converges slowly where |Im lam| is near 2 pi
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ml = mpmath.mpc(lam)
+        want = complex(mpmath.nsum(
+            lambda k: mpmath.log(1 + (ml / (2 * mpmath.pi * k)) ** 2), [1, mpmath.inf]
+        ) / 2)
+    r = binet75_residual(lam)
+    assert r.passed
+    assert abs(r.rhs - want) < 1e-13 * max(abs(want), 1.0)
+    assert abs(r.lhs - want) < 1e-10 * max(abs(want), 1.0)
 
 
 def test_binet_divergence_guard():
@@ -602,3 +639,65 @@ def test_tolerance_registry_covers_cli_targets():
         "M-pv",
     ):
         assert key in TOLERANCES
+
+
+# ---------------------------------------------------------------------------
+# every evaluator over the double range
+
+
+def _part(rng: random.Random) -> float:
+    """A real of either sign, its modulus log-uniform in [1e-300, 1e300]."""
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+
+
+def _wide(rng: random.Random) -> complex:
+    return complex(_part(rng), _part(rng))
+
+
+def _upper(rng: random.Random) -> complex:
+    return complex(_part(rng), abs(_part(rng)))
+
+
+def _wide_point(rng: random.Random) -> ModularPoint:
+    return ModularPoint(_upper(rng), _wide(rng))
+
+
+#: every function of qmod.__all__ and the evaluators the CLI reaches past
+#: it -> its call on one seeded draw
+_DIRECT = {
+    "qpochhammer": lambda r: qmod.qpochhammer(_wide(r), _wide(r)),
+    "euler_series": lambda r: qmod.euler_series(_wide(r), _wide(r)),
+    "q_gamma": lambda r: qmod.q_gamma(_wide(r), _wide(r)),
+    "eta": lambda r: qmod.eta(_upper(r)),
+    "big_G": lambda r: qmod.big_G(_wide_point(r)),
+    "P_minus": lambda r: qmod.P_minus(_wide_point(r)),
+    "P_plus": lambda r: qmod.P_plus(_wide_point(r)),
+    "choose_ray": lambda r: complex(*astuple(qmod.choose_ray(_wide_point(r)))),
+    "dP_dnu": lambda r: dP_dnu(_wide_point(r)),
+    "dP_dtau": lambda r: dP_dtau(_wide_point(r)),
+    "stokes_sum": lambda r: stokes_sum(_wide_point(r)),
+    "K_N": lambda r: K_N(r.randint(0, 60), _wide(r)),
+    "A_n": lambda r: A_n(r.randint(1, A_N_MAX), _wide(r)),
+    "binet": lambda r: binet(_wide(r)),
+    "binet'": lambda r: binet(_wide(r), True),
+    "dilog": lambda r: dilog(_wide(r)),
+    "q_gamma_modular": lambda r: q_gamma_modular(_wide(r), _upper(r)),
+    # about 0.6 s a call where xi is huge: few draws
+    "pv_M_direct": lambda r: pv_M_direct(abs(_part(r)), _part(r)),
+}
+
+
+def test_no_direct_call_ends_in_an_exception_or_a_non_finite_value():
+    # each call returns a finite value or refuses with DomainError or
+    # ConvergenceError; a numpy warning is an error under the test suite's
+    # filterwarnings, so it fails the test too
+    public = {name for name in qmod.__all__ if inspect.isfunction(getattr(qmod, name))}
+    assert public <= set(_DIRECT)
+    for name, call in _DIRECT.items():
+        rng = random.Random(name)
+        for _ in range(3 if name == "pv_M_direct" else 40):
+            try:
+                value = call(rng)
+            except (DomainError, ConvergenceError):
+                continue
+            assert cmath.isfinite(complex(value)), name

@@ -663,6 +663,30 @@ def test_P_ray_refuses_where_its_first_node_underflows():
         theta_series_table(0.3, [1e-300j], n_max=1)
 
 
+def test_quantities_past_the_double_range_refuse_before_any_work():
+    # each once ended otherwise: complex abs raised OverflowError on P's end
+    # node at tau = 1e20 i (its series scalar rho^19 overflows), float ** int
+    # on the table's |tau|^{2N+1}, the table's partial sums turned nan where
+    # (log q)^{2N-1} overflows first and its bound inf where its product
+    # does, dP_dtau's 1/(tau tau) divided by 0, and
+    # K_N at imaginary nu integrated one piece per zero of sin(t Im nu), for
+    # minutes at Im nu = 1e5
+    with pytest.raises(ConvergenceError, match="rho\\^19"):
+        P_minus(ModularPoint(1e20j, 0.1j))
+    with pytest.raises(DomainError, match="overflows"):
+        theta_series_table(0.3, [1e15j], n_max=12)
+    with pytest.raises(DomainError, match="value is not finite"):
+        theta_series_table(0.3, [1e4j], n_max=36)
+    with pytest.raises(DomainError, match="bound is not finite"):
+        theta_series_table(0.3, [1e2j], n_max=60)
+    with pytest.raises(DomainError, match="not finite"):
+        dP_dtau(ModularPoint(-9.18e-250 + 8.99e-227j, 1.02e162 - 1.38e73j))
+    assert K_N(0, 31j) == pytest.approx(3.2990777635612836, rel=1e-12)
+    for nu in (40j, 1e5j, 1e300j):
+        with pytest.raises(ConvergenceError, match="pieces"):
+            K_N(0, nu)
+
+
 @pytest.mark.parametrize("tau, nu", [(1.895e-6j, 3.280e-7j), (2.867e-6j, 4.691e-7j)])
 def test_P_plus_takes_the_series_through_the_mirror(tau, nu):
     # x -> 1 points where the Stokes sum is below 1e-300: P_plus is P_minus

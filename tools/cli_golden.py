@@ -55,6 +55,29 @@ ERRORS = [
     "eval pochhammer-modular --tau-re=0.0002454191184890434 --tau-im=6.447661933091511e-07"
     " --nu-re=-0.005777443348660566 --nu-im=-0.7564400693818488",
     "eval An --n-max 60 --x-im 6.28",
+    # quantities past the double range: each refuses or passes, with no
+    # traceback, hang or nan
+    "eval G --tau-re=4.440559984842563e-272 --tau-im=1.5140664543916619e-236"
+    " --nu-re=1.1355594229473587e+148 --nu-im=4.814114107658108e-98",
+    "eval pochhammer-modular --tau-re=-5.489707017118916e-199"
+    " --tau-im=3.2114591157830926e-206 --nu-im=-4.8915067140699364e+169",
+    "check ramanujan47 --tau-re=8.73516764077239e-236 --tau-im=1.1790405006331972e-173"
+    " --nu-re=6.6950069552429455e+75 --nu-im=-3.2426465330014203e+242",
+    "check reflection34 --tau-re=2.8206271859099446e-180 --tau-im=2.1319461509394657e-300"
+    " --nu-re=-6.516576474802377e+200 --nu-im=1.1498828467496991e-190",
+    "check lambert68 --tau-re=-7.0767977082364526e-273 --tau-im=1.4983126626308668e-187"
+    " --nu-re=4.1288413317930624e-162 --nu-im=2.68392110286965e+121",
+    "eval P --tau-im 0.002 --nu-im 1e65",
+    "eval M --tau-im=0.002181492215746612 --nu-re=1.4105281780783983e+72",
+    "eval P --tau-im 1e20 --nu-im 0.1", "check stokes28 --tau-im 1e20 --nu-im 0.1",
+    "check theta-modular --tau-im 1e200 --nu-im 0.1", "sweep asym-table --nu-im 1e5",
+    "sweep asym-table --alpha 1e4 --n-max 36 --nu-re 0.3",
+    "sweep asym-table --nu-re=3.3121127779992647e-261 --nu-im=1.1970481185785799e-51"
+    " --n-max=34 --alpha=3.364665397899453e+174",
+    "check binet75 --x-re=-15378.359443602436 --x-im=-5.361666034682061e-244",
+    "check binet74 --x-re=-3.2494634273541285 --x-im=5.748565251512438",
+    "check binet75 --x-re=-3.2494634273541285 --x-im=5.748565251512438",
+    "check binet75 --x-re=-4 --x-im=5",
 ]
 
 #: direct products long enough for numpy blocks (about 5e4 factors, and
