@@ -42,7 +42,7 @@ import random
 import sys
 from importlib import resources
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _finite
 from .modularity import (
     ResidualReport,
     binet74_residual,
@@ -64,7 +64,6 @@ from .modularity import (
 from .qcore import (
     TERM_TOL,
     ModularPoint,
-    _finite,
     admitted_rounding,
     eta,
     euler_series,
@@ -448,11 +447,21 @@ def _cmd_sweep(args, err) -> tuple[str, int]:
     return _render(build(inputs, cfg), args.format), EXIT_OK
 
 
+def _refuse_non_finite(args) -> None:
+    """inf and nan lie outside every target's domain: a flag that reads one
+    is a domain error before any work, named in the message."""
+    for name, value in vars(args).items():
+        for v in value if isinstance(value, list) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise DomainError(f"--{name.replace('_', '-')} must be finite, got {v}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = {"eval": _cmd_eval, "check": _cmd_check, "sweep": _cmd_sweep}[args.command]
     try:
+        _refuse_non_finite(args)
         text, code = command(args, parser.error)
     except DomainError as exc:
         print(f"qmod: domain error: {exc}", file=sys.stderr)

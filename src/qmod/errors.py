@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that turns
+a value past the double range into a DomainError."""
+
+import cmath
 
 
 class DomainError(ValueError):
@@ -15,3 +18,11 @@ class ConvergenceError(ArithmeticError):
     within its budget (max terms; for the DE quadrature MAX_NODES nodes,
     an integrand not decayed at the ends of its range, or a non-finite
     value)."""
+
+
+def _finite(value: complex, name: str = "value") -> complex:
+    """A value that must lie in the double range: an input, or an overflowed
+    product or sum, that is inf or nan is a domain error."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} is not finite: {value}")
+    return value

@@ -25,12 +25,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._stability import cexpm1, inv_expm1, sin_ratio
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _finite
 from .qcore import (
     ModularPoint,
     _below_normal,
     _exp,
-    _finite,
     _gamma_quotient,
     euler_series,
     lambert_L1,

@@ -12,6 +12,17 @@ at q = e^{-2 pi alpha}, runs in numpy blocks rather than a Python loop.
 The blocks repeat the loop's floating-point operations exactly, each power
 the previous one times q and each factor multiplied into the running
 value in order, so the result is bit for bit the loop's.
+
+Where x and q are both real, as in the paper's real case tau = i alpha,
+nu = i xi alpha (q = e^{-2 pi alpha}, x = q^xi), the product runs in
+float64 instead of complex128, loop and blocks alike.  A complex multiply
+whose imaginary parts are 0 rounds its real part as the float multiply
+does, so the real part is still the loop's bit for bit (an exact 0 up to
+its sign) and the imaginary part is +0.0, where the loop can leave -0.0.
+_product at x = 0.3, best of 31 calls (CPython 3.11.7, numpy 2.4.6, a
+shared 2-core machine), complex -> real: 8.1 -> 6.9 us at 81 factors,
+15.8 -> 11.4 at 800, 28.8 -> 17.3 at 2,048, 93.9 -> 50.3 at 8,192 and
+333 -> 171 at 30,000.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _finite
 from .specialfns import POLE_GUARD
 
 
@@ -48,8 +59,11 @@ def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms
     """Terms of a series whose n-th term is at most amplitude * ratio^n.
 
     The smallest N with amplitude ratio^N / (1 - ratio) < TERM_TOL, which
-    bounds the terms from N on; ConvergenceError when N > MAX_TERMS or no N exists.
+    bounds the terms from N on; ConvergenceError when N > MAX_TERMS or no N
+    exists, and DomainError for an amplitude or ratio that is inf or nan.
     """
+    if not (math.isfinite(amplitude) and math.isfinite(ratio)):
+        raise DomainError(f"{series}: amplitude {amplitude} and ratio {ratio} must be finite")
     need = TERM_TOL * (1.0 - ratio) / amplitude if amplitude else 1.0
     if need >= 1.0:
         return 0
@@ -72,14 +86,6 @@ def _exp(expo: complex) -> complex:
         return cmath.exp(_finite(expo, "exponent"))
     except OverflowError:
         raise DomainError(f"value overflows: exponent {expo}") from None
-
-
-def _finite(value: complex, name: str = "value") -> complex:
-    """A value that must lie in the double range: an overflowed product or
-    sum is a domain error, not inf or nan."""
-    if not cmath.isfinite(value):
-        raise DomainError(f"{name} is not finite: {value}")
-    return value
 
 
 def _below_normal(value: complex) -> bool:
@@ -113,8 +119,9 @@ class ModularPoint:
     q = e^{2 pi i tau}, x = e^{2 pi i nu}, tau* = -1/tau, nu* = nu/tau;
     in particular log_q is 2 pi i tau itself, never a principal log of
     the computed q (which would be wrong off the imaginary axis).  q and
-    q* lie in the unit disk; tau* and nu* that are not finite and x, x*
-    and x* q* that overflow (_exp) are a DomainError, for every consumer.
+    q* lie in the unit disk; tau, nu, tau* and nu* that are not finite and
+    x, x* and x* q* that overflow (_exp) are a DomainError, for every
+    consumer.
     """
 
     tau: complex
@@ -122,10 +129,13 @@ class ModularPoint:
 
     def __post_init__(self):
         tau = complex(self.tau)
+        nu = complex(self.nu)
+        if not (cmath.isfinite(tau) and cmath.isfinite(nu)):
+            raise DomainError(f"tau and nu must be finite, got {tau} and {nu}")
         if not tau.imag > 0.0:
             raise DomainError(f"Im tau must be positive, got {tau}")
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "nu", complex(self.nu))
+        object.__setattr__(self, "nu", nu)
 
     @classmethod
     def real_case(cls, alpha: float, xi: float) -> "ModularPoint":
@@ -194,7 +204,10 @@ class ModularPoint:
 def _power_blocks(x: complex, q: complex, n_factors: int):
     """Yield the powers x q^k, k < n_factors, in numpy blocks of at most
     _BLOCK_FACTORS, each the previous power times q as the loop forms it
-    (a running product over [x q^k, q, q, ...])."""
+    (a running product over [x q^k, q, q, ...]).  The blocks take their
+    dtype from q: float64 for a real (x, q), each power the complex loop's
+    real part bit for bit, complex128 otherwise (times by length in the
+    module docstring)."""
     steps = np.full(min(n_factors, _BLOCK_FACTORS), q)
     xq = x
     for start in range(0, n_factors, _BLOCK_FACTORS):
@@ -202,11 +215,14 @@ def _power_blocks(x: complex, q: complex, n_factors: int):
         steps[0] = xq
         powers = np.multiply.accumulate(steps[:m])
         yield powers
-        xq = complex(powers[-1]) * q
+        xq = powers[-1] * q
 
 
 def _product(x: complex, q: complex, n_factors: int) -> complex:
-    """prod_{k < n_factors} (1 - x q^k), multiplied in order from k = 0.
+    """prod_{k < n_factors} (1 - x q^k), multiplied in order from k = 0, in
+    the type of x and q: float64 for a real (x, q), whose value is the
+    complex loop's real part, complex128 otherwise (times by length in the
+    module docstring).
 
     Short products run as a plain loop.  Long ones run in numpy blocks
     whose first entry is the running value, so every product and power
@@ -215,21 +231,21 @@ def _product(x: complex, q: complex, n_factors: int) -> complex:
     from 1, or forming the powers as exp(k log q), would round
     differently, so every long product would move.
     """
-    value = 1.0 + 0.0j
+    value = 1.0 if isinstance(x, float) else 1.0 + 0.0j
     if n_factors <= _LOOP_FACTORS:
         xq = x
         for _ in range(n_factors):
             value *= 1.0 - xq
             xq *= q
         return value
-    factors = np.empty(min(n_factors, _BLOCK_FACTORS) + 1, dtype=complex)
+    factors = np.empty(min(n_factors, _BLOCK_FACTORS) + 1, dtype=type(x))
     # an overflow or 0 * inf inside a block is caught by _finite afterwards
     with np.errstate(over="ignore", invalid="ignore"):
         for powers in _power_blocks(x, q, n_factors):
             m = len(powers)
             factors[0] = value
             np.subtract(1.0, powers, out=factors[1 : m + 1])
-            value = complex(np.multiply.reduce(factors[: m + 1]))
+            value = np.multiply.reduce(factors[: m + 1])
     return value
 
 
@@ -244,7 +260,11 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
 
     N is fixed in advance from the tail bound |x q^N|/(1-|q|) < TERM_TOL.
     A product below the normal double range with no factor 0 (0 or a
-    subnormal) is a domain error.
+    subnormal) is a domain error.  The rule for the real case is decided
+    here: where x and q are both real (imaginary parts +-0.0) the product
+    runs in float64, its real part the complex loop's bit for bit (an exact
+    0 up to its sign) and its imaginary part +0.0, 1.7-1.9x faster from
+    2,048 factors on (times by length in the module docstring).
     """
     x = complex(x)
     q = complex(q)
@@ -252,9 +272,11 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
     if aq >= 1.0:
         raise DomainError(f"|q| must be < 1, got {aq}")
     n_factors = _tail_length(abs(x), aq, "(x;q)_oo", "factors")
-    value = _finite(_product(x, q, n_factors))
+    if x.imag == 0.0 and q.imag == 0.0:  # the real case, in float64
+        x, q = x.real, q.real
+    value = _finite(complex(_product(x, q, n_factors)))
     if _below_normal(value) and not _has_zero_factor(x, q, n_factors):
-        raise DomainError(f"value underflows: (x;q)_oo at x = {x}, q = {q}")
+        raise DomainError(f"value underflows: (x;q)_oo at x = {complex(x)}, q = {complex(q)}")
     return value, n_factors
 
 

@@ -75,8 +75,8 @@ import numpy as np
 
 from ._stability import _EXP_LIMIT, cos_ratio, inv_expm1, sin_ratio
 from ._stability import sin_ratio_decaying, sin_ratio_direct
-from .errors import ConvergenceError, DomainError
-from .qcore import TERM_TOL, ModularPoint, _finite, _tail_length, qpochhammer
+from .errors import ConvergenceError, DomainError, _finite
+from .qcore import TERM_TOL, ModularPoint, _tail_length, qpochhammer
 from .specialfns import (
     _BOSE_COEFFS,
     PI_SQ_OVER_6,
@@ -692,7 +692,7 @@ def _a_values(ns, z: complex) -> list[complex]:
     """A_n(z) for each n of ns (in [1, A_N_MAX]), sharing the pole distance,
     c = coth(z/2) and the partial fractions' 1/(z - 2 pi i k); a value or a
     z^{2n-1} past the double range is a domain error, for A_n and P alike."""
-    z = complex(z)
+    z = _finite(complex(z), "z")
     if z.real == 0.0 and abs(z.imag) >= TWO_PI:
         raise DomainError(f"z^2 = {z * z} lies on the cut (-oo, -4 pi^2]")
     if z == 0:
@@ -748,7 +748,7 @@ def K_N(N: int, nu: complex) -> float:
     pieces at imaginary nu, a first DE call each, share one MAX_NODES."""
     if N < 0:
         raise DomainError("N must be >= 0")
-    nu = complex(nu)
+    nu = _finite(complex(nu), "nu")
     if abs(nu.real) >= 1.0:
         raise DomainError(f"K_N diverges for |Re nu| >= 1, got {nu}")
     if nu == 0:
@@ -1045,7 +1045,8 @@ def pv_M_direct(alpha: float, xi: float) -> float:
     n > PV_TERMS sine-sum tail in closed form.  Validation-oracle
     accuracy: ~1e-8 at alpha <= 1, comfortably inside the 1e-6 target.
     """
-    if not alpha > 0.0:
-        raise DomainError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    _finite(TWO_PI * PV_TERMS * xi, "the largest cosine phase 2 pi n xi")
     with np.errstate(all="ignore"):  # a non-finite value is refused instead
         return _finite(_pv_cosine_sum(alpha, xi) + _pv_sine_part(alpha, xi))

@@ -25,7 +25,7 @@ import numpy as np
 from ._stability import cexpm1
 from ._stability import inv_expm1 as _inv_expm1
 from ._stability import piecewise
-from .errors import DomainError
+from .errors import DomainError, _finite
 
 TWO_PI = 2.0 * math.pi
 PI_SQ_OVER_6 = math.pi * math.pi / 6.0
@@ -137,7 +137,7 @@ def fn_f(t):
 
 
 def _reject_gamma_pole(z: complex) -> complex:
-    z = complex(z)
+    z = _finite(complex(z), "z")
     if abs(z.imag) < POLE_GUARD:
         r = round(z.real)
         if r <= 0 and abs(z - r) < POLE_GUARD:
@@ -279,7 +279,7 @@ def dilog(x: complex) -> complex:
     the upper-side limit (Im Li2(x + i0) = pi log x).  Accuracy ~1e-14
     relative; every region reduces to a series with ratio <= 0.55.
     """
-    x = complex(x)
+    x = _finite(complex(x), "x")
     if x == 0:
         return 0.0 + 0.0j
     if x.imag == 0.0 and x.real >= 1.0:

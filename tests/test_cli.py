@@ -410,12 +410,15 @@ def test_asym_table_reads_only_the_bernoulli_numbers_it_uses(capsys):
 
 
 def _fuzz_draw(rng: random.Random, flag: str):
-    """A flag's value: n in [1, 60], and every other part of either sign
-    (Im tau and the sweeps' alphas positive), its modulus log-uniform in a
-    box, [1e-7, 100] for Im tau and [1e-4, 10^2.5] for the rest, or on half
-    the draws over the double range, [1e-300, 1e300]."""
+    """A flag's value: n in [1, 60], and every other part inf, -inf or nan
+    on one draw in 20, else of either sign (Im tau and the sweeps' alphas
+    positive), its modulus log-uniform in a box, [1e-7, 100] for Im tau and
+    [1e-4, 10^2.5] for the rest, or on half the draws over the double
+    range, [1e-300, 1e300]."""
     if flag == "n_max":
         return rng.randint(1, 60)
+    if rng.random() < 0.05:
+        return rng.choice((math.inf, -math.inf, math.nan))
     lo, hi = (-7.0, 2.0) if flag == "tau_im" else (-4.0, 2.5)
     if rng.random() < 0.5:
         lo, hi = -300.0, 300.0
@@ -451,6 +454,20 @@ def test_no_input_ends_in_a_traceback(capsys):
                         body = out if command == "eval" else out.split("\n", 1)[1]
                         cells = body.replace(",", " ").split()
                         assert all(math.isfinite(float(v)) for v in cells), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "An", "--n-max", "3", "--x-re", "inf"), "--x-re must be finite, got inf"),
+    (("eval", "pochhammer-direct", "--x-re", "nan", "--q-re", "0.5"),
+     "--x-re must be finite, got nan"),
+    (("check", "thm29", "--tol", "nan"), "--tol must be finite, got nan"),
+    (("sweep", "q-to-one", "--alpha", "0.1", "--alpha=-inf"), "--alpha must be finite, got -inf"),
+], ids=["eval-An", "eval-pochhammer-direct", "check-tol", "sweep-alpha"])
+def test_non_finite_flag_is_a_domain_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert message in err
 
 
 def test_out_io_error(capsys):

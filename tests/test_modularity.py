@@ -646,7 +646,10 @@ def test_tolerance_registry_covers_cli_targets():
 
 
 def _part(rng: random.Random) -> float:
-    """A real of either sign, its modulus log-uniform in [1e-300, 1e300]."""
+    """inf, -inf or nan on one draw in 10, else a real of either sign, its
+    modulus log-uniform in [1e-300, 1e300]."""
+    if rng.random() < 0.1:
+        return rng.choice((math.inf, -math.inf, math.nan))
     return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
 
 

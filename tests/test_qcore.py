@@ -1,11 +1,13 @@
 """Direct-evaluation layer: products, series, theta, Lambert sums."""
 
 import cmath
+import contextlib
 import math
 import random
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,8 +163,9 @@ def _reference_product(x, q, n_factors):
     return value, zero_at
 
 
-def _points_with_length(n_factors, rng, count):
-    """count random (x, q) whose tail rule asks for exactly n_factors."""
+def _points_with_length(n_factors, rng, count, real=False):
+    """count random (x, q) whose tail rule asks for exactly n_factors: real
+    ones (x and q of either sign, imaginary parts 0.0) if real."""
     points = []
     while len(points) < count:
         r = 1.0 - 10.0 ** rng.uniform(-4.5, -0.3)
@@ -170,26 +173,41 @@ def _points_with_length(n_factors, rng, count):
         log_ax = math.log(qcore.TERM_TOL * (1.0 - r)) - (n_factors - 0.5) * math.log(r)
         if not abs(log_ax) < 690.0:
             continue
-        x = cmath.rect(math.exp(log_ax), rng.uniform(-math.pi, math.pi))
-        q = cmath.rect(r, rng.choice([0.0, rng.uniform(-math.pi, math.pi)]))
+        if real:
+            x = complex(rng.choice((-1.0, 1.0)) * math.exp(log_ax))
+            q = complex(rng.choice((-1.0, 1.0)) * r)
+        else:
+            x = cmath.rect(math.exp(log_ax), rng.uniform(-math.pi, math.pi))
+            q = cmath.rect(r, rng.choice([0.0, rng.uniform(-math.pi, math.pi)]))
         if qcore._tail_length(abs(x), abs(q), "(x;q)_oo") == n_factors:
             points.append((x, q))
     return points
 
 
 def test_blocked_product_is_bit_identical_to_the_loop():
+    # complex (x, q): the value is the loop's bit for bit, zeros' signs
+    # included.  Real (x, q), multiplied as floats: the real part is the
+    # loop's (bit for bit where it is not 0) and the imaginary part is +0.0,
+    # where the loop may leave -0.0
     rng = random.Random(20261018)
     loop, block = qcore._LOOP_FACTORS, qcore._BLOCK_FACTORS
     lengths = [0, 1, loop - 1, loop, loop + 1, block - 1, block, block + 1]
     lengths += [2 * block - 1, 2 * block, 2 * block + 1, 100_003]
-    points = [p for n in lengths for p in _points_with_length(n, rng, 3)]
-    # a random box around the unit q-circle, and the two refusals: a partial
-    # product that overflows to nan, and one that underflows to 0
+    points = [p for n in lengths for real in (False, True)
+              for p in _points_with_length(n, rng, 3, real)]
+    # a random box around the unit q-circle, its real axis, and the
+    # refusals: a partial product that overflows, one that underflows to 0
     for _ in range(60):
         q = cmath.rect(1.0 - 10.0 ** rng.uniform(-3.5, 0.0), rng.uniform(-math.pi, math.pi))
         x = cmath.rect(10.0 ** rng.uniform(-2.0, 2.5), rng.uniform(-math.pi, math.pi))
-        points.append((x, q))
-    points += [(_OVERFLOW.x, _OVERFLOW.q), (0.99 + 0j, 0.999 + 0j), (2.0 + 0j, 0.5 + 0j)]
+        real_x, real_q = math.copysign(abs(x), x.real), math.copysign(abs(q), q.real)
+        points += [(x, q), (complex(real_x), complex(real_q))]
+    points += [(_OVERFLOW.x, _OVERFLOW.q), (-60.0 + 0j, 0.9997 + 0j)]
+    points += [(0.99 + 0j, 0.999 + 0j), (0.5 + 0.01j, cmath.rect(0.9999, 1e-5))]
+    # exactly vanishing factors: the first, or the second at x = 1/q
+    points += [(2.0 + 0j, 0.5 + 0j), (1.0 + 0j, 0.999 + 0j), (1.0 + 0j, -0.9999 + 0j)]
+    points += [(-2j, 0.5j), (1.0 + 0j, 0.9999j)]
+    points += [(complex(1.0 / q), complex(q)) for q in (0.999, 0.99995)]  # 1/q * q == 1.0
     outcomes = set()
     for x, q in points:
         try:
@@ -197,21 +215,49 @@ def test_blocked_product_is_bit_identical_to_the_loop():
         except ConvergenceError:
             continue
         want, zero_at = _reference_product(x, q, n_factors)
+        real = x.imag == 0.0 and q.imag == 0.0
         if not cmath.isfinite(want):
-            outcomes.add("overflow")
+            outcome = "overflow"
             with pytest.raises(DomainError, match="not finite"):
                 qpochhammer_with_count(x, q)
-        elif want == 0 and zero_at is None:
-            outcomes.add("underflow")
+        elif qcore._below_normal(want) and zero_at is None:
+            outcome = "underflow"
             with pytest.raises(DomainError, match="underflows"):
                 qpochhammer_with_count(x, q)
         else:
-            outcomes.add("zero" if want == 0 else "value")
+            outcome = "zero" if want == 0 else "value"
             got, n_got = qpochhammer_with_count(x, q)
             assert n_got == n_factors
             # repr tells the signs of zeros apart
-            assert repr(got) == repr(want), (x, q, n_factors)
-    assert outcomes == {"value", "zero", "overflow", "underflow"}
+            if not real:
+                assert repr(got) == repr(want), (x, q, n_factors)
+            else:
+                assert got.real == want.real, (x, q, n_factors)
+                assert want == 0 or repr(got.real) == repr(want.real), (x, q, n_factors)
+                assert repr(got.imag) == "0.0", (x, q, n_factors)
+        outcomes.add(("real" if real else "complex", outcome))
+    kinds = {"value", "zero", "overflow", "underflow"}
+    assert outcomes == {(kind, o) for kind in ("complex", "real") for o in kinds}
+
+
+def test_real_products_reach_the_blocks_as_float64(monkeypatch):
+    # a real (x, q) must not fall back to complex arithmetic
+    dtypes = []
+    blocks = qcore._power_blocks
+
+    def recording(x, q, n_factors):
+        for powers in blocks(x, q, n_factors):
+            dtypes.append(powers.dtype)
+            yield powers
+
+    monkeypatch.setattr(qcore, "_power_blocks", recording)
+    for x, q in ((0.3, 0.999), (-0.3 - 0j, -0.999 + 0j), (0.5, 0.9999)):
+        with contextlib.suppress(DomainError):  # (0.5; 0.9999) underflows
+            qpochhammer(x, q)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+    dtypes.clear()
+    qpochhammer(0.3 + 1e-300j, 0.999)
+    assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
 
 
 def test_qpochhammer_underflow_is_a_domain_error():

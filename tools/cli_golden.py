@@ -78,6 +78,9 @@ ERRORS = [
     "check binet74 --x-re=-3.2494634273541285 --x-im=5.748565251512438",
     "check binet75 --x-re=-3.2494634273541285 --x-im=5.748565251512438",
     "check binet75 --x-re=-4 --x-im=5",
+    # non-finite flags: a domain error that names the flag
+    "eval An --n-max 3 --x-re inf", "eval pochhammer-direct --x-re nan --q-re 0.5",
+    "check thm29 --tol nan", "sweep q-to-one --alpha 0.1 --alpha=-inf",
 ]
 
 #: direct products long enough for numpy blocks (about 5e4 factors, and

@@ -10,11 +10,13 @@ it and, where P takes its ray, of the first call that ``_de_sum`` makes of P's
 weighted integrand: the full grid of its first level, 289 nodes at level 4 or,
 where the admissible arc sizes it, 145 to 2,305.  As a control it also times
 the direct ``qcore.qpochhammer`` call of each point, a layer that no change to
-P touches: a median ratio away from 1 there is the host's drift between the
-trees, not the change, and bounds what the other ratios can show.  The trees
-alternate for --rounds rounds, each point keeping its best time.  A second
-block times q-to-one's timed calls of the same seeds the same way:
-``qpochhammer_modular`` at fixed x and ``P_minus`` as x -> 1.  Per layer it
+P touches; its x and q are complex, so it also stays on the complex product
+when the real one changes: a median ratio away from 1 there is the host's
+drift between the trees, not the change, and bounds what the other ratios can
+show.  The trees alternate for --rounds rounds, each point keeping its best
+time.  A second block times q-to-one's timed calls of the same seeds the same
+way: ``qpochhammer_modular`` and the direct ``qpochhammer`` at fixed x (real
+x and q, the product that runs in float64) and ``P_minus`` as x -> 1.  Per layer it
 prints the quartiles of each tree's times (us) and the median of the per-point
 ratio new/old, and after the domain-fuzz block each tree's histogram of first
 levels.
@@ -42,7 +44,8 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 #: the layer of each q-to-one route it times
 DOMAIN_FUZZ = ("qpochhammer_modular", "qpochhammer (control)", "P_minus",
                "P kernel, first call")
-Q_TO_ONE = {"modular": "fixed-x qpochhammer_modular", "P": "x -> 1 P_minus"}
+Q_TO_ONE = {"modular": "fixed-x qpochhammer_modular", "direct": "fixed-x qpochhammer (real)",
+            "P": "x -> 1 P_minus"}
 LAYERS = DOMAIN_FUZZ + tuple(Q_TO_ONE.values())
 
 
