@@ -4,6 +4,7 @@ import cmath
 import contextlib
 import math
 import random
+import sys
 import time
 import warnings
 
@@ -144,6 +145,16 @@ def test_qpochhammer_overflow_is_a_domain_error():
             qpochhammer(_OVERFLOW.x, _OVERFLOW.q)
 
 
+def test_tail_length_of_an_amplitude_past_2e307():
+    # TERM_TOL (1 - ratio) / amplitude underflows to 0 there: the length
+    # comes from the logs, and the product overflows as at 1e300
+    assert qcore._tail_length(1e308, 0.5, "s") == math.ceil(
+        (math.log(0.5e-16) - math.log(1e308)) / math.log(0.5))
+    for x in (1e300, 1e308, -sys.float_info.max):
+        with pytest.raises(DomainError, match="not finite"):
+            qpochhammer(x, 0.5)
+
+
 def test_qpochhammer_count_grows_as_q_to_one():
     _, n1 = qpochhammer_with_count(0.5, 0.5)
     _, n2 = qpochhammer_with_count(0.5, 0.95)
@@ -151,8 +162,9 @@ def test_qpochhammer_count_grows_as_q_to_one():
 
 
 def _reference_product(x, q, n_factors):
-    """The factor loop the blocked kernel must reproduce bit for bit,
-    with the index of its first exactly vanishing factor (or None)."""
+    """The factor loop the blocked kernel must reproduce bit for bit, with
+    the power x q^n_factors it ends on and the index of its first exactly
+    vanishing factor (or None)."""
     value, xq, zero_at = 1.0 + 0.0j, x, None
     for k in range(n_factors):
         factor = 1.0 - xq
@@ -160,7 +172,25 @@ def _reference_product(x, q, n_factors):
             zero_at = k
         value *= factor
         xq *= q
-    return value, zero_at
+    return value, xq, zero_at
+
+
+def _mp_product(mpmath, x, q):
+    """(x;q)_oo at 30 digits for the double inputs x and q: the factors with
+    |x q^k| > 1/2 one by one, the rest as the log series
+    -sum_m y^m / (m (1 - q^m)) at y = x q^K, to a term below 1e-35."""
+    with mpmath.workdps(30):
+        mq = mpmath.mpc(q)
+        value, y = mpmath.mpc(1), mpmath.mpc(x)
+        while abs(y) > 0.5:
+            value *= 1 - y
+            y *= mq
+        log_q, total, power, m = mpmath.log(mq), 0, 1, 0
+        while abs(power) >= mpmath.mpf(10) ** -35 * (1 - abs(mq)):
+            m += 1
+            power *= y
+            total += power / (m * -mpmath.expm1(m * log_q))
+        return value * mpmath.exp(-total)
 
 
 def _points_with_length(n_factors, rng, count, real=False):
@@ -185,10 +215,13 @@ def _points_with_length(n_factors, rng, count, real=False):
 
 
 def test_blocked_product_is_bit_identical_to_the_loop():
-    # complex (x, q): the value is the loop's bit for bit, zeros' signs
-    # included.  Real (x, q), multiplied as floats: the real part is the
-    # loop's (bit for bit where it is not 0) and the imaginary part is +0.0,
-    # where the loop may leave -0.0
+    # _product at every length, and qpochhammer_with_count up to
+    # _BLOCK_FACTORS factors, are the loop bit for bit.  Complex (x, q): the
+    # value, zeros' signs included, and the power it ends on.  Real (x, q),
+    # multiplied as floats: the real part is the loop's (bit for bit where it
+    # is not 0), the imaginary part +0.0 where the loop may leave -0.0.  Past
+    # _BLOCK_FACTORS the tail goes through its log series: the outcome is the
+    # loop's, and a value is within 1e-12 of a 30-digit reference
     rng = random.Random(20261018)
     loop, block = qcore._LOOP_FACTORS, qcore._BLOCK_FACTORS
     lengths = [0, 1, loop - 1, loop, loop + 1, block - 1, block, block + 1]
@@ -209,16 +242,31 @@ def test_blocked_product_is_bit_identical_to_the_loop():
     points += [(-2j, 0.5j), (1.0 + 0j, 0.9999j)]
     points += [(complex(1.0 / q), complex(q)) for q in (0.999, 0.99995)]  # 1/q * q == 1.0
     outcomes = set()
+    long_values = []
     for x, q in points:
         try:
             n_factors = qcore._tail_length(abs(x), abs(q), "(x;q)_oo")
         except ConvergenceError:
             continue
-        want, zero_at = _reference_product(x, q, n_factors)
+        want, want_power, zero_at = _reference_product(x, q, n_factors)
         real = x.imag == 0.0 and q.imag == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not real:
+                got, power = qcore._product(x, q, n_factors)
+                assert repr(complex(got)) == repr(want), (x, q, n_factors)
+                assert repr(complex(power)) == repr(want_power), (x, q, n_factors)
+            else:
+                got, power = qcore._product(x.real, q.real, n_factors)
+                if cmath.isfinite(want):
+                    assert got == want.real, (x, q, n_factors)
+                    assert want == 0 or repr(float(got)) == repr(want.real), (x, q, n_factors)
+                else:
+                    assert not math.isfinite(got), (x, q, n_factors)
+                if cmath.isfinite(want_power):
+                    assert power == want_power.real, (x, q, n_factors)
         if not cmath.isfinite(want):
             outcome = "overflow"
-            with pytest.raises(DomainError, match="not finite"):
+            with pytest.raises(DomainError, match="not finite|overflows"):
                 qpochhammer_with_count(x, q)
         elif qcore._below_normal(want) and zero_at is None:
             outcome = "underflow"
@@ -228,16 +276,95 @@ def test_blocked_product_is_bit_identical_to_the_loop():
             outcome = "zero" if want == 0 else "value"
             got, n_got = qpochhammer_with_count(x, q)
             assert n_got == n_factors
-            # repr tells the signs of zeros apart
-            if not real:
+            if real:
+                assert repr(got.imag) == "0.0", (x, q, n_factors)
+            if n_factors > block:
+                assert (got == 0) == (want == 0), (x, q, n_factors)
+                if want != 0:
+                    long_values.append((x, q, got))
+            elif not real:  # repr tells the signs of zeros apart
                 assert repr(got) == repr(want), (x, q, n_factors)
             else:
                 assert got.real == want.real, (x, q, n_factors)
                 assert want == 0 or repr(got.real) == repr(want.real), (x, q, n_factors)
-                assert repr(got.imag) == "0.0", (x, q, n_factors)
-        outcomes.add(("real" if real else "complex", outcome))
-    kinds = {"value", "zero", "overflow", "underflow"}
-    assert outcomes == {(kind, o) for kind in ("complex", "real") for o in kinds}
+        outcomes.add(("real" if real else "complex", outcome, n_factors > block))
+    # every outcome, real and complex, and each of them past _BLOCK_FACTORS
+    kinds = {(kind, o) for kind in ("complex", "real")
+             for o in ("value", "zero", "overflow", "underflow")}
+    assert {(kind, o) for kind, o, _ in outcomes} == kinds
+    assert {(kind, o) for kind, o, long in outcomes if long} == kinds
+    assert len(long_values) > 30
+    mpmath = pytest.importorskip("mpmath")
+    for x, q, got in long_values:
+        assert rel(got, _mp_product(mpmath, x, q)) < 1e-12, (x, q)
+
+
+#: products past _BLOCK_FACTORS, through the head and the tail's log series
+_TAIL_VALUES = {
+    "real q > 0": (0.3, 0.999),
+    "real q < 0": (-0.4, -0.9999),
+    "complex x, q on the axis": (0.3 + 0.2j, 0.9995 + 0j),
+    "complex x, q < 0 on the axis": (0.6 - 0.3j, -0.999 + 0j),
+    "q off the axis": (0.5 + 0.1j, cmath.rect(0.9995, 0.3)),
+    "q near -1": (0.4 - 0.2j, cmath.rect(0.999, 2.9)),
+    "empty head": (0.1 + 0.2j, cmath.rect(0.9999, 0.001)),
+    # e^tail alone overflows, or underflows, where the product does not
+    "e^tail past the double range": (
+        0.2491544919732291 - 0.24247293854921717j,
+        0.9998962087881065 - 0.00017976937126314269j,
+    ),
+    "e^tail below the double range": (
+        -0.23401384337952988 + 0.2514827856215669j,
+        0.9998972066159342 - 0.0003050657768199806j,
+    ),
+}
+_TAIL_REFUSALS = {
+    "overflow in the head": (-0.7, 0.9995, "not finite"),
+    "overflow in the tail": (-60.0, 0.9997, "overflows"),
+    "overflow, empty head": (-0.25, 0.99995, "overflows"),
+    "underflow in the head": (0.5, 0.9999, "underflows"),
+    # the head's running product passes below the normal range and loses its
+    # digits; a tail of about e^853 would lift it to 1e47, where the value
+    # is 6e-194
+    "underflow in the head, lifted by the tail": (
+        0.45484262866015 + 0.059617468536143074j,
+        0.9998940468358095 + 0.0002576193697650165j,
+        "underflows",
+    ),
+    "underflow, empty head": (0.2, 0.9999, "underflows"),
+}
+
+
+@pytest.mark.parametrize("case", _TAIL_VALUES)
+def test_tail_path_against_mpmath(case):
+    mpmath = pytest.importorskip("mpmath")
+    x, q = _TAIL_VALUES[case]
+    value, n_factors = qpochhammer_with_count(x, q)
+    assert n_factors > qcore._BLOCK_FACTORS
+    assert rel(value, _mp_product(mpmath, x, q)) < 1e-12
+    if x.imag == 0.0 and q.imag == 0.0:
+        assert repr(value.imag) == "0.0"
+    n_head = qcore._head_length(abs(x), abs(q))
+    assert (n_head == 0) == (abs(x) <= qcore._TAIL_RADIUS)
+    if case.startswith("e^tail"):  # e^tail is inf or 0 in double
+        tail = qcore._log_tail(qcore._product(x, q, n_head)[1], q)
+        assert abs(tail.real) > 745.0
+
+
+@pytest.mark.parametrize("x, q, error", _TAIL_REFUSALS.values(), ids=_TAIL_REFUSALS.keys())
+def test_tail_path_refusals(x, q, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=error):
+            qpochhammer(x, q)
+
+
+def test_tail_path_zero_factor_in_the_head():
+    # the first factor vanishes, or the second at x = 1/q (1/q * q == 1.0)
+    for x, q in ((1.0, 0.9999), (1.0 + 0j, 0.9999j), (1.0 / 0.99995, 0.99995)):
+        value, n_factors = qpochhammer_with_count(x, q)
+        assert n_factors > qcore._BLOCK_FACTORS
+        assert value == 0
 
 
 def test_real_products_reach_the_blocks_as_float64(monkeypatch):
@@ -272,9 +399,16 @@ def test_qpochhammer_underflow_is_a_domain_error():
 
 def test_qpochhammer_subnormal_is_a_domain_error():
     # (0.5; 0.9999)_oo is about e^{-5822}: the running product sticks at the
-    # smallest subnormal, 5e-324, which no factor above 1/2 moves
-    with pytest.raises(DomainError, match="underflows"):
-        qpochhammer(0.5, 0.9999)
+    # smallest subnormal, 5e-324, which no factor above 1/2 moves.  It is
+    # refused after the head's 6,932 factors (0.4 ms), which are all it
+    # scans for a factor 0: scanning all 453,563 would add 2.6 ms
+    seconds = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="underflows"):
+            qpochhammer(0.5, 0.9999)
+        seconds = min(seconds, time.perf_counter() - t0)
+    assert seconds < 0.0015
 
 
 def test_long_product_against_mpmath():
@@ -287,7 +421,7 @@ def test_long_product_against_mpmath():
         mx, mq = mpmath.mpf(x), mpmath.mpf(q)
         log_want = -mpmath.nsum(lambda k: mx**k / (k * (1 - mq**k)), [1, mpmath.inf])
         want = complex(mpmath.exp(log_want))
-    assert rel(value, want) < 1e-11
+    assert rel(value, want) < 1e-12
 
 
 def test_euler_series_refuses_cancellation():

@@ -85,10 +85,12 @@ ERRORS = [
 
 #: direct products long enough for numpy blocks (about 5e4 factors, and
 #: |q| = 0.9975 off the real axis), one that ends on the smallest subnormal
-#: and one that underflows to 0
+#: and one that underflows to 0, one whose tail past 4,096 factors is a log
+#: series, and one whose length needs the logs of its tail rule
 PRODUCTS = [
     "--x-re 0.5 --q-re 0.999", "--x-re 0.5 --q-re 0.9 --q-im 0.43",
     "--x-re 0.5 --q-re 0.9999", "--x-re 0.9 --q-re 0.9999",
+    "--x-re 0.3 --q-re 0.9999", "--x-re 1e308 --q-re 0.5",
 ]
 
 #: modular points with nu between the branch cuts of Li_2 and G, at
