@@ -14,6 +14,11 @@ operations exactly, each power the previous one times q and each factor
 multiplied into the running value in order, so the result is bit for bit
 the loop's.
 
+From the first block whose product leaves the normal double range on, the
+blocks are multiplied in stretches that stay in it and carry the running
+value's binary exponent, so a product that passes out of the range on the
+way keeps its digits (_product).
+
 A longer product multiplies only its head, the K factors with
 |x| |q|^k > _TAIL_RADIUS, about ln(4|x|)/(2 pi alpha) of them, and sums
 the rest as the log series log (y;q)_oo = sum_m y^m / (m (q^m - 1)),
@@ -79,6 +84,19 @@ _TAIL_RADIUS = 0.25
 #: e^t is a normal double for |t| < _EXP_SAFE (ln of the largest and smallest
 #: normal doubles: 709.8 and -708.4)
 _EXP_SAFE = 708.0
+#: the smallest normal double
+_TINY = sys.float_info.min
+#: ln 2 in two parts (fdlibm's): k _LN2_HI is exact for |k| < 2^20, so that
+#: t - k ln 2 keeps the digits of t when whole powers of two leave an exponent
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+#: from the first block whose running product leaves the normal range on,
+#: _product multiplies its factors, scaled by powers of two into [1/2, 1)
+#: (larger part), in stretches, each from the last one's mantissa, that end
+#: where the log2 of the running product enters another band of _BAND_BITS
+#: bits: within a stretch it moves by less than _BAND_BITS + 1, which keeps
+#: it in the range
+_BAND_BITS = 960.0
 
 
 def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms") -> int:
@@ -123,8 +141,27 @@ def _below_normal(value: complex) -> bool:
     """|value| < the smallest normal double: 0, or a subnormal, which has
     lost its digits and, once it is the smallest, stops falling.  The
     parts are tested first, so that abs cannot overflow."""
-    tiny = sys.float_info.min
-    return abs(value.real) < tiny and abs(value.imag) < tiny and abs(value) < tiny
+    return abs(value.real) < _TINY and abs(value.imag) < _TINY and abs(value) < _TINY
+
+
+def _split_exponent(value: complex) -> tuple[complex, int]:
+    """(m, e) with value = m 2^e and max(|Re m|, |Im m|) in [1/2, 1), in the
+    type of value; (value, 0) for 0, inf or nan.  Exact, but for a part
+    below 2^-1022 of the other, which may lose its last bits."""
+    e = math.frexp(max(abs(value.real), abs(value.imag)))[1]
+    return (_scale(value, -e), e) if e else (value, 0)
+
+
+def _scale(value: complex, e: int) -> complex:
+    """value 2^e, part by part, in the type of value: exact where the result
+    is a normal double; one past the double range is a domain error."""
+    try:
+        if isinstance(value, complex):
+            return complex(math.ldexp(value.real, e), math.ldexp(value.imag, e))
+        return math.ldexp(value, e)
+    except OverflowError:
+        mantissa, e_value = _split_exponent(value)
+        raise DomainError(f"value is not finite: {mantissa} * 2^{e + e_value} overflows") from None
 
 
 def admitted_rounding(value: complex) -> float:
@@ -249,20 +286,32 @@ def _power_blocks(x: complex, q: complex, n_factors: int):
         xq = powers[-1] * q
 
 
-def _product(x: complex, q: complex, n_factors: int) -> tuple[complex, complex]:
-    """prod_{k < n_factors} (1 - x q^k), multiplied in order from k = 0, and
-    the running power x q^{n_factors} it ends on, in the type of x and q:
-    float64 for a real (x, q), whose value is the complex loop's real part,
-    complex128 otherwise (times by length in the module docstring).  Of a
-    product past _BLOCK_FACTORS factors it multiplies only the head, and at
-    a complex q the power it ends on starts the tail's log series.
+def _product(x: complex, q: complex, n_factors: int) -> tuple[complex, int, complex]:
+    """prod_{k < n_factors} (1 - x q^k), multiplied in order from k = 0, as
+    value 2^shift, and the running power x q^{n_factors} it ends on, in the
+    type of x and q: float64 for a real (x, q), whose value is the complex
+    loop's real part, complex128 otherwise (times by length in the module
+    docstring).  Of a product past _BLOCK_FACTORS factors it multiplies
+    only the head, and at a complex q the power it ends on starts the
+    tail's log series.
 
     Short products run as a plain loop.  Long ones run in numpy blocks
     whose first entry is the running value, so every product and power
     is the same floating-point operation on the same operands as in the
-    loop, and the result is bit for bit the loop's.  Starting each block
-    from 1, or forming the powers as exp(k log q), would round
-    differently, so every long product would move.
+    loop, bit for bit wherever the loop's running value stays in the
+    normal range (shift = 0).  From the first block whose product leaves
+    the range on, every block is multiplied in stretches
+    (_stretched_product), which never leave it, and the running value goes
+    on as a mantissa and its binary exponent: a product that passes out of
+    the range and back keeps the digits the loop loses.  Going back to
+    plain blocks once the value is in range again lets a later block pass
+    below the range and back unseen: at x = 0.99, q = 0.99995 e^{i pi/3000}
+    that returned a value 3e-5 off, and starting every block from a
+    mantissa one 300 times too large, where the loop refuses.  A dip below
+    the range and back within one plain block still goes unseen, as in the
+    loop: only the block's product is tested.  Starting each block from 1,
+    or forming the powers as exp(k log q), would round differently, so
+    every long product would move.
     """
     value = 1.0 if isinstance(x, float) else 1.0 + 0.0j
     if n_factors <= _LOOP_FACTORS:
@@ -270,16 +319,55 @@ def _product(x: complex, q: complex, n_factors: int) -> tuple[complex, complex]:
         for _ in range(n_factors):
             value *= 1.0 - xq
             xq *= q
-        return value, xq
+        return value, 0, xq
     factors = np.empty(min(n_factors, _BLOCK_FACTORS) + 1, dtype=type(x))
+    shift, stretching = 0, False
     # an overflow or 0 * inf inside a block is caught by _finite afterwards
     with np.errstate(over="ignore", invalid="ignore"):
         for powers in _power_blocks(x, q, n_factors):
             m = len(powers)
             factors[0] = value
             np.subtract(1.0, powers, out=factors[1 : m + 1])
-            value = np.multiply.reduce(factors[: m + 1])
-        return value, powers[-1] * q
+            if not stretching:
+                value = np.multiply.reduce(factors[: m + 1])
+                if _TINY <= abs(value) < math.inf:
+                    continue
+                stretching = True  # the loop leaves the range: stretches from here on
+            value, e = _stretched_product(factors[: m + 1])
+            value, e_value = _split_exponent(value)
+            shift += e + e_value
+        return value, shift, powers[-1] * q
+
+
+def _stretched_product(factors: np.ndarray) -> tuple[complex, int]:
+    """np.multiply.reduce(factors) as value 2^shift, for the blocks of
+    _product from the first whose running value leaves the normal range on:
+    each factor past the first
+    (the running value) is scaled by a power of two into [1/2, 1) in its
+    larger part, those powers go into shift, and the scaled factors are
+    multiplied in the same order, in stretches (_BAND_BITS) each started
+    from the last one's mantissa (_split_exponent): a few stretches per
+    block.  A block with a factor 0 or not finite keeps its plain product.
+    It overwrites factors."""
+    rest = factors[1:]
+    if not (rest.all() and np.isfinite(rest).all()):
+        return np.multiply.reduce(factors), 0
+    if rest.dtype.kind == "f":
+        rest[:], exponents = np.frexp(rest)
+    else:
+        exponents = np.frexp(np.maximum(np.abs(rest.real), np.abs(rest.imag)))[1]
+        rest *= np.ldexp(1.0, -exponents)  # exact
+    bands = np.floor(np.cumsum(np.log2(np.abs(rest))) / _BAND_BITS)
+    # the index in rest of each stretch's last factor
+    ends = np.flatnonzero(np.diff(bands)).tolist() + [rest.size - 1]
+    value, shift, start = factors[0], int(exponents.sum()), 0
+    for end in ends:
+        value, e = _split_exponent(value)
+        shift += e
+        factors[start] = value
+        value = np.multiply.reduce(factors[start : end + 2])
+        start = end + 1
+    return value, shift
 
 
 def _head_length(ax: float, aq: float) -> int:
@@ -306,18 +394,22 @@ def _log_tail(y: complex, q: complex) -> complex:
     return np.sum(np.power(y, m) / (m * gap))
 
 
-def _times_exp(head: complex, expo: complex) -> complex:
-    """head e^expo, in the type of head and expo.  Where e^expo alone leaves
-    the normal range (|Re expo| >= _EXP_SAFE) the exponent takes in the
-    head's binary exponent, so that a representable product is not refused."""
-    if not abs(expo.real) < _EXP_SAFE:
-        _, shift = math.frexp(max(abs(head.real), abs(head.imag)))
-        scaled = [math.ldexp(part, -shift) for part in (head.real, head.imag)]
-        head = complex(*scaled) if isinstance(head, complex) else scaled[0]
-        expo += shift * math.log(2.0)
+def _times_exp(head: complex, expo: complex, shift: int = 0) -> complex:
+    """head e^expo 2^shift, in the type of head and expo.  Where shift is
+    not 0 or e^expo alone leaves the normal range (|Re expo| >= _EXP_SAFE),
+    the whole powers of two k of e^expo (k ln 2 taken off in two parts,
+    _LN2_HI and _LN2_LO) and the head's binary exponent join shift, and
+    2^shift comes last (_scale), so that a representable product is not
+    refused and past the double range is a domain error."""
+    if shift or not abs(expo.real) < _EXP_SAFE:
+        k = round(_finite(expo, "exponent").real / _LN2_HI)
+        expo = (expo - k * _LN2_HI) - k * _LN2_LO
+        head, e = _split_exponent(head)
+        shift += k + e
     growth = _exp(expo)
     with np.errstate(over="ignore", invalid="ignore"):  # head may be a numpy scalar
-        return head * (growth.real if isinstance(expo, float) else growth)
+        value = head * (growth.real if isinstance(expo, float) else growth)
+    return _scale(value, shift) if shift else value
 
 
 def _has_zero_factor(x: complex, q: complex, n_factors: int) -> bool:
@@ -339,8 +431,11 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
     since K log q would carry K roundings of arg q.  The value then moves
     from the loop's at rounding level (module docstring).
     A product below the normal double range with no factor 0 (0 or a
-    subnormal) is a domain error.  A head below it has lost its digits and
-    is refused without its tail.  A factor past the head has
+    subnormal) is a domain error.  The head carries its binary exponent
+    (_product), so one below the range keeps its digits and its tail may
+    lift it back (at x = 0.4548+0.0596i, q = 0.99989+0.00026i the head is
+    about e^-1298 and the value 6.0e-194); a head that is 0 or subnormal
+    even so is refused without its tail.  A factor past the head has
     |x q^k| <= _TAIL_RADIUS, so only the head is scanned for a factor 0.
     The rule for the real case is decided here: where x and q are both real
     (imaginary parts +-0.0) the product runs in float64, its real part the
@@ -358,14 +453,16 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
         x, q = x.real, q.real
     if n_factors <= _BLOCK_FACTORS:
         n_head = n_factors
-        value = _product(x, q, n_factors)[0]
+        value, shift, _ = _product(x, q, n_factors)
+        if shift:
+            value = _scale(value, shift)
     else:
         n_head = _head_length(abs(x), aq)  # below n_factors: TERM_TOL < _TAIL_RADIUS
-        value, y = _product(x, q, n_head)
+        value, shift, y = _product(x, q, n_head)
         if not _below_normal(value):
             if q.imag == 0.0:  # pow rounds about once, the running power ~sqrt(K) times
                 y = x * q.real**n_head
-            value = _times_exp(value, _log_tail(y, q))
+            value = _times_exp(value, _log_tail(y, q), shift)
     value = _finite(complex(value))
     if _below_normal(value) and not _has_zero_factor(x, q, n_head):
         raise DomainError(f"value underflows: (x;q)_oo at x = {complex(x)}, q = {complex(q)}")

@@ -53,8 +53,9 @@ On it the module builds:
   Re tau >= 0 wherever the proven bound (with K_N bounded in closed form)
   certifies it to TERM_TOL, and the asymptotic table, which sets each of
   its partial sums against the lower ray integral and the bound with the
-  exact K_N: one set of constants (_series_constants) and one partial-sum
-  helper (_partial_sums) serve both;
+  exact K_N: one set of constants (_series_constants) and one pass over
+  the A_n (_a_terms) serve both, and the table keeps every partial sum
+  (_partial_sums) where P keeps its last;
 * M_almost_modular and pv_M_direct -- two genuinely independent routes
   to the real-case almost-modular term (the second never touches the
   ray sums: it integrates over finite intervals, and its only
@@ -68,8 +69,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, NamedTuple
+from itertools import accumulate, islice
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -128,6 +129,9 @@ A_PF_PAIRS = 128
 A_TAYLOR_TERMS = 64
 LOG_A_LOSS_MAX = math.log(16.0)
 _LOG_2_53 = 53.0 * math.log(2.0)
+#: a reach past e^_LOG_PF_REACH > 2 pi (A_PF_PAIRS + 1) takes more pole pairs
+#: than A_PF_PAIRS, so the partial fractions are not tried there
+_LOG_PF_REACH = math.log(TWO_PI * (A_PF_PAIRS + 1))
 #: P's divergent series: the sector margin eps of its bound and the most
 #: terms P_minus takes (the asymptotic table takes as many as it is asked)
 SERIES_EPS = math.pi / 4
@@ -137,10 +141,12 @@ N_MAX = 12
 @dataclass(frozen=True)
 class RaySpec:
     """Direction and decay rate of one ray integral, which runs to
-    RAY_REL_TOL."""
+    RAY_REL_TOL, and the width of the admissible arc whose midpoint the
+    direction is, where choose_ray chose it (0 where the caller did)."""
 
     direction_d: float
     decay: float = 1.0
+    arc: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.decay < math.inf:
@@ -355,7 +361,7 @@ def choose_ray(point: ModularPoint) -> RaySpec:
     """
     lo, hi = _admissible_arc(point)
     d = 0.5 * (lo + hi)
-    return RaySpec(direction_d=d, decay=_slack(point, d))
+    return RaySpec(direction_d=d, decay=_slack(point, d), arc=hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +494,21 @@ def P_minus(point: ModularPoint) -> complex:
     and that check is all the ray choice it pays for; elsewhere the
     integral runs along choose_ray's ray, the one farthest from the
     integrand's poles and the cone's edges, and its first DE call takes
-    the level that the arc's width predicts (P_FIRST_ARC); the value is
-    the same whatever the first level.
+    the level that the arc's width (RaySpec.arc) predicts (P_FIRST_ARC);
+    the value is the same whatever the first level.  Either path forms
+    the arc once.
     """
     if point.nu == 0:
         return 0.0 + 0.0j
     series = _p_series(point)
-    lo, hi = _admissible_arc(point)
     if series is not None:
+        _admissible_arc(point)  # the refusal alone
         return series
+    spec = choose_ray(point)
     first = 3
-    while first < 7 and (hi - lo) * 2**first < P_FIRST_ARC:
+    while first < 7 and spec.arc * 2**first < P_FIRST_ARC:
         first += 1
-    return _de_sum(_p_weighted(point, choose_ray(point)), first).value
+    return _de_sum(_p_weighted(point, spec), first).value
 
 
 def P_plus(point: ModularPoint) -> complex:
@@ -589,8 +597,8 @@ def _coth_poly(m: int, centre: int) -> tuple[Fraction, ...]:
 
 @functools.cache
 def _coth_derivative(m: int, centre: int) -> tuple[float, ...]:
-    """_coth_poly as floats."""
-    return tuple(float(a) for a in _coth_poly(m, centre))
+    """_coth_poly as floats, highest power first (for Horner's rule)."""
+    return tuple(float(a) for a in reversed(_coth_poly(m, centre)))
 
 
 @functools.cache
@@ -601,35 +609,45 @@ def _poles(pairs: int) -> np.ndarray:
 
 
 @functools.cache
-def _taylor_coefficients(n: int, terms: int) -> tuple[float, ...]:
-    """B_{2n+2j} / ((2n+2j) (2j+1)!) for j < terms: the Taylor
-    coefficients of A_n, which multiply z^{2j+1}."""
-    return tuple(
-        b2(n + j) / (2 * (n + j)) / math.factorial(2 * j + 1) for j in range(terms)
-    )
+def _taylor_table(n: int) -> tuple[list[float], list[float]]:
+    """The Taylor coefficients B_{2n+2j} / ((2n+2j) (2j+1)!) of A_n, which
+    multiply z^{2j+1}, and the moduli |c_j / c_{j-1}| of their ratios (inf
+    at j = 0), lowest j first: one table per n, grown in place 8, 16, ...
+    entries at a time (_grow_taylor_table), since a long Bernoulli table is
+    slow to build."""
+    coeffs: list[float] = []
+    ratios: list[float] = []
+    _grow_taylor_table(n, coeffs, ratios)
+    return coeffs, ratios
 
 
-def _a_taylor(n: int, z: complex) -> complex:
-    """The Taylor series of A_n, for |z| < 2 pi.
+def _grow_taylor_table(n: int, coeffs: list[float], ratios: list[float]) -> None:
+    for j in range(len(coeffs), max(8, 2 * len(coeffs))):
+        coeffs.append(b2(n + j) / (2 * (n + j)) / math.factorial(2 * j + 1))
+        ratios.append(abs(coeffs[j] / coeffs[j - 1]) if j else math.inf)
+
+
+def _a_taylor(n: int, z2: complex, r2: float, powers: list[complex]) -> complex:
+    """The Taylor series of A_n, for |z| < 2 pi: z2 = z^2, r2 = |z^2|, and
+    powers the powers z^{2j+1} formed so far (z first), each the last times
+    z2, which it extends.
 
     Summed forward until a term no longer changes the sum while the
     ratio of successive terms, which falls with j, is at most 1/2: the
-    tail is then below that term.  Coefficients are fetched 8, 16, ...
-    at a time, since a long Bernoulli table is slow to build.
+    tail is then below that term.
     """
-    z2 = z * z
-    r2 = abs(z2)
-    terms = 8
-    coeffs = _taylor_coefficients(n, terms)
-    power = z
-    total = coeffs[0] * z
+    coeffs, ratios = _taylor_table(n)
+    total = coeffs[0] * powers[0]
+    n_coeffs, n_powers = len(coeffs), len(powers)
     for j in range(1, A_TAYLOR_TERMS):
-        if j == terms:
-            terms *= 2
-            coeffs = _taylor_coefficients(n, terms)
-        power *= z2
-        last, total = total, total + coeffs[j] * power
-        if total == last and abs(coeffs[j] / coeffs[j - 1]) * r2 <= 0.5:
+        if j == n_coeffs:
+            _grow_taylor_table(n, coeffs, ratios)
+            n_coeffs = len(coeffs)
+        if j == n_powers:
+            powers.append(powers[-1] * z2)
+            n_powers += 1
+        last, total = total, total + coeffs[j] * powers[j]
+        if total == last and ratios[j] * r2 <= 0.5:
             return total
     raise ConvergenceError(f"A_n Taylor series needs more than {A_TAYLOR_TERMS} terms")
 
@@ -664,23 +682,28 @@ def A_n(n: int, z: complex) -> complex:
     For n <= 12 the error is below 3e-14 (|A_n| + (2n-2)!/d^{2n-1}) on the
     points tested against mpmath, and about 9e-16 n up to A_N_MAX, the
     rounding of an s-th power; near a zero of A_n on the real axis no
-    form keeps the relative digits.
+    form keeps the relative digits.  A_n alone forms its powers
+    (z - 2 pi i k)^{-s} directly; _a_terms, which takes A_1, A_2, ... in
+    order, steps them by one square each.
 
     One Hurwitz form for n >= 2, (2n-2)! (2 pi i)^{-s} [zeta(s, 1 + u) -
     zeta(s, 1 - u)] with u = z/(2 pi i), summed directly to a shift and by
     Euler-Maclaurin past it, was tried in place of the partial fractions
     and the coth form.  It is as accurate (below 9e-15 for n <= 12 on the
     same points), but its Euler-Maclaurin tail reaches 2^-53 only with a
-    shift that grows with n and |Im u|, and for all n <= 3, 6 and 12 at
-    seven z in (-32, 0), like the fixed-x points at q -> 1, it took 27, 40
-    and 92 us against 11, 12 and 29 us here (CPython 3.11, one core of a
-    shared 2-core machine): most of the series' gain over the ray integral.
+    shift that grows with n and |Im u|: for all n <= 3, 6 and 12 at seven
+    z in (-32, 0), like the fixed-x points at q -> 1, it took 27, 40 and
+    92 us where these forms then took 11, 12 and 29 us.  One pass of
+    _a_terms over the same n and z now takes 5.7, 12.0 and 35.6 us at the
+    median z, where the setup per call it replaced took 6.0, 17.1 and
+    44.8 us, the two timed in turn in one process (CPython 3.11.7, numpy
+    2.4.6, one core of a shared 2-core machine).
     A value (next to a pole) or a z^{2n-1} past the double range is a
-    domain error (_a_values).
+    domain error (_a_terms).
     """
     _require_n(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _a_values((n,), z)[0]
+        return complex(next(_a_terms(complex(z), n)))
 
 
 def _require_n(n: int) -> None:
@@ -688,59 +711,105 @@ def _require_n(n: int) -> None:
         raise DomainError(f"n must be an integer in [1, {A_N_MAX}], got {n}")
 
 
-def _a_values(ns, z: complex) -> list[complex]:
-    """A_n(z) for each n of ns (in [1, A_N_MAX]), sharing the pole distance,
-    c = coth(z/2) and the partial fractions' 1/(z - 2 pi i k); a value or a
-    z^{2n-1} past the double range is a domain error, for A_n and P alike."""
-    z = _finite(complex(z), "z")
+def _a_terms(z: complex, n: int = 1) -> Iterator[complex]:
+    """A_n(z), A_{n+1}(z), ..., A_{A_N_MAX}(z) in order, each formed when
+    it is drawn, from one setup: the pole distance, the sign fold, the
+    logs, and (once their branch is first taken) c = coth(z/2) or c - 1 and
+    the partial fractions' g = 1/(z - 2 pi i k).  Each term comes from the
+    last where it can: the partial fractions take g^s as g^{s-2} g^2 (A_n
+    alone forms g^s directly), and the Taylor series shares z^2, |z^2| and
+    the powers z^{2j+1}.  On the real axis, where P's series takes z at
+    q -> 1 (nu = i c and nu = i xi alpha), the Taylor series and the coth
+    form run in float arithmetic: their real parts are those of the complex
+    forms, but for the pole term's z^{2n-1}, which pow rounds once where
+    complex ** int rounds at each of its products.  A value or a z^{2n-1}
+    past the double range is a domain error, for A_n and P alike.  It is a
+    generator because a closure over this setup cost about as much to make
+    as the setup itself."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"z is not finite: {z}")
     if z.real == 0.0 and abs(z.imag) >= TWO_PI:
         raise DomainError(f"z^2 = {z * z} lies on the cut (-oo, -4 pi^2]")
     if z == 0:
-        return [0j for _ in ns]
+        for _ in range(n, A_N_MAX + 1):
+            yield 0j
+        return
     sign = 1.0
     if z.real < 0.0:  # A_n is odd
         z, sign = -z, -1.0
     r = abs(z)
     k1 = round(z.imag / TWO_PI) or (1 if z.imag >= 0.0 else -1)
-    log_d = math.log(abs(z - TWO_PI * 1j * k1))
+    log_d = math.log(math.hypot(z.real, z.imag - TWO_PI * k1))
     log_d_over_r = log_d - math.log(r)
     log_2pi_over_r = math.log(TWO_PI / r)
-    inv_gaps = None  # 1/(z - 2 pi i k) for the partial fractions
-    x = None  # c or c - 1 for the closed forms
-    out = []
-    for n in ns:
+    loss_decides = r < math.pi or z.real >= TWO_PI
+    centre = 1 if z.real >= 1.0 else 0
+    # the closed forms' and the Taylor series' argument: a float on the axis
+    w, lib = (z.real, math) if z.imag == 0.0 else (z, cmath)
+    # c or c - 1 for the closed forms, w^2 and w^{2j+1} for the Taylor
+    # series, g and g^2 for the partial fractions, and g^s with its s
+    x = w2 = taylor_powers = inv_gaps = inv_gaps_sq = gap_powers = None
+    gap_s = 0
+
+    n -= 1
+    while n < A_N_MAX:  # a for loop over n costs more to close when P stops early
+        n += 1
         s = 2 * n - 1
         # the closed forms' terms (2n-2)!/r^s against a value of order
-        # (2n-2)!/d^s, or (2n-1)! 2r/(2 pi)^{2n} near z = 0
-        log_loss = max(s * log_d_over_r, 2 * n * log_2pi_over_r - math.log(2 * s))
+        # (2n-2)!/d^s, or (2n-1)! 2r/(2 pi)^{2n} near z = 0; only the
+        # Taylor series (r < pi) and the partial fractions at Re z >= 2 pi
+        # ask for it
+        log_loss = 0.0
+        if loss_decides:
+            log_loss = s * log_d_over_r
+            near_zero = 2 * n * log_2pi_over_r - math.log(2 * s)
+            if near_zero > log_loss:
+                log_loss = near_zero
         if n >= 2 and s * r >= TWO_PI and (z.real < TWO_PI or log_loss > LOG_A_LOSS_MAX):
             # the pairs past K sum below 2 (2 pi K - r)^{1-s} / (2 pi (s-1)),
             # which is at most 2^-53 d^-s once 2 pi K - r >= reach
-            reach = math.exp((_LOG_2_53 + s * log_d - math.log(math.pi * (s - 1))) / (s - 1))
-            pairs = math.ceil((r + reach) / TWO_PI)
+            log_reach = (_LOG_2_53 + s * log_d - math.log(math.pi * (s - 1))) / (s - 1)
+            pairs = A_PF_PAIRS + 1  # past _LOG_PF_REACH, without forming the reach
+            if log_reach < _LOG_PF_REACH:
+                pairs = math.ceil((r + math.exp(log_reach)) / TWO_PI)
             if pairs <= A_PF_PAIRS:
                 if inv_gaps is None or len(inv_gaps) < 2 * pairs:
-                    inv_gaps = 1.0 / (z - _poles(pairs))
-                out.append(_finite(sign * math.factorial(s - 1) * complex((inv_gaps**s).sum())))
+                    inv_gaps, inv_gaps_sq, gap_s = 1.0 / (z - _poles(pairs)), None, 0
+                if gap_s != s - 2:
+                    gap_powers = inv_gaps**s
+                else:
+                    if inv_gaps_sq is None:
+                        inv_gaps_sq = inv_gaps * inv_gaps
+                    gap_powers *= inv_gaps_sq
+                gap_s = s
+                yield _finite(sign * math.factorial(s - 1) * complex(gap_powers.sum()))
                 continue
         if r < math.pi and log_loss > LOG_A_LOSS_MAX:
-            out.append(sign * _a_taylor(n, z))
+            if w2 is None:
+                w2, taylor_powers = w * w, [w]
+                r2 = abs(w2)
+            yield sign * _a_taylor(n, w2, r2, taylor_powers)
             continue
-        centre = 1 if z.real >= 1.0 else 0
         if x is None:
             if centre:
-                w = cmath.exp(-z)
-                x = 2.0 * w / (1.0 - w)  # c - 1 = 2/(e^z - 1)
+                e = lib.exp(-w)
+                x = 2.0 * e / (1.0 - e)  # c - 1 = 2/(e^z - 1)
             else:
-                x = 1.0 / cmath.tanh(0.5 * z)
-        p = 0j
-        for a in reversed(_coth_derivative(s - 1, centre)):
+                x = 1.0 / lib.tanh(0.5 * w)
+        p = 0.0
+        for a in _coth_derivative(s - 1, centre):
             p = p * x + a
         try:
-            out.append(_finite(sign * (2.0 * p - math.factorial(s - 1) / z**s)))
-        except OverflowError:  # complex ** int, where z^s passes the double range
+            w_s = w**s
+        except OverflowError:  # ** int, where z^s passes the double range
             raise DomainError(f"A_n overflows: z^{s} at z = {z}") from None
-    return out
+        yield _finite(sign * (2.0 * p - math.factorial(s - 1) / w_s))
+
+
+def _a_values(ns: range, z: complex) -> list[complex]:
+    """A_n(z) for the consecutive n of ns, as range(1, N + 1), in
+    [1, A_N_MAX]: one pass of _a_terms."""
+    return [complex(a) for a in islice(_a_terms(complex(z), ns.start), len(ns))]
 
 
 def K_N(N: int, nu: complex) -> float:
@@ -826,20 +895,24 @@ def _zeta_upper(s: int) -> float:
 @functools.cache
 def _series_constants(n_max: int) -> tuple[tuple[float, ...], ...]:
     """Per N = 0..n_max: the coefficient B_2N/(2N)! of the series (1 at
-    N = 0, which has no term), the bound's C_eps(N)/(2pi - eps)^{2N}, and
-    (2N)!/2, 2 zeta(2N+1), (2N+1)!/2, 2 zeta(2N+2) of the closed-form K_N
-    bound (_p_series)."""
-    return tuple(
-        (
+    N = 0, which has no term), the bound's c = C_eps(N)/(2pi - eps)^{2N},
+    the power 2N + 1 of |tau|, and c (2N)!/2, c (2N)!/2 2 zeta(2N+1),
+    c (2N+1)!/2 and c (2N+1)!/2 2 zeta(2N+2), the factors of the
+    closed-form K_N bound (_p_series)."""
+    rows = []
+    for N in range(n_max + 1):
+        c = _f_tail_constant(N) / (TWO_PI - SERIES_EPS) ** (2 * N)
+        f1, f2 = 0.5 * math.factorial(2 * N), 0.5 * math.factorial(2 * N + 1)
+        rows.append((
             b2(N) / math.factorial(2 * N) if N else 1.0,
-            _f_tail_constant(N) / (TWO_PI - SERIES_EPS) ** (2 * N),
-            0.5 * math.factorial(2 * N),
-            2.0 * _zeta_upper(2 * N + 1),
-            0.5 * math.factorial(2 * N + 1),
-            2.0 * _zeta_upper(2 * N + 2),
-        )
-        for N in range(n_max + 1)
-    )
+            c,
+            2 * N + 1,
+            c * f1,
+            c * f1 * 2.0 * _zeta_upper(2 * N + 1),
+            c * f2,
+            c * f2 * 2.0 * _zeta_upper(2 * N + 2),
+        ))
+    return tuple(rows)
 
 
 def _partial_sums(a_values: list[complex], log_q: complex, consts) -> list[complex]:
@@ -868,9 +941,17 @@ def _p_series(point: ModularPoint) -> complex | None:
     min((2N)!/2 [(1-a)^{-2N-1} + 2 zeta(2N+1)],
         |nu| (2N+1)!/2 [(1-a)^{-2N-2} + 2 zeta(2N+2)]).
     N is the smallest N <= N_MAX with b_N < TERM_TOL (|T_1| - b_1), where
-    |T_1| - b_1 <= |P| is the first term's modulus less its bound, and
-    the ray is used where b_{N_MAX} is not: the bounds are compared
-    before any A_n past the first is formed.
+    |T_1| - b_1 <= |P| is the first term's modulus less its bound.  The
+    bounds are compared before any A_n past the first is formed, and the
+    ray is used where b_{N_MAX} misses: at once where it is not below
+    TERM_TOL |T_1|, which bounds the tolerance, so that a ray point pays
+    for A_1 and one bound.  Below it b_N falls with N up to N_MAX (the
+    bound falls up to N ~ pi (1 - a)/|tau|, past N_MAX wherever b_{N_MAX}
+    certifies P), so N is found by probing b_2, b_4 and b_8 and bisecting
+    the last bracket: one bound at N = 2, three at N = 3 or 4 and five at
+    most, past b_1 and b_{N_MAX}, where a scan from N = 1 took N.  One
+    pass of _a_terms forms A_1 before the bounds and A_2, ..., A_N after,
+    and only the last partial sum is kept.
     The series is tried only for SERIES_EPS < arg tau <= pi/2, where its
     ray lies in the lower half-plane and it sums P_minus; at Re tau < 0 it
     would sum P_plus, which reaches it through the mirror point.
@@ -886,24 +967,42 @@ def _p_series(point: ModularPoint) -> complex | None:
     abs_nu, inv = abs(nu), 1.0 / (1.0 - a)
 
     def bound(N: int) -> float:
-        _, coef, f1, z1, f2, z2 = consts[N]
-        t = abs_tau ** (2 * N + 1)
-        x = (inv * abs_tau) ** (2 * N + 1)
-        return coef * min(f1 * (x + z1 * t), abs_nu * f2 * (inv * x + z2 * t))
+        _, _, e, f1, f1_z1, f2, f2_z2 = consts[N]
+        t = abs_tau**e
+        x = t if a == 0.0 else (inv * abs_tau) ** e  # (1 - a)^-1 = 1 at a = 0
+        b = f1 * x + f1_z1 * t
+        b_nu = abs_nu * (f2 * inv * x + f2_z2 * t)
+        return b_nu if b_nu < b else b  # min(b, b_nu), which costs more to call
 
-    z = TWO_PI * 1j * nu
     log_q = point.log_q
-    a_values = _a_values((1,), z)
-    tol = TERM_TOL * (abs(consts[1][0] * a_values[0] * log_q) - bound(1))
-    # the bound falls up to N ~ pi (1 - a)/|tau|, past N_MAX wherever it
-    # can certify P at all; where even b_{N_MAX} misses, the ray is used
-    if not bound(N_MAX) < tol:
+    terms = _a_terms(TWO_PI * 1j * nu)
+    first = consts[1][0] * next(terms) * log_q
+    # tol is at most TERM_TOL |T_1|: a b_{N_MAX} past that rejects without b_1
+    b_max, abs_first = bound(N_MAX), abs(first)
+    if not b_max < TERM_TOL * abs_first:
         return None
-    N = 1
-    while not bound(N) < tol:
-        N += 1
-    a_values += _a_values(range(2, N + 1), z)
-    return -_partial_sums(a_values, log_q, consts)[-1]
+    b_1 = bound(1)
+    tol = TERM_TOL * (abs_first - b_1)
+    if not b_max < tol:
+        return None
+    lo, hi = 1, 1  # b_hi < tol, and b_lo is not but at lo = hi = 1
+    if not b_1 < tol:
+        hi = 2
+        while hi < N_MAX and not bound(hi) < tol:  # b_2, b_4, b_8, then b_{N_MAX}
+            lo, hi = hi, min(2 * hi, N_MAX)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) < tol:
+            hi = mid
+        else:
+            lo = mid
+    total = 0j + first
+    log_q_sq = log_q * log_q
+    power = log_q * log_q_sq
+    for n in range(2, hi + 1):
+        total += consts[n][0] * next(terms) * power
+        power *= log_q_sq
+    return -total
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_series_tables_are_built_on_first_use():
         "import qmod.cli\n"
         "from qmod import raysum\n"
         "caches = (raysum._series_constants, raysum._coth_poly, raysum._coth_derivative,\n"
-        "          raysum._taylor_coefficients, raysum._poles)\n"
+        "          raysum._taylor_table, raysum._poles)\n"
         "print([c.cache_info().currsize for c in caches])\n"
     )
     proc = subprocess.run(

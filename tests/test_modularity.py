@@ -675,7 +675,7 @@ _DIRECT = {
     "big_G": lambda r: qmod.big_G(_wide_point(r)),
     "P_minus": lambda r: qmod.P_minus(_wide_point(r)),
     "P_plus": lambda r: qmod.P_plus(_wide_point(r)),
-    "choose_ray": lambda r: complex(*astuple(qmod.choose_ray(_wide_point(r)))),
+    "choose_ray": lambda r: complex(*astuple(qmod.choose_ray(_wide_point(r)))[:2]),
     "dP_dnu": lambda r: dP_dnu(_wide_point(r)),
     "dP_dtau": lambda r: dP_dtau(_wide_point(r)),
     "stokes_sum": lambda r: stokes_sum(_wide_point(r)),

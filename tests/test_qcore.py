@@ -163,16 +163,20 @@ def test_qpochhammer_count_grows_as_q_to_one():
 
 def _reference_product(x, q, n_factors):
     """The factor loop the blocked kernel must reproduce bit for bit, with
-    the power x q^n_factors it ends on and the index of its first exactly
-    vanishing factor (or None)."""
-    value, xq, zero_at = 1.0 + 0.0j, x, None
+    the power x q^n_factors it ends on, the index of its first exactly
+    vanishing factor (or None), and whether its running value stays in the
+    normal double range (up to that factor), where it keeps its digits."""
+    value, xq, zero_at, in_range = 1.0 + 0.0j, x, None, True
+    tiny = sys.float_info.min
     for k in range(n_factors):
         factor = 1.0 - xq
         if factor == 0 and zero_at is None:
             zero_at = k
         value *= factor
         xq *= q
-    return value, xq, zero_at
+        if in_range and zero_at is None:
+            in_range = tiny <= abs(value.real) + abs(value.imag) < math.inf
+    return value, xq, zero_at, in_range
 
 
 def _mp_product(mpmath, x, q):
@@ -191,6 +195,20 @@ def _mp_product(mpmath, x, q):
             power *= y
             total += power / (m * -mpmath.expm1(m * log_q))
         return value * mpmath.exp(-total)
+
+
+def _log_product(mpmath, x, q, n_factors):
+    """log prod_{k < n_factors} (1 - x q^k) for the double inputs x and q, up
+    to a multiple of 2 pi i: its principal logs summed in long double where
+    that carries a 64-bit mantissa (the powers drift by about sqrt(k) 1e-19),
+    else the log of _mp_product, whose tail past n_factors is below
+    TERM_TOL."""
+    if np.finfo(np.longdouble).eps > 1e-18:
+        with mpmath.workdps(30):
+            return complex(mpmath.log(_mp_product(mpmath, x, q)))
+    steps = np.full(n_factors, np.clongdouble(complex(q)))
+    steps[0] = np.clongdouble(complex(x))
+    return complex(np.log(1.0 - np.multiply.accumulate(steps)).sum())
 
 
 def _points_with_length(n_factors, rng, count, real=False):
@@ -216,12 +234,18 @@ def _points_with_length(n_factors, rng, count, real=False):
 
 def test_blocked_product_is_bit_identical_to_the_loop():
     # _product at every length, and qpochhammer_with_count up to
-    # _BLOCK_FACTORS factors, are the loop bit for bit.  Complex (x, q): the
-    # value, zeros' signs included, and the power it ends on.  Real (x, q),
+    # _BLOCK_FACTORS factors, are the loop bit for bit wherever the loop's
+    # running value stays in the normal range.  Complex (x, q): the value,
+    # zeros' signs included, and the power it ends on.  Real (x, q),
     # multiplied as floats: the real part is the loop's (bit for bit where it
-    # is not 0), the imaginary part +0.0 where the loop may leave -0.0.  Past
-    # _BLOCK_FACTORS the tail goes through its log series: the outcome is the
-    # loop's, and a value is within 1e-12 of a 30-digit reference
+    # is not 0), the imaginary part +0.0 where the loop may leave -0.0.
+    # Where the loop leaves the normal range it loses its digits, and
+    # _product, which carries the binary exponent, keeps them: its log is
+    # the long-double reference's (_log_product), and the outcome is the
+    # reference's.  Past
+    # _BLOCK_FACTORS the tail goes through its log series: a value is within
+    # 1e-12 of a 30-digit reference, or 5e-11 where the loop left the range
+    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(20261018)
     loop, block = qcore._LOOP_FACTORS, qcore._BLOCK_FACTORS
     lengths = [0, 1, loop - 1, loop, loop + 1, block - 1, block, block + 1]
@@ -243,45 +267,61 @@ def test_blocked_product_is_bit_identical_to_the_loop():
     points += [(complex(1.0 / q), complex(q)) for q in (0.999, 0.99995)]  # 1/q * q == 1.0
     outcomes = set()
     long_values = []
+    left_range = 0
     for x, q in points:
         try:
             n_factors = qcore._tail_length(abs(x), abs(q), "(x;q)_oo")
         except ConvergenceError:
             continue
-        want, want_power, zero_at = _reference_product(x, q, n_factors)
+        want, want_power, zero_at, in_range = _reference_product(x, q, n_factors)
+        keeps_digits = in_range or zero_at is not None
         real = x.imag == 0.0 and q.imag == 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             if not real:
-                got, power = qcore._product(x, q, n_factors)
-                assert repr(complex(got)) == repr(want), (x, q, n_factors)
+                got, shift, power = qcore._product(x, q, n_factors)
                 assert repr(complex(power)) == repr(want_power), (x, q, n_factors)
             else:
-                got, power = qcore._product(x.real, q.real, n_factors)
-                if cmath.isfinite(want):
-                    assert got == want.real, (x, q, n_factors)
-                    assert want == 0 or repr(float(got)) == repr(want.real), (x, q, n_factors)
-                else:
-                    assert not math.isfinite(got), (x, q, n_factors)
+                got, shift, power = qcore._product(x.real, q.real, n_factors)
                 if cmath.isfinite(want_power):
                     assert power == want_power.real, (x, q, n_factors)
-        if not cmath.isfinite(want):
+        if keeps_digits:
+            got = qcore._scale(got, shift)  # exact: the loop's value is a normal double or 0
+            if not real:
+                assert repr(complex(got)) == repr(want), (x, q, n_factors)
+            elif cmath.isfinite(want):
+                assert got == want.real, (x, q, n_factors)
+                assert want == 0 or repr(float(got)) == repr(want.real), (x, q, n_factors)
+            else:
+                assert not math.isfinite(got), (x, q, n_factors)
+            over, under = not cmath.isfinite(want), qcore._below_normal(want) and zero_at is None
+        else:
+            left_range += 1
+            log_want = _log_product(mpmath, x, q, n_factors)
+            log_got = cmath.log(got) + shift * math.log(2.0)
+            miss = log_got - log_want
+            tol = 1e-15 * abs(log_want) + 1e-10
+            assert abs(miss.real) < tol and abs(math.remainder(miss.imag, 2.0 * math.pi)) < tol, (
+                x, q, n_factors, miss)
+            over, under = log_want.real > math.log(sys.float_info.max), log_want.real < math.log(
+                sys.float_info.min)
+        if over:
             outcome = "overflow"
             with pytest.raises(DomainError, match="not finite|overflows"):
                 qpochhammer_with_count(x, q)
-        elif qcore._below_normal(want) and zero_at is None:
+        elif under:
             outcome = "underflow"
             with pytest.raises(DomainError, match="underflows"):
                 qpochhammer_with_count(x, q)
         else:
-            outcome = "zero" if want == 0 else "value"
+            outcome = "zero" if keeps_digits and want == 0 else "value"
             got, n_got = qpochhammer_with_count(x, q)
             assert n_got == n_factors
             if real:
                 assert repr(got.imag) == "0.0", (x, q, n_factors)
-            if n_factors > block:
-                assert (got == 0) == (want == 0), (x, q, n_factors)
-                if want != 0:
-                    long_values.append((x, q, got))
+            if n_factors > block or not keeps_digits:
+                assert (got == 0) == (outcome == "zero"), (x, q, n_factors)
+                if outcome == "value":
+                    long_values.append((x, q, got, 1e-12 if keeps_digits else 5e-11))
             elif not real:  # repr tells the signs of zeros apart
                 assert repr(got) == repr(want), (x, q, n_factors)
             else:
@@ -294,9 +334,9 @@ def test_blocked_product_is_bit_identical_to_the_loop():
     assert {(kind, o) for kind, o, _ in outcomes} == kinds
     assert {(kind, o) for kind, o, long in outcomes if long} == kinds
     assert len(long_values) > 30
-    mpmath = pytest.importorskip("mpmath")
-    for x, q, got in long_values:
-        assert rel(got, _mp_product(mpmath, x, q)) < 1e-12, (x, q)
+    assert left_range >= 20
+    for x, q, got, tol in long_values:
+        assert rel(got, _mp_product(mpmath, x, q)) < tol, (x, q)
 
 
 #: products past _BLOCK_FACTORS, through the head and the tail's log series
@@ -323,14 +363,6 @@ _TAIL_REFUSALS = {
     "overflow in the tail": (-60.0, 0.9997, "overflows"),
     "overflow, empty head": (-0.25, 0.99995, "overflows"),
     "underflow in the head": (0.5, 0.9999, "underflows"),
-    # the head's running product passes below the normal range and loses its
-    # digits; a tail of about e^853 would lift it to 1e47, where the value
-    # is 6e-194
-    "underflow in the head, lifted by the tail": (
-        0.45484262866015 + 0.059617468536143074j,
-        0.9998940468358095 + 0.0002576193697650165j,
-        "underflows",
-    ),
     "underflow, empty head": (0.2, 0.9999, "underflows"),
 }
 
@@ -347,7 +379,7 @@ def test_tail_path_against_mpmath(case):
     n_head = qcore._head_length(abs(x), abs(q))
     assert (n_head == 0) == (abs(x) <= qcore._TAIL_RADIUS)
     if case.startswith("e^tail"):  # e^tail is inf or 0 in double
-        tail = qcore._log_tail(qcore._product(x, q, n_head)[1], q)
+        tail = qcore._log_tail(qcore._product(x, q, n_head)[2], q)
         assert abs(tail.real) > 745.0
 
 
@@ -357,6 +389,30 @@ def test_tail_path_refusals(x, q, error):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=error):
             qpochhammer(x, q)
+
+
+def test_tail_path_lifts_a_head_below_the_normal_range():
+    # the first head's 5,731 factors take its running product down to about
+    # e^-1311 and end it near e^-1298, and the tail, about e^853, lifts it
+    # to 6.0e-194 (the head was refused).  The second head's product falls
+    # to about e^-971 within its first block and climbs back to e^493 by the
+    # block's end (the loop underflows there and the head was refused); its
+    # later blocks keep dipping, by less.  From the first block that leaves
+    # the normal range on, every block is multiplied in stretches: going
+    # back to plain blocks returned this value 3e-5 off.  The errors, 6.3e-12
+    # and 4.1e-12, are the drift of the head's running powers x q^k: at the
+    # first point about 5.9e-12 in the head's log and 3e-12 in the tail,
+    # which starts from the last of them
+    mpmath = pytest.importorskip("mpmath")
+    points = [
+        (0.45484262866015 + 0.059617468536143074j, 0.9998940468358095 + 0.0002576193697650165j),
+        (0.99 + 0j, cmath.rect(0.99995, math.pi / 3000.0)),
+    ]
+    for (x, q), n_head in zip(points, (5731, 27525)):
+        value, n_factors = qpochhammer_with_count(x, q)
+        assert n_factors > qcore._BLOCK_FACTORS
+        assert qcore._head_length(abs(x), abs(q)) == n_head
+        assert rel(value, _mp_product(mpmath, x, q)) < 1e-11, (x, q)
 
 
 def test_tail_path_zero_factor_in_the_head():

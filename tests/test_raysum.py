@@ -24,6 +24,7 @@ from qmod.raysum import (
     DE_SPAN,
     FIRST_STEP,
     MAX_NODES,
+    N_MAX,
     A_n,
     K_N,
     M_almost_modular,
@@ -34,6 +35,7 @@ from qmod.raysum import (
     RayResult,
     RaySpec,
     _EXP_LIMIT,
+    _a_values,
     _admissible_arc,
     _de_sum,
     _interval_nodes,
@@ -55,7 +57,7 @@ from qmod.raysum import (
     theta_series_table,
 )
 from qmod._stability import cos_ratio, direct_side, sin_ratio
-from qmod.specialfns import SERIES_RADIUS, fn_f
+from qmod.specialfns import SERIES_RADIUS, TWO_PI, fn_f
 
 
 def rel(got, want):
@@ -884,6 +886,146 @@ def test_P_minus_past_the_overflow_radius(monkeypatch):
         assert rel(value, _P_binet(mpmath, p.tau, p.nu)) <= 1e-14, k
 
 
+def _series_terms(point):
+    """_p_series at point and the number of A_n it forms (a spy on
+    _a_terms counts the terms drawn)."""
+    from qmod import raysum
+
+    drawn = []
+    real = raysum._a_terms
+
+    def counted(*args):
+        for value in real(*args):
+            drawn.append(value)
+            yield value
+
+    raysum._a_terms = counted
+    try:
+        return _p_series(point), len(drawn)
+    finally:
+        raysum._a_terms = real
+
+
+def _series_point(kind, target, rng):
+    """A seeded fixed-x (tau = i alpha, nu = i c) or x -> 1 (real_case)
+    point where P's series takes target terms, its alpha found by bisection
+    on log alpha (N grows with alpha up to the ray), or None."""
+    c = rng.uniform(0.05, 1.5) if kind == "fixed-x" else rng.uniform(0.1, 0.9)
+
+    def point(log_alpha):
+        alpha = 10.0**log_alpha
+        if kind == "fixed-x":
+            return ModularPoint(1j * alpha, 1j * c)
+        return ModularPoint.real_case(alpha, c)
+
+    lo, hi = -6.0, -0.5
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        value, n = _series_terms(point(mid))
+        if value is not None and n == target:
+            return point(mid)
+        if value is None or n > target:
+            hi = mid
+        else:
+            lo = mid
+    return None
+
+
+def test_P_series_against_the_binet_sum_at_every_N():
+    # P's series (one pass of _a_terms, N by the bound's search) against the
+    # 25-digit Binet sum at seeded q -> 1 points, fixed x and x -> 1, that
+    # take every N from 2 to N_MAX between them
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261021)
+    covered = set()
+    for target in range(2, N_MAX + 1):
+        for kind in ("fixed-x", "x -> 1"):
+            p = _series_point(kind, target, rng)
+            if p is None:
+                continue
+            value, n = _series_terms(p)
+            assert n == target
+            assert rel(value, _P_binet(mpmath, p.tau, p.nu)) <= 1e-14, (kind, target, p)
+            covered.add(target)
+    assert covered == set(range(2, N_MAX + 1))
+
+
+def _p_series_by_scan(point):
+    """P's series with N from a scan of b_1, b_2, ..., b_{N_MAX}, the search
+    _p_series replaced, and A_1, ..., A_N from _a_values: the same terms
+    summed in the same order, None where no N <= N_MAX certifies P."""
+    from qmod.qcore import TERM_TOL
+    from qmod.raysum import SERIES_EPS, _series_constants
+
+    tau, nu = point.tau, point.nu
+    a, abs_tau = abs(nu.real), abs(tau)
+    if not (abs_tau < 1.0 - a and tau.real >= 0.0 and math.atan2(tau.imag, tau.real) > SERIES_EPS):
+        return None
+    consts = _series_constants(N_MAX)
+    inv = 1.0 / (1.0 - a)
+
+    def bound(n):
+        _, _, e, f1, f1_z1, f2, f2_z2 = consts[n]
+        t, x = abs_tau**e, (inv * abs_tau) ** e
+        return min(f1 * x + f1_z1 * t, abs(nu) * (f2 * inv * x + f2_z2 * t))
+
+    z = TWO_PI * 1j * nu
+    first = consts[1][0] * _a_values(range(1, 2), z)[0] * point.log_q
+    tol = TERM_TOL * (abs(first) - bound(1))
+    n_terms = next((n for n in range(1, N_MAX + 1) if bound(n) < tol), None)
+    if n_terms is None:
+        return None
+    total, power = 0j + first, point.log_q**3
+    for n, a_n in enumerate(_a_values(range(1, n_terms + 1), z)[1:], 2):
+        total += consts[n][0] * a_n * power
+        power *= point.log_q**2
+    return -total
+
+
+def test_P_series_search_is_the_scan_it_replaced():
+    # the reject at b_{N_MAX} and the probes b_2, b_4, b_8 with bisection
+    # find the N a scan from N = 1 finds, bit for bit the same value, at
+    # seeded q -> 1 points of every N and at ray points
+    rng = np.random.default_rng(20261024)
+    points = []
+    for _ in range(150):
+        alpha = 10.0 ** rng.uniform(-6.0, -0.3)
+        points.append(ModularPoint.real_case(alpha, rng.uniform(0.1, 0.9)))
+        points.append(ModularPoint(1j * alpha, 1j * rng.uniform(0.05, 1.5)))
+    points += [_series_point(kind, n, rng) for n in (10, 11, 12) for kind in ("fixed-x", "x -> 1")]
+    points += _domain_fuzz_points(60, seed=11)
+    lengths = set()
+    for p in filter(None, points):
+        value, n = _series_terms(p)
+        want = _p_series_by_scan(p)
+        assert (value is None) == (want is None), p
+        if value is not None:
+            assert repr(value) == repr(complex(want)), p
+            lengths.add(n)
+    assert lengths >= set(range(2, N_MAX + 1))
+
+
+def test_P_series_rejects_a_ray_point_on_its_first_term():
+    # where b_{N_MAX} does not certify P the series is rejected on A_1
+    # alone: no A_n past the first is formed (the early reject that keeps
+    # the ray points' cost), at the ray points of q -> 1 (x -> 1 and fixed x
+    # at larger alpha) and of the domain-fuzz box
+    rng = np.random.default_rng(20261022)
+    points = []
+    for _ in range(40):
+        alpha = 10.0 ** rng.uniform(-1.5, -0.3)
+        points.append(ModularPoint.real_case(alpha, rng.uniform(0.1, 0.9)))
+        points.append(ModularPoint(1j * alpha, 1j * rng.uniform(0.05, 1.5)))
+    points += _domain_fuzz_points(100, seed=11)
+    rejected = 0
+    for p in points:
+        value, n = _series_terms(p)
+        if value is None:
+            assert n <= 1, p
+            rejected += n  # those that formed A_1, the others no A_n at all
+    assert rejected >= 30
+
+
 def test_P_minus_series_against_mpmath():
     # fixed x (nu = i c) and x -> 1 (real_case) for alpha in [1e-6, 0.1],
     # where the series replaces the ray; the ray itself was off by up to
@@ -1126,6 +1268,39 @@ def test_A_n_against_mpmath(n):
         ray = _a_n_ray(n, z) if abs(z.real) < 20.0 and n <= 12 else None
         if ray is not None:
             assert abs(ray - want) < 1e-9 * scale, z
+
+
+def test_A_n_pass_agrees_with_A_n_in_every_branch(monkeypatch):
+    # one pass of _a_terms from n = 1 (as _a_values and P's series take
+    # it), which steps the partial fractions' powers by g^2 and shares the
+    # Taylor series' powers, against A_n, which sets up each n on its own,
+    # within rounding of the size of the largest terms, |A_n| +
+    # (2n-2)!/d^{2n-1}: at seeded z, q -> 1's real negative z = -2 pi c
+    # among them, through every branch (a spy records which)
+    from qmod import raysum
+
+    seen = set()
+    taylor, poles, coth = raysum._a_taylor, raysum._poles, raysum._coth_derivative
+    monkeypatch.setattr(raysum, "_a_taylor", lambda *a: seen.add("taylor") or taylor(*a))
+    monkeypatch.setattr(raysum, "_poles", lambda k: seen.add("partial fractions") or poles(k))
+    monkeypatch.setattr(
+        raysum, "_coth_derivative", lambda m, c: seen.add(f"coth, centre {c}") or coth(m, c)
+    )
+    rng = np.random.default_rng(20261023)
+    zs = [-TWO_PI * c for c in rng.uniform(0.02, 3.0, 12)]
+    zs += [complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-2.0, 1.3) for _ in range(12)]
+    zs += [complex(rng.uniform(-3.0, 3.0), rng.uniform(-12.0, 12.0)) for _ in range(6)]
+    n_max = 16
+    for z in zs:
+        z = complex(z)
+        if z.real == 0.0 and abs(z.imag) >= TWO_PI:
+            continue
+        d = min(abs(z - 2j * math.pi * k) for k in (-3, -2, -1, 1, 2, 3))
+        for n, value in enumerate(_a_values(range(1, n_max + 1), z), 1):
+            want = A_n(n, z)
+            scale = abs(want) + math.factorial(2 * n - 2) / d ** (2 * n - 1)
+            assert abs(value - want) <= 5e-16 * n * scale, (z, n)  # measured: 8.3e-17 n
+    assert seen == {"taylor", "partial fractions", "coth, centre 0", "coth, centre 1"}
 
 
 def test_A_n_frozen_values_match_mpmath():

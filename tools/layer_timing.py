@@ -19,8 +19,12 @@ where P takes its ray, the first call that ``_de_sum`` makes of P's weighted
 integrand, the full grid of its first level (289 nodes at level 4 or, where
 the admissible arc sizes it, 145 to 2,305).  At q-to-one's timed calls:
 ``qpochhammer_modular`` and the direct ``qpochhammer`` at fixed x (real x and
-q), and ``P_minus`` as x -> 1.  A layer that a change does not touch is its
-control: its ratio shows what the pairing leaves of the host's drift.
+q), and ``P_minus`` as x -> 1; and P's series, ``_p_series``, at the P points
+of both (the point the modular route hands ``P_minus``, and the x -> 1
+point), one layer per number of terms N it takes there (as the old tree
+takes it), one for the points it rejects for the ray, and the sums N <= 4
+and N >= 5.  A layer that a change does not touch is its control: its ratio
+shows what the pairing leaves of the host's drift.
 
 Per layer it prints the quartiles of each tree's times (us), and the median of
 the per-point ratios new/old with a bootstrap 95% interval (2,000 resamples
@@ -30,7 +34,13 @@ DE levels.  Resolution (seed 1301, --repeat 7, three runs each, CPython
 itself read every median ratio within 0.997-1.006 and every interval within
 0.994-1.011; a copy with one extra ``_a_values((1,), z)`` call per
 ``_p_series`` read 1.08-1.09 on q-to-one's modular route and 1.11-1.13 on
-``P_minus`` as x -> 1, its intervals clear of 1.
+``P_minus`` as x -> 1, its intervals clear of 1.  The P-series layers
+(seed 1301, three runs each): a tree against a copy of itself read
+0.997-1.006 for N <= 4 (intervals within 0.993-1.010) and 0.994-1.009 for
+the rejects (within 0.986-1.023), where each N alone, with 3 to 49 points,
+reads within 0.978-1.011; a copy with one extra bound (about 0.25 us) per
+``_p_series`` read 1.020-1.039 for N <= 4, 1.057-1.072 for the rejects and
+1.014-1.015 for q-to-one's modular route, every interval clear of 1.
 """
 
 from __future__ import annotations
@@ -57,6 +67,10 @@ DOMAIN_FUZZ = ("qpochhammer_modular", "qpochhammer (complex)", "P_minus",
                "P kernel, first call")
 Q_TO_ONE = {"modular": "fixed-x qpochhammer_modular", "direct": "fixed-x qpochhammer (real)",
             "P": "x -> 1 P_minus"}
+#: P's series at q-to-one's P points, by its number of terms N, and where
+#: it rejects them for the ray
+P_SERIES = tuple(f"P series, N = {n}" for n in range(1, 13)) + ("P series, reject",)
+P_SERIES_SUMS = {"P series, N <= 4": range(1, 5), "P series, N >= 5": range(5, 13)}
 RESAMPLES = 2000
 
 
@@ -105,10 +119,51 @@ def _p_kernel(qm, p_point):
     return weighted, args, args[0]
 
 
+def _series_length(qm, point) -> int | None:
+    """The number N of terms P's series takes at point, None where it
+    rejects the point for the ray: the A_n it forms, drawn from _a_terms
+    or, in trees before it, asked of _a_values."""
+    drawn = []
+    if hasattr(qm.raysum, "_a_terms"):
+        real = qm.raysum._a_terms
+
+        def spy(*args):
+            for value in real(*args):
+                drawn.append(value)
+                yield value
+
+        qm.raysum._a_terms = spy
+        try:
+            value = qm.raysum._p_series(point)
+        finally:
+            qm.raysum._a_terms = real
+    else:
+        real = qm.raysum._a_values
+        qm.raysum._a_values = lambda ns, z: drawn.extend(ns) or real(ns, z)
+        try:
+            value = qm.raysum._p_series(point)
+        finally:
+            qm.raysum._a_values = real
+    return None if value is None else len(drawn)
+
+
+def _sort_p_series(qm, sides: list) -> None:
+    """Move both trees' _p_series calls into the layer of the number of
+    terms N the series takes at each point, as qm (the old tree) takes it,
+    so that the two trees time the same points in each layer."""
+    pairs = zip(*(side["calls"].pop("P series") for side in sides))
+    for calls in pairs:
+        with contextlib.suppress(qm.errors.DomainError, qm.errors.ConvergenceError):
+            n = _series_length(qm, calls[0][1][0])
+            for side, call in zip(sides, calls):
+                side["calls"][P_SERIES[-1] if n is None else P_SERIES[n - 1]].append(call)
+
+
 def layer_calls(qm, workloads, seed: int) -> dict:
     """Per layer, the (function, args) of every timed point, None where the
     layer has no call there, and the first DE level of every ray."""
-    calls: dict = {layer: [] for layer in DOMAIN_FUZZ + tuple(Q_TO_ONE.values())}
+    calls: dict = {layer: [] for layer in DOMAIN_FUZZ + tuple(Q_TO_ONE.values()) + P_SERIES}
+    calls["P series"] = []  # sorted by N later (_sort_p_series)
     levels = []
     for _, timed in workloads.DomainFuzz(seed, qm).timed:
         args = {route: a for route, *_, a, _ in timed}
@@ -127,6 +182,12 @@ def layer_calls(qm, workloads, seed: int) -> dict:
         for route, _, module, attr, args, _ in timed:
             if route in Q_TO_ONE:
                 calls[Q_TO_ONE[route]].append((getattr(module, attr), args))
+            if route == "modular":
+                p_points = [a[0] for a in _calls_of(qm, qm.modularity, "P_minus",
+                                                    lambda: module.qpochhammer_modular(*args))]
+            else:
+                p_points = [args[0]] if route == "P" else []
+            calls["P series"] += [(qm.raysum._p_series, (p,)) for p in p_points]
     return {"calls": calls, "levels": levels}
 
 
@@ -180,6 +241,7 @@ def main(argv=None) -> int:
     try:
         for seed in seeds:
             sides = [layer_calls(qm, workloads, seed) for qm in qms]
+            _sort_p_series(qms[0], sides)
             for side, out in enumerate(sides):
                 levels[side] += out["levels"]
             for layer, old_calls in sides[0]["calls"].items():
@@ -197,6 +259,11 @@ def main(argv=None) -> int:
     print(f"  first DE level of P's ray, points per level: old {hists[0]} | new {hists[1]}")
     print(f"timed q-to-one calls, seeds {args.seeds}")
     _print_layers(times, tuple(Q_TO_ONE.values()))
+    print("  _p_series at their P points, by the number of terms N it takes")
+    for name, ns in P_SERIES_SUMS.items():
+        for side in (0, 1):
+            times[name][side].extend(t for n in ns for t in times[P_SERIES[n - 1]][side])
+    _print_layers(times, P_SERIES + tuple(P_SERIES_SUMS))
     return 0
 
 
