@@ -7,40 +7,35 @@ generalized Lambert series L1/L2.  These are the slow-but-sure oracles
 the modular identities are checked against.  ModularPoint forms a
 point's exponentials on both sides of the modular transformation.
 
-A product (x;q)_oo of up to _BLOCK_FACTORS factors, its length N from the
-tail rule (about 6/alpha at q = e^{-2 pi alpha}), runs in numpy blocks
-rather than a Python loop.  The blocks repeat the loop's floating-point
-operations exactly, each power the previous one times q and each factor
-multiplied into the running value in order, so the result is bit for bit
-the loop's.
+A product (x;q)_oo of N factors, N from the tail rule (about 6/alpha at
+q = e^{-2 pi alpha}), runs as a plain loop up to _LOOP_FACTORS factors.
+Past that it is one exponent.  The head, the K factors with
+|x| |q|^k > _TAIL_RADIUS (about ln(4|x|)/(2 pi alpha) of them), gives the
+sum of its factors' log moduli, from numpy blocks of running powers x q^k,
+and a phase, the product of its unit factors.  The rest is the log series
+log (y;q)_oo = sum_m y^m / (m (q^m - 1)), y = x q^K, which falls like
+_TAIL_RADIUS^m however close q is to 1: a few dozen terms in place of about
+6/alpha factors.  The value is the phase times e^L, L the sum of the two,
+so one rule covers a value past the double range (_exp), however far out
+the running product of the factors would pass on the way.
 
-From the first block whose product leaves the normal double range on, the
-blocks are multiplied in stretches that stay in it and carry the running
-value's binary exponent, so a product that passes out of the range on the
-way keeps its digits (_product).
-
-A longer product multiplies only its head, the K factors with
-|x| |q|^k > _TAIL_RADIUS, about ln(4|x|)/(2 pi alpha) of them, and sums
-the rest as the log series log (y;q)_oo = sum_m y^m / (m (q^m - 1)),
-y = x q^K, which falls like _TAIL_RADIUS^m however close q is to 1: a few
-dozen terms in place of about 6/alpha factors.  N still sets the budget,
-the refusals and the count returned.  The value moves from the loop's at
-rounding level: the tail's exponent carries about one rounding of its own
-size, and y that of the head's powers, where the loop's factors carry both
-over all N.  Against a 30-digit mpmath product at the q-to-one fixed-x
-points of seeds 1301-1302 with N > _BLOCK_FACTORS, the largest relative
-error fell from 2.0e-12 to 9.9e-14.
+The value's relative error is L's absolute rounding plus the drift of the
+head's running powers.  Each factor's log rounds by about 2^-53 of its
+size, the tail's series by 2^-53 of its own, and L, a double, by half its
+last bit (up to 5.7e-14 at |L| = 709); the k-th power carries about sqrt(k)
+roundings, which a factor 1 - x q^k near 0 magnifies and which reach the
+tail through y at a complex q.  Against a 30-digit mpmath product, the
+largest relative error at the q-to-one fixed-x points of seeds 1301-1302
+past 80 factors is 9.1e-14, and at 150 seeded complex long heads (|x| in
+[0.3, 1], 1 - |q| in 10^[-4.3, -2], |arg q| <= 0.02) 4.4e-12, both at most
+the multiplied-out head's.
 
 Where x and q are both real, as in the paper's real case tau = i alpha,
 nu = i xi alpha (q = e^{-2 pi alpha}, x = q^xi), the product runs in
-float64 instead of complex128, loop and blocks alike.  A complex multiply
-whose imaginary parts are 0 rounds its real part as the float multiply
-does, so the real part is still the loop's bit for bit (an exact 0 up to
-its sign) and the imaginary part is +0.0, where the loop can leave -0.0.
-_product at x = 0.3, best of 31 calls (CPython 3.11.7, numpy 2.4.6, a
-shared 2-core machine), complex -> real: 8.1 -> 6.9 us at 81 factors,
-15.8 -> 11.4 at 800, 28.8 -> 17.3 at 2,048, 93.9 -> 50.3 at 8,192 and
-333 -> 171 at 30,000.
+float64 instead of complex128, loop and logs alike, and the head's unit
+factors are +-1.  A complex multiply whose imaginary parts are 0 rounds its
+real part as the float multiply does, so the loop's real part is the
+complex loop's bit for bit and the imaginary part is +0.0.
 """
 
 from __future__ import annotations
@@ -68,35 +63,21 @@ MAX_TERMS = 10**6
 ROUND_TOL = 1e-11
 SMALL_SUM = 1e-2
 #: (x;q)_oo runs a plain loop up to _LOOP_FACTORS factors, where numpy's
-#: per-call cost outweighs it, and numpy blocks of _BLOCK_FACTORS beyond
+#: per-call cost outweighs it, and past that sums the logs of its head's
+#: factors in numpy blocks of _BLOCK_FACTORS
 _LOOP_FACTORS = 80
 _BLOCK_FACTORS = 4096
-#: a product longer than _BLOCK_FACTORS multiplies only the factors with
-#: |x q^k| > _TAIL_RADIUS and sums the rest as a log series, whose m-th term
-#: falls like _TAIL_RADIUS^m.  Radii 1/8 to 3/4 were tried at 461 such
-#: products (the q-to-one fixed-x points of seeds 1301-1302 and 360 seeded
-#: real and complex (x, q)) against a 30-digit mpmath product.  Every radius
-#: timed the same median (10.2 us).  1/4 was the one radius with no error
-#: above max(2x the loop's, 1e-13) and no outcome other than the loop's:
-#: from 3/8 up, products whose loop dips below the normal range midway
-#: return values
+#: a product longer than _LOOP_FACTORS takes the logs of only the factors
+#: with |x q^k| > _TAIL_RADIUS and sums the rest as a log series, whose m-th
+#: term falls like _TAIL_RADIUS^m.  Radii 1/8 to 3/4 were tried at 461
+#: products past 4,096 factors (the q-to-one fixed-x points of seeds
+#: 1301-1302 and 360 seeded real and complex (x, q)) against a 30-digit
+#: mpmath product, when the head was multiplied out.  Every radius timed the
+#: same median (10.2 us).  1/4 was the one radius with no error above
+#: max(2x the loop's, 1e-13) and no outcome other than the loop's
 _TAIL_RADIUS = 0.25
-#: e^t is a normal double for |t| < _EXP_SAFE (ln of the largest and smallest
-#: normal doubles: 709.8 and -708.4)
-_EXP_SAFE = 708.0
 #: the smallest normal double
 _TINY = sys.float_info.min
-#: ln 2 in two parts (fdlibm's): k _LN2_HI is exact for |k| < 2^20, so that
-#: t - k ln 2 keeps the digits of t when whole powers of two leave an exponent
-_LN2_HI = 6.93147180369123816490e-01
-_LN2_LO = 1.90821492927058770002e-10
-#: from the first block whose running product leaves the normal range on,
-#: _product multiplies its factors, scaled by powers of two into [1/2, 1)
-#: (larger part), in stretches, each from the last one's mantissa, that end
-#: where the log2 of the running product enters another band of _BAND_BITS
-#: bits: within a stretch it moves by less than _BAND_BITS + 1, which keeps
-#: it in the range
-_BAND_BITS = 960.0
 
 
 def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms") -> int:
@@ -142,26 +123,6 @@ def _below_normal(value: complex) -> bool:
     lost its digits and, once it is the smallest, stops falling.  The
     parts are tested first, so that abs cannot overflow."""
     return abs(value.real) < _TINY and abs(value.imag) < _TINY and abs(value) < _TINY
-
-
-def _split_exponent(value: complex) -> tuple[complex, int]:
-    """(m, e) with value = m 2^e and max(|Re m|, |Im m|) in [1/2, 1), in the
-    type of value; (value, 0) for 0, inf or nan.  Exact, but for a part
-    below 2^-1022 of the other, which may lose its last bits."""
-    e = math.frexp(max(abs(value.real), abs(value.imag)))[1]
-    return (_scale(value, -e), e) if e else (value, 0)
-
-
-def _scale(value: complex, e: int) -> complex:
-    """value 2^e, part by part, in the type of value: exact where the result
-    is a normal double; one past the double range is a domain error."""
-    try:
-        if isinstance(value, complex):
-            return complex(math.ldexp(value.real, e), math.ldexp(value.imag, e))
-        return math.ldexp(value, e)
-    except OverflowError:
-        mantissa, e_value = _split_exponent(value)
-        raise DomainError(f"value is not finite: {mantissa} * 2^{e + e_value} overflows") from None
 
 
 def admitted_rounding(value: complex) -> float:
@@ -274,106 +235,43 @@ def _power_blocks(x: complex, q: complex, n_factors: int):
     _BLOCK_FACTORS, each the previous power times q as the loop forms it
     (a running product over [x q^k, q, q, ...]).  The blocks take their
     dtype from q: float64 for a real (x, q), each power the complex loop's
-    real part bit for bit, complex128 otherwise (times by length in the
-    module docstring)."""
-    steps = np.full(min(n_factors, _BLOCK_FACTORS), q)
+    real part bit for bit, complex128 otherwise."""
     xq = x
     for start in range(0, n_factors, _BLOCK_FACTORS):
-        m = min(_BLOCK_FACTORS, n_factors - start)
+        steps = np.full(min(_BLOCK_FACTORS, n_factors - start), q)
         steps[0] = xq
-        powers = np.multiply.accumulate(steps[:m])
+        powers = np.multiply.accumulate(steps)
         yield powers
         xq = powers[-1] * q
 
 
-def _product(x: complex, q: complex, n_factors: int) -> tuple[complex, int, complex]:
-    """prod_{k < n_factors} (1 - x q^k), multiplied in order from k = 0, as
-    value 2^shift, and the running power x q^{n_factors} it ends on, in the
-    type of x and q: float64 for a real (x, q), whose value is the complex
-    loop's real part, complex128 otherwise (times by length in the module
-    docstring).  Of a product past _BLOCK_FACTORS factors it multiplies
-    only the head, and at a complex q the power it ends on starts the
-    tail's log series.
-
-    Short products run as a plain loop.  Long ones run in numpy blocks
-    whose first entry is the running value, so every product and power
-    is the same floating-point operation on the same operands as in the
-    loop, bit for bit wherever the loop's running value stays in the
-    normal range (shift = 0).  From the first block whose product leaves
-    the range on, every block is multiplied in stretches
-    (_stretched_product), which never leave it, and the running value goes
-    on as a mantissa and its binary exponent: a product that passes out of
-    the range and back keeps the digits the loop loses.  Going back to
-    plain blocks once the value is in range again lets a later block pass
-    below the range and back unseen: at x = 0.99, q = 0.99995 e^{i pi/3000}
-    that returned a value 3e-5 off, and starting every block from a
-    mantissa one 300 times too large, where the loop refuses.  A dip below
-    the range and back within one plain block still goes unseen, as in the
-    loop: only the block's product is tested.  Starting each block from 1,
-    or forming the powers as exp(k log q), would round differently, so
-    every long product would move.
-    """
-    value = 1.0 if isinstance(x, float) else 1.0 + 0.0j
-    if n_factors <= _LOOP_FACTORS:
-        xq = x
-        for _ in range(n_factors):
-            value *= 1.0 - xq
-            xq *= q
-        return value, 0, xq
-    factors = np.empty(min(n_factors, _BLOCK_FACTORS) + 1, dtype=type(x))
-    shift, stretching = 0, False
-    # an overflow or 0 * inf inside a block is caught by _finite afterwards
-    with np.errstate(over="ignore", invalid="ignore"):
-        for powers in _power_blocks(x, q, n_factors):
-            m = len(powers)
-            factors[0] = value
-            np.subtract(1.0, powers, out=factors[1 : m + 1])
-            if not stretching:
-                value = np.multiply.reduce(factors[: m + 1])
-                if _TINY <= abs(value) < math.inf:
-                    continue
-                stretching = True  # the loop leaves the range: stretches from here on
-            value, e = _stretched_product(factors[: m + 1])
-            value, e_value = _split_exponent(value)
-            shift += e + e_value
-        return value, shift, powers[-1] * q
-
-
-def _stretched_product(factors: np.ndarray) -> tuple[complex, int]:
-    """np.multiply.reduce(factors) as value 2^shift, for the blocks of
-    _product from the first whose running value leaves the normal range on:
-    each factor past the first
-    (the running value) is scaled by a power of two into [1/2, 1) in its
-    larger part, those powers go into shift, and the scaled factors are
-    multiplied in the same order, in stretches (_BAND_BITS) each started
-    from the last one's mantissa (_split_exponent): a few stretches per
-    block.  A block with a factor 0 or not finite keeps its plain product.
-    It overwrites factors."""
-    rest = factors[1:]
-    if not (rest.all() and np.isfinite(rest).all()):
-        return np.multiply.reduce(factors), 0
-    if rest.dtype.kind == "f":
-        rest[:], exponents = np.frexp(rest)
-    else:
-        exponents = np.frexp(np.maximum(np.abs(rest.real), np.abs(rest.imag)))[1]
-        rest *= np.ldexp(1.0, -exponents)  # exact
-    bands = np.floor(np.cumsum(np.log2(np.abs(rest))) / _BAND_BITS)
-    # the index in rest of each stretch's last factor
-    ends = np.flatnonzero(np.diff(bands)).tolist() + [rest.size - 1]
-    value, shift, start = factors[0], int(exponents.sum()), 0
-    for end in ends:
-        value, e = _split_exponent(value)
-        shift += e
-        factors[start] = value
-        value = np.multiply.reduce(factors[start : end + 2])
-        start = end + 1
-    return value, shift
+def _log_head(x: complex, q: complex, n_head: int) -> tuple[float, complex, complex]:
+    """(sum_{k < n_head} log|1 - x q^k|, the product of the unit factors
+    (1 - x q^k)/|1 - x q^k|, x q^n_head), the product in the type of x and
+    q: float64 for a real (x, q), whose unit factors are +-1.  The powers
+    are the running ones of _power_blocks.  The logs are summed in numpy's
+    long double, which on x86 keeps the sum's rounding well below the last
+    bit of the double it returns.  A factor 0 makes the sum -inf."""
+    expo, phase, y = 0.0, 1.0, x
+    for powers in _power_blocks(x, q, n_head):
+        factors = 1.0 - powers
+        sizes = np.abs(factors)  # at most 1 + |x|: finite
+        if not sizes.all():
+            return -math.inf, phase, y
+        expo += np.add.reduce(np.log(sizes), dtype=np.longdouble)
+        # numpy's sign is z/|z| for a complex z (numpy >= 2), subnormal z
+        # too, where z/|z| would overflow
+        phase *= np.multiply.reduce(np.sign(factors))
+        y = powers[-1] * q
+    return float(expo), phase, y
 
 
 def _head_length(ax: float, aq: float) -> int:
     """The number K of factors 1 - x q^k with |x| |q|^k > _TAIL_RADIUS."""
     if ax <= _TAIL_RADIUS:
         return 0
+    if aq == 0.0:  # (x;0)_oo = 1 - x
+        return 1
     return math.ceil((math.log(ax) - math.log(_TAIL_RADIUS)) / -math.log(aq))
 
 
@@ -391,31 +289,7 @@ def _log_tail(y: complex, q: complex) -> complex:
             gap[::2] = -2.0 - gap[::2]
     else:
         gap = np.expm1(m * cmath.log(q))
-    return np.sum(np.power(y, m) / (m * gap))
-
-
-def _times_exp(head: complex, expo: complex, shift: int = 0) -> complex:
-    """head e^expo 2^shift, in the type of head and expo.  Where shift is
-    not 0 or e^expo alone leaves the normal range (|Re expo| >= _EXP_SAFE),
-    the whole powers of two k of e^expo (k ln 2 taken off in two parts,
-    _LN2_HI and _LN2_LO) and the head's binary exponent join shift, and
-    2^shift comes last (_scale), so that a representable product is not
-    refused and past the double range is a domain error."""
-    if shift or not abs(expo.real) < _EXP_SAFE:
-        k = round(_finite(expo, "exponent").real / _LN2_HI)
-        expo = (expo - k * _LN2_HI) - k * _LN2_LO
-        head, e = _split_exponent(head)
-        shift += k + e
-    growth = _exp(expo)
-    with np.errstate(over="ignore", invalid="ignore"):  # head may be a numpy scalar
-        value = head * (growth.real if isinstance(expo, float) else growth)
-    return _scale(value, shift) if shift else value
-
-
-def _has_zero_factor(x: complex, q: complex, n_factors: int) -> bool:
-    """True iff some computed factor 1 - x q^k, k < n_factors, is 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return any((powers == 1.0).any() for powers in _power_blocks(x, q, n_factors))
+    return np.add.reduce(np.power(y, m) / (m * gap))
 
 
 def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
@@ -423,25 +297,25 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
 
     N is fixed in advance from the tail bound |x q^N|/(1-|q|) < TERM_TOL.
     It sets the budget (ConvergenceError past MAX_TERMS) and the count
-    returned, whichever way the product is formed.  Up to _BLOCK_FACTORS
-    factors all N are multiplied, bit for bit the plain loop.  A longer
-    product multiplies its head, the K factors with |x| |q|^k > _TAIL_RADIUS,
-    by e^{log (y;q)_oo} at y = x q^K (_log_tail, _times_exp).  For a real q,
-    y is x times pow(q, K); for a complex q it is the head's running power,
-    since K log q would carry K roundings of arg q.  The value then moves
-    from the loop's at rounding level (module docstring).
-    A product below the normal double range with no factor 0 (0 or a
-    subnormal) is a domain error.  The head carries its binary exponent
-    (_product), so one below the range keeps its digits and its tail may
-    lift it back (at x = 0.4548+0.0596i, q = 0.99989+0.00026i the head is
-    about e^-1298 and the value 6.0e-194); a head that is 0 or subnormal
-    even so is refused without its tail.  A factor past the head has
-    |x q^k| <= _TAIL_RADIUS, so only the head is scanned for a factor 0.
+    returned, whichever way the product is formed.  Up to _LOOP_FACTORS
+    factors the product is a plain loop, and its value is returned where it
+    lies in the normal double range.  Any other product, and a short one
+    that leaves the range, is one exponent,
+    L = sum_{k<K} log|1 - x q^k| + log (y;q)_oo over the head's K factors
+    with |x| |q|^k > _TAIL_RADIUS (_log_head) and the tail's log series at
+    y = x q^K (_log_tail), and its value is the head's phase times e^L.
+    For a real q, y is x times pow(q, K); for a complex q it is the head's
+    running power, since K log q would carry K roundings of arg q.  The
+    value's relative error is L's absolute rounding plus the drift of the
+    head's running powers (module docstring).
+    There is one rule for a value past the double range: e^L that overflows
+    is refused by _exp, and a value below the normal range (0 or a
+    subnormal) is refused as an underflow, unless a factor is 0: its log is
+    -inf and the value an exact 0.  Only the head can hold a factor 0, since
+    every later one has |x q^k| <= _TAIL_RADIUS.
     The rule for the real case is decided here: where x and q are both real
-    (imaginary parts +-0.0) the product runs in float64, its real part the
-    complex loop's bit for bit (an exact 0 up to its sign) and its
-    imaginary part +0.0, 1.7-1.9x faster from 2,048 factors on (times by
-    length in the module docstring).
+    (imaginary parts +-0.0) the product runs in float64, the loop's real part
+    the complex loop's bit for bit, and the imaginary part is +0.0.
     """
     x = complex(x)
     q = complex(q)
@@ -451,20 +325,25 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
     n_factors = _tail_length(abs(x), aq, "(x;q)_oo", "factors")
     if x.imag == 0.0 and q.imag == 0.0:  # the real case, in float64
         x, q = x.real, q.real
-    if n_factors <= _BLOCK_FACTORS:
-        n_head = n_factors
-        value, shift, _ = _product(x, q, n_factors)
-        if shift:
-            value = _scale(value, shift)
-    else:
-        n_head = _head_length(abs(x), aq)  # below n_factors: TERM_TOL < _TAIL_RADIUS
-        value, shift, y = _product(x, q, n_head)
-        if not _below_normal(value):
-            if q.imag == 0.0:  # pow rounds about once, the running power ~sqrt(K) times
-                y = x * q.real**n_head
-            value = _times_exp(value, _log_tail(y, q), shift)
-    value = _finite(complex(value))
-    if _below_normal(value) and not _has_zero_factor(x, q, n_head):
+    if n_factors <= _LOOP_FACTORS:
+        value = 1.0 if isinstance(x, float) else 1.0 + 0.0j
+        xq = x
+        for _ in range(n_factors):
+            value *= 1.0 - xq
+            xq *= q
+        if _TINY <= abs(value) < math.inf:
+            return complex(value), n_factors
+    # below n_factors (TERM_TOL < _TAIL_RADIUS) but at q = 0, where no tail is left
+    n_head = _head_length(abs(x), aq)
+    expo, phase, y = _log_head(x, q, n_head)
+    if expo == -math.inf:
+        return 0j, n_factors
+    if q.imag == 0.0:  # pow rounds about once, the running power ~sqrt(K) times
+        y = x * q.real**n_head
+    if n_head < n_factors:
+        expo += _log_tail(y, q)
+    value = complex(phase * _exp(expo))
+    if _below_normal(value):
         raise DomainError(f"value underflows: (x;q)_oo at x = {complex(x)}, q = {complex(q)}")
     return value, n_factors
 

@@ -83,14 +83,17 @@ ERRORS = [
     "check thm29 --tol nan", "sweep q-to-one --alpha 0.1 --alpha=-inf",
 ]
 
-#: direct products long enough for numpy blocks (about 5e4 factors, and
+#: direct products past the 80-factor loop (about 5e4 factors, and
 #: |q| = 0.9975 off the real axis), one that ends on the smallest subnormal
-#: and one that underflows to 0, one whose tail past 4,096 factors is a log
-#: series, and one whose length needs the logs of its tail rule
+#: and one that underflows to 0, one with an empty head, one whose length
+#: needs the logs of its tail rule, and one whose head's running product
+#: dips below the normal range and back within its first 4,096 factors
+#: (q = 0.99995 e^{i pi/2320})
 PRODUCTS = [
     "--x-re 0.5 --q-re 0.999", "--x-re 0.5 --q-re 0.9 --q-im 0.43",
     "--x-re 0.5 --q-re 0.9999", "--x-re 0.9 --q-re 0.9999",
     "--x-re 0.3 --q-re 0.9999", "--x-re 1e308 --q-re 0.5",
+    "--x-re 0.99 --q-re 0.9999490832055019 --q-im 0.0013540666439190094",
 ]
 
 #: modular points with nu between the branch cuts of Li_2 and G, at

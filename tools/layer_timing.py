@@ -24,7 +24,12 @@ of both (the point the modular route hands ``P_minus``, and the x -> 1
 point), one layer per number of terms N it takes there (as the old tree
 takes it), one for the points it rejects for the ray, and the sums N <= 4
 and N >= 5.  A layer that a change does not touch is its control: its ratio
-shows what the pairing leaves of the host's drift.
+shows what the pairing leaves of the host's drift.  One layer times inputs
+that no workload draws: ``qcore.qpochhammer`` at LONG_HEADS seeded complex
+(x, q) per seed, |x| in [0.3, 1] and q = rho e^{i theta} with 1 - rho in
+10^[-4.3, -2] and |theta| <= 0.02: at seeds 1301-1302 products of 4,032 to
+857,299 factors, whose heads, the factors with |x q^k| > 1/4, take 26 to
+24,385.
 
 Per layer it prints the quartiles of each tree's times (us), and the median of
 the per-point ratios new/old with a bootstrap 95% interval (2,000 resamples
@@ -40,12 +45,15 @@ itself read every median ratio within 0.997-1.006 and every interval within
 the rejects (within 0.986-1.023), where each N alone, with 3 to 49 points,
 reads within 0.978-1.011; a copy with one extra bound (about 0.25 us) per
 ``_p_series`` read 1.020-1.039 for N <= 4, 1.057-1.072 for the rejects and
-1.014-1.015 for q-to-one's modular route, every interval clear of 1.
+1.014-1.015 for q-to-one's modular route, every interval clear of 1.  The
+long heads (seeds 1301-1302, --repeat 7, three runs): a tree against a copy
+of itself read 0.997-1.000, every interval within 0.995-1.003.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import collections
 import contextlib
 import gc
@@ -71,6 +79,9 @@ Q_TO_ONE = {"modular": "fixed-x qpochhammer_modular", "direct": "fixed-x qpochha
 #: it rejects them for the ray
 P_SERIES = tuple(f"P series, N = {n}" for n in range(1, 13)) + ("P series, reject",)
 P_SERIES_SUMS = {"P series, N <= 4": range(1, 5), "P series, N >= 5": range(5, 13)}
+#: the seeded complex long heads, and their number per seed
+LONG_HEAD = "complex long-head qpochhammer"
+LONG_HEADS = 75
 RESAMPLES = 2000
 
 
@@ -188,7 +199,17 @@ def layer_calls(qm, workloads, seed: int) -> dict:
             else:
                 p_points = [args[0]] if route == "P" else []
             calls["P series"] += [(qm.raysum._p_series, (p,)) for p in p_points]
+    calls[LONG_HEAD] = [(qm.qcore.qpochhammer, point) for point in long_heads(seed)]
     return {"calls": calls, "levels": levels}
+
+
+def long_heads(seed: int) -> list[tuple[complex, complex]]:
+    """LONG_HEADS seeded complex (x, q) with |x| in [0.3, 1] and
+    q = rho e^{i theta}, 1 - rho in 10^[-4.3, -2], |theta| <= 0.02."""
+    rng = np.random.default_rng(seed)
+    return [(cmath.rect(rng.uniform(0.3, 1.0), rng.uniform(-math.pi, math.pi)),
+             cmath.rect(1.0 - 10.0 ** rng.uniform(-4.3, -2.0), rng.uniform(-0.02, 0.02)))
+            for _ in range(LONG_HEADS)]
 
 
 def paired_best(old_call, new_call, refusals: tuple, repeat: int) -> tuple[float, float]:
@@ -264,6 +285,8 @@ def main(argv=None) -> int:
         for side in (0, 1):
             times[name][side].extend(t for n in ns for t in times[P_SERIES[n - 1]][side])
     _print_layers(times, P_SERIES + tuple(P_SERIES_SUMS))
+    print(f"seeded complex long heads, {LONG_HEADS} per seed")
+    _print_layers(times, (LONG_HEAD,))
     return 0
 
 
