@@ -113,9 +113,11 @@ def _exp(expo: complex) -> complex:
     """e^expo, where a value past the double range or a non-finite exponent
     (on which cmath.exp returns nan quietly or raises) is a domain error."""
     try:
-        return cmath.exp(_finite(expo, "exponent"))
+        value = cmath.exp(_finite(expo, "exponent"))
+        abs(value)  # a value whose modulus alone is past the range too
     except OverflowError:
         raise DomainError(f"value overflows: exponent {expo}") from None
+    return value
 
 
 def _below_normal(value: complex) -> bool:
@@ -249,21 +251,24 @@ def _log_head(x: complex, q: complex, n_head: int) -> tuple[float, complex, comp
     """(sum_{k < n_head} log|1 - x q^k|, the product of the unit factors
     (1 - x q^k)/|1 - x q^k|, x q^n_head), the product in the type of x and
     q: float64 for a real (x, q), whose unit factors are +-1.  The powers
-    are the running ones of _power_blocks.  The logs are summed in numpy's
-    long double, which on x86 keeps the sum's rounding well below the last
-    bit of the double it returns.  A factor 0 makes the sum -inf."""
-    expo, phase, y = 0.0, 1.0, x
+    are the running ones of _power_blocks.  A factor 0 makes the sum -inf."""
+    hi, lo, phase, y = 0.0, 0.0, 1.0, x
     for powers in _power_blocks(x, q, n_head):
         factors = 1.0 - powers
         sizes = np.abs(factors)  # at most 1 + |x|: finite
         if not sizes.all():
             return -math.inf, phase, y
-        expo += np.add.reduce(np.log(sizes), dtype=np.longdouble)
+        logs = np.log(sizes)  # each within 745 of 0, summed in two parts:
+        # the multiples of 2^-28 nearest them, exactly while below 2^25, and
+        # the rests, each below 2^-29, whose rounding is far below the sum's
+        head = np.rint(logs * 2.0**28) * 2.0**-28
+        hi += np.add.reduce(head)
+        lo += np.add.reduce(logs - head)
         # numpy's sign is z/|z| for a complex z (numpy >= 2), subnormal z
         # too, where z/|z| would overflow
         phase *= np.multiply.reduce(np.sign(factors))
         y = powers[-1] * q
-    return float(expo), phase, y
+    return float(hi + lo), phase, y
 
 
 def _head_length(ax: float, aq: float) -> int:
@@ -298,9 +303,8 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
     N is fixed in advance from the tail bound |x q^N|/(1-|q|) < TERM_TOL.
     It sets the budget (ConvergenceError past MAX_TERMS) and the count
     returned, whichever way the product is formed.  Up to _LOOP_FACTORS
-    factors the product is a plain loop, and its value is returned where it
-    lies in the normal double range.  Any other product, and a short one
-    that leaves the range, is one exponent,
+    factors the product is a plain loop, whose value is returned where its
+    modulus is a normal double; any other product is one exponent,
     L = sum_{k<K} log|1 - x q^k| + log (y;q)_oo over the head's K factors
     with |x| |q|^k > _TAIL_RADIUS (_log_head) and the tail's log series at
     y = x q^K (_log_tail), and its value is the head's phase times e^L.
@@ -308,8 +312,8 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
     running power, since K log q would carry K roundings of arg q.  The
     value's relative error is L's absolute rounding plus the drift of the
     head's running powers (module docstring).
-    There is one rule for a value past the double range: e^L that overflows
-    is refused by _exp, and a value below the normal range (0 or a
+    There is one rule for a value past the double range: e^L whose modulus
+    overflows is refused by _exp, and a value below the normal range (0 or a
     subnormal) is refused as an underflow, unless a factor is 0: its log is
     -inf and the value an exact 0.  Only the head can hold a factor 0, since
     every later one has |x q^k| <= _TAIL_RADIUS.
@@ -331,7 +335,7 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
         for _ in range(n_factors):
             value *= 1.0 - xq
             xq *= q
-        if _TINY <= abs(value) < math.inf:
+        if _TINY <= math.hypot(value.real, value.imag) < math.inf:
             return complex(value), n_factors
     # below n_factors (TERM_TOL < _TAIL_RADIUS) but at q = 0, where no tail is left
     n_head = _head_length(abs(x), aq)

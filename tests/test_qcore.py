@@ -143,6 +143,10 @@ def test_qpochhammer_overflow_is_a_domain_error():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="value overflows: exponent"):
             qpochhammer(_OVERFLOW.x, _OVERFLOW.q)
+    # e^(709.9 + i pi/4) = 1.3e308 (1 + i): its parts are doubles, its
+    # modulus is not
+    with pytest.raises(DomainError, match="value overflows: exponent"):
+        qcore._exp(complex(709.9, math.pi / 4))
 
 
 def test_tail_length_of_an_amplitude_past_2e307():
@@ -161,15 +165,15 @@ def test_qpochhammer_count_grows_as_q_to_one():
     assert n2 > 4 * n1
 
 
-def _zero_factor_in_loop(x, q, n_factors):
-    """True iff a factor 1 - x q^k, k < n_factors, of the double loop is
-    exactly 0, its running power x q^k exactly 1."""
-    xq = x
+def _reference_loop(x, q, n_factors):
+    """The plain complex loop over the factors 1 - x q^k, k < n_factors: its
+    value, and whether a factor is exactly 0 (its running power exactly 1)."""
+    value, xq, zero = 1.0 + 0.0j, x, False
     for _ in range(n_factors):
-        if xq == 1.0:
-            return True
+        zero = zero or xq == 1.0
+        value *= 1.0 - xq
         xq *= q
-    return False
+    return value, zero
 
 
 def _mp_product(mpmath, x, q):
@@ -243,7 +247,10 @@ def test_products_of_every_length_against_a_reference():
     # underflow (0 or a subnormal) as the 30-digit reference's log says
     # (_log_product), and a value within 1e-12 of it but for the drift of
     # the running powers: at x = 3.378, q = -0.99966 a head factor 2.2e-4
-    # from 0 turns it into 2.2e-11, as in the product the head multiplied
+    # from 0 turns it into 2.2e-11, as in the product the head multiplied.
+    # Up to _LOOP_FACTORS, where the plain complex loop ends on a normal
+    # double, the value is the loop's bit for bit: for a real (x, q), run in
+    # float64, its real part
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(20261018)
     loop, block = qcore._LOOP_FACTORS, qcore._BLOCK_FACTORS
@@ -264,19 +271,23 @@ def test_products_of_every_length_against_a_reference():
     points += [(0.5 + 0j, 0.9999 + 0j), (0.5 + 1e-9j, 0.9999 + 0j)]
     points += [(1e200 + 0j, 1e-10 + 0j), (1e200j, 1e-10j), (1.0 + 1e-320j, 0.1 + 0j)]
     points += [(1.0 + 1e-320j, 0j), (1.0 + 0j, 0j)]  # (x;0)_oo = 1 - x
+    # a short overflow whose parts lie within the double range, its modulus
+    # 1.9e308 past it
+    points += [(-1.2e308 - 1.2e308j, 1e-309 + 0j)]
     # exactly vanishing factors: the first, or the second at x = 1/q
     points += [(2.0 + 0j, 0.5 + 0j), (1.0 + 0j, 0.999 + 0j), (1.0 + 0j, -0.9999 + 0j)]
     points += [(-2j, 0.5j), (1.0 + 0j, 0.9999j)]
     points += [(complex(1.0 / q), complex(q)) for q in (0.999, 0.99995)]  # 1/q * q == 1.0
     outcomes = set()
-    long_values = 0
+    long_values = loop_values = 0
     for x, q in points:
         try:
             n_factors = qcore._tail_length(abs(x), abs(q), "(x;q)_oo")
         except ConvergenceError:
             continue
         real = x.imag == 0.0 and q.imag == 0.0
-        if _zero_factor_in_loop(x, q, n_factors):
+        loop_value, zero = _reference_loop(x, q, n_factors)
+        if zero:
             outcome, log_want = "zero", None
         else:
             log_want = _log_product(mpmath, x, q, n_factors)
@@ -305,6 +316,13 @@ def test_products_of_every_length_against_a_reference():
                 assert abs(miss.real) < tol, (x, q, n_factors, miss)
                 assert abs(math.remainder(miss.imag, 2.0 * math.pi)) < tol, (x, q, miss)
                 long_values += n_factors > block
+                if n_factors <= loop and cmath.isfinite(loop_value) and not qcore._below_normal(
+                        loop_value):
+                    loop_values += 1
+                    if real:
+                        assert repr(got.real) == repr(loop_value.real), (x, q, n_factors)
+                    else:
+                        assert repr(got) == repr(loop_value), (x, q, n_factors)
         outcomes.add(("real" if real else "complex", outcome, n_factors > loop))
     # every outcome, real and complex, past _LOOP_FACTORS; below it all but
     # a real underflow, which a real factor, 0 or at least 2^-53, cannot give
@@ -313,6 +331,7 @@ def test_products_of_every_length_against_a_reference():
     assert {(kind, o) for kind, o, long in outcomes if long} == kinds
     assert {(kind, o) for kind, o, long in outcomes if not long} == kinds - {("real", "underflow")}
     assert long_values > 30
+    assert loop_values > 30
 
 
 #: products past _BLOCK_FACTORS, through the head's logs and the tail's log series
