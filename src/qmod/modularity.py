@@ -164,8 +164,13 @@ def _wedge(point: ModularPoint) -> complex:
     (nu in -i (0, oo) for |Re nu| < 1) and of G (nu in -tau (0, oo)), each
     of which jumps by this term, the exponent's pieces lie on different
     sheets.  It is added to the exponent, not multiplied in as -x*, since
-    x* = e^{2 pi i nu/tau} alone may overflow where the value does not."""
+    x* = e^{2 pi i nu/tau} alone may overflow where the value does not.
+    A nu with Im nu >= 0 lies outside the wedge and returns 0 before either
+    angle is taken; so does Im nu = -0.0, whose arg is -0.0 (not below
+    -pi/2) or -pi (not above arg tau - pi, which is above -pi)."""
     tau, nu = point.tau, point.nu
+    if nu.imag >= 0.0:
+        return 0j
     if math.atan2(tau.imag, tau.real) - math.pi < math.atan2(nu.imag, nu.real) < -0.5 * math.pi:
         return 2j * math.pi * point.nu_star + 1j * math.pi
     return 0j

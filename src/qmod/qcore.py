@@ -17,7 +17,12 @@ log (y;q)_oo = sum_m y^m / (m (q^m - 1)), y = x q^K, which falls like
 _TAIL_RADIUS^m however close q is to 1: a few dozen terms in place of about
 6/alpha factors.  The value is the phase times e^L, L the sum of the two,
 so one rule covers a value past the double range (_exp), however far out
-the running product of the factors would pass on the way.
+the running product of the factors would pass on the way.  The budget
+MAX_TERMS counts the factors a product forms, checked before the first: the
+loop's N, or the head's K.  The tail's log series takes at most 53 terms
+(|y| <= _TAIL_RADIUS, 1 - |q| >= 2^-53), and N past the loop, millions as
+q -> 1, is only counted.  (0;q)_oo is 1 at once, as is the modular route's
+q* product wherever x* q* underflows to 0 (q -> 1).
 
 The value's relative error is L's absolute rounding plus the drift of the
 head's running powers.  Each factor's log rounds by about 2^-53 of its
@@ -80,11 +85,23 @@ _TAIL_RADIUS = 0.25
 _TINY = sys.float_info.min
 
 
-def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms") -> int:
-    """Terms of a series whose n-th term is at most amplitude * ratio^n.
+def _budget(n: int, series: str, unit: str) -> int:
+    """n, the count of terms or factors a series will form, or
+    ConvergenceError where it passes MAX_TERMS."""
+    if n > MAX_TERMS:
+        raise ConvergenceError(f"{series} needs {n} {unit}, budget {MAX_TERMS}")
+    return n
 
-    The smallest N with amplitude ratio^N / (1 - ratio) < TERM_TOL, which
-    bounds the terms from N on; ConvergenceError when N > MAX_TERMS or no N
+
+def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms") -> int:
+    """Terms of a series whose n-th term is at most amplitude * ratio^n,
+    within the budget (_budget)."""
+    return _budget(_tail_count(amplitude, ratio, series, unit), series, unit)
+
+
+def _tail_count(amplitude: float, ratio: float, series: str, unit: str = "terms") -> int:
+    """The smallest N with amplitude ratio^N / (1 - ratio) < TERM_TOL, which
+    bounds the terms from N on, however large; ConvergenceError where no N
     exists (1 - ratio rounds to 0), and DomainError for an amplitude or
     ratio that is inf or nan.
     """
@@ -103,10 +120,7 @@ def _tail_length(amplitude: float, ratio: float, series: str, unit: str = "terms
         )
     else:  # the quotient underflows for an amplitude past about 2e307
         log_need = math.log(TERM_TOL * (1.0 - ratio)) - math.log(amplitude)
-    n = math.ceil(log_need / math.log(ratio))
-    if n > MAX_TERMS:
-        raise ConvergenceError(f"{series} needs {n} {unit}, budget {MAX_TERMS}")
-    return n
+    return math.ceil(log_need / math.log(ratio))
 
 
 def _exp(expo: complex) -> complex:
@@ -301,13 +315,16 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
     """(x;q)_oo together with the number N of factors the tail rule asks for.
 
     N is fixed in advance from the tail bound |x q^N|/(1-|q|) < TERM_TOL.
-    It sets the budget (ConvergenceError past MAX_TERMS) and the count
-    returned, whichever way the product is formed.  Up to _LOOP_FACTORS
+    It chooses the loop and is the count returned, whichever way the
+    product is formed; the budget (ConvergenceError past MAX_TERMS, before
+    any factor is formed) counts the factors formed: N in the loop, the
+    head's K past it.  x = 0 returns (1, 0) at once.  Up to _LOOP_FACTORS
     factors the product is a plain loop, whose value is returned where its
     modulus is a normal double; any other product is one exponent,
     L = sum_{k<K} log|1 - x q^k| + log (y;q)_oo over the head's K factors
     with |x| |q|^k > _TAIL_RADIUS (_log_head) and the tail's log series at
-    y = x q^K (_log_tail), and its value is the head's phase times e^L.
+    y = x q^K (_log_tail), and its value is the head's phase times e^L; an
+    empty head (K = 0, |x| <= _TAIL_RADIUS) leaves L the tail's alone.
     For a real q, y is x times pow(q, K); for a complex q it is the head's
     running power, since K log q would carry K roundings of arg q.  The
     value's relative error is L's absolute rounding plus the drift of the
@@ -326,7 +343,10 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
     aq = abs(q)
     if aq >= 1.0:
         raise DomainError(f"|q| must be < 1, got {aq}")
-    n_factors = _tail_length(abs(x), aq, "(x;q)_oo", "factors")
+    if x == 0 and aq < 1.0:  # every factor is 1 (a nan q goes on to its refusal)
+        return 1 + 0j, 0
+    ax = abs(x)
+    n_factors = _tail_count(ax, aq, "(x;q)_oo", "factors")
     if x.imag == 0.0 and q.imag == 0.0:  # the real case, in float64
         x, q = x.real, q.real
     if n_factors <= _LOOP_FACTORS:
@@ -338,12 +358,14 @@ def qpochhammer_with_count(x: complex, q: complex) -> tuple[complex, int]:
         if _TINY <= math.hypot(value.real, value.imag) < math.inf:
             return complex(value), n_factors
     # below n_factors (TERM_TOL < _TAIL_RADIUS) but at q = 0, where no tail is left
-    n_head = _head_length(abs(x), aq)
-    expo, phase, y = _log_head(x, q, n_head)
-    if expo == -math.inf:
-        return 0j, n_factors
-    if q.imag == 0.0:  # pow rounds about once, the running power ~sqrt(K) times
-        y = x * q.real**n_head
+    n_head = _budget(_head_length(ax, aq), "(x;q)_oo", "head factors")
+    expo, phase, y = 0.0, 1.0, x  # an empty head (|x| <= _TAIL_RADIUS): the tail alone
+    if n_head:
+        expo, phase, y = _log_head(x, q, n_head)
+        if expo == -math.inf:
+            return 0j, n_factors
+        if q.imag == 0.0:  # pow rounds about once, the running power ~sqrt(K) times
+            y = x * q.real**n_head
     if n_head < n_factors:
         expo += _log_tail(y, q)
     value = complex(phase * _exp(expo))

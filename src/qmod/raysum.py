@@ -105,6 +105,12 @@ MAX_NODES = 2**18
 #: every ray passes so near an obstacle that the trapezoid step must
 #: shrink until the integral runs out of nodes
 RAY_MIN_ARC = math.pi / 36.0
+#: P's series branch forms the admissible arc only where _series_arc_bound
+#: falls below RAY_MIN_ARC + _ARC_MARGIN, a margin far above the arc's
+#: rounding (a few ulps of pi), and where Im tau < _SMALL_TAU, below which
+#: the arc's edges (1 -/+ nu) i/tau may overflow and round its ends
+_ARC_MARGIN = 1e-12
+_SMALL_TAU = 1e-300
 #: P_minus's ray makes the first DE call at the smallest level L >= 3
 #: with arc 2^L >= P_FIRST_ARC, at most 7 (where RAY_MIN_ARC is 640
 #: degrees), arc the width of the admissible arc.  The step a trapezoid
@@ -346,6 +352,22 @@ def _admissible_arc(point: ModularPoint) -> tuple[float, float]:
     return lo, hi
 
 
+def _series_arc_bound(nu: complex) -> float:
+    """pi/2 - atan2(|Im nu|, 1 - |Re nu|), a lower bound of the admissible
+    arc's width wherever Re tau >= 0 and |Re nu| < 1, as on P's series
+    branch (P_minus).
+
+    There theta = arg tau lies in (0, pi/2], and each edge
+    e = (1 -/+ nu) i/tau has its half-circle d in (theta - a - pi, theta - a),
+    a = arg(1 -/+ nu).  As Re(1 -/+ nu) > 0, both |a| are at most
+    beta = atan2(|Im nu|, 1 - |Re nu|) < pi/2, and their signs are those of
+    -Im nu and Im nu, so the larger, A, is >= 0 and the smaller, B, <= 0.
+    The arc is then (theta - B - pi, min(0, theta - A)), inside (-pi, 0),
+    of width pi - max(theta, A) + B >= pi - pi/2 - beta.
+    """
+    return 0.5 * math.pi - math.atan2(abs(nu.imag), 1.0 - abs(nu.real))
+
+
 def choose_ray(point: ModularPoint) -> RaySpec:
     """The lower ray farthest from every obstacle of the DE trapezoid
     rule, with its slack as the decay rate.
@@ -386,14 +408,21 @@ def big_G(point: ModularPoint) -> complex:
 
 
 @functools.cache
-def _p_nodes(level: int, full: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(u - e^{-u}), 1 + e^{-u} and the terms of fn_f's Bernoulli series
+def _p_nodes(level: int, full: bool) -> tuple[np.ndarray, ...]:
+    """exp(u - e^{-u}), as float64 and as complex128, 1 + e^{-u} as
+    complex128, and the terms of fn_f's Bernoulli series
     -2 B_{2j+2}/(2j+2)! r^{2j+1} (1 + e^{-u}), j < 10, one row per node, on
     _u_nodes(level, full) with r = exp(u - e^{-u}), read-only: the
-    point-free part of P's weighted integrand."""
+    point-free part of P's weighted integrand.  The complex tables hold the
+    values numpy would cast the float ones to in every complex product."""
     r0, one_plus_e_u = _ray_nodes(level, full)
     powers = r0[:, None] ** (2 * np.arange(len(_BOSE_COEFFS)) + 1)
-    return r0, one_plus_e_u, _frozen(-2.0 * powers * _BOSE_COEFFS[::-1] * one_plus_e_u[:, None])
+    return (
+        r0,
+        _frozen(r0.astype(complex)),
+        _frozen(one_plus_e_u.astype(complex)),
+        _frozen(-2.0 * powers * _BOSE_COEFFS[::-1] * one_plus_e_u[:, None]),
+    )
 
 
 def _series_scalars(rho: complex) -> tuple[complex, ...]:
@@ -464,17 +493,18 @@ def _p_weighted(point: ModularPoint, spec: RaySpec) -> Callable[[int, bool], np.
     direct_end = _EXP_LIMIT / -(rho / tau).imag
 
     def weighted(level: int, full: bool) -> np.ndarray:
-        r0, one_plus_e_u, series = _p_nodes(level, full)
+        r0, r0_c, one_plus_e_u, series = _p_nodes(level, full)
         out = np.empty(r0.size, dtype=complex)
+        w = np.empty(r0.size, dtype=complex)  # v and e^v - 1 first, then w
         k = r0.searchsorted(series_end)
         np.matmul(series[:k], scalars, out=out[:k].view(float).reshape(k, 2))
-        v = (i_s * rho) * r0[k:]
+        v = np.multiply(i_s * rho, r0_c[k:], out=w[k:])
         far = np.divide(-2.0 * i_s, v, out=out[k:])  # 1/(is) = -is
-        e = np.expm1(v)
+        e = np.expm1(v, out=v)
         far -= np.divide(-2.0 * i_s, e, out=e)
         far += i_s
         far *= one_plus_e_u[k:]
-        w = rho * r0
+        np.multiply(rho, r0_c, out=w)
         w /= tau
         m = r0.searchsorted(direct_end)
         out[:m] *= sin_ratio_direct(nu, w[:m])
@@ -490,19 +520,25 @@ def P_minus(point: ModularPoint) -> complex:
 
     A point whose admissible lower arc is narrower than RAY_MIN_ARC
     (_admissible_arc) is a domain error.  Where the divergent series'
-    proven bound certifies it to TERM_TOL (_p_series), the series is P,
-    and that check is all the ray choice it pays for; elsewhere the
-    integral runs along choose_ray's ray, the one farthest from the
-    integrand's poles and the cone's edges, and its first DE call takes
-    the level that the arc's width (RaySpec.arc) predicts (P_FIRST_ARC);
-    the value is the same whatever the first level.  Either path forms
-    the arc once.
+    proven bound certifies it to TERM_TOL (_p_series), the series is P;
+    that branch has Re tau >= 0 and |Re nu| < 1, where the arc is at least
+    _series_arc_bound(nu) = pi/2 - atan2(|Im nu|, 1 - |Re nu|) (its
+    docstring has the proof), so the arc is formed, for its refusal alone,
+    only where that bound is below RAY_MIN_ARC + _ARC_MARGIN or
+    Im tau < _SMALL_TAU: at tau = i alpha and nu = i c it clears RAY_MIN_ARC
+    up to c = 11.4.  Elsewhere the integral runs along choose_ray's ray,
+    the one farthest from the integrand's poles and the cone's edges, and
+    its first DE call takes the level that the arc's width (RaySpec.arc)
+    predicts (P_FIRST_ARC); the value is the same whatever the first
+    level.  The ray forms the arc once, the series at most once.
     """
     if point.nu == 0:
         return 0.0 + 0.0j
     series = _p_series(point)
     if series is not None:
-        _admissible_arc(point)  # the refusal alone
+        if (point.tau.imag < _SMALL_TAU
+                or _series_arc_bound(point.nu) < RAY_MIN_ARC + _ARC_MARGIN):
+            _admissible_arc(point)  # the refusal alone
         return series
     spec = choose_ray(point)
     first = 3

@@ -381,12 +381,19 @@ def test_sweep_runs_are_byte_identical(capsys):
 
 
 def test_convergence_failure_exit(capsys):
-    # |q| this close to 1 exhausts the direct product's term budget
+    # |q| this close to 1 puts the direct product's head, 6.9e6 factors,
+    # past its budget
     code, _, err = run(
-        capsys, "eval", "pochhammer-direct", "--x-re", "0.5", "--q-re", "0.99999"
+        capsys, "eval", "pochhammer-direct", "--x-re", "0.5", "--q-re", "0.9999999"
     )
     assert code == 3
     assert "convergence" in err
+    # at q = 0.99999 the head, 69,315 factors, fits, and the value underflows
+    code, _, err = run(
+        capsys, "eval", "pochhammer-direct", "--x-re", "0.5", "--q-re", "0.99999"
+    )
+    assert code == 2
+    assert "value underflows" in err
 
 
 def test_series_whose_ratio_rounds_to_one_exits_3(capsys):

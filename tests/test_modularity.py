@@ -37,6 +37,7 @@ from qmod.raysum import (
 from qmod.specialfns import binet, dilog
 from qmod.modularity import (
     TOLERANCES,
+    _wedge,
     binet74_residual,
     binet75_residual,
     compare,
@@ -190,6 +191,38 @@ def test_modular_across_the_branch_wedge(tau, nu):
     for f in (qpochhammer_modular, ramanujan_completed):
         got = f(ModularPoint(tau, nu))
         assert abs(got - want) <= 1e-14 * abs(want), f.__name__
+
+
+def _wedge_full_test(point):
+    """_wedge by its angles alone: 2 pi i nu/tau + i pi where
+    arg tau - pi < arg nu < -pi/2, else 0."""
+    tau, nu = point.tau, point.nu
+    if math.atan2(tau.imag, tau.real) - math.pi < math.atan2(nu.imag, nu.real) < -0.5 * math.pi:
+        return 2j * math.pi * point.nu_star + 1j * math.pi
+    return 0j
+
+
+def test_wedge_returns_early_only_outside_it():
+    # Im nu >= 0 returns 0 before the angles are taken: the same as the
+    # full test at Im nu = +0.0 and -0.0, on every side of Re nu (whose arg
+    # is then 0, -0.0, pi or -pi), for tau on both sides of the imaginary
+    # axis, and at seeded points of both signs of Im nu
+    rng = np.random.default_rng(20261022)
+    taus = [1j, 0.3 + 0.01j, -0.3 + 0.01j, -1e-300 + 1e-300j, 1e-300 + 1j]
+    taus += [complex(rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(-2.5, 0.5)) for _ in range(20)]
+    inside = 0
+    for tau in taus:
+        nus = [complex(re, im) for re in (0.3, -0.3, 0.0, -0.0, 1.5, -1.5)
+               for im in (0.0, -0.0)]
+        nus += [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(20)]
+        for nu in nus:
+            point = ModularPoint(tau, nu)
+            got, want = _wedge(point), _wedge_full_test(point)
+            assert got == want and repr(got) == repr(want), (tau, nu)
+            if nu.imag == 0.0:
+                assert got == 0, (tau, nu)
+            inside += got != 0
+    assert inside > 20
 
 
 def test_modular_forms_against_mpmath_on_the_fuzz_box():

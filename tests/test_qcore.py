@@ -103,9 +103,38 @@ def test_qpochhammer_rejects_big_q():
 
 
 def test_qpochhammer_budget_exhaustion():
-    # the tail bound asks for about 4.8e6 factors, past MAX_TERMS
-    with pytest.raises(ConvergenceError):
+    # the budget counts the factors the product forms: at q = 1 - 1e-7 the
+    # head, the factors with |x q^k| > 1/4, is K = 6.9e6, past MAX_TERMS
+    # (test_series_fail_fast times the refusal)
+    with pytest.raises(ConvergenceError, match="needs 6931472 head factors, budget"):
+        qpochhammer(0.5, 1.0 - 1e-7)
+    # at q = 0.99999 the tail rule's N is 4.8e6 but K only 69,315: the
+    # product is formed, and its value, about e^{-58,000}, underflows
+    with pytest.raises(DomainError, match="value underflows"):
         qpochhammer(0.5, 0.99999)
+
+
+def test_qpochhammer_of_zero_is_one_at_once():
+    # every factor is 1: the modular route's q* product as x* q* underflows
+    # to 0; |q| >= 1 is still refused first, and a nan q by the tail rule
+    for q in (0.5, -0.9999999 + 0j, 0.3j, 1.0 - 2.0**-53, 0j):
+        for x in (0.0, -0.0, 0j, complex(-0.0, -0.0)):
+            got = qpochhammer_with_count(x, q)
+            assert got == (1 + 0j, 0) and repr(got[0]) == "(1+0j)", (x, q)
+    for q in (1.0, -1.2, 1j):
+        with pytest.raises(DomainError, match=r"\|q\| must be < 1"):
+            qpochhammer_with_count(0.0, q)
+    with pytest.raises(DomainError, match="must be finite"):
+        qpochhammer_with_count(0.0, math.nan)
+
+
+def test_qpochhammer_with_an_empty_head_is_the_tail_series():
+    # |x| <= 1/4 past 80 factors: no head factor, and L is the tail's log
+    # series at y = x, as the head's (0, 1, x) left it
+    for x, q in ((0.25, 0.995), (-0.2 + 0.1j, 0.999 + 0.001j), (0.1j, -0.99995 + 0j)):
+        value, n = qpochhammer_with_count(x, q)
+        assert qcore._head_length(abs(x), abs(q)) == 0 and n > qcore._LOOP_FACTORS
+        assert value == qcore._exp(qcore._log_tail(x, q)), (x, q)
 
 
 @pytest.mark.parametrize(

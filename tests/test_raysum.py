@@ -34,6 +34,7 @@ from qmod.raysum import (
     RAY_REL_TOL,
     RayResult,
     RaySpec,
+    _ARC_MARGIN,
     _EXP_LIMIT,
     _a_values,
     _admissible_arc,
@@ -44,6 +45,7 @@ from qmod.raysum import (
     _p_series,
     _p_weighted,
     _ray_nodes,
+    _series_arc_bound,
     _series_scalars,
     _slack,
     _u_nodes,
@@ -332,28 +334,58 @@ def _domain_fuzz_points(n, seed):
     return points
 
 
-@pytest.mark.parametrize("half", ["lower", "upper"])
+def _series_branch_points(n, seed):
+    """(tau, nu) with Re tau >= 0 and |Re nu| < 1, as on P's series branch:
+    arg tau in (0, pi/2], every fourth tau on the imaginary axis (the real
+    case, where _series_arc_bound is the arc itself), and
+    atan2(|Im nu|, 1 - |Re nu|) drawn in [60, 90) degrees, so that the bound
+    crosses RAY_MIN_ARC inside the sample."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for k in range(n):
+        size = 10.0 ** rng.uniform(-3.0, 0.5)
+        tau = 1j * size if k % 4 == 0 else cmath.rect(size, rng.uniform(1e-3, 0.5 * math.pi))
+        re_nu = rng.uniform(-0.999, 0.999)
+        im_nu = (1.0 - abs(re_nu)) * math.tan(math.radians(rng.uniform(60.0, 90.0)))
+        points.append(ModularPoint(tau, complex(re_nu, rng.choice((-1.0, 1.0)) * im_nu)))
+    return points
+
+
+@pytest.mark.parametrize("half", ["lower", "upper", "series branch"])
 def test_choose_ray_is_the_scalar_argmax(half):
     # the ray is the clearest angle of the lower half-plane, and the
     # refusals are exactly the points whose admissible arc, twice the
     # largest clearance, is narrower than RAY_MIN_ARC; the upper
-    # half-plane is the lower one at the mirror point
+    # half-plane is the lower one at the mirror point.  On the series
+    # branch's half-plane (Re tau >= 0, |Re nu| < 1) the arc is never
+    # narrower than _series_arc_bound, up to the arc's rounding (the bound
+    # is the arc itself at Re tau = 0, Re nu = 0), and no point the bound
+    # clears is refused: P_minus forms the arc there only where it does not
     chosen = empty = 0
-    for p in _domain_fuzz_points(200, seed=5):
+    if half == "series branch":
+        points = _series_branch_points(400, seed=31)
+    else:
+        points = _domain_fuzz_points(200, seed=5)
+    for p in points:
         if half == "upper":
             p = p.mirror
         best = _mesh_clearance(p)
+        bound = _series_arc_bound(p.nu)
         try:
             spec = choose_ray(p)
         except DomainError as exc:
             assert str(exc) == f"empty admissible cone (tau = {p.tau}, nu = {p.nu})"
             assert 2.0 * (best + 0.5 * math.pi / MESH) < RAY_MIN_ARC
+            if half == "series branch":
+                assert bound < RAY_MIN_ARC + _ARC_MARGIN, p
             empty += 1
             continue
         clear = _clearance(p, spec.direction_d)
         assert abs(clear - best) <= 1e-4
         assert 2.0 * clear >= RAY_MIN_ARC
         assert spec.decay == _slack(p, spec.direction_d)
+        if half == "series branch":
+            assert spec.arc >= bound - _ARC_MARGIN, p
         chosen += 1
     assert chosen > 50 and empty > 20
 
@@ -1073,6 +1105,29 @@ def test_P_minus_takes_the_ray_where_the_stokes_sum_counts():
     assert P_minus(p) == ray
 
 
+def test_P_minus_series_forms_the_arc_only_below_its_bound(monkeypatch):
+    # at tau = i alpha, nu = i c the arc is _series_arc_bound itself: the
+    # series returns without forming it up to c = 11.4, where the bound
+    # clears RAY_MIN_ARC, and past it the arc is formed and refuses
+    formed = []
+
+    def arc(point):
+        formed.append(point)
+        return _admissible_arc(point)
+
+    monkeypatch.setattr("qmod.raysum._admissible_arc", arc)
+    for c in (0.01, 2.0, 11.4):
+        p = ModularPoint(1e-3j, c * 1j)
+        assert _series_arc_bound(p.nu) >= RAY_MIN_ARC + _ARC_MARGIN
+        assert P_minus(p) == _p_series(p)
+    assert not formed
+    p = ModularPoint(1e-3j, 11.5j)
+    assert _p_series(p) is not None
+    with pytest.raises(DomainError, match="empty admissible cone"):
+        P_minus(p)
+    assert formed == [p]
+
+
 def test_P_minus_series_keeps_the_lower_cone_refusal():
     # the lower cone is empty, while the series' own ray (Re tau < 0: the
     # upper half-plane) converges.  At the second point the series' bound
@@ -1099,6 +1154,7 @@ def test_P_minus_series_keeps_the_lower_cone_refusal():
     # check refuses
     p = ModularPoint(2e-05 + 0.001j, -0.95 - 1j)
     assert _p_series(p) is not None
+    assert _series_arc_bound(p.nu) < RAY_MIN_ARC  # so P_minus forms the arc
     with pytest.raises(DomainError, match="empty admissible cone"):
         _admissible_arc(p)
     with pytest.raises(DomainError, match="empty admissible cone"):

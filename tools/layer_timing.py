@@ -29,7 +29,11 @@ that no workload draws: ``qcore.qpochhammer`` at LONG_HEADS seeded complex
 (x, q) per seed, |x| in [0.3, 1] and q = rho e^{i theta} with 1 - rho in
 10^[-4.3, -2] and |theta| <= 0.02: at seeds 1301-1302 products of 4,032 to
 857,299 factors, whose heads, the factors with |x q^k| > 1/4, take 26 to
-24,385.
+24,385.  Last, cli-check's in-process pass: ``qmod check TARGET`` and ``qmod
+sweep TARGET`` through each tree's ``cli.main`` (output discarded), one layer
+per target of perfbench's CHECK_TARGETS and SWEEP_TARGETS, each target paired
+as a point is, CLI_PASSES times; the layer ``cli-check pass`` sums each
+pass's best times over its targets.
 
 Per layer it prints the quartiles of each tree's times (us), and the median of
 the per-point ratios new/old with a bootstrap 95% interval (2,000 resamples
@@ -47,7 +51,11 @@ reads within 0.978-1.011; a copy with one extra bound (about 0.25 us) per
 ``_p_series`` read 1.020-1.039 for N <= 4, 1.057-1.072 for the rejects and
 1.014-1.015 for q-to-one's modular route, every interval clear of 1.  The
 long heads (seeds 1301-1302, --repeat 7, three runs): a tree against a copy
-of itself read 0.997-1.000, every interval within 0.995-1.003.
+of itself read 0.997-1.000, every interval within 0.995-1.003.  The
+cli-check pass (seeds 1301-1302, one run in a slow period of the host): a tree
+against a copy of itself read 1.002 [0.994, 1.022] for the pass, and its
+targets, nine points each, 0.988-1.022 with intervals as wide as
+[0.831, 1.009]: the pass resolves a few percent, a single target does not.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ import contextlib
 import gc
 import importlib
 import importlib.util
+import io
 import math
 import os
 import sys
@@ -82,6 +91,10 @@ P_SERIES_SUMS = {"P series, N <= 4": range(1, 5), "P series, N >= 5": range(5, 1
 #: the seeded complex long heads, and their number per seed
 LONG_HEAD = "complex long-head qpochhammer"
 LONG_HEADS = 75
+#: cli-check's in-process pass, timed CLI_PASSES times: a layer per check
+#: and sweep target, and the pass, the sum of its targets' best times
+CLI_PASS = "cli-check pass"
+CLI_PASSES = 9
 RESAMPLES = 2000
 
 
@@ -96,9 +109,10 @@ def load_tree(src: str, name: str) -> types.SimpleNamespace:
     spec.loader.exec_module(sys.modules[name])
     qm = types.SimpleNamespace(**{
         mod: importlib.import_module(f"{name}.{mod}")
-        for mod in ("errors", "qcore", "raysum", "modularity")
+        for mod in ("errors", "qcore", "raysum", "modularity", "cli")
     })
     qm.ModularPoint = qm.qcore.ModularPoint
+    qm.package = sys.modules[name]
     return qm
 
 
@@ -212,6 +226,45 @@ def long_heads(seed: int) -> list[tuple[complex, complex]]:
             for _ in range(LONG_HEADS)]
 
 
+def cli_calls(qm, definitions) -> dict:
+    """Per check and sweep target of perfbench's lists, the call of cli-check's
+    pass, ``qmod {check,sweep} TARGET`` through qm's cli.main, its output
+    discarded.  cli reads its defaults as the package ``qmod``, so the call
+    first names qm's package so."""
+
+    def main(argv):
+        sys.modules["qmod"] = qm.package
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return qm.cli.main(argv)
+
+    return {f"{command} {target}": (main, ([command, target],))
+            for command, targets in (("check", definitions.CHECK_TARGETS),
+                                     ("sweep", definitions.SWEEP_TARGETS))
+            for target in targets}
+
+
+def time_cli_pass(qms, definitions, refusals: tuple, repeat: int, times: dict) -> tuple:
+    """Time cli-check's pass CLI_PASSES times, each target paired (the best of
+    repeat calls per tree), into times; the layers, in pass order."""
+    sides = [cli_calls(qm, definitions) for qm in qms]
+    saved = sys.modules.get("qmod")
+    try:
+        for _ in range(CLI_PASSES):
+            total = [0.0, 0.0]
+            for layer, old_call in sides[0].items():
+                for side, t in enumerate(paired_best(old_call, sides[1][layer], refusals, repeat)):
+                    times[layer][side].append(t)
+                    total[side] += t
+            for side in (0, 1):
+                times[CLI_PASS][side].append(total[side])
+    finally:
+        if saved is None:
+            sys.modules.pop("qmod", None)
+        else:
+            sys.modules["qmod"] = saved
+    return tuple(sides[0]) + (CLI_PASS,)
+
+
 def paired_best(old_call, new_call, refusals: tuple, repeat: int) -> tuple[float, float]:
     """The best of repeat timed calls of each tree, alternating which goes
     first."""
@@ -254,6 +307,7 @@ def main(argv=None) -> int:
     refusals = tuple(e for qm in qms for e in (qm.errors.DomainError, qm.errors.ConvergenceError))
     sys.path.insert(0, PERFBENCH)
     workloads = importlib.import_module("workloads")
+    definitions = importlib.import_module("definitions")
     seeds = [int(s) for s in args.seeds.split(",")]
     times: dict = collections.defaultdict(lambda: ([], []))
     levels: list = [[], []]
@@ -271,6 +325,7 @@ def main(argv=None) -> int:
                         for side, t in enumerate(paired_best(old_call, new_call, refusals,
                                                              args.repeat)):
                             times[layer][side].append(t)
+        cli_layers = time_cli_pass(qms, definitions, refusals, args.repeat, times)
     finally:
         gc.enable()
     print(f"{len(times[DOMAIN_FUZZ[0]][0])} timed domain-fuzz points, seeds {args.seeds}, "
@@ -287,6 +342,8 @@ def main(argv=None) -> int:
     _print_layers(times, P_SERIES + tuple(P_SERIES_SUMS))
     print(f"seeded complex long heads, {LONG_HEADS} per seed")
     _print_layers(times, (LONG_HEAD,))
+    print(f"cli-check's pass through cli.main, {CLI_PASSES} passes (the points)")
+    _print_layers(times, cli_layers)
     return 0
 
 
