@@ -12,35 +12,43 @@ q = e^{-2 pi alpha}), runs as a plain loop up to _LOOP_FACTORS factors.
 Past that it is one exponent.  The head, the K factors with
 |x| |q|^k > _TAIL_RADIUS (about ln(4|x|)/(2 pi alpha) of them), gives the
 sum of its factors' log moduli, from numpy blocks of running powers x q^k,
-and a phase, the product of its unit factors.  The rest is the log series
-log (y;q)_oo = sum_m y^m / (m (q^m - 1)), y = x q^K, which falls like
-_TAIL_RADIUS^m however close q is to 1: a few dozen terms in place of about
-6/alpha factors.  The value is the phase times e^L, L the sum of the two,
-so one rule covers a value past the double range (_exp), however far out
-the running product of the factors would pass on the way.  The budget
-MAX_TERMS counts the factors a product forms, checked before the first: the
-loop's N, or the head's K.  The tail's log series takes at most 53 terms
-(|y| <= _TAIL_RADIUS, 1 - |q| >= 2^-53), and N past the loop, millions as
-q -> 1, is only counted.  (0;q)_oo is 1 at once, as is the modular route's
-q* product wherever x* q* underflows to 0 (q -> 1).
+and a phase, e^{i theta} for theta the sum of its factors' arguments.  The
+rest is the log series log (y;q)_oo = sum_m y^m / (m (q^m - 1)),
+y = x q^K, which falls like _TAIL_RADIUS^m however close q is to 1: a few
+dozen terms in place of about 6/alpha factors.  The value is the phase
+times e^L, L the sum of the two, so one rule covers a value past the double
+range (_exp), however far out the running product of the factors would
+pass on the way.  The budget MAX_TERMS counts the factors a product forms,
+checked before the first: the loop's N, or the head's K.  The tail's log
+series takes at most 53 terms (|y| <= _TAIL_RADIUS, 1 - |q| >= 2^-53), and
+N past the loop, millions as q -> 1, is only counted.  (0;q)_oo is 1 at
+once, as is the modular route's q* product wherever x* q* underflows to 0
+(q -> 1).
 
-The value's relative error is L's absolute rounding plus the drift of the
-head's running powers.  Each factor's log rounds by about 2^-53 of its
-size, the tail's series by 2^-53 of its own, and L, a double, by half its
-last bit (up to 5.7e-14 at |L| = 709); the k-th power carries about sqrt(k)
-roundings, which a factor 1 - x q^k near 0 magnifies and which reach the
-tail through y at a complex q.  Against a 30-digit mpmath product, the
-largest relative error at the q-to-one fixed-x points of seeds 1301-1302
-past 80 factors is 9.1e-14, and at 150 seeded complex long heads (|x| in
-[0.3, 1], 1 - |q| in 10^[-4.3, -2], |arg q| <= 0.02) 4.4e-12, both at most
-the multiplied-out head's.
+The short pieces of a real product run as plain float loops on the loop's
+rule, numpy's per-call cost outweighing its speed on short arrays: a head
+of at most _LOOP_HEAD factors, and every tail series (a median of 10 terms
+at q-to-one's fixed-x points).  A complex tail stays in numpy, where a
+complex expm1 in Python costs more.
+
+The value's relative error is L's absolute rounding, with theta's for a
+complex head, plus the drift of the head's running powers.  Each factor's
+log rounds by about 2^-53 of its size, the tail's series by 2^-53 of its
+own, and L, a double, by half its last bit (up to 5.7e-14 at |L| = 709);
+the k-th power carries about sqrt(k) roundings, which a factor 1 - x q^k
+near 0 magnifies and which reach the tail through y at a complex q.
+Against a 30-digit mpmath product, the largest relative error at the
+q-to-one fixed-x points of seeds 1301-1302 past 80 factors is 1.3e-13, an
+ulp of L near |L| = 600 (p95 2.2e-14), and at 150 seeded complex long heads
+(|x| in [0.3, 1], 1 - |q| in 10^[-4.3, -2], |arg q| <= 0.02) 4.5e-12.
 
 Where x and q are both real, as in the paper's real case tau = i alpha,
 nu = i xi alpha (q = e^{-2 pi alpha}, x = q^xi), the product runs in
 float64 instead of complex128, loop and logs alike, and the head's unit
-factors are +-1.  A complex multiply whose imaginary parts are 0 rounds its
-real part as the float multiply does, so the loop's real part is the
-complex loop's bit for bit and the imaginary part is +0.0.
+factors are +-1, its phase their product.  A complex multiply whose
+imaginary parts are 0 rounds its real part as the float multiply does, so
+the loop's real part is the complex loop's bit for bit and the imaginary
+part is +0.0.
 """
 
 from __future__ import annotations
@@ -72,6 +80,10 @@ SMALL_SUM = 1e-2
 #: factors in numpy blocks of _BLOCK_FACTORS
 _LOOP_FACTORS = 80
 _BLOCK_FACTORS = 4096
+#: a real head of at most _LOOP_HEAD factors sums its logs in a plain loop:
+#: paired against the blocks at 8 real (x, q) per head length, the loop read
+#: 0.56 of their time at 40 factors, 0.93 at 70 and 1.05 at 80 (medians)
+_LOOP_HEAD = 70
 #: a product longer than _LOOP_FACTORS takes the logs of only the factors
 #: with |x q^k| > _TAIL_RADIUS and sums the rest as a log series, whose m-th
 #: term falls like _TAIL_RADIUS^m.  Radii 1/8 to 3/4 were tried at 461
@@ -81,6 +93,10 @@ _BLOCK_FACTORS = 4096
 #: same median (10.2 us).  1/4 was the one radius with no error above
 #: max(2x the loop's, 1e-13) and no outcome other than the loop's
 _TAIL_RADIUS = 0.25
+#: m = 1, 2, ... for the tail's log series, which takes at most 53 terms
+#: (_log_tail)
+_TAIL_M = np.arange(1.0, 54.0)
+_TAIL_M.flags.writeable = False
 #: the smallest normal double
 _TINY = sys.float_info.min
 
@@ -264,9 +280,24 @@ def _power_blocks(x: complex, q: complex, n_factors: int):
 def _log_head(x: complex, q: complex, n_head: int) -> tuple[float, complex, complex]:
     """(sum_{k < n_head} log|1 - x q^k|, the product of the unit factors
     (1 - x q^k)/|1 - x q^k|, x q^n_head), the product in the type of x and
-    q: float64 for a real (x, q), whose unit factors are +-1.  The powers
-    are the running ones of _power_blocks.  A factor 0 makes the sum -inf."""
-    hi, lo, phase, y = 0.0, 0.0, 1.0, x
+    q: float64 for a real (x, q), whose unit factors are +-1, and for a
+    complex one e^{i theta}, theta the sum of the factors' arguments.  The
+    powers are the running ones of _power_blocks.  A factor 0 makes the sum
+    -inf.  A real head of at most _LOOP_HEAD factors is a plain loop, its
+    logs summed by math.fsum, where numpy's per-call cost outweighs it."""
+    real = isinstance(q, float)  # float64 blocks (qpochhammer_with_count)
+    if real and n_head <= _LOOP_HEAD:
+        logs, sign, power = [], 1.0, x
+        for _ in range(n_head):
+            factor = 1.0 - power
+            if factor <= 0.0:
+                if factor == 0.0:
+                    return -math.inf, sign, power
+                sign, factor = -sign, -factor
+            logs.append(math.log(factor))
+            power *= q
+        return math.fsum(logs), sign, power
+    hi, lo, phase, angle, y = 0.0, 0.0, 1.0, 0.0, x
     for powers in _power_blocks(x, q, n_head):
         factors = 1.0 - powers
         sizes = np.abs(factors)  # at most 1 + |x|: finite
@@ -278,11 +309,12 @@ def _log_head(x: complex, q: complex, n_head: int) -> tuple[float, complex, comp
         head = np.rint(logs * 2.0**28) * 2.0**-28
         hi += np.add.reduce(head)
         lo += np.add.reduce(logs - head)
-        # numpy's sign is z/|z| for a complex z (numpy >= 2), subnormal z
-        # too, where z/|z| would overflow
-        phase *= np.multiply.reduce(np.sign(factors))
+        if real:
+            phase *= np.multiply.reduce(np.sign(factors))
+        else:  # atan2 of each factor, subnormal ones too
+            angle += np.add.reduce(np.angle(factors))
         y = powers[-1] * q
-    return float(hi + lo), phase, y
+    return float(hi + lo), phase if real else cmath.exp(1j * angle), y
 
 
 def _head_length(ax: float, aq: float) -> int:
@@ -297,11 +329,25 @@ def _head_length(ax: float, aq: float) -> int:
 def _log_tail(y: complex, q: complex) -> complex:
     """log (y;q)_oo = sum_{m>=1} y^m / (m (q^m - 1)) for |y| <= _TAIL_RADIUS,
     in the type of y (float64 for a real (y, q)), its length from the tail
-    rule: the m-th term is below |y|^m / (1 - |q|).  q^m - 1 is
-    expm1(m log q), in real arithmetic for a real q (-(1 + |q|^m) at odd m
-    where q < 0), so that it keeps its relative digits as q^m -> 1."""
+    rule: the m-th term is below |y|^m / (1 - |q|), so that at most 53 terms
+    are taken (_TAIL_M).  q^m - 1 is expm1(m log q), in real arithmetic for
+    a real q (-(1 + |q|^m) at odd m where q < 0), so that it keeps its
+    relative digits as q^m -> 1.  For a real (y, q) the series is a plain
+    loop, where numpy's per-call cost outweighs it: Horner's rule in y from
+    the last term, whose terms fall with m, so that only the first term's
+    step rounds at the size of the sum.  A complex one is summed in numpy,
+    whose expm1 costs less than a complex one in Python."""
     ay, aq = abs(y), abs(q)
-    m = np.arange(1.0, _tail_length(ay / (1.0 - aq), ay, "(x;q)_oo tail series") + 1.0)
+    n_terms = _tail_length(ay / (1.0 - aq), ay, "(x;q)_oo tail series")
+    if isinstance(q, float):  # the real case (qpochhammer_with_count)
+        log_aq, total = math.log(aq), 0.0
+        for m in range(n_terms, 0, -1):
+            gap = math.expm1(m * log_aq)
+            if q < 0.0 and m % 2:
+                gap = -2.0 - gap
+            total = y * total + y / (m * gap)
+        return total
+    m = _TAIL_M[:n_terms]
     if q.imag == 0.0:
         gap = np.expm1(m * math.log(aq))
         if q.real < 0.0:

@@ -290,6 +290,10 @@ def dilog(x: complex) -> complex:
 def _dilog_off_cut(x: complex) -> complex:
     a = abs(x)
     if a <= 0.5:
+        if x.imag == 0.0 and math.copysign(1.0, x.imag) > 0.0:
+            # a real x in float, bit for bit the complex series (whose
+            # imaginary part stays +0.0); at -0.0 its sign follows x's terms
+            return complex(_dilog_series(x.real))
         return _dilog_series(x)
     if a >= 2.0:
         # inversion: Li2(x) = -pi^2/6 - log(-x)^2 / 2 - Li2(1/x)

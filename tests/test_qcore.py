@@ -137,6 +137,77 @@ def test_qpochhammer_with_an_empty_head_is_the_tail_series():
         assert value == qcore._exp(qcore._log_tail(x, q)), (x, q)
 
 
+@pytest.mark.parametrize("q", [0.9995, -0.9995])
+def test_real_tail_series_against_mpmath(q):
+    # a real (y, q) sums the tail's log series in a float loop (Horner's
+    # rule), at q < 0 with the gap -2 - expm1(m log|q|) at odd m: within
+    # Horner's bound, 2m roundings of the sum of |terms| (and TERM_TOL), of
+    # the series at 30 digits, and of its numpy form, which a complex y
+    # takes.  (y; q)_oo itself is e^tail (an empty head), with N the tail
+    # rule's and imaginary part +0.0
+    mpmath = pytest.importorskip("mpmath")
+    y = 0.2
+    got = qcore._log_tail(y, q)
+    assert type(got) is float
+    n_terms = qcore._tail_length(y / (1.0 - abs(q)), y, "tail")
+    with mpmath.workdps(30):
+        terms = [mpmath.mpf(y) ** m / (m * (mpmath.mpf(q) ** m - 1)) for m in range(1, 200)]
+        want, abs_sum = float(mpmath.fsum(terms)), float(mpmath.fsum(map(abs, terms)))
+    tol = 2 * n_terms * 2.0**-53 * abs_sum + qcore.TERM_TOL
+    assert abs(got - want) < tol, (got, want)
+    assert abs(got - qcore._log_tail(complex(y), complex(q)).real) < 2.0 * tol
+    value, n_factors = qpochhammer_with_count(y, q)
+    assert n_factors == qcore._tail_count(y, abs(q), "(x;q)_oo") > qcore._LOOP_FACTORS
+    assert type(value) is complex and repr(value.imag) == "0.0"
+    assert value == qcore._exp(got)
+
+
+def test_short_real_heads_on_both_sides_of_the_loop(monkeypatch):
+    # real heads of 1 to _LOOP_HEAD + 2 factors past _LOOP_FACTORS, of both
+    # signs of q and of the factors: a plain loop up to _LOOP_HEAD, numpy's
+    # blocks past it.  Each product is within 1e-12 of a 30-digit one but for
+    # the running powers' drift (at x = 3, K = 48 a factor 2.2e-5 from 0
+    # turns it into 5.2e-12, as in the blocks), with N the tail rule's and
+    # imaginary part +0.0; the loop's sum of logs is within K roundings of
+    # their sum of |logs| of the blocks', with the same sign and next power
+    mpmath = pytest.importorskip("mpmath")
+    loop_head = qcore._LOOP_HEAD
+    lengths = set()
+    for n_head in range(1, loop_head + 3):
+        for x, sign in ((0.3, 1.0), (-0.3, -1.0), (3.0, 1.0), (-3.0, -1.0)):
+            q = sign * math.exp(-math.log(4.0 * abs(x)) / (n_head - 0.5))
+            assert qcore._head_length(abs(x), abs(q)) == n_head
+            n_factors = qcore._tail_count(abs(x), abs(q), "(x;q)_oo")
+            if n_factors <= qcore._LOOP_FACTORS:
+                continue
+            value, n_got = qpochhammer_with_count(x, q)
+            assert n_got == n_factors
+            assert type(value) is complex and repr(value.imag) == "0.0", (x, q)
+            tol = 1e-12 + 2.0 * _drift_error(x, q, n_head)
+            assert rel(value, _mp_product(mpmath, x, q)) < tol, (x, q)
+            expo, phase, y = qcore._log_head(x, q, n_head)
+            monkeypatch.setattr(qcore, "_LOOP_HEAD", 0)
+            blocks = qcore._log_head(x, q, n_head)
+            monkeypatch.setattr(qcore, "_LOOP_HEAD", loop_head)
+            power, abs_logs = x, 0.0
+            for _ in range(n_head):
+                abs_logs += abs(math.log(abs(1.0 - power)))
+                power *= q
+            assert abs(expo - blocks[0]) <= n_head * 2.0**-53 * abs_logs, (x, q)
+            assert (phase, y) == blocks[1:] and y == power, (x, q)
+            lengths.add(n_head)
+    assert set(range(loop_head - 1, loop_head + 3)) <= lengths
+
+
+def test_zero_factor_in_a_short_real_head():
+    # the first factor vanishes, or the second at x = 1/q (1/q * q == 1.0)
+    for x, q in ((1.0, 0.96), (1.0 / 0.96, 0.96), (1.0, -0.96), (1.0 / -0.9, -0.9)):
+        assert 0 < qcore._head_length(abs(x), abs(q)) <= qcore._LOOP_HEAD
+        value, n_factors = qpochhammer_with_count(x, q)
+        assert n_factors == qcore._tail_count(abs(x), abs(q), "(x;q)_oo") > qcore._LOOP_FACTORS
+        assert value == 0, (x, q)
+
+
 @pytest.mark.parametrize(
     "series",
     [

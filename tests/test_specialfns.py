@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmod import specialfns
 from qmod.errors import DomainError
 from qmod.specialfns import (
     TWO_PI,
@@ -280,6 +281,17 @@ def test_dilog_branch_cut_upper_limit():
         with mpmath.workdps(30):
             want = complex(mpmath.polylog(2, mpmath.mpc(x, 1e-40)))
         assert abs(dilog(x) - want) <= 1e-15 * abs(want), x
+
+
+def test_dilog_of_a_real_x_in_the_series_disk_is_the_complex_series():
+    # a real x (imaginary part +0.0) with |x| <= 1/2 is summed in float: bit
+    # for bit the complex series, whose imaginary part stays +0.0; at -0.0
+    # the complex series runs as before
+    rng = random.Random(20261022)
+    xs = [rng.uniform(-0.5, 0.5) for _ in range(2000)] + [0.5, -0.5, 1e-300, -2.0**-1074]
+    for a in xs:
+        for x in (complex(a, 0.0), complex(a, -0.0)):
+            assert repr(dilog(x)) == repr(specialfns._dilog_series(x)), x
 
 
 @given(st.floats(min_value=1e-3, max_value=1.0 - 1e-3))

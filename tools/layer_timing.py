@@ -16,24 +16,26 @@ The layers.  At the timed domain-fuzz points: ``qpochhammer_modular``; the
 direct ``qcore.qpochhammer`` of each point, whose x and q are complex and whose
 products are short; ``P_minus`` at the point the modular route hands it; and,
 where P takes its ray, the first call that ``_de_sum`` makes of P's weighted
-integrand, the full grid of its first level (289 nodes at level 4 or, where
-the admissible arc sizes it, 145 to 2,305).  At q-to-one's timed calls:
+integrand, the full grid of its first level (289 nodes at level 4 or, where the
+admissible arc sizes it, 145 to 2,305).  At q-to-one's timed calls:
 ``qpochhammer_modular`` and the direct ``qpochhammer`` at fixed x (real x and
-q), and ``P_minus`` as x -> 1; and P's series, ``_p_series``, at the P points
-of both (the point the modular route hands ``P_minus``, and the x -> 1
-point), one layer per number of terms N it takes there (as the old tree
-takes it), one for the points it rejects for the ray, and the sums N <= 4
-and N >= 5.  A layer that a change does not touch is its control: its ratio
-shows what the pairing leaves of the host's drift.  One layer times inputs
-that no workload draws: ``qcore.qpochhammer`` at LONG_HEADS seeded complex
-(x, q) per seed, |x| in [0.3, 1] and q = rho e^{i theta} with 1 - rho in
-10^[-4.3, -2] and |theta| <= 0.02: at seeds 1301-1302 products of 4,032 to
-857,299 factors, whose heads, the factors with |x q^k| > 1/4, take 26 to
-24,385.  Last, cli-check's in-process pass: ``qmod check TARGET`` and ``qmod
-sweep TARGET`` through each tree's ``cli.main`` (output discarded), one layer
-per target of perfbench's CHECK_TARGETS and SWEEP_TARGETS, each target paired
-as a point is, CLI_PASSES times; the layer ``cli-check pass`` sums each
-pass's best times over its targets.
+q), in all and split by the way the old tree forms it (the plain loop of at
+most 80 factors, or the exponent with an empty head, K = 0, or with K > 0 head
+factors), and ``P_minus`` as x -> 1; and P's series, ``_p_series``, at the P
+points of both (the point the modular route hands ``P_minus``, and the x -> 1
+point), one layer per number of terms N it takes there (as the old tree takes
+it), one for the points it rejects for the ray, and the sums N <= 4 and N >= 5.
+A layer that a change does not touch is its control: its ratio shows what the
+pairing leaves of the host's drift.  One layer times inputs that no workload
+draws: ``qcore.qpochhammer`` at LONG_HEADS seeded complex (x, q) per seed, |x|
+in [0.3, 1] and q = rho e^{i theta} with 1 - rho in 10^[-4.3, -2] and |theta|
+<= 0.02: at seeds 1301-1302 products of 4,032 to 857,299 factors, whose heads,
+the factors with |x q^k| > 1/4, take 26 to 24,385.  Last, cli-check's
+in-process pass: ``qmod check TARGET`` and ``qmod sweep TARGET`` through each
+tree's ``cli.main`` (output discarded), one layer per target of perfbench's
+CHECK_TARGETS and SWEEP_TARGETS, each target paired as a point is, CLI_PASSES
+times; the layer ``cli-check pass`` sums each pass's best times over its
+targets.
 
 Per layer it prints the quartiles of each tree's times (us), and the median of
 the per-point ratios new/old with a bootstrap 95% interval (2,000 resamples
@@ -88,6 +90,12 @@ Q_TO_ONE = {"modular": "fixed-x qpochhammer_modular", "direct": "fixed-x qpochha
 #: it rejects them for the ray
 P_SERIES = tuple(f"P series, N = {n}" for n in range(1, 13)) + ("P series, reject",)
 P_SERIES_SUMS = {"P series, N <= 4": range(1, 5), "P series, N >= 5": range(5, 13)}
+#: q-to-one's fixed-x direct product by the way it is formed, as the old tree
+#: counts it: the plain loop (at most _LOOP_FACTORS factors), or past it the
+#: exponent with an empty head (K = 0, |x| <= 1/4) or with K > 0 head
+#: factors; the direct layer sums the three
+DIRECT_HEADS = ("fixed-x qpochhammer, loop", "fixed-x qpochhammer, K = 0",
+                "fixed-x qpochhammer, K > 0")
 #: the seeded complex long heads, and their number per seed
 LONG_HEAD = "complex long-head qpochhammer"
 LONG_HEADS = 75
@@ -184,10 +192,22 @@ def _sort_p_series(qm, sides: list) -> None:
                 side["calls"][P_SERIES[-1] if n is None else P_SERIES[n - 1]].append(call)
 
 
+def _sort_direct(qm, sides: list) -> None:
+    """Move both trees' fixed-x direct calls into the layer of the way the
+    product is formed (DIRECT_HEADS), as qm (the old tree) counts it."""
+    for calls in zip(*(side["calls"].pop(Q_TO_ONE["direct"]) for side in sides)):
+        ax, aq = (abs(z) for z in calls[0][1])
+        loop = qm.qcore._tail_count(ax, aq, "(x;q)_oo") <= qm.qcore._LOOP_FACTORS
+        layer = DIRECT_HEADS[0 if loop else 1 + (qm.qcore._head_length(ax, aq) > 0)]
+        for side, call in zip(sides, calls):
+            side["calls"][layer].append(call)
+
+
 def layer_calls(qm, workloads, seed: int) -> dict:
     """Per layer, the (function, args) of every timed point, None where the
     layer has no call there, and the first DE level of every ray."""
-    calls: dict = {layer: [] for layer in DOMAIN_FUZZ + tuple(Q_TO_ONE.values()) + P_SERIES}
+    calls: dict = {layer: [] for layer in
+                   DOMAIN_FUZZ + tuple(Q_TO_ONE.values()) + DIRECT_HEADS + P_SERIES}
     calls["P series"] = []  # sorted by N later (_sort_p_series)
     levels = []
     for _, timed in workloads.DomainFuzz(seed, qm).timed:
@@ -317,6 +337,7 @@ def main(argv=None) -> int:
         for seed in seeds:
             sides = [layer_calls(qm, workloads, seed) for qm in qms]
             _sort_p_series(qms[0], sides)
+            _sort_direct(qms[0], sides)
             for side, out in enumerate(sides):
                 levels[side] += out["levels"]
             for layer, old_calls in sides[0]["calls"].items():
@@ -334,7 +355,10 @@ def main(argv=None) -> int:
     hists = [dict(sorted(collections.Counter(side).items())) for side in levels]
     print(f"  first DE level of P's ray, points per level: old {hists[0]} | new {hists[1]}")
     print(f"timed q-to-one calls, seeds {args.seeds}")
-    _print_layers(times, tuple(Q_TO_ONE.values()))
+    for side in (0, 1):
+        times[Q_TO_ONE["direct"]][side].extend(t for name in DIRECT_HEADS
+                                               for t in times[name][side])
+    _print_layers(times, tuple(Q_TO_ONE.values()) + DIRECT_HEADS)
     print("  _p_series at their P points, by the number of terms N it takes")
     for name, ns in P_SERIES_SUMS.items():
         for side in (0, 1):
